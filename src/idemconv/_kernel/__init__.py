@@ -1,53 +1,41 @@
 """Convolution kernel dispatch.
 
-The compiled backend (Cython, int64) is used when it imported cleanly, the
-IDEMCONV_PURE environment variable is unset, and a conservative magnitude
-bound shows no intermediate can reach 2**62.  Otherwise the pure big-int
-backend runs; both produce identical integer rows.
+The int64 backend (numpy) runs unless FORCE_PURE is set or a conservative
+magnitude bound cannot show that every intermediate stays below 2**62.
+Otherwise the pure big-int backend runs; both produce identical integer rows.
 """
 
 from __future__ import annotations
 
-import os
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
 
 from . import _pykernel
 
-try:
-    from . import _cykernel  # type: ignore[attr-defined]
+# The int64 path is present; it needs nothing beyond numpy.
+HAS_COMPILED = True
 
-    HAS_COMPILED = True
-except ImportError:  # no compiler at install time
-    _cykernel = None
-    HAS_COMPILED = False
-
-FORCE_PURE = os.environ.get("IDEMCONV_PURE", "") not in ("", "0")
+# In-process switch to the pure backend, read on every call.
+FORCE_PURE = False
 
 # headroom below 2**63-1 so the bound stays safe even if off by a small factor
 _I64_LIMIT = 2**62
+
+# products formed per np.add.at call, so temporaries stay near 8 MB each
+_BLOCK_TERMS = 1 << 20
 
 __all__ = ["HAS_COMPILED", "FORCE_PURE", "backend_name", "convolve_exact"]
 
 
 def backend_name() -> str:
-    return "compiled" if (HAS_COMPILED and not FORCE_PURE) else "pure"
+    return "pure" if FORCE_PURE else "compiled"
 
 
-def _fits_int64(a_rows: Sequence[Sequence[int]], b_rows: Sequence[Sequence[int]],
-                d: int, red_max: int) -> bool:
-    max_a = max((abs(c) for row in a_rows for c in row), default=0)
-    max_b = max((abs(c) for row in b_rows for c in row), default=0)
-    if max_a == 0 or max_b == 0:
-        return True
-    nnz = min(
-        sum(1 for row in a_rows if any(row)),
-        sum(1 for row in b_rows if any(row)),
-    )
-    acc_bound = nnz * d * max_a * max_b
-    out_bound = acc_bound * (2 * d) * max(1, red_max)
-    return out_bound < _I64_LIMIT
+def _max_abs(x: np.ndarray) -> int:
+    # np.abs wraps -2**63 to itself; read as uint64 that is 2**63, its true size
+    return int(np.abs(x).view(np.uint64).max())
 
 
 def convolve_exact(
@@ -64,16 +52,36 @@ def convolve_exact(
     numerator at group element g; red_rows[j] expresses x^j in the basis
     for j < 2d-1.  Returns n rows of d integers.
     """
+    if FORCE_PURE:
+        return _pykernel.convolve_exact(mul_rows, a_rows, b_rows, red_rows)
+    n = len(mul_rows)
     d = len(red_rows[0])
-    if HAS_COMPILED and not FORCE_PURE and _fits_int64(a_rows, b_rows, d, red_max):
-        n = len(mul_rows)
-        a = np.array(a_rows, dtype=np.int64).reshape(n, d)
-        b = np.array(b_rows, dtype=np.int64).reshape(n, d)
-        red = np.array(red_rows, dtype=np.int64).reshape(2 * d - 1, d)
-        a_nz = np.ascontiguousarray(a.any(axis=1).astype(np.int64))
-        b_nz = np.ascontiguousarray(b.any(axis=1).astype(np.int64))
-        acc = np.zeros((n, 2 * d - 1), dtype=np.int64)
-        out = np.zeros((n, d), dtype=np.int64)
-        _cykernel.convolve(mul_np, a, b, a_nz, b_nz, red, acc, out)
-        return out.tolist()
-    return _pykernel.convolve_exact(mul_rows, a_rows, b_rows, red_rows)
+    ga = list(compress(range(n), map(any, a_rows)))
+    hb = list(compress(range(n), map(any, b_rows)))
+    if not ga or not hb:
+        return [[0] * d for _ in range(n)]
+    try:
+        a = np.array([a_rows[g] for g in ga], dtype=np.int64)
+        b = np.array([b_rows[h] for h in hb], dtype=np.int64)
+    except OverflowError:
+        return _pykernel.convolve_exact(mul_rows, a_rows, b_rows, red_rows)
+    # At most min(nnz) pairs (g, h) share a target t = gh and each adds d
+    # terms to a column of acc; folding the d-1 columns >= d back in adds at
+    # most (d-1)*red_max times that again.
+    bound = min(len(ga), len(hb)) * d * _max_abs(a) * _max_abs(b)
+    if bound * 2 * d * max(1, red_max) >= _I64_LIMIT:
+        return _pykernel.convolve_exact(mul_rows, a_rows, b_rows, red_rows)
+
+    width = 2 * d - 1
+    # a_i * b_j at (g, h) lands in acc at flat index mul[g][h] * width + i + j
+    targets = mul_np.take(ga, 0).take(hb, 1) * width
+    cols = np.arange(d)[:, None] + np.arange(d)
+    acc = np.zeros(n * width, dtype=np.int64)
+    step = max(1, _BLOCK_TERMS // (len(hb) * d * d))
+    for lo in range(0, len(ga), step):
+        hi = lo + step
+        terms = a[lo:hi, None, :, None] * b[None, :, None, :]
+        np.add.at(acc, targets[lo:hi, :, None, None] + cols, terms)
+    acc = acc.reshape(n, width)
+    red = np.array(red_rows[d:width], dtype=np.int64).reshape(d - 1, d)
+    return (acc[:, :d] + acc[:, d:] @ red).tolist()

@@ -1,8 +1,9 @@
 """Pure-Python exact convolution kernel.
 
 Works on integer numerator rows (one row of power-basis coordinates per
-group element); Python integers never overflow, so this is also the escape
-route when the compiled kernel's 64-bit bound would be exceeded.
+group element); Python integers never overflow, so this is the reference the
+int64 kernel is tested against and its fallback when the 64-bit bound would
+be exceeded.
 """
 
 from __future__ import annotations

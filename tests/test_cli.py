@@ -187,7 +187,7 @@ def test_version_reports_backend(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "idemconv" in out
-    assert ("compiled" in out) or ("pure" in out)
+    assert "compiled kernel" in out
 
 
 # error categories: parse=2, reference=3, precondition=4

@@ -1,21 +1,37 @@
-"""Compiled vs pure convolution kernel agreement.
+"""Int64 vs pure convolution kernel agreement.
 
-The compiled path only fires when coefficient bounds fit in int64 headroom;
-these tests force both paths on identical inputs and require exact equality.
+The int64 (numpy) path runs whenever a magnitude bound shows no intermediate
+can reach 2**62; otherwise, or under FORCE_PURE, the big-int kernel runs.
+These tests run both paths on identical inputs and require exact equality,
+and check which path ran on either side of the bound.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import idemconv
 from idemconv import _kernel
-from idemconv._kernel import backend_name, convolve_exact
+from idemconv._kernel import _pykernel, backend_name, convolve_exact
+from idemconv.cyclo import field_tables
 from idemconv import char_idem, character_group, closure, cyclic_group, convolve, dirac, haar, full_subgroup, symmetric_group
 
 RED_D1 = [[1]]  # rational coefficients: no reduction needed
 RED_PHI4 = [[1, 0], [0, 1], [-1, 0]]  # x^2 = -1 in Q(i)
+# fits int64, but each product is 2**80: over the bound
+OVER_BOUND_C4 = (
+    [[2**40], [-(2**40)], [2**40], [-(2**40)]],
+    [[2**40], [2**40], [-(2**40)], [2**40]],
+)
+# -2**63 fits int64 but np.abs wraps it to itself; the exact row 0 is 2**63
+MIN_INT64_C4 = ([[-(2**63)], [1], [0], [0]], [[-1], [1], [0], [0]])
+# each product 1.5e9**2 fits with room to spare; 8 of them summed do not
+DENSE_C8 = ([[1_500_000_000]] * 8, [[1_500_000_000]] * 8)
 
 
 def tables(g):
@@ -35,8 +51,30 @@ def both_backends(mul_rows, mul_np, a, b, red, red_max=1):
     return pure, fast
 
 
+def reduction(n):
+    tab = field_tables(n)
+    return tab.pow_rows[: 2 * tab.degree - 1], tab.red_max
+
+
+def pure_must_not_run(*args):
+    raise AssertionError("fell back to the pure kernel within the int64 bound")
+
+
+def record_pure_calls(monkeypatch):
+    """Route the big-int kernel through a recorder; returns its call list."""
+    calls = []
+    real = _pykernel.convolve_exact
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(_pykernel, "convolve_exact", spy)
+    return calls
+
+
 def test_backend_name():
-    assert backend_name() in ("compiled", "pure")
+    assert backend_name() == "compiled"
 
 
 def test_dirac_identity_rows():
@@ -61,18 +99,81 @@ def test_backends_agree_random(data):
     g = data.draw(st.sampled_from([cyclic_group(6), symmetric_group(3)]))
     n = g.order
     mul_rows, mul_np = tables(g)
-    red = data.draw(st.sampled_from([RED_D1, RED_PHI4]))
+    red, red_max = data.draw(
+        st.sampled_from([(RED_D1, 1), (RED_PHI4, 1), reduction(5), reduction(15)])
+    )
     d = len(red[0])
     row = st.lists(st.integers(-50, 50), min_size=d, max_size=d)
     a = data.draw(st.lists(row, min_size=n, max_size=n))
     b = data.draw(st.lists(row, min_size=n, max_size=n))
-    pure, fast = both_backends(mul_rows, mul_np, a, b, red)
+    pure, fast = both_backends(mul_rows, mul_np, a, b, red, red_max)
     assert pure == fast
+
+
+@pytest.mark.parametrize("block_terms", [_kernel._BLOCK_TERMS, 7])
+@pytest.mark.parametrize("conductor", [1, 12, 105])
+def test_within_bound_runs_int64(monkeypatch, block_terms, conductor):
+    # conductor 105: d = 48 and red_max = 2; block_terms = 7 splits the
+    # scatter into one block per row of a
+    g = symmetric_group(3)
+    mul_rows, mul_np = tables(g)
+    red, red_max = reduction(conductor)
+    d = len(red[0])
+    rng = np.random.default_rng(conductor)
+    a = rng.integers(-1000, 1000, size=(g.order, d)).tolist()
+    b = rng.integers(-1000, 1000, size=(g.order, d)).tolist()
+    a[2] = [0] * d
+    expect = _pykernel.convolve_exact(mul_rows, a, b, red)
+    monkeypatch.setattr(_pykernel, "convolve_exact", pure_must_not_run)
+    monkeypatch.setattr(_kernel, "_BLOCK_TERMS", block_terms)
+    assert convolve_exact(mul_rows, mul_np, a, b, red, red_max) == expect
+
+
+def test_within_bound_measure_runs_int64(monkeypatch):
+    full = full_subgroup(symmetric_group(5))
+    expect = haar(full)
+    monkeypatch.setattr(_pykernel, "convolve_exact", pure_must_not_run)
+    assert convolve(expect, expect) == expect
+
+
+@pytest.mark.parametrize(
+    "a, b", [OVER_BOUND_C4, MIN_INT64_C4, DENSE_C8], ids=["2**40", "-2**63", "dense"]
+)
+def test_over_bound_falls_back_to_pure(monkeypatch, a, b):
+    mul_rows, mul_np = tables(cyclic_group(len(a)))
+    expect = _pykernel.convolve_exact(mul_rows, a, b, RED_D1)
+    calls = record_pure_calls(monkeypatch)
+    assert convolve_exact(mul_rows, mul_np, a, b, RED_D1, 1) == expect
+    assert len(calls) == 1
+    assert max(abs(v[0]) for v in expect) >= 2**63
+
+
+def test_fallback_survives_optimize():
+    # the bound is an if, not an assert: python -O must still fall back
+    code = (
+        "import numpy as np\n"
+        "from idemconv._kernel import convolve_exact\n"
+        "from idemconv._kernel._pykernel import convolve_exact as pure\n"
+        f"a, b = {OVER_BOUND_C4!r}\n"
+        "mul = [[(x + y) % 4 for y in range(4)] for x in range(4)]\n"
+        "got = convolve_exact(mul, np.array(mul), a, b, [[1]], 1)\n"
+        "raise SystemExit(0 if got == pure(mul, a, b, [[1]]) else 1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(idemconv.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_big_integers_stay_exact():
     # coefficients far beyond int64: dispatch must route around the
-    # compiled kernel and still return exact products
+    # int64 kernel and still return exact products
     mul_rows, mul_np = tables(cyclic_group(4))
     big = 10**30
     a = [[big], [-big], [big], [0]]
@@ -82,16 +183,15 @@ def test_big_integers_stay_exact():
     assert any(abs(v[0]) >= 10**60 for v in pure)
 
 
-def test_force_pure_switch():
-    # IDEMCONV_PURE is read at import; the in-process switch is FORCE_PURE
-    prev = _kernel.FORCE_PURE
-    try:
-        _kernel.FORCE_PURE = True
-        assert backend_name() == "pure"
-    finally:
-        _kernel.FORCE_PURE = prev
-    if _kernel.HAS_COMPILED and not prev:
-        assert backend_name() == "compiled"
+def test_force_pure_switch(monkeypatch):
+    mul_rows, mul_np = tables(cyclic_group(2))
+    calls = record_pure_calls(monkeypatch)
+    monkeypatch.setattr(_kernel, "FORCE_PURE", True)
+    assert backend_name() == "pure"
+    assert convolve_exact(mul_rows, mul_np, [[1], [0]], [[1], [0]], RED_D1, 1) == [[1], [0]]
+    assert len(calls) == 1
+    monkeypatch.setattr(_kernel, "FORCE_PURE", False)
+    assert backend_name() == "compiled"
 
 
 @settings(max_examples=25, deadline=None)
