@@ -14,6 +14,7 @@ from math import lcm
 from typing import Callable, Optional, Sequence, Union
 
 from .characters import Character, restrict
+from .cyclo import promote_rows
 from .errors import PreconditionError
 from .groups import (
     GroupTable,
@@ -24,7 +25,6 @@ from .groups import (
     subgroup_from_elements,
 )
 from .measures import Measure, char_idem, convolve, haar
-from .measures import _promote_num
 
 __all__ = [
     "CommutationVerdict",
@@ -55,8 +55,8 @@ class CommutationVerdict:
 
 def _first_difference(a: Measure, b: Measure) -> Optional[int]:
     n = lcm(a.conductor, b.conductor)
-    ra = _promote_num(a.num, a.conductor, n)
-    rb = _promote_num(b.num, b.conductor, n)
+    ra = promote_rows(a.num, a.conductor, n)
+    rb = promote_rows(b.num, b.conductor, n)
     for g in range(a.parent.order):
         if any(x * b.den != y * a.den for x, y in zip(ra[g], rb[g])):
             return g

@@ -1,10 +1,15 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-A scalar is stored as a rational vector over the power basis
-1, zeta, ..., zeta^(phi(N)-1), reduced modulo the N-th cyclotomic
-polynomial. Equality of reduced vectors is equality of field elements, so
-zero tests are exact. Scalars with different conductors are promoted to the
-least common multiple before combining.
+A field element is a row of integer coordinates over the power basis
+1, zeta, ..., zeta^(d-1), d = phi(N), reduced modulo the N-th cyclotomic
+polynomial, divided by one positive denominator that shares no factor with
+the row.  That form is canonical, so equality at one conductor is a tuple
+compare and zero tests are exact.  Values with different conductors are
+promoted to the least common multiple before combining.
+
+The row helpers (normalize, apply_matrix, promote_rows, conjugate_rows,
+multiply_rows, add_rows) work on a tuple of such rows over one shared
+denominator: a CycloScalar is one row, a Measure one row per group element.
 
 >>> w = CycloScalar.root_of_unity(Fraction(1, 3))
 >>> (w * w * w).rational()
@@ -21,20 +26,21 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Sequence, Union
 
-__all__ = ["CycloScalar", "cyclotomic_poly", "phi", "field_tables"]
+__all__ = [
+    "CycloScalar",
+    "cyclotomic_poly",
+    "field_tables",
+    "promotion_rows",
+    "normalize",
+    "apply_matrix",
+    "promote_rows",
+    "conjugate_rows",
+    "multiply_rows",
+    "add_rows",
+]
 
 RationalLike = Union[int, Fraction]
-
-
-def phi(n: int) -> int:
-    """Euler totient."""
-    if n < 1:
-        raise ValueError(f"totient undefined for {n}")
-    count = 0
-    for k in range(1, n + 1):
-        if gcd(k, n) == 1:
-            count += 1
-    return count
+IntRows = tuple[tuple[int, ...], ...]
 
 
 def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -87,10 +93,11 @@ class _FieldTables:
     """Per-conductor reduction data, computed once and cached.
 
     pow_rows[j] is the basis vector of zeta^j for every exponent j that the
-    arithmetic can produce: 0 <= j < max(N, 2*phi(N) - 1).
+    arithmetic can produce: 0 <= j < max(N, 2*phi(N) - 1).  conj_rows[j] is
+    the basis vector of zeta^-j, the conjugate of the j-th basis element.
     """
 
-    __slots__ = ("conductor", "degree", "pow_rows", "red_max")
+    __slots__ = ("conductor", "degree", "pow_rows", "conj_rows", "red_max")
 
     def __init__(self, n: int):
         poly = cyclotomic_poly(n)
@@ -109,6 +116,7 @@ class _FieldTables:
         self.conductor = n
         self.degree = d
         self.pow_rows = tuple(rows)
+        self.conj_rows = tuple(rows[(n - j) % n] for j in range(d))
         self.red_max = max(abs(c) for row in rows[: 2 * d - 1] for c in row)
 
 
@@ -127,49 +135,107 @@ def promotion_rows(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows[(j * step) % m] for j in range(field_tables(n).degree))
 
 
-def _reduce_product(
-    a: Sequence[Fraction], b: Sequence[Fraction], tab: _FieldTables
-) -> tuple[Fraction, ...]:
-    d = tab.degree
-    raw = [Fraction(0)] * (2 * d - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    raw[i + j] += ai * bj
-    out = [Fraction(0)] * d
-    for j, c in enumerate(raw):
-        if c:
-            if j < d:
-                out[j] += c
-            else:
-                for k, r in enumerate(tab.pow_rows[j]):
-                    if r:
-                        out[k] += c * r
+# -- integer row helpers ---------------------------------------------------
+
+
+def normalize(rows: Sequence[Sequence[int]], den: int) -> tuple[IntRows, int]:
+    """rows / den in lowest terms: den > 0 and gcd(rows..., den) == 1."""
+    if den == 0:
+        raise ValueError("denominator must be nonzero")
+    g = abs(den)
+    for row in rows:
+        g = gcd(g, *row)
+        if g == 1:
+            break
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(map(tuple, rows)), den
+    return tuple(tuple(c // g for c in row) for row in rows), den // g
+
+
+def apply_matrix(rows: Sequence[Sequence[int]], mat: Sequence[Sequence[int]]) -> IntRows:
+    """Each row r becomes sum_j r[j] * mat[j]; mat may have spare rows."""
+    zero = (0,) * len(mat[0])
+    out = []
+    for row in rows:
+        if not any(row):
+            out.append(zero)
+            continue
+        vec = list(zero)
+        for c, mrow in zip(row, mat):
+            if c:
+                for k, m in enumerate(mrow):
+                    if m:
+                        vec[k] += c * m
+        out.append(tuple(vec))
     return tuple(out)
 
 
-class CycloScalar:
-    """An element of Q(zeta_N) in canonical reduced form."""
+def promote_rows(rows: IntRows, n_from: int, n_to: int) -> IntRows:
+    """Re-express coordinate rows at conductor n_from at a multiple n_to.
 
-    __slots__ = ("conductor", "coeffs")
+    Promotion keeps rows in lowest terms: an algebraic integer of Q(zeta_n)
+    divisible by c in Z[zeta_m] is divisible by c in Z[zeta_n].
+    """
+    if n_from == n_to:
+        return rows
+    return apply_matrix(rows, promotion_rows(n_from, n_to))
+
+
+def conjugate_rows(rows: Sequence[Sequence[int]], n: int) -> IntRows:
+    """Complex conjugate of each coordinate row at conductor n."""
+    return apply_matrix(rows, field_tables(n).conj_rows)
+
+
+def multiply_rows(rows: Sequence[Sequence[int]], s: Sequence[int], n: int) -> IntRows:
+    """Field product of each coordinate row with the row s at conductor n."""
+    return apply_matrix([_poly_mul(row, s) for row in rows], field_tables(n).pow_rows)
+
+
+def add_rows(
+    a: Sequence[Sequence[int]], da: int, b: Sequence[Sequence[int]], db: int
+) -> tuple[list[tuple[int, ...]], int]:
+    """a / da + b / db row by row, over lcm(da, db); not normalized."""
+    den = lcm(da, db)
+    fa, fb = den // da, den // db
+    rows = [tuple(fa * x + fb * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)]
+    return rows, den
+
+
+class CycloScalar:
+    """An element num / den of Q(zeta_N) in canonical reduced form."""
+
+    __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor: int, coeffs: Sequence[RationalLike]):
         tab = field_tables(conductor)
-        vec = tuple(Fraction(c) for c in coeffs)
+        vec = [Fraction(c) for c in coeffs]
         if len(vec) != tab.degree:
             raise ValueError(
                 f"need {tab.degree} coefficients at conductor {conductor}, got {len(vec)}"
             )
+        den = lcm(*(f.denominator for f in vec))
+        num = tuple(f.numerator * (den // f.denominator) for f in vec)
+        (self.num,), self.den = normalize((num,), den)
         self.conductor = conductor
-        self.coeffs = vec
+
+    @classmethod
+    def from_row(cls, conductor: int, num: Sequence[int], den: int) -> "CycloScalar":
+        """Trusted constructor: num / den with phi(conductor) integer entries.
+
+        Normalizes but does not validate; for rows produced by the library.
+        """
+        out = object.__new__(cls)
+        (out.num,), out.den = normalize((num,), den)
+        out.conductor = conductor
+        return out
 
     @classmethod
     def from_rational(cls, value: RationalLike, conductor: int = 1) -> "CycloScalar":
-        tab = field_tables(conductor)
-        vec = [Fraction(0)] * tab.degree
-        vec[0] = Fraction(value)
-        return cls(conductor, vec)
+        q = Fraction(value)
+        d = field_tables(conductor).degree
+        return cls.from_row(conductor, (q.numerator,) + (0,) * (d - 1), q.denominator)
 
     @classmethod
     def zero(cls, conductor: int = 1) -> "CycloScalar":
@@ -188,21 +254,18 @@ class CycloScalar:
         if conductor % rot.denominator != 0:
             raise ValueError(f"rotation {rot} needs conductor divisible by {rot.denominator}")
         t = (rot.numerator * (conductor // rot.denominator)) % conductor
-        tab = field_tables(conductor)
-        return cls(conductor, tab.pow_rows[t])
+        return cls.from_row(conductor, field_tables(conductor).pow_rows[t], 1)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Rational power-basis coordinates."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def promote(self, conductor: int) -> "CycloScalar":
         if conductor == self.conductor:
             return self
-        rows = promotion_rows(self.conductor, conductor)
-        d = field_tables(conductor).degree
-        vec = [Fraction(0)] * d
-        for j, c in enumerate(self.coeffs):
-            if c:
-                for k, r in enumerate(rows[j]):
-                    if r:
-                        vec[k] += c * r
-        return CycloScalar(conductor, vec)
+        (num,) = promote_rows((self.num,), self.conductor, conductor)
+        return CycloScalar.from_row(conductor, num, self.den)
 
     def _common(self, other: "CycloScalar") -> tuple["CycloScalar", "CycloScalar"]:
         if self.conductor == other.conductor:
@@ -220,12 +283,13 @@ class CycloScalar:
 
     def __add__(self, other) -> "CycloScalar":
         a, b = self._common(self._coerce(other))
-        return CycloScalar(a.conductor, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        (num,), den = add_rows((a.num,), a.den, (b.num,), b.den)
+        return CycloScalar.from_row(a.conductor, num, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycloScalar":
-        return CycloScalar(self.conductor, tuple(-c for c in self.coeffs))
+        return CycloScalar.from_row(self.conductor, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other) -> "CycloScalar":
         return self + (-self._coerce(other))
@@ -235,41 +299,34 @@ class CycloScalar:
 
     def __mul__(self, other) -> "CycloScalar":
         other = self._coerce(other)
-        # rational factors scale the vector without promotion
+        # a rational factor scales the row without promotion
         if other.is_rational():
-            q = other.rational()
-            return CycloScalar(self.conductor, tuple(c * q for c in self.coeffs))
-        if self.is_rational():
-            q = self.rational()
-            return CycloScalar(other.conductor, tuple(c * q for c in other.coeffs))
-        a, b = self._common(other)
-        tab = field_tables(a.conductor)
-        return CycloScalar(a.conductor, _reduce_product(a.coeffs, b.coeffs, tab))
+            a, q = self, other
+        elif self.is_rational():
+            a, q = other, self
+        else:
+            a, b = self._common(other)
+            (num,) = multiply_rows((a.num,), b.num, a.conductor)
+            return CycloScalar.from_row(a.conductor, num, a.den * b.den)
+        p = q.num[0]
+        return CycloScalar.from_row(a.conductor, tuple(c * p for c in a.num), a.den * q.den)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "CycloScalar":
-        n = self.conductor
-        tab = field_tables(n)
-        d = tab.degree
-        vec = [Fraction(0)] * d
-        for j, c in enumerate(self.coeffs):
-            if c:
-                for k, r in enumerate(tab.pow_rows[(n - j) % n]):
-                    if r:
-                        vec[k] += c * r
-        return CycloScalar(n, vec)
+        (num,) = conjugate_rows((self.num,), self.conductor)
+        return CycloScalar.from_row(self.conductor, num, self.den)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def is_unit_modulus(self) -> bool:
         """Exact test of |z| = 1 via z * conj(z) = 1."""
@@ -277,10 +334,10 @@ class CycloScalar:
         return p.is_rational() and p.rational() == 1
 
     def to_complex(self) -> complex:
-        n = self.conductor
+        n, den = self.conductor, self.den
         return sum(
-            float(c) * cmath.exp(2j * cmath.pi * j / n)
-            for j, c in enumerate(self.coeffs)
+            (c / den) * cmath.exp(2j * cmath.pi * j / n)
+            for j, c in enumerate(self.num)
             if c
         )
 
@@ -290,7 +347,7 @@ class CycloScalar:
         if not isinstance(other, CycloScalar):
             return NotImplemented
         a, b = self._common(other)
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     __hash__ = None  # equal values can live at different conductors
 

@@ -10,6 +10,7 @@ __all__ = [
     "PreconditionError",
     "BudgetExceeded",
     "ScenarioError",
+    "InvariantViolation",
 ]
 
 
@@ -31,6 +32,15 @@ class BudgetExceeded(IdemconvError):
     def __init__(self, message: str, partial=None):
         super().__init__(message)
         self.partial = partial
+
+
+class InvariantViolation(AssertionError):
+    """An identity that holds by construction or by theorem failed to hold.
+
+    A bug, not bad input: it subclasses AssertionError rather than
+    IdemconvError so that it keeps the error category of the assert it
+    replaces, while surviving python -O.
+    """
 
 
 class ScenarioError(IdemconvError):

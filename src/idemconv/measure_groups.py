@@ -18,7 +18,7 @@ import numpy as np
 from .characters import Character, character_group, kernel
 from .commutation import classify_pair
 from .cyclo import CycloScalar
-from .errors import PreconditionError
+from .errors import InvariantViolation, PreconditionError
 from .groups import (
     GroupTable,
     Subgroup,
@@ -88,9 +88,10 @@ def g_k_rho(k: Subgroup, rho: Character) -> Subgroup:
     via_quotient = tuple(
         g for g in nkr.elements if q.projection[g] in central
     )
-    assert direct == via_quotient, (
-        "the convolution and quotient definitions of G_{K,rho} disagree"
-    )
+    if direct != via_quotient:
+        raise InvariantViolation(
+            "the convolution and quotient definitions of G_{K,rho} disagree"
+        )
     return subgroup_from_elements(parent, direct, validate=False)
 
 
@@ -153,9 +154,8 @@ def is_local_unitary(nu: Measure, k: Subgroup, rho: Character) -> bool:
     star = adjoint(nu)
     if convolve(star, nu) != base or convolve(nu, star) != base:
         return False
-    assert convolve(nu, base) == nu == convolve(base, nu), (
-        "local unitary fails the absorption identities"
-    )
+    if not convolve(nu, base) == nu == convolve(base, nu):
+        raise InvariantViolation("local unitary fails the absorption identities")
     return True
 
 
@@ -227,9 +227,10 @@ def verify_prop_43(
             if z is None or s not in g_prod_set:
                 continue
             realized += 1
-            assert s in span_set, (
-                "forward inclusion fails: product lands outside <H1 H2>"
-            )
+            if s not in span_set:
+                raise InvariantViolation(
+                    "forward inclusion fails: product lands outside <H1 H2>"
+                )
 
     # reverse: BFS realization by pair blocks, scalar 1
     blocks: dict[int, Measure] = {}
@@ -240,9 +241,10 @@ def verify_prop_43(
             if g in blocks:
                 continue
             pm = convolve(b1, idem2.translate_left(x2))
-            assert pm == idem12.translate_left(g), (
-                "pair block does not collapse to a translate of rho m_K1K2"
-            )
+            if pm != idem12.translate_left(g):
+                raise InvariantViolation(
+                    "pair block does not collapse to a translate of rho m_K1K2"
+                )
             blocks[g] = pm
     node_measure: dict[int, Measure] = {parent.identity: idem12}
     frontier = [parent.identity]
@@ -255,15 +257,15 @@ def verify_prop_43(
                 if t in node_measure:
                     continue
                 pt = convolve(pg, pb)
-                assert pt == idem12.translate_left(t), (
-                    "reverse realization produced a non-unit scalar"
-                )
+                if pt != idem12.translate_left(t):
+                    raise InvariantViolation(
+                        "reverse realization produced a non-unit scalar"
+                    )
                 node_measure[t] = pt
                 nxt.append(t)
         frontier = nxt
-    assert set(node_measure) == span_set, (
-        "pair blocks fail to reach all of <H1 H2>"
-    )
+    if set(node_measure) != span_set:
+        raise InvariantViolation("pair blocks fail to reach all of <H1 H2>")
 
     return Prop43Report(
         k12,
@@ -316,7 +318,8 @@ def nu_u(h: GroupTable, u: Mapping[Character, UnitLike]) -> Measure:
         total = CycloScalar.zero()
         for g in range(n):
             total = total + out.coeff(g) * chi.value(g)
-        assert total == vals[chi], "Fourier property failed"
+        if total != vals[chi]:
+            raise InvariantViolation("Fourier property failed")
     return out
 
 
@@ -342,7 +345,8 @@ def exp_skew(
             break
     ident = FloatMeasure.from_measure(dirac(parent, parent.identity))
     residual = acc.adjoint().convolve(acc).distance(ident)
-    assert residual < 1e-9, f"exponential is not unitary (residual {residual:.3g})"
+    if not residual < 1e-9:
+        raise InvariantViolation(f"exponential is not unitary (residual {residual:.3g})")
     return acc
 
 

@@ -1,10 +1,12 @@
 """Measures on a finite group with exact cyclotomic coefficients.
 
 A Measure stores one power-basis coordinate row of integers per group
-element plus a single positive denominator, all at one conductor.  That
-packed form is what the convolution kernel consumes; CycloScalar appears
-only at the API boundary.  FloatMeasure is the complex128 companion used by
-the power-iteration dynamics.
+element plus a single positive denominator, all at one conductor and in
+lowest terms.  That packed form is what the convolution kernel consumes.
+A CycloScalar is the same form with a single row, so coefficients cross
+the API boundary without conversion; both use the row helpers of
+idemconv.cyclo.  FloatMeasure is the complex128 companion used by the
+power-iteration dynamics.
 """
 
 from __future__ import annotations
@@ -12,15 +14,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import _kernel
 from .characters import Character
-from .cyclo import CycloScalar, field_tables, promotion_rows
-from .errors import MismatchedParents, PreconditionError
+from .cyclo import (
+    CycloScalar,
+    IntRows,
+    add_rows,
+    conjugate_rows,
+    field_tables,
+    multiply_rows,
+    normalize,
+    promote_rows,
+)
+from .errors import InvariantViolation, MismatchedParents, PreconditionError
 from .groups import GroupTable, Subgroup, subgroup_from_elements
 
 __all__ = [
@@ -40,73 +51,6 @@ __all__ = [
     "measure_from_jsonable",
 ]
 
-IntRows = tuple[tuple[int, ...], ...]
-
-
-def _normalize(num: Sequence[Sequence[int]], den: int) -> tuple[IntRows, int]:
-    if den == 0:
-        raise ValueError("denominator must be nonzero")
-    g = abs(den)
-    for row in num:
-        for c in row:
-            if c:
-                g = gcd(g, c)
-            if g == 1:
-                break
-        if g == 1:
-            break
-    if den < 0:
-        g = -g
-    if g == 1:
-        return tuple(tuple(row) for row in num), den
-    return tuple(tuple(c // g for c in row) for row in num), den // g
-
-
-def _promote_num(num: IntRows, n_from: int, n_to: int) -> IntRows:
-    """Re-express integer coordinate rows at a larger conductor."""
-    if n_from == n_to:
-        return num
-    rows = promotion_rows(n_from, n_to)
-    d_to = field_tables(n_to).degree
-    out = []
-    for row in num:
-        vec = [0] * d_to
-        for j, c in enumerate(row):
-            if c:
-                pr = rows[j]
-                for k in range(d_to):
-                    if pr[k]:
-                        vec[k] += c * pr[k]
-        out.append(tuple(vec))
-    return tuple(out)
-
-
-def _int_row_mul(row: Sequence[int], svec: Sequence[int], tab) -> list[int]:
-    # polynomial product of two integer coordinate vectors, reduced
-    d = tab.degree
-    raw = [0] * (2 * d - 1)
-    for i, ai in enumerate(row):
-        if ai:
-            for j, bj in enumerate(svec):
-                if bj:
-                    raw[i + j] += ai * bj
-    out = list(raw[:d])
-    for j in range(d, 2 * d - 1):
-        c = raw[j]
-        if c:
-            pr = tab.pow_rows[j]
-            for k in range(d):
-                if pr[k]:
-                    out[k] += c * pr[k]
-    return out
-
-
-@lru_cache(maxsize=None)
-def _conj_rows(n: int) -> IntRows:
-    tab = field_tables(n)
-    return tuple(tab.pow_rows[(n - j) % n] for j in range(tab.degree))
-
-
 @lru_cache(maxsize=None)
 def _basis_complex(n: int) -> np.ndarray:
     d = field_tables(n).degree
@@ -117,7 +61,8 @@ class Measure:
     """Element of the convolution algebra of a finite group.
 
     Construct through from_coeffs, zero, or the dirac/haar/char_idem
-    helpers; the raw constructor expects already-normalized packed data.
+    helpers; the raw constructor expects packed data already in lowest
+    terms, which equality relies on.
     """
 
     __slots__ = ("parent", "conductor", "num", "den")
@@ -136,8 +81,7 @@ class Measure:
     def _build(
         cls, parent: GroupTable, conductor: int, num: Sequence[Sequence[int]], den: int
     ) -> "Measure":
-        nnum, nden = _normalize(num, den)
-        return cls(parent, conductor, nnum, nden)
+        return cls(parent, conductor, *normalize(num, den))
 
     @classmethod
     def zero(cls, parent: GroupTable) -> "Measure":
@@ -153,23 +97,16 @@ class Measure:
             c if isinstance(c, CycloScalar) else CycloScalar.from_rational(c)
             for c in coeffs
         ]
-        n = lcm(*(s.conductor for s in scalars)) if scalars else 1
-        vecs = [s.promote(n).coeffs for s in scalars]
-        den = 1
-        for vec in vecs:
-            for f in vec:
-                den = lcm(den, f.denominator)
-        num = tuple(
-            tuple(f.numerator * (den // f.denominator) for f in vec) for vec in vecs
-        )
+        n = lcm(*(s.conductor for s in scalars))
+        scalars = [s.promote(n) for s in scalars]
+        den = lcm(*(s.den for s in scalars))
+        num = [tuple(c * (den // s.den) for c in s.num) for s in scalars]
         return cls._build(parent, n, num, den)
 
     # -- accessors ---------------------------------------------------------
 
     def coeff(self, g: int) -> CycloScalar:
-        return CycloScalar(
-            self.conductor, [Fraction(c, self.den) for c in self.num[g]]
-        )
+        return CycloScalar.from_row(self.conductor, self.num[g], self.den)
 
     def coeffs(self) -> tuple[CycloScalar, ...]:
         return tuple(self.coeff(g) for g in range(self.parent.order))
@@ -198,13 +135,12 @@ class Measure:
             return NotImplemented
         self._require_sibling(other)
         n = lcm(self.conductor, other.conductor)
-        a = _promote_num(self.num, self.conductor, n)
-        b = _promote_num(other.num, other.conductor, n)
-        den = lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        rows = [
-            tuple(fa * x + fb * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-        ]
+        rows, den = add_rows(
+            promote_rows(self.num, self.conductor, n),
+            self.den,
+            promote_rows(other.num, other.conductor, n),
+            other.den,
+        )
         return Measure._build(self.parent, n, rows, den)
 
     def __sub__(self, other: "Measure") -> "Measure":
@@ -217,22 +153,14 @@ class Measure:
         return Measure(self.parent, self.conductor, rows, self.den)
 
     def scale(self, s: CycloScalar | Fraction | int) -> "Measure":
-        if isinstance(s, CycloScalar):
-            if s.is_rational():
-                return self.scale(s.rational())
+        if isinstance(s, CycloScalar) and not s.is_rational():
             n = lcm(self.conductor, s.conductor)
-            num = _promote_num(self.num, self.conductor, n)
-            svec_frac = s.promote(n).coeffs
-            q = 1
-            for f in svec_frac:
-                q = lcm(q, f.denominator)
-            svec = [f.numerator * (q // f.denominator) for f in svec_frac]
-            tab = field_tables(n)
-            rows = [_int_row_mul(row, svec, tab) for row in num]
-            return Measure._build(self.parent, n, rows, self.den * q)
-        f = Fraction(s)
-        rows = tuple(tuple(c * f.numerator for c in row) for row in self.num)
-        return Measure._build(self.parent, self.conductor, rows, self.den * f.denominator)
+            num = promote_rows(self.num, self.conductor, n)
+            rows = multiply_rows(num, s.promote(n).num, n)
+            return Measure._build(self.parent, n, rows, self.den * s.den)
+        q = s.rational() if isinstance(s, CycloScalar) else Fraction(s)
+        rows = tuple(tuple(c * q.numerator for c in row) for row in self.num)
+        return Measure._build(self.parent, self.conductor, rows, self.den * q.denominator)
 
     def __mul__(self, s):
         if isinstance(s, (CycloScalar, Fraction, int)):
@@ -261,21 +189,10 @@ class Measure:
 
     def adjoint(self) -> "Measure":
         """mu*(g) = conj(mu(g^-1)); an involution on the algebra."""
-        conj = _conj_rows(self.conductor)
-        inv = self.parent.inv
-        d = field_tables(self.conductor).degree
-        out = []
-        for x in range(self.parent.order):
-            row = self.num[inv[x]]
-            vec = [0] * d
-            for j, c in enumerate(row):
-                if c:
-                    cj = conj[j]
-                    for k in range(d):
-                        if cj[k]:
-                            vec[k] += c * cj[k]
-            out.append(tuple(vec))
-        return Measure(self.parent, self.conductor, tuple(out), self.den)
+        rows = [self.num[h] for h in self.parent.inv]
+        return Measure(
+            self.parent, self.conductor, conjugate_rows(rows, self.conductor), self.den
+        )
 
     # -- comparison ------------------------------------------------------------
 
@@ -284,13 +201,12 @@ class Measure:
             return NotImplemented
         if self.parent is not other.parent:
             return False
+        # both sides are in lowest terms, so equal values have equal rows
+        if self.den != other.den:
+            return False
         n = lcm(self.conductor, other.conductor)
-        a = _promote_num(self.num, self.conductor, n)
-        b = _promote_num(other.num, other.conductor, n)
-        da, db = self.den, other.den
-        return all(
-            x * db == y * da for ra, rb in zip(a, b) for x, y in zip(ra, rb)
-        )
+        a = promote_rows(self.num, self.conductor, n)
+        return a == promote_rows(other.num, other.conductor, n)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -349,8 +265,8 @@ def convolve(a: Measure, b: Measure) -> Measure:
     a._require_sibling(b)
     parent = a.parent
     n = lcm(a.conductor, b.conductor)
-    anum = _promote_num(a.num, a.conductor, n)
-    bnum = _promote_num(b.num, b.conductor, n)
+    anum = promote_rows(a.num, a.conductor, n)
+    bnum = promote_rows(b.num, b.conductor, n)
     tab = field_tables(n)
     red = tab.pow_rows[: 2 * tab.degree - 1]
     rows = _kernel.convolve_exact(
@@ -375,16 +291,10 @@ def tv_norm(mu: "Measure | FloatMeasure") -> float:
 
 
 def is_probability(mu: Measure) -> bool:
-    total = Fraction(0)
-    for g in mu.support():
-        c = mu.coeff(g)
-        if not c.is_rational():
-            return False
-        r = c.rational()
-        if r < 0:
-            return False
-        total += r
-    return total == 1
+    # rational means only the constant coordinate is nonzero
+    if any(any(row[1:]) or row[0] < 0 for row in mu.num):
+        return False
+    return sum(row[0] for row in mu.num) == mu.den
 
 
 # -- idempotent classification -------------------------------------------------
@@ -444,7 +354,8 @@ def classify_idempotent(mu: Measure) -> IdempotentClass:
         chi = Character(k, tuple(rots))
     except ValueError:
         return IdempotentClass("idempotent_other")
-    assert mu == char_idem(k, chi)
+    if mu != char_idem(k, chi):
+        raise InvariantViolation("contractive idempotent differs from its char_idem")
     return IdempotentClass("contractive", k, chi)
 
 

@@ -1,6 +1,7 @@
 """Exact cyclotomic scalar arithmetic."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -67,6 +68,15 @@ def test_from_rational_round_trip():
     assert str(q) == "3/4"
 
 
+def test_constructor_normalizes_and_validates():
+    s = CycloScalar(5, [Fraction(2, 4), Fraction(1, 6), 0, Fraction(-3, 9)])
+    assert (s.conductor, s.num, s.den) == (5, (3, 1, 0, -2), 6)
+    assert s.coeffs == (Fraction(1, 2), Fraction(1, 6), 0, Fraction(-1, 3))
+    assert (CycloScalar(3, [4, 6]).num, CycloScalar(3, [4, 6]).den) == ((4, 6), 1)
+    with pytest.raises(ValueError):
+        CycloScalar(5, [1, 2])
+
+
 def test_conjugate_inverts_roots():
     for k in range(1, 12):
         z = CycloScalar.root_of_unity(Fraction(k, 12))
@@ -92,6 +102,12 @@ def test_str_rendering():
     assert str(-z8) == "-z8"
     assert str(z8 * Fraction(-1, 2) * z8 * z8) == "(-1/2)z8^3"
     assert str(CycloScalar.one() + CycloScalar.root_of_unity(Fraction(1, 5))) == "1 + z5"
+    assert str(z8 * Fraction(1, 16)) == "(1/16)z8"
+    assert str(-CycloScalar.root_of_unity(Fraction(3, 8))) == "-z8^3"
+    mixed = Fraction(1, 2) + CycloScalar.root_of_unity(Fraction(2, 5)) * Fraction(1, 3)
+    assert str(mixed) == "1/2 + (1/3)z5^2"
+    assert repr(mixed) == "CycloScalar(5, ['1/2', '0', '1/3', '0'])"
+    assert str(CycloScalar.from_rational(Fraction(-3, 4), 12)) == "-3/4"
 
 
 @given(scalars(), scalars(), scalars())
@@ -101,6 +117,12 @@ def test_ring_laws(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+    # the stored form is canonical: lowest terms, and a round trip restores it
+    for s in (a, a * b, a + b):
+        assert s.den > 0 and gcd(*s.num, s.den) == 1
+    back = (a + b) - b
+    same = a.promote(back.conductor)
+    assert (back.conductor, back.num, back.den) == (same.conductor, same.num, same.den)
 
 
 @given(scalars(), scalars())

@@ -1,10 +1,15 @@
 """Exact measures: convolution, adjoints, idempotent classification."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import idemconv
 from idemconv import (
     CycloScalar,
     Measure,
@@ -91,6 +96,35 @@ def test_classification_kinds(c4):
     assert classify_idempotent(mix).kind == "idempotent_other"
 
 
+def test_classify_check_survives_optimize():
+    # the final char_idem comparison is a raise, not an assert: under
+    # python -O a wrong reconstruction must still be reported
+    code = (
+        "import idemconv.measures as m\n"
+        "from idemconv import cyclic_group, full_subgroup, haar\n"
+        "from idemconv.errors import InvariantViolation\n"
+        "if __debug__:\n"
+        "    raise SystemExit(2)\n"
+        "g = cyclic_group(2)\n"
+        "m.char_idem = lambda k, chi: m.dirac(g, 0)\n"
+        "try:\n"
+        "    m.classify_idempotent(haar(full_subgroup(g)))\n"
+        "except InvariantViolation:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(idemconv.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_classify_trivial_group():
     g = cyclic_group(1)
     cls = classify_idempotent(haar(full_subgroup(g)))
@@ -134,6 +168,11 @@ def test_tv_norm_values(c4):
     m = dirac(c4, 1) * Fraction(3, 4) - dirac(c4, 2) * Fraction(1, 4)
     assert tv_norm(m) == pytest.approx(1.0)
     assert tv_norm(Measure.zero(c4)) == 0.0
+    assert not is_probability(m)
+    walk = dirac(c4, 1) * Fraction(3, 4) + dirac(c4, 2) * Fraction(1, 4)
+    assert is_probability(walk)
+    assert not is_probability(walk * Fraction(1, 2))
+    assert not is_probability(walk * CycloScalar.root_of_unity(Fraction(1, 4)))
 
 
 def test_zero_drops_from_support(c4):
@@ -173,6 +212,12 @@ def test_convolution_algebra_laws(data):
     e = dirac(g, 0)
     assert convolve(e, mu) == mu
     assert convolve(mu, e) == mu
+    # every result is in lowest terms, which equality relies on, and
+    # coefficients share the packed form, so a round trip is bit for bit
+    for m in (mu, convolve(mu, nu) + pi, adjoint(nu), pi.translate_left(1)):
+        assert m.den > 0 and gcd(*(c for row in m.num for c in row), m.den) == 1
+        back = Measure.from_coeffs(g, m.coeffs())
+        assert (back.conductor, back.num, back.den) == (m.conductor, m.num, m.den)
 
 
 @settings(max_examples=40, deadline=None)
