@@ -3,6 +3,12 @@
 A character is stored as a rational rotation number per element: the value
 at g is exp(2*pi*i*rot(g)). Rotation arithmetic is exact and canonical;
 conversion to cyclotomic scalars happens only at the measures boundary.
+
+Every construction is validated, in one numpy pass over integer exponents:
+the rotations are scaled to integers t = rot * e mod e, with e the parent's
+exponent (widened by any stray denominator, so the check stays exact on bad
+input), and multiplicativity becomes t[g*h] == (t[g] + t[h]) mod e over the
+domain's product table.
 """
 
 from __future__ import annotations
@@ -14,8 +20,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .cyclo import CycloScalar
-from .errors import PreconditionError
+from .errors import InvariantViolation, PreconditionError
 from .groups import (
     GroupTable,
     Subgroup,
@@ -39,8 +47,11 @@ __all__ = [
 class Character:
     """A multiplicative character on a subgroup, as rotation numbers.
 
-    rot is aligned with domain.elements; every rotation lies in [0, 1) and
-    multiplicativity is validated on construction.
+    rot is aligned with domain.elements and holds Fractions in [0, 1).
+    Construction validates it, vectorised over integer exponents (see the
+    module docstring); a failure raises ValueError naming the first bad
+    element or pair in row order, the element's order check before its
+    row of products.
     """
 
     domain: Subgroup
@@ -48,25 +59,38 @@ class Character:
 
     def __post_init__(self):
         elems = self.domain.elements
-        if len(self.rot) != len(elems):
+        n = len(elems)
+        if len(self.rot) != n:
             raise ValueError("need one rotation per subgroup element")
-        if any(r < 0 or r >= 1 for r in self.rot):
+        num = [r.numerator for r in self.rot]
+        den = [r.denominator for r in self.rot]
+        if any(p < 0 or p >= q for p, q in zip(num, den)):
             raise ValueError("rotations must lie in [0, 1)")
         parent = self.domain.parent
-        pos = {g: i for i, g in enumerate(elems)}
-        if self.rot[pos[parent.identity]] != 0:
+        # a valid character has every denominator dividing the exponent;
+        # only absurd denominators push e past int64, to exact object ints
+        e = lcm(parent.exponent, *den)
+        dtype = np.int64 if e < 2**62 else object
+        q = np.array(den, dtype=dtype)
+        t = np.array(num, dtype=dtype) * (e // q)
+        idx = np.array(elems, dtype=np.intp)
+        # position of each domain element; -1 marks a product escaping it
+        where = np.full(parent.order, -1, dtype=np.intp)
+        where[idx] = np.arange(n)
+        prod = where[parent.mul_np[idx[:, None], idx]]
+        if where[parent.identity] < 0 or prod.min() < 0:
+            raise ValueError("character domain is not closed under the group operation")
+        if t[where[parent.identity]] != 0:
             raise ValueError("character must send the identity to 1")
-        mul = parent.mul
-        for i, g in enumerate(elems):
-            if (self.rot[i] * parent.element_order(g)) % 1 != 0:
-                raise ValueError(
-                    f"value at {parent.labels[g]} is not an order-dividing root of unity"
-                )
-            for j, h in enumerate(elems):
-                if self.rot[pos[mul[g][h]]] != (self.rot[i] + self.rot[j]) % 1:
-                    raise ValueError(
-                        f"not multiplicative at ({parent.labels[g]},{parent.labels[h]})"
-                    )
+        bad_order = parent.element_orders[idx] % q != 0
+        ok = t[prod] == (t[:, None] + t[None, :]) % e
+        if bad_order.any() or not ok.all():
+            i = int((bad_order | ~ok.all(axis=1)).argmax())
+            g = parent.labels[elems[i]]
+            if bad_order[i]:
+                raise ValueError(f"value at {g} is not an order-dividing root of unity")
+            h = parent.labels[elems[int(ok[i].argmin())]]
+            raise ValueError(f"not multiplicative at ({g},{h})")
 
     @cached_property
     def _pos(self) -> dict[int, int]:
@@ -211,7 +235,7 @@ def find_extension(
 
     Each constraint's domain must sit inside the target.  When those
     domains generate the target, a satisfying character is unique; that
-    uniqueness is asserted.
+    uniqueness is checked.
     """
     parent = target.parent
     union: set[int] = set()
@@ -226,6 +250,6 @@ def find_extension(
         for rho in character_group(target)
         if all(restrict(rho, chi.domain) == chi for chi in constraints)
     ]
-    if closure(parent, union).elements == target.elements:
-        assert len(matches) <= 1, "constraints generate the target but fix no unique character"
+    if closure(parent, union).elements == target.elements and len(matches) > 1:
+        raise InvariantViolation("constraints generate the target but fix no unique character")
     return matches[0] if matches else None

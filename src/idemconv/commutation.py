@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from .characters import Character, restrict
 from .cyclo import promote_rows
-from .errors import PreconditionError
+from .errors import InvariantViolation, PreconditionError
 from .groups import (
     GroupTable,
     Subgroup,
@@ -86,12 +86,13 @@ def classify_pair(
     mul = parent.mul
 
     inter = intersection(k1, k2)
-    if restrict(rho1, inter) != restrict(rho2, inter):
+    if any(rho1.rotation(g) != rho2.rotation(g) for g in inter.elements):
         verdict = CommutationVerdict("zero_product")
         if verify:
             left = convolve(char_idem(k1, rho1), char_idem(k2, rho2))
             right = convolve(char_idem(k2, rho2), char_idem(k1, rho1))
-            assert left.is_zero() and right.is_zero()
+            if not (left.is_zero() and right.is_zero()):
+                raise InvariantViolation("zero_product verdict, nonzero convolution")
             verdict = CommutationVerdict("zero_product", left=left, right=right)
         return verdict
 
@@ -128,15 +129,18 @@ def classify_pair(
             left = convolve(char_idem(k1, rho1), char_idem(k2, rho2))
             right = convolve(char_idem(k2, rho2), char_idem(k1, rho1))
             predicted = char_idem(k12, rho12)
-            assert left == right == predicted
-            assert restrict(rho12, k1) == rho1 and restrict(rho12, k2) == rho2
+            if not left == right == predicted:
+                raise InvariantViolation("commute verdict, convolutions disagree with it")
+            if restrict(rho12, k1) != rho1 or restrict(rho12, k2) != rho2:
+                raise InvariantViolation("product character does not restrict to rho1, rho2")
             verdict = CommutationVerdict("commute", k12, rho12, left=left, right=right)
         return verdict
 
     left = convolve(char_idem(k1, rho1), char_idem(k2, rho2))
     right = convolve(char_idem(k2, rho2), char_idem(k1, rho1))
     witness = _first_difference(left, right)
-    assert witness is not None, "structural test predicted non-commuting, products agree"
+    if witness is None:
+        raise InvariantViolation("structural test predicted non-commuting, products agree")
     return CommutationVerdict("non_commuting", witness=witness, left=left, right=right)
 
 
@@ -190,7 +194,8 @@ def semidirect_counterexample(
     left = convolve(char_idem(k_embedded, rho_emb), haar(a_embedded))
     right = convolve(haar(a_embedded), char_idem(k_embedded, rho_emb))
     witness = _first_difference(left, right)
-    assert witness is not None, "products agree; the action test should have failed"
+    if witness is None:
+        raise InvariantViolation("products agree; the action test should have failed")
 
     size = Fraction(1, k_grp.order * a_grp.order)
     coeff_ok = True
@@ -200,5 +205,6 @@ def semidirect_counterexample(
             expected = rho.value(inv_act[k]) * size
             if right.coeff(k * na + x) != expected:
                 coeff_ok = False
-    assert coeff_ok, "closed-form coefficients disagree with the convolution"
+    if not coeff_ok:
+        raise InvariantViolation("closed-form coefficients disagree with the convolution")
     return SemidirectReport(g, left, right, witness, coeff_ok)

@@ -131,6 +131,7 @@ class GroupTable:
         self._mul_np = mul_np
         orders = [self.element_order(g) for g in range(n)]
         self.exponent = lcm(*orders) if orders else 1
+        self.element_orders = np.array(orders, dtype=np.int64)
 
     @cached_property
     def mul_np(self) -> np.ndarray:

@@ -1,12 +1,16 @@
 """Characters of subgroups: construction, duality, extension."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from idemconv import (
     Character,
     CycloScalar,
+    Subgroup,
+    all_subgroups,
     character_group,
     closure,
     find_extension,
@@ -130,3 +134,98 @@ def test_find_extension_obstructed(s3):
 def test_trivial_subgroup_has_one_character(s3):
     chars = character_group(trivial_subgroup(s3))
     assert len(chars) == 1 and chars[0].is_trivial
+
+
+def scalar_validate(domain, rot):
+    """The element-by-element Fraction check, kept as the parity reference."""
+    elems = domain.elements
+    if len(rot) != len(elems):
+        raise ValueError("need one rotation per subgroup element")
+    if any(r < 0 or r >= 1 for r in rot):
+        raise ValueError("rotations must lie in [0, 1)")
+    parent = domain.parent
+    pos = {g: i for i, g in enumerate(elems)}
+    if rot[pos[parent.identity]] != 0:
+        raise ValueError("character must send the identity to 1")
+    mul = parent.mul
+    for i, g in enumerate(elems):
+        if (rot[i] * parent.element_order(g)) % 1 != 0:
+            raise ValueError(
+                f"value at {parent.labels[g]} is not an order-dividing root of unity"
+            )
+        for j, h in enumerate(elems):
+            if rot[pos[mul[g][h]]] != (rot[i] + rot[j]) % 1:
+                raise ValueError(
+                    f"not multiplicative at ({parent.labels[g]},{parent.labels[h]})"
+                )
+
+
+def _perturbations(k, chi, rng):
+    """Seeded corruptions of a valid rotation vector, one per kind."""
+    parent = k.parent
+    e = parent.exponent
+    rot = list(chi.rot)
+    n = len(rot)
+
+    i = rng.randrange(n)
+    moved = rot[:]
+    moved[i] = rng.choice([Fraction(t, e) for t in range(e) if Fraction(t, e) != rot[i]])
+    yield "moved", moved
+
+    i = rng.randrange(n)
+    d = parent.element_order(k.elements[i])
+    q = rng.choice([q for q in range(2, 14) if d % q])
+    stray = rot[:]
+    stray[i] = Fraction(rng.choice([p for p in range(1, q) if gcd(p, q) == 1]), q)
+    yield "stray denominator", stray
+    huge = rot[:]
+    huge[rng.randrange(n)] = Fraction(1, 2**64 + 1)
+    yield "huge denominator", huge
+
+    at_identity = rot[:]
+    at_identity[k.elements.index(parent.identity)] = Fraction(rng.randrange(1, e), e)
+    yield "identity", at_identity
+
+    yield "short", rot[:-1]
+    yield "long", rot + [Fraction(0)]
+    out_of_range = rot[:]
+    out_of_range[rng.randrange(n)] = rng.choice([Fraction(1), Fraction(-1, e)])
+    yield "range", out_of_range
+
+
+def _outcome(check, k, rot):
+    try:
+        check(k, tuple(rot))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", ["s4", "d4", "c12"])
+def test_vectorised_validation_matches_scalar_reference(name, request):
+    group = request.getfixturevalue(name)
+    rng = random.Random(f"parity-{name}")
+    cases = 0
+    rejected = 0
+    for k in all_subgroups(group):
+        for chi in character_group(k):
+            assert _outcome(scalar_validate, k, chi.rot) is None
+            assert _outcome(Character, k, chi.rot) is None
+            for kind, rot in _perturbations(k, chi, rng):
+                want = _outcome(scalar_validate, k, rot)
+                assert _outcome(Character, k, rot) == want, (kind, k, rot)
+                cases += 1
+                rejected += want is not None
+    assert rejected > cases // 2
+
+
+def test_non_subgroup_domain_rejected(s3):
+    # hand-built domains the table does not close: the product (12)(13)
+    # escapes, and a domain without the identity escapes at once
+    a, b = s3.idx("(12)"), s3.idx("(13)")
+    escapes = Subgroup(s3, tuple(sorted((s3.identity, a, b))), (a, b))
+    with pytest.raises(ValueError, match="not closed"):
+        Character(escapes, (Fraction(0),) * 3)
+    no_identity = Subgroup(s3, (a,), (a,))
+    with pytest.raises(ValueError, match="not closed"):
+        Character(no_identity, (Fraction(0),))

@@ -1,9 +1,13 @@
 """Pairwise commutation of contractive idempotents."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import idemconv
 from idemconv import (
     all_subgroups,
     char_idem,
@@ -119,3 +123,51 @@ def test_semidirect_rejects_invariant_character():
     k = full_subgroup(c8)
     with pytest.raises(PreconditionError):
         semidirect_counterexample(c8, c2, inv, character_group(k)[0])
+
+
+def test_product_map_not_a_character_is_non_commuting(s3):
+    # K1 = <(123)> with a cube-root twist, K2 = <(12)> untwisted: the
+    # intersection is trivial and K1K2 = S3, so the product map is well
+    # defined, but it is not a character (S3 has none nontrivial on A3)
+    k1 = closure(s3, [s3.idx("(123)")])
+    k2 = closure(s3, [s3.idx("(12)")])
+    rho1 = next(c for c in character_group(k1) if c.rotation(s3.idx("(123)")) == Fraction(1, 3))
+    triv2 = character_group(k2)[0]
+    v = classify_pair(k1, rho1, k2, triv2, verify=True)
+    assert v.kind == "non_commuting"
+    assert v.product_character is None
+    m1, m2 = char_idem(k1, rho1), char_idem(k2, triv2)
+    lhs, rhs = convolve(m1, m2), convolve(m2, m1)
+    assert v.left == lhs and v.right == rhs
+    assert v.witness == next(g for g in range(s3.order) if lhs.coeff(g) != rhs.coeff(g))
+
+
+def test_verify_check_survives_optimize():
+    # the verify=True cross-checks are raises, not asserts: under python -O
+    # a convolution that contradicts the verdict must still be reported
+    code = (
+        "import idemconv.commutation as c\n"
+        "from idemconv import character_group, closure, dirac, symmetric_group\n"
+        "from idemconv.errors import InvariantViolation\n"
+        "if __debug__:\n"
+        "    raise SystemExit(2)\n"
+        "g = symmetric_group(3)\n"
+        "k1 = closure(g, [g.idx('(12)')])\n"
+        "k2 = closure(g, [g.idx('(123)')])\n"
+        "c.convolve = lambda a, b: dirac(g, g.identity)\n"
+        "try:\n"
+        "    c.classify_pair(k1, character_group(k1)[0], k2, character_group(k2)[0], verify=True)\n"
+        "except InvariantViolation:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(idemconv.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
