@@ -16,7 +16,7 @@ import numpy as np
 
 from .characters import Character, find_extension
 from .cyclo import CycloScalar
-from .errors import BudgetExceeded, PreconditionError
+from .errors import BudgetExceeded, InvariantViolation, PreconditionError
 from .groups import Subgroup, closure, normal_subgroups
 from .measures import (
     FloatMeasure,
@@ -98,9 +98,10 @@ def stromberg_check(
             v = v.convolve(step)
             it += 1
             res = v.distance(target)
-        assert res <= tol, (
-            f"no coset obstruction but powers did not reach haar within {n_max}"
-        )
+        if not res <= tol:  # also catches a NaN residual
+            raise InvariantViolation(
+                f"no coset obstruction but powers did not reach haar within {n_max}"
+            )
         return StrombergResult("converges", k, limit=haar(k), iterations=it, residual=res)
 
     n_sub, rep = hit
@@ -111,7 +112,8 @@ def stromberg_check(
         v = v.convolve(step)
         worst = min(worst, v.distance(prev))
         prev = v
-    assert worst > 0.1, "obstruction found but consecutive powers settled"
+    if not worst > 0.1:
+        raise InvariantViolation("obstruction found but consecutive powers settled")
     return StrombergResult(
         "obstructed", k, obstruction=n_sub, coset_rep=rep, iterations=it, residual=worst
     )
@@ -144,8 +146,9 @@ def idempotent_power_limit(
 
     With L generated by all the K_j, the limit is rho*m_L when one
     character rho on L restricts to every rho_j, and zero otherwise; the
-    exact prediction is asserted against float power iteration, and the
-    absorption identity nu * limit = limit is asserted exactly.
+    exact prediction is checked against float power iteration, and the
+    absorption identity nu * limit = limit is checked exactly; a failure of
+    either raises InvariantViolation.
     """
     if not factors:
         raise PreconditionError("need at least one factor")
@@ -166,7 +169,8 @@ def idempotent_power_limit(
     if ext is not None:
         predicted = char_idem(big, ext)
         kind = "limit"
-        assert convolve(nu, predicted) == predicted, "absorption identity failed"
+        if convolve(nu, predicted) != predicted:
+            raise InvariantViolation("absorption identity failed")
     else:
         predicted = Measure.zero(parent)
         kind = "zero_limit"
@@ -181,7 +185,8 @@ def idempotent_power_limit(
         it += 1
         res = v.distance(target)
     agreement = res <= tol
-    assert agreement, f"float iteration stalled at residual {res:.3g}"
+    if not agreement:
+        raise InvariantViolation(f"float iteration stalled at residual {res:.3g}")
     return LimitReport(kind, predicted, ext, v.values, it, res, agreement)
 
 
@@ -222,7 +227,10 @@ def verify_corollary_35(
     chain_ok = chain == big.elements
     ext = find_extension(big, [rho for _, rho in factors])
     passed = chain_ok and ext is not None
-    assert passed, "nonzero idempotent product violates the corollary's conclusion"
+    if not passed:
+        raise InvariantViolation(
+            "nonzero idempotent product violates the corollary's conclusion"
+        )
     return Corollary35Report(nu, True, False, chain_ok, ext, passed)
 
 

@@ -332,16 +332,10 @@ def classify_idempotent(mu: Measure) -> IdempotentClass:
         return IdempotentClass("zero")
     parent = mu.parent
     supp = mu.support()
-    selems = set(supp)
-    if parent.identity not in selems:
+    try:
+        k = subgroup_from_elements(parent, supp)
+    except ValueError:
         return IdempotentClass("idempotent_other")
-    for g in supp:
-        if parent.inv[g] not in selems:
-            return IdempotentClass("idempotent_other")
-        for h in supp:
-            if parent.mul[g][h] not in selems:
-                return IdempotentClass("idempotent_other")
-    k = subgroup_from_elements(parent, supp, validate=False)
     order = len(supp)
     rots = []
     for g in supp:

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .cyclo import CycloScalar
+from .errors import InvariantViolation
 from .groups import (
     GroupTable,
     Subgroup,
@@ -201,8 +202,8 @@ def _fx_example_24ii(cfg: SuiteConfig) -> FixtureResult:
 def _fx_commute_sweep(cfg: SuiteConfig) -> FixtureResult:
     """classify_pair vs brute-force convolution on every ordered pair.
 
-    verify=True recomputes both products exactly and asserts the verdict,
-    so a single mismatch raises and fails the fixture.
+    verify=True recomputes both products exactly and checks the verdict,
+    so a single mismatch raises InvariantViolation and fails the fixture.
     """
     per: dict[str, dict] = {}
     for g in _sweep_groups():
@@ -224,8 +225,9 @@ def _fx_commute_sweep(cfg: SuiteConfig) -> FixtureResult:
 def _fx_limit_sweep(cfg: SuiteConfig) -> FixtureResult:
     """Predicted power limits vs float iteration over exhaustive pairs.
 
-    idempotent_power_limit asserts the agreement internally; the S3
-    showcases pin the two outcomes (signed full-group idempotent, zero).
+    idempotent_power_limit checks the agreement internally and raises
+    InvariantViolation, also under python -O; the S3 showcases pin the two
+    outcomes (signed full-group idempotent, zero).
     """
     per: dict[str, dict] = {}
     for g in (symmetric_group(3), dihedral_group(4)):
@@ -502,7 +504,7 @@ def _fx_measure_group_sweep(cfg: SuiteConfig) -> FixtureResult:
     """Both commuting-group definitions on every (subgroup, character).
 
     g_k_rho computes the translate test and the quotient-centralizer
-    preimage and asserts they coincide.
+    preimage and checks that they coincide.
     """
     per: dict[str, dict] = {}
     for g in _sweep_groups():
@@ -574,7 +576,7 @@ def _random_skew(g: GroupTable, rng: random.Random) -> Measure:
 def _fx_skew_exponentials(cfg: SuiteConfig) -> FixtureResult:
     """Series exponentials of random skew-adjoint measures are unitary.
 
-    exp_skew asserts unitarity below 1e-9 itself; on the abelian group the
+    exp_skew checks unitarity below 1e-9 itself; on the abelian group the
     character-diagonalization closed form must agree to the same bound.
     """
     rng = random.Random(20260819)
@@ -621,7 +623,8 @@ def _fx_structural_invariants(cfg: SuiteConfig) -> FixtureResult:
                 total = Fraction(0)
                 for rep in cs.representatives:
                     total += sum((u_vec[mul[rep][x]] for x in l.elements), Fraction(0))
-                assert total / h.order == mean_h, "coset averaging identity failed"
+                if total / h.order != mean_h:
+                    raise InvariantViolation("coset averaging identity failed")
                 counts["averaging"] += 1
 
         for k1 in subs:
@@ -635,24 +638,27 @@ def _fx_structural_invariants(cfg: SuiteConfig) -> FixtureResult:
                     targets = {
                         tuple(sorted(mul[x][y] for y in k2.elements)) for x in coset
                     }
-                    assert len(targets) == 1, "coset map is not well-defined"
+                    if len(targets) != 1:
+                        raise InvariantViolation("coset map is not well-defined")
                     images.append(next(iter(targets)))
-                assert len(set(images)) == len(images), "coset map is not injective"
-                assert len(images) == v.subgroup.order // k2.order, (
-                    "coset map is not onto"
-                )
+                if len(set(images)) != len(images):
+                    raise InvariantViolation("coset map is not injective")
+                if len(images) != v.subgroup.order // k2.order:
+                    raise InvariantViolation("coset map is not onto")
                 counts["coset_bijection"] += 1
 
         for k in subs:
             chars = character_group(k)
             for i, chi in enumerate(chars):
                 mu = char_idem(k, chi)
-                assert adjoint(mu) == mu, "character idempotent not self-adjoint"
+                if adjoint(mu) != mu:
+                    raise InvariantViolation("character idempotent not self-adjoint")
                 counts["self_adjoint"] += 1
                 for chi2 in chars[i + 1 :]:
-                    assert convolve(mu, char_idem(k, chi2)).is_zero(), (
-                        "distinct characters fail to annihilate"
-                    )
+                    if not convolve(mu, char_idem(k, chi2)).is_zero():
+                        raise InvariantViolation(
+                            "distinct characters fail to annihilate"
+                        )
                     counts["orthogonal"] += 1
     return FixtureResult("structural-invariants", True, {"checks": counts})
 

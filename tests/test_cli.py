@@ -53,6 +53,19 @@ def test_group_direct_product_and_table(tmp_path, capsys):
     assert code == 0 and payload["order"] == 2
 
 
+def test_non_associative_table_is_parse_error(tmp_path, capsys):
+    # Z/8 with the intercalate at rows 1/5, columns 2/6 swapped: a Latin
+    # square with identity and inverses that is not associative
+    table = [[(i + j) % 8 for j in range(8)] for i in range(8)]
+    for r in (1, 5):
+        table[r][2], table[r][6] = table[r][6], table[r][2]
+    path = scenario(tmp_path, {"schema_version": 1, "group": {"table": table}})
+    code, out, err = run(capsys, ["group", "--scenario", path])
+    assert code == 2
+    assert out == ""
+    assert "invalid group table: table is not associative at" in err
+
+
 def test_classify_trivial_haar(tmp_path, capsys):
     path = scenario(
         tmp_path, {"schema_version": 1, "group": "C1", "measure": {"haar": []}}

@@ -1,5 +1,9 @@
 """Group tables, subgroup lattice, coset machinery."""
 
+import itertools
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,6 +26,7 @@ from idemconv import (
     normal_subgroups,
     normalizer,
     product_set,
+    quaternion_group,
     quotient_group,
     semidirect_product,
     subgroup_from_elements,
@@ -75,6 +80,85 @@ def test_from_table_rejects_nongroup():
         from_table([[0, 1], [1, 1]])  # second row not a bijection
     with pytest.raises(ValueError):
         from_table([[0, 1], [1, 0]], labels=["e"])  # label count mismatch
+
+
+def _swap_block(mul, rows, cols):
+    """A copy of the table with the 2x2 block at rows x cols swapped within
+    each row; an intercalate block keeps it a Latin square."""
+    out = [list(row) for row in mul]
+    c1, c2 = cols
+    for r in rows:
+        out[r][c1], out[r][c2] = out[r][c2], out[r][c1]
+    return out
+
+
+def _swapped_cyclic_table(n, rows, cols):
+    # in Z/n the block is an intercalate when r2 - r1 = c2 - c1 = n/2; away
+    # from row and column 0 and the inverse columns it keeps the identity
+    # and every inverse
+    return _swap_block([[(i + j) % n for j in range(n)] for i in range(n)], rows, cols)
+
+
+def _brute_force_is_group(mul):
+    m = np.array(mul)
+    n = len(m)
+    straight = np.arange(n)
+    ids = [e for e in range(n) if (m[e] == straight).all() and (m[:, e] == straight).all()]
+    if not ids:
+        return False
+    hits = m == ids[0]
+    if not all(hits[g].any() and m[hits[g].argmax(), g] == ids[0] for g in range(n)):
+        return False
+    return bool(np.array_equal(m[m, :], m[:, m]))  # (ab)c == a(bc) for all a, b, c
+
+
+def test_swapped_c1024_rejected_as_non_associative():
+    # a sampled associativity check misses this table: its 16,336
+    # non-associative triples are 1.5e-5 of all 1024**3
+    mul = _swapped_cyclic_table(1024, (3, 515), (5, 517))
+    with pytest.raises(ValueError, match="table is not associative at"):
+        GroupTable(mul)
+
+
+def test_non_associativity_witness_is_real():
+    mul = _swapped_cyclic_table(8, (1, 5), (2, 6))
+    with pytest.raises(ValueError, match="table is not associative at") as exc:
+        GroupTable(mul)
+    x, g, y = map(int, re.search(r"\((\d+),(\d+),(\d+)\)", str(exc.value)).groups())
+    assert mul[mul[x][g]][y] != mul[x][mul[g][y]]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cyclic_group(4),
+        lambda: direct_product(cyclic_group(2), cyclic_group(2)),
+        lambda: symmetric_group(3),
+        lambda: dihedral_group(4),
+        quaternion_group,
+    ],
+    ids=["C4", "C2xC2", "S3", "D4", "Q8"],
+)
+def test_intercalate_swaps_agree_with_brute_force(build):
+    # every 2x2 swap that keeps the Latin-square shape: GroupTable accepts
+    # exactly the tables that pass the full n**3 check (some swaps of C4
+    # and C2xC2 give a group again; none of S3, D4, Q8 do)
+    mul = build().mul
+    n = len(mul)
+    swaps = 0
+    for r1, r2 in itertools.combinations(range(n), 2):
+        for c1, c2 in itertools.combinations(range(n), 2):
+            if mul[r1][c1] != mul[r2][c2] or mul[r1][c2] != mul[r2][c1]:
+                continue
+            bad = _swap_block(mul, (r1, r2), (c1, c2))
+            try:
+                GroupTable(bad)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == _brute_force_is_group(bad), (r1, r2, c1, c2)
+            swaps += 1
+    assert swaps > 0
 
 
 def test_subgroup_counts(s3, s4, d4, q8, c12):
@@ -162,6 +246,36 @@ def test_product_not_subgroup(s3):
     assert not v.is_subgroup
     assert v.witness is not None
     assert not is_matched_pair(k1, k2)
+
+
+def _reference_product_verdict(k1, k2):
+    """The three textbook criteria, evaluated independently."""
+    g = k1.parent
+    p12 = product_set(k1, k2)
+    pset = set(p12)
+    closed = all(g.mul[a][b] in pset for a in p12 for b in p12)
+    inversion_closed = all(g.inv[x] in pset for x in p12)
+    commute = p12 == product_set(k2, k1)
+    assert closed == inversion_closed == commute
+    return closed, p12
+
+
+@pytest.mark.parametrize("name", ["s4", "d4", "q8", "c12"])
+def test_subgroup_product_matches_reference(request, name):
+    g = request.getfixturevalue(name)
+    subs = all_subgroups(g)
+    for k1 in subs:
+        for k2 in subs:
+            v = is_subgroup_product(k1, k2)
+            want, p12 = _reference_product_verdict(k1, k2)
+            assert v.is_subgroup == want
+            if want:
+                assert v.subgroup.elements == p12
+                assert v.witness is None and v.witness_kind is None
+            else:
+                assert v.subgroup is None
+                assert v.witness_kind == "inverse_escapes"
+                assert v.witness in p12 and g.inv[v.witness] not in p12
 
 
 def test_direct_product_structure():

@@ -1,7 +1,12 @@
 """Fixture registry plumbing (individual fixtures are exercised elsewhere)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import idemconv
 from idemconv.suite import FIXTURES, FixtureResult, SuiteConfig, run_fixture, run_suite
 
 EXPECTED = [
@@ -61,3 +66,30 @@ def test_config_propagates_grid():
     res = run_fixture("example-3.3", SuiteConfig(grid=24))
     assert res.passed
     assert res.details["grid"] == 24
+
+
+def test_limit_check_survives_optimize():
+    # idempotent_power_limit raises InvariantViolation when the float
+    # iteration stalls, so under python -O a run that cannot converge must
+    # still fail the limit-sweep fixture by name
+    code = (
+        "from idemconv.measures import FloatMeasure\n"
+        "from idemconv.suite import run_fixture\n"
+        "if __debug__:\n"
+        "    raise SystemExit(2)\n"
+        "FloatMeasure.convolve = lambda self, other: self\n"
+        "res = run_fixture('limit-sweep')\n"
+        "print(res.passed, res.details.get('error'))\n"
+        "ok = not res.passed and 'InvariantViolation' in res.details['error']\n"
+        "raise SystemExit(0 if ok else 1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(idemconv.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
