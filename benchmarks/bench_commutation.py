@@ -1,0 +1,102 @@
+"""The full S5 commutation sweep: classify_pair on all 265,225 ordered pairs.
+
+Times classify_pair(verify=False) over every ordered pair of the 515
+(subgroup, character) items of S5 and reports the verdict counts and a
+digest of every (kind, witness) in sweep order, so two runs can be compared
+without storing the verdicts.  A seeded 500-pair sample is then classified
+again with verify=True, which convolves and checks each verdict; the two
+runs must agree on kind, witness, product subgroup and product character,
+or the script raises.  The row is stamped with the machine, Python, numpy
+and the kernel backend.
+
+Invoke as: python3 benchmarks/bench_commutation.py [--out BENCH.json --label NAME]
+With --out, the row is appended to the "rows" list of that JSON file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import random
+import time
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+from idemconv import all_subgroups, character_group, classify_pair, symmetric_group
+from idemconv._kernel import backend_name
+
+SAMPLE_SEED = 0
+SAMPLE_PAIRS = 500
+
+
+def _key(v):
+    k12 = v.product_subgroup
+    return (
+        v.kind,
+        v.witness,
+        None if k12 is None else (k12.elements, k12.generators),
+        None if v.product_character is None else v.product_character.rot,
+    )
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", type=Path, help="append the row to this JSON file")
+    ap.add_argument("--label", default="", help="name of the row, e.g. before/after")
+    args = ap.parse_args()
+
+    t0 = time.perf_counter()
+    s5 = symmetric_group(5)
+    items = [(k, chi) for k in all_subgroups(s5) for chi in character_group(k)]
+    setup_s = time.perf_counter() - t0
+
+    counts: Counter[str] = Counter()
+    digest = hashlib.sha256()
+    t0 = time.perf_counter()
+    for k1, rho1 in items:
+        for k2, rho2 in items:
+            v = classify_pair(k1, rho1, k2, rho2)
+            counts[v.kind] += 1
+            digest.update(f"{v.kind}:{v.witness};".encode())
+    sweep_s = time.perf_counter() - t0
+    pairs = len(items) ** 2
+
+    rng = random.Random(SAMPLE_SEED)
+    t0 = time.perf_counter()
+    for _ in range(SAMPLE_PAIRS):
+        p, q = items[rng.randrange(len(items))], items[rng.randrange(len(items))]
+        fast, checked = classify_pair(*p, *q), classify_pair(*p, *q, verify=True)
+        if _key(fast) != _key(checked):
+            raise RuntimeError(f"verify=True disagrees: {_key(fast)} != {_key(checked)}")
+    verify_s = time.perf_counter() - t0
+
+    row = {
+        "label": args.label,
+        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()}",
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "backend": backend_name(),
+        "items": len(items),
+        "pairs": pairs,
+        "setup_s": round(setup_s, 3),
+        "sweep_s": round(sweep_s, 3),
+        "pairs_per_s": round(pairs / sweep_s),
+        "verdicts": dict(sorted(counts.items())),
+        "witness_sha256": digest.hexdigest(),
+        "verify_sample_pairs": SAMPLE_PAIRS,
+        "verify_sample_s": round(verify_s, 3),
+    }
+    print(json.dumps(row, indent=2))
+    if args.out is not None:
+        doc = json.loads(args.out.read_text()) if args.out.exists() else {"rows": []}
+        doc["rows"].append(row)
+        args.out.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -96,6 +96,20 @@ class Character:
     def _pos(self) -> dict[int, int]:
         return {g: i for i, g in enumerate(self.domain.elements)}
 
+    @cached_property
+    def _exponents(self) -> np.ndarray:
+        """int64 t over the whole parent: chi(g) = exp(2*pi*i*t[g]/e) with
+        e = parent.exponent and 0 <= t[g] < e on the domain, -1 off it.
+
+        Exact because construction checked every denominator divides the
+        element's order, hence e.
+        """
+        parent = self.domain.parent
+        e = parent.exponent
+        t = np.full(parent.order, -1, dtype=np.int64)
+        t[list(self.domain.elements)] = [r.numerator * (e // r.denominator) for r in self.rot]
+        return t
+
     def rotation(self, g: int) -> Fraction:
         try:
             return self.rot[self._pos[g]]

@@ -1,9 +1,18 @@
 """Commutation trichotomy for pairs of contractive idempotents.
 
-classify_pair decides, structurally, whether rho1*haar(K1) and
-rho2*haar(K2) have zero product, commute with a closed-form product, or
-fail to commute; the brute-force convolution cross-check is opt-in
-(verify=True) and is switched on throughout the test suite.
+classify_pair decides, in closed form, whether rho1*m_K1 and rho2*m_K2
+have zero product, commute, or fail to commute.  The closed form is the
+structure theorem for finite groups: if rho1 and rho2 differ somewhere on
+K1 meet K2 the product is 0; otherwise
+
+    (rho1 m_K1) * (rho2 m_K2) = 1/|K1K2| * sum over x = ab in K1K2 of rho1(a) rho2(b) delta_x,
+
+and the value does not depend on the factorisation ab = x chosen (two
+choices differ by an element of K1 meet K2, where the characters agree).
+So each product is one integer exponent modulo the parent's exponent per
+element of its support, and the two products are compared as integer
+vectors.  Nothing is convolved unless verify=True, which cross-checks every
+verdict against brute-force convolution; the test suite switches it on.
 """
 
 from __future__ import annotations
@@ -13,14 +22,14 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Optional, Sequence, Union
 
+import numpy as np
+
 from .characters import Character, restrict
-from .cyclo import promote_rows
-from .errors import InvariantViolation, PreconditionError
+from .cyclo import field_tables, promote_rows
+from .errors import InvariantViolation, MismatchedParents, PreconditionError
 from .groups import (
     GroupTable,
     Subgroup,
-    intersection,
-    is_subgroup_product,
     semidirect_product,
     subgroup_from_elements,
 )
@@ -41,8 +50,9 @@ class CommutationVerdict:
     kind is "zero_product", "commute", or "non_commuting".  For "commute"
     the product equals char_idem(product_subgroup, product_character); for
     "non_commuting" witness is the smallest element index where the two
-    convolutions differ.  left/right hold the actual products whenever they
-    were computed (always for "non_commuting", under verify otherwise).
+    products differ.  left/right hold the products: for "non_commuting"
+    always, built in closed form (bit-identical to convolve); for the other
+    kinds only under verify, where they are the convolutions themselves.
     """
 
     kind: str
@@ -63,6 +73,24 @@ def _first_difference(a: Measure, b: Measure) -> Optional[int]:
     return None
 
 
+def _monomial(parent: GroupTable, exps: np.ndarray, n: int, den: int) -> Measure:
+    """The measure zeta_e^exps[x] / den on exps >= 0, e = parent.exponent,
+    at conductor n; every exponent must be a multiple of e / n.
+
+    Packed as convolve packs it: the row at the identity, exponent 0, is
+    (1, 0, ..., 0), so rows over den are already in lowest terms.
+    """
+    tab = field_tables(n)
+    # -1 // step is -1, which picks the zero row appended at the end
+    rows = tab.pow_rows[:n] + ((0,) * tab.degree,)
+    idx = exps // (parent.exponent // n)
+    return Measure(parent, n, tuple([rows[i] for i in idx.tolist()]), den)
+
+
+def _packed(mu: Measure) -> tuple:
+    return mu.conductor, mu.num, mu.den
+
+
 def classify_pair(
     k1: Subgroup,
     rho1: Character,
@@ -73,20 +101,31 @@ def classify_pair(
 ) -> CommutationVerdict:
     """Decide commutation of the idempotents rho1*m_K1 and rho2*m_K2.
 
-    (a) restrictions to K1 meet K2 differ       -> zero_product
-    (b) K1K2 a subgroup carrying the character
-        k1k2 -> rho1(k1) rho2(k2)               -> commute
-    (c) otherwise                               -> non_commuting, witness.
+    (a) rho1, rho2 differ on K1 meet K2              -> zero_product
+    (b) the two closed-form products agree: then K1K2
+        is a subgroup carrying the character
+        k1k2 -> rho1(k1) rho2(k2)                    -> commute
+    (c) otherwise                                    -> non_commuting, witness.
+
+    The products are compared as exponent vectors (module docstring);
+    verify=True also convolves and checks the verdict, the product
+    character, and for (c) the closed-form products and the witness.
     """
     if rho1.domain != k1:
         raise PreconditionError("rho1 is not a character of K1")
     if rho2.domain != k2:
         raise PreconditionError("rho2 is not a character of K2")
     parent = k1.parent
-    mul = parent.mul
+    if k2.parent is not parent:
+        raise MismatchedParents(
+            f"subgroups live in different parents ({parent.name} vs {k2.parent.name})"
+        )
+    t1, t2 = rho1._exponents, rho2._exponents
+    a, b = (t1 >= 0).nonzero()[0], (t2 >= 0).nonzero()[0]
+    ta, tb, t2a = t1[a], t2[b], t2[a]
 
-    inter = intersection(k1, k2)
-    if any(rho1.rotation(g) != rho2.rotation(g) for g in inter.elements):
+    # t2a >= 0 exactly on K1 meet K2
+    if ((t2a >= 0) & (t2a != ta)).any():
         verdict = CommutationVerdict("zero_product")
         if verify:
             left = convolve(char_idem(k1, rho1), char_idem(k2, rho2))
@@ -96,34 +135,28 @@ def classify_pair(
             verdict = CommutationVerdict("zero_product", left=left, right=right)
         return verdict
 
-    pv = is_subgroup_product(k1, k2)
-    rho12: Optional[Character] = None
-    if pv.is_subgroup:
-        vals: dict[int, Fraction] = {}
-        well_defined = True
-        for a in k1.elements:
-            ra = rho1.rotation(a)
-            row = mul[a]
-            for b in k2.elements:
-                x = row[b]
-                r = (ra + rho2.rotation(b)) % 1
-                prev = vals.get(x)
-                if prev is None:
-                    vals[x] = r
-                elif prev != r:
-                    well_defined = False
-                    break
-            if not well_defined:
-                break
-        if well_defined:
-            k12 = pv.subgroup
-            try:
-                rho12 = Character(k12, tuple(vals[g] for g in k12.elements))
-            except ValueError:  # not multiplicative
-                rho12 = None
+    # the exponent of rho1(a) rho2(b) at x = ab (left) and at x = ba (right),
+    # -1 off the product set; agreement on K1 meet K2 makes every
+    # factorisation of x write the same value
+    s = (ta[:, None] + tb) % parent.exponent
+    left_exps = np.full(parent.order, -1, dtype=np.int64)
+    left_exps[parent.mul_np[a[:, None], b]] = s
+    right_exps = np.full(parent.order, -1, dtype=np.int64)
+    right_exps[parent.mul_np[b[:, None], a]] = s.T
+    differs = left_exps != right_exps
 
-    if rho12 is not None:
-        k12 = pv.subgroup
+    if not differs.any():
+        support = np.flatnonzero(left_exps >= 0)
+        k12 = subgroup_from_elements(
+            parent, support.tolist(), k1.generators + k2.generators, validate=False
+        )
+        e = parent.exponent
+        try:
+            rho12 = Character(k12, tuple(Fraction(t, e) for t in left_exps[support].tolist()))
+        except ValueError as exc:
+            # equal products make a nonzero idempotent of norm <= 1, which is
+            # rho m_K for a subgroup K and a character rho (Greenleaf)
+            raise InvariantViolation(f"products agree but give no character: {exc}") from exc
         verdict = CommutationVerdict("commute", k12, rho12)
         if verify:
             left = convolve(char_idem(k1, rho1), char_idem(k2, rho2))
@@ -136,11 +169,19 @@ def classify_pair(
             verdict = CommutationVerdict("commute", k12, rho12, left=left, right=right)
         return verdict
 
-    left = convolve(char_idem(k1, rho1), char_idem(k2, rho2))
-    right = convolve(char_idem(k2, rho2), char_idem(k1, rho1))
-    witness = _first_difference(left, right)
-    if witness is None:
-        raise InvariantViolation("structural test predicted non-commuting, products agree")
+    witness = int(differs.argmax())
+    n = lcm(rho1.conductor, rho2.conductor)
+    # |K1K2| = |K1||K2| / |K1 meet K2|, the support of either product
+    den = int(np.count_nonzero(left_exps >= 0))
+    left = _monomial(parent, left_exps, n, den)
+    right = _monomial(parent, right_exps, n, den)
+    if verify:
+        conv_left = convolve(char_idem(k1, rho1), char_idem(k2, rho2))
+        conv_right = convolve(char_idem(k2, rho2), char_idem(k1, rho1))
+        if _packed(left) != _packed(conv_left) or _packed(right) != _packed(conv_right):
+            raise InvariantViolation("closed-form products disagree with the convolutions")
+        if _first_difference(conv_left, conv_right) != witness:
+            raise InvariantViolation("witness is not the first difference of the convolutions")
     return CommutationVerdict("non_commuting", witness=witness, left=left, right=right)
 
 

@@ -62,10 +62,11 @@ class Measure:
 
     Construct through from_coeffs, zero, or the dirac/haar/char_idem
     helpers; the raw constructor expects packed data already in lowest
-    terms, which equality relies on.
+    terms, which equality relies on.  Measures are immutable, so the support
+    is computed once, on first use.
     """
 
-    __slots__ = ("parent", "conductor", "num", "den")
+    __slots__ = ("parent", "conductor", "num", "den", "_support")
 
     def __init__(self, parent: GroupTable, conductor: int, num: IntRows, den: int):
         if len(num) != parent.order:
@@ -76,6 +77,7 @@ class Measure:
         self.conductor = conductor
         self.num = num
         self.den = den
+        self._support = None
 
     @classmethod
     def _build(
@@ -112,7 +114,9 @@ class Measure:
         return tuple(self.coeff(g) for g in range(self.parent.order))
 
     def support(self) -> tuple[int, ...]:
-        return tuple(g for g, row in enumerate(self.num) if any(row))
+        if self._support is None:
+            self._support = tuple(g for g, row in enumerate(self.num) if any(row))
+        return self._support
 
     def is_zero(self) -> bool:
         return all(not any(row) for row in self.num)

@@ -1,10 +1,14 @@
 """Pairwise commutation of contractive idempotents."""
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
+import numpy as np
 import pytest
 
 import idemconv
@@ -142,15 +146,27 @@ def test_product_map_not_a_character_is_non_commuting(s3):
     assert v.witness == next(g for g in range(s3.order) if lhs.coeff(g) != rhs.coeff(g))
 
 
+def _run_optimized(code):
+    """Run code under python -O (asserts stripped); it exits 0 on success."""
+    src = os.path.dirname(os.path.dirname(idemconv.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", "if __debug__:\n    raise SystemExit(2)\n" + code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_verify_check_survives_optimize():
     # the verify=True cross-checks are raises, not asserts: under python -O
     # a convolution that contradicts the verdict must still be reported
-    code = (
+    _run_optimized(
         "import idemconv.commutation as c\n"
         "from idemconv import character_group, closure, dirac, symmetric_group\n"
         "from idemconv.errors import InvariantViolation\n"
-        "if __debug__:\n"
-        "    raise SystemExit(2)\n"
         "g = symmetric_group(3)\n"
         "k1 = closure(g, [g.idx('(12)')])\n"
         "k2 = closure(g, [g.idx('(123)')])\n"
@@ -161,13 +177,142 @@ def test_verify_check_survives_optimize():
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
     )
-    src = os.path.dirname(os.path.dirname(idemconv.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=60,
+
+
+def test_product_character_failure_survives_optimize():
+    # equal closed-form products must give a character (structure theorem);
+    # if building it fails, that is reported, not turned into a verdict
+    _run_optimized(
+        "import idemconv.commutation as c\n"
+        "from idemconv import character_group, closure, symmetric_group\n"
+        "from idemconv.errors import InvariantViolation\n"
+        "g = symmetric_group(3)\n"
+        "k1 = closure(g, [g.idx('(12)')])\n"
+        "k2 = closure(g, [g.idx('(123)')])\n"
+        "def broken(*args):\n"
+        "    raise ValueError('not multiplicative')\n"
+        "c.Character = broken\n"
+        "try:\n"
+        "    c.classify_pair(k1, character_group(k1)[0], k2, character_group(k2)[0])\n"
+        "except InvariantViolation:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
     )
-    assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_checks_closed_form_survives_optimize():
+    # one corrupted exponent gives wrong closed-form products on a
+    # non-commuting pair; only verify=True, which convolves, can see it
+    _run_optimized(
+        "from fractions import Fraction\n"
+        "from idemconv import Character, character_group, classify_pair, closure, symmetric_group\n"
+        "from idemconv.errors import InvariantViolation\n"
+        "g = symmetric_group(3)\n"
+        "k1 = closure(g, [g.idx('(123)')])\n"
+        "k2 = closure(g, [g.idx('(12)')])\n"
+        "rho1 = next(c for c in character_group(k1) if c.rotation(g.idx('(123)')) == Fraction(1, 3))\n"
+        "rho2 = character_group(k2)[0]\n"
+        "exponents = Character._exponents.func\n"
+        "def corrupted(chi):\n"
+        "    t = exponents(chi).copy()\n"
+        "    if chi is rho1:\n"
+        "        t[g.idx('(132)')] = 0\n"
+        "    return t\n"
+        "Character._exponents = property(corrupted)\n"
+        "if classify_pair(k1, rho1, k2, rho2).kind != 'non_commuting':\n"
+        "    raise SystemExit(3)\n"
+        "try:\n"
+        "    classify_pair(k1, rho1, k2, rho2, verify=True)\n"
+        "except InvariantViolation:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+
+
+# -- an independent reference for the closed form ------------------------------
+# Each product is counted as a multiset of N-th roots of unity per element
+# and reduced modulo Phi_N here, sharing no arithmetic with the library.
+
+
+def _divmod_monic(num, den):
+    """Quotient and remainder of integer polynomials (ascending), den monic."""
+    num, dd = list(num), len(den) - 1
+    quot = [0] * max(len(num) - dd, 0)
+    for k in range(len(num) - 1 - dd, -1, -1):
+        c = quot[k] = num[k + dd]
+        for j, dj in enumerate(den):
+            num[k + j] -= c * dj
+    return quot, (num + [0] * dd)[:dd]
+
+
+@lru_cache(maxsize=None)
+def _power_basis(n):
+    """Row t: coordinates of zeta_n^t in the basis 1, ..., zeta_n^(phi(n)-1)."""
+    phi = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            phi, rem = _divmod_monic(phi, _power_basis(d)[1])
+            assert not any(rem)
+    return np.array([_divmod_monic([0] * t + [1], phi)[1] for t in range(n)]), tuple(phi)
+
+
+def _exps(chi, n):
+    return np.array([r.numerator * (n // r.denominator) for r in chi.rot])
+
+
+def _reference_product(parent, k1, rho1, k2, rho2, n):
+    """(rho1 m_K1) * (rho2 m_K2): integer rows over |K1||K2| at conductor n."""
+    x = parent.mul_np[np.array(k1.elements)[:, None], np.array(k2.elements)]
+    t = np.add.outer(_exps(rho1, n), _exps(rho2, n)) % n
+    counts = np.bincount((x * n + t).ravel(), minlength=parent.order * n)
+    return counts.reshape(parent.order, n) @ _power_basis(n)[0]
+
+
+def _check_against_reference(parent, k1, rho1, k2, rho2):
+    v = classify_pair(k1, rho1, k2, rho2)
+    n = lcm(rho1.conductor, rho2.conductor)
+    left = _reference_product(parent, k1, rho1, k2, rho2, n)
+    right = _reference_product(parent, k2, rho2, k1, rho1, n)
+    scale = k1.order * k2.order
+    if not left.any():
+        assert v.kind == "zero_product" and not right.any()
+        return
+    differs = np.flatnonzero((left != right).any(axis=1))
+    if differs.size:
+        assert (v.kind, v.witness) == ("non_commuting", differs[0])
+        sides = ((v.left, left, (k1, rho1), (k2, rho2)), (v.right, right, (k2, rho2), (k1, rho1)))
+        for mu, ref, a, b in sides:
+            conv = convolve(char_idem(*a), char_idem(*b))
+            assert (mu.conductor, mu.num, mu.den) == (conv.conductor, conv.num, conv.den)
+            assert mu.conductor == n and np.array_equal(np.array(mu.num) * scale, ref * mu.den)
+        return
+    assert v.kind == "commute"
+    support = tuple(np.flatnonzero(left.any(axis=1)).tolist())
+    k12, rho12 = v.product_subgroup, v.product_character
+    assert (k12.elements, k12.generators) == (support, k1.generators + k2.generators)
+    assert all(n % r.denominator == 0 for r in rho12.rot)
+    # rho12(x) / |K1K2| over |K1||K2| is |K1 meet K2| rho12(x)
+    expected = np.zeros_like(left)
+    expected[list(support)] = scale // len(support) * _power_basis(n)[0][_exps(rho12, n)]
+    assert np.array_equal(left, expected)
+
+
+def _items(group):
+    return [(k, chi) for k in all_subgroups(group) for chi in character_group(k)]
+
+
+@pytest.mark.parametrize("name", ["s3", "s4", "d4", "q8"])
+def test_closed_form_matches_reference_exhaustively(name, request):
+    group = request.getfixturevalue(name)
+    items = _items(group)
+    for k1, r1 in items:
+        for k2, r2 in items:
+            _check_against_reference(group, k1, r1, k2, r2)
+
+
+def test_closed_form_matches_reference_on_s5_sample(s5):
+    items = _items(s5)
+    rng = random.Random(2015)
+    for _ in range(2000):
+        (k1, r1), (k2, r2) = rng.choice(items), rng.choice(items)
+        _check_against_reference(s5, k1, r1, k2, r2)

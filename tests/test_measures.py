@@ -228,3 +228,28 @@ def test_adjoint_is_antihomomorphism(data):
     nu = data.draw(measures_on(g))
     assert adjoint(mu + nu) == adjoint(mu) + adjoint(nu)
     assert adjoint(convolve(mu, nu)) == convolve(adjoint(nu), adjoint(mu))
+
+
+def _rows_support(m):
+    return tuple(g for g, row in enumerate(m.num) if any(row))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cached_support_matches_rows(data):
+    # support() is filled on first use; every derived measure must start
+    # from its own rows, not a support cached on the measure it came from
+    g = symmetric_group(3)
+    mu = data.draw(measures_on(g))
+    nu = data.draw(measures_on(g))
+    s = data.draw(coeff_strategy())
+    x = data.draw(st.integers(0, g.order - 1))
+    assert mu.support() == _rows_support(mu) and nu.support() == _rows_support(nu)
+    derived = (
+        mu + nu, mu - mu, -mu, mu.scale(s), mu * 0, mu * Fraction(2, 3),
+        mu.translate_left(x), mu.translate_right(x), mu.adjoint(), convolve(mu, nu),
+    )
+    for m in derived:
+        first = m.support()
+        assert first == _rows_support(m)
+        assert m.support() is first
