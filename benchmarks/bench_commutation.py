@@ -76,6 +76,7 @@ def main() -> None:
     verify_s = time.perf_counter() - t0
 
     row = {
+        "script": Path(__file__).name,
         "label": args.label,
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()}",
         "python": platform.python_version(),

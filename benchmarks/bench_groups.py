@@ -1,28 +1,53 @@
-"""Group-table construction and the exact associativity check.
+"""Group-table construction, the exact associativity check and the subgroup lattice.
 
 Times GroupTable(mul, labels) on an already built table (identity,
-inverses, Light's associativity test, element orders) and the
-associativity check alone, on S5, S6, C1024, D512 and C2xC2xD128.  Light's
-test checks one n x n identity per greedily chosen generator, at most
-log2(n) of them for a group, so every accepted table is proven
-associative.  The run fails if C1024 with one associativity-breaking 2x2
-swap (which keeps the Latin-square shape, the identity and the inverses)
-is accepted.
-Invoke as: python3 benchmarks/bench_groups.py
+inverses, Light's associativity test, element orders), the same followed by
+a first read of the nested-tuple view `.mul`, and the associativity check
+alone, on S5, S6, C1024, D512 and C2xC2xD128.  Light's test checks one
+n x n identity per greedily chosen generator, at most log2(n) of them for
+a group, so every accepted table is proven associative.  The run fails if
+C1024 with one associativity-breaking 2x2 swap (which keeps the
+Latin-square shape, the identity and the inverses) is accepted.
+
+Small tables are timed too: the 156 abelianisation tables K/[K,K] of the
+S5 lattice rebuilt with GroupTable (character_group builds these and
+smaller quotients), and character_group over every subgroup of S5 with its
+cache bypassed.
+
+The subgroup lattice all_subgroups is timed on fresh copies of S4, S5 and
+S6; the run fails unless they have 30, 156 and 1,455 subgroups.
+
+Invoke as: python3 benchmarks/bench_groups.py [--out BENCH.json --label NAME]
+           [--lattice S4 S5 S6]
+With --out, the row is appended to the "rows" list of that JSON file.
 """
 
 from __future__ import annotations
 
+import argparse
+import json
+import os
+import platform
 import time
+from pathlib import Path
+
+import numpy as np
 
 from idemconv import (
     GroupTable,
+    all_subgroups,
+    character_group,
+    commutator_subgroup,
     cyclic_group,
     dihedral_group,
     direct_product,
+    quotient_group,
     symmetric_group,
 )
+from idemconv._kernel import backend_name
 from idemconv.groups import _check_associativity
+
+LATTICE_COUNTS = {"S4": 30, "S5": 156, "S6": 1455}
 
 
 def _workloads():
@@ -42,9 +67,9 @@ def _broken_c1024() -> list[list[int]]:
     return mul
 
 
-def _time(fn, repeats: int) -> float:
+def _time(fn, repeats: int, rounds: int = 3) -> float:
     best = float("inf")
-    for _ in range(3):
+    for _ in range(rounds):
         t0 = time.perf_counter()
         for _ in range(repeats):
             fn()
@@ -52,7 +77,26 @@ def _time(fn, repeats: int) -> float:
     return best
 
 
+def _lattice_s(name: str) -> float:
+    g = symmetric_group(int(name[1:]))  # a fresh parent, so the lattice cache is cold
+    t0 = time.perf_counter()
+    count = len(all_subgroups(g))
+    elapsed = time.perf_counter() - t0
+    if count != LATTICE_COUNTS[name]:
+        raise SystemExit(f"{name} has {count} subgroups, expected {LATTICE_COUNTS[name]}")
+    return elapsed
+
+
 def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", type=Path, help="append the row to this JSON file")
+    ap.add_argument("--label", default="", help="name of the row, e.g. before/after")
+    ap.add_argument(
+        "--lattice", nargs="*", default=list(LATTICE_COUNTS), choices=list(LATTICE_COUNTS),
+        help="groups whose subgroup lattice is timed (default: all)",
+    )
+    args = ap.parse_args()
+
     try:
         GroupTable(_broken_c1024())
     except ValueError as exc:
@@ -61,16 +105,62 @@ def main() -> None:
     else:
         raise SystemExit("broken C1024 table was accepted as a group")
 
-    rows = []
+    tables = {}
     for name, g, repeats in _workloads():
-        build = _time(lambda: GroupTable(g.mul, g.labels), repeats)
-        check = _time(lambda: _check_associativity(g.mul_np, g.identity), repeats)
-        rows.append((name, g.order, build, check))
+        tables[name] = {
+            "order": g.order,
+            "build_ms": _time(lambda: GroupTable(g.mul, g.labels), repeats) * 1e3,
+            "build_mul_ms": _time(lambda: GroupTable(g.mul, g.labels).mul, repeats) * 1e3,
+            "assoc_ms": _time(lambda: _check_associativity(g.mul_np, g.identity), repeats) * 1e3,
+        }
 
-    width = max(len(r[0]) for r in rows)
-    print(f"{'group':<{width}}  {'order':>5}  {'GroupTable':>11}  {'associativity':>13}")
-    for name, order, build, check in rows:
-        print(f"{name:<{width}}  {order:>5}  {build * 1e3:9.1f}ms  {check * 1e3:11.2f}ms")
+    s5 = symmetric_group(5)
+    subs = all_subgroups(s5)
+    abel = [quotient_group(k, commutator_subgroup(k)).group for k in subs]
+    small = {
+        "abelianisation_tables": len(abel),
+        "abelianisation_build_ms": _time(
+            lambda: [GroupTable(q.mul, q.labels) for q in abel], 1, 30
+        ) * 1e3,
+        "character_group_ms": _time(
+            lambda: [character_group.__wrapped__(k) for k in subs], 1, 30
+        ) * 1e3,
+    }
+    lattice = {name: _lattice_s(name) for name in args.lattice}
+
+    width = max(len(name) for name in tables)
+    print(f"{'group':<{width}}  {'order':>5}  {'GroupTable':>11}  {'+ .mul':>9}  {'associativity':>13}")
+    for name, t in tables.items():
+        print(
+            f"{name:<{width}}  {t['order']:>5}  {t['build_ms']:9.1f}ms  "
+            f"{t['build_mul_ms']:7.1f}ms  {t['assoc_ms']:11.2f}ms"
+        )
+    print(
+        f"S5 abelianisation tables ({small['abelianisation_tables']}): "
+        f"{small['abelianisation_build_ms']:.2f}ms; "
+        f"character_group over the S5 lattice: {small['character_group_ms']:.1f}ms"
+    )
+    for name, s in lattice.items():
+        print(f"all_subgroups({name}): {LATTICE_COUNTS[name]} subgroups in {s:.3f}s")
+
+    if args.out is not None:
+        row = {
+            "script": Path(__file__).name,
+            "label": args.label,
+            "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()}",
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "backend": backend_name(),
+            "tables": {
+                name: {k: round(v, 3) if isinstance(v, float) else v for k, v in t.items()}
+                for name, t in tables.items()
+            },
+            "small_tables": {k: round(v, 3) for k, v in small.items()},
+            "lattice_s": {name: round(s, 3) for name, s in lattice.items()},
+        }
+        doc = json.loads(args.out.read_text()) if args.out.exists() else {"rows": []}
+        doc["rows"].append(row)
+        args.out.write_text(json.dumps(doc, indent=2) + "\n")
 
 
 if __name__ == "__main__":

@@ -179,10 +179,10 @@ def _abelian_basis(group: GroupTable) -> list[tuple[int, int]]:
         x = min(g for g in range(group.order) if quot.projection[g] == q_gen)
         t = a_pows[group.power(x, e)]
         if t % e != 0:
-            raise AssertionError("maximal-order peeling lost exactness")
+            raise InvariantViolation("maximal-order peeling lost exactness")
         x = group.mul[x][group.power(a, (-(t // e)) % d)]
         if group.power(x, e) != group.identity:
-            raise AssertionError("corrected generator has wrong order")
+            raise InvariantViolation("corrected generator has wrong order")
         out.append((x, e))
     return out
 
@@ -207,10 +207,10 @@ def character_group(k: Subgroup) -> tuple[Character, ...]:
         for (g, _), ci in zip(basis, c):
             x = q_group.mul[x][q_group.power(g, ci)]
         if x in coords:
-            raise AssertionError("cyclic factors are not independent")
+            raise InvariantViolation("cyclic factors are not independent")
         coords[x] = c
     if len(coords) != q_group.order:
-        raise AssertionError("cyclic factors do not span the abelianization")
+        raise InvariantViolation("cyclic factors do not span the abelianization")
 
     factor_orders = [d for _, d in basis]
     chars = []
@@ -225,7 +225,7 @@ def character_group(k: Subgroup) -> tuple[Character, ...]:
             rot.append(total % 1)
         chars.append(Character(k, tuple(rot)))
     if len(chars) != k.order // comm.order:
-        raise AssertionError("character count mismatch")
+        raise InvariantViolation("character count mismatch")
     return tuple(chars)
 
 

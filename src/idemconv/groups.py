@@ -10,12 +10,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import lcm
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import MismatchedParents, PreconditionError
+from .errors import InvariantViolation, MismatchedParents, PreconditionError
 
 __all__ = [
     "GroupTable",
@@ -48,24 +47,34 @@ __all__ = [
     "from_table",
 ]
 
-def _find_identity(mul: Sequence[Sequence[int]]) -> int:
-    n = len(mul)
-    straight = list(range(n))
-    for e in range(n):
-        if list(mul[e]) == straight and all(mul[g][e] == g for g in range(n)):
-            return e
-    raise ValueError("table has no two-sided identity")
+def _find_identity(mul_np: np.ndarray) -> int:
+    straight = np.arange(mul_np.shape[0])
+    two_sided = (mul_np == straight).all(axis=1) & (mul_np.T == straight).all(axis=1)
+    if not two_sided.any():
+        raise ValueError("table has no two-sided identity")
+    return int(np.argmax(two_sided))
 
 
-def _find_inverses(mul: Sequence[Sequence[int]], identity: int) -> tuple[int, ...]:
-    n = len(mul)
-    inv = []
-    for g in range(n):
-        h = next((x for x in range(n) if mul[g][x] == identity), None)
-        if h is None or mul[h][g] != identity:
-            raise ValueError(f"element {g} has no two-sided inverse")
-        inv.append(h)
-    return tuple(inv)
+def _find_inverses(mul_np: np.ndarray, identity: int) -> tuple[int, ...]:
+    g = np.arange(mul_np.shape[0])
+    hits = mul_np == identity
+    inv = hits.argmax(axis=1)  # the first right inverse, or 0 if there is none
+    bad = ~hits[g, inv] | (mul_np[inv, g] != identity)
+    if bad.any():
+        raise ValueError(f"element {int(np.argmax(bad))} has no two-sided inverse")
+    return tuple(inv.tolist())
+
+
+def _element_orders(mul_np: np.ndarray, identity: int) -> np.ndarray:
+    """1 + #{k >= 1 : g, ..., g^k all differ from the identity}, for all g at once."""
+    n = mul_np.shape[0]
+    g = x = np.arange(n)
+    orders, alive = np.ones_like(g), g != identity
+    while alive.any():
+        orders += alive
+        x = mul_np.ravel().take(x * n + g)  # x = g^k
+        alive &= x != identity
+    return orders
 
 
 def _check_associativity(mul_np: np.ndarray, identity: int) -> None:
@@ -93,7 +102,7 @@ def _check_associativity(mul_np: np.ndarray, identity: int) -> None:
         gens.append(g)
         frontier = np.flatnonzero(reached)
         while frontier.size:
-            prods = mul_np[np.ix_(frontier, gens)].ravel()
+            prods = mul_np[frontier[:, None], gens].ravel()
             frontier = np.unique(prods[~reached[prods]])
             reached[frontier] = True
 
@@ -114,13 +123,14 @@ class GroupTable:
         n = len(mul)
         if n == 0:
             raise ValueError("empty table")
-        table = tuple(tuple(int(x) for x in row) for row in mul)
-        for row in table:
-            if len(row) != n or any(x < 0 or x >= n for x in row):
-                raise ValueError("table rows must be length-n index vectors")
-        mul_np = np.array(table, dtype=np.int64)
-        identity = _find_identity(table)
-        inv = _find_inverses(table, identity)
+        try:
+            mul_np = np.array(mul, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):
+            mul_np = None  # ragged rows, or entries that are not integers
+        if mul_np is None or mul_np.shape != (n, n) or mul_np.min() < 0 or mul_np.max() >= n:
+            raise ValueError("table rows must be length-n index vectors")
+        identity = _find_identity(mul_np)
+        inv = _find_inverses(mul_np, identity)
         _check_associativity(mul_np, identity)
         if labels is None:
             labels = [f"g{i}" for i in range(n)]
@@ -129,23 +139,18 @@ class GroupTable:
             raise ValueError("labels must be distinct, one per element")
 
         self.order = n
-        self.mul = table
         self.inv = inv
         self.identity = identity
         self.labels = labels
         self.name = name if name is not None else f"G{n}"
         self.mul_np = mul_np
-        orders = [self.element_order(g) for g in range(n)]
-        self.exponent = lcm(*orders) if orders else 1
-        self.element_orders = np.array(orders, dtype=np.int64)
+        self.element_orders = _element_orders(mul_np, identity)
+        self.exponent = int(np.lcm.reduce(self.element_orders))
 
     @cached_property
-    def mul_flat(self) -> np.ndarray:
-        return self.mul_np.reshape(-1)
-
-    @cached_property
-    def _mul_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.mul]
+    def mul(self) -> tuple[tuple[int, ...], ...]:
+        """mul_np as nested tuples, for scalar lookups; built on first use."""
+        return tuple(map(tuple, self.mul_np.tolist()))
 
     @cached_property
     def label_index(self) -> dict[str, int]:
@@ -176,11 +181,7 @@ class GroupTable:
         return x
 
     def element_order(self, g: int) -> int:
-        k, x = 1, g
-        while x != self.identity:
-            x = self.mul[x][g]
-            k += 1
-        return k
+        return int(self.element_orders[g])
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -238,11 +239,17 @@ class Subgroup:
         return f"<Subgroup order={self.order} {{{inside}}} of {self.parent.name}>"
 
 
-def _validated_subgroup(
-    parent: GroupTable, elements: Iterable[int], generators: Iterable[int]
+def subgroup_from_elements(
+    parent: GroupTable,
+    elements: Iterable[int],
+    generators: Optional[Iterable[int]] = None,
+    *,
+    validate: bool = True,
 ) -> Subgroup:
     elts = tuple(sorted(set(int(x) for x in elements)))
-    sub = Subgroup(parent, elts, tuple(generators))
+    sub = Subgroup(parent, elts, tuple(generators) if generators is not None else elts)
+    if not validate:
+        return sub
     eset = sub.element_set
     if parent.identity not in eset:
         raise ValueError("subgroup must contain the identity")
@@ -259,27 +266,13 @@ def _validated_subgroup(
     return sub
 
 
-def subgroup_from_elements(
-    parent: GroupTable,
-    elements: Iterable[int],
-    generators: Optional[Iterable[int]] = None,
-    *,
-    validate: bool = True,
-) -> Subgroup:
-    elts = tuple(sorted(set(int(x) for x in elements)))
-    gens = tuple(generators) if generators is not None else elts
-    if validate:
-        return _validated_subgroup(parent, elts, gens)
-    return Subgroup(parent, elts, gens)
-
-
 def closure(parent: GroupTable, seed: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing the seed elements."""
     gens = sorted(set(int(x) for x in seed))
     for g in gens:
         if g < 0 or g >= parent.order:
             raise ValueError(f"element index {g} out of range")
-    mul = parent._mul_lists
+    mul = parent.mul
     e = parent.identity
     seen = {e}
     frontier = [e]
@@ -475,7 +468,7 @@ def left_cosets(h: Subgroup, lsub: Subgroup) -> CosetSpace:
     if sum(len(c) for c in cosets) != h.order or any(
         len(c) != lsub.order for c in cosets
     ):
-        raise AssertionError("cosets do not partition H into |L|-sized blocks")
+        raise InvariantViolation("cosets do not partition H into |L|-sized blocks")
     return CosetSpace(h, lsub, tuple(cosets), tuple(reps))
 
 
@@ -483,16 +476,20 @@ def left_cosets(h: Subgroup, lsub: Subgroup) -> CosetSpace:
 def _all_subgroups_cached(
     parent_ref: GroupTable, ambient_elements: tuple[int, ...]
 ) -> tuple[Subgroup, ...]:
+    mul = parent_ref.mul_np
     triv = trivial_subgroup(parent_ref)
     found: dict[tuple[int, ...], Subgroup] = {triv.elements: triv}
     frontier = [triv]
     while frontier:
         fresh = []
         for h in frontier:
-            eset = h.element_set
+            hs = np.array(h.elements)
+            marked = np.zeros(parent_ref.order, dtype=bool)
+            marked[hs] = True
             for g in ambient_elements:
-                if g in eset:
+                if marked[g]:
                     continue
+                marked[mul[mul[hs, g][:, None], hs]] = True  # the double coset HgH
                 s = closure(parent_ref, h.generators + (g,))
                 if s.elements not in found:
                     found[s.elements] = s
@@ -504,9 +501,12 @@ def _all_subgroups_cached(
 def all_subgroups(ambient: Union[GroupTable, Subgroup]) -> tuple[Subgroup, ...]:
     """Every subgroup contained in the ambient group (or Subgroup).
 
-    Breadth-first closure over one-generator extensions, deduplicated by
-    element set; ordered by (order, elements). Intended for desk-scale
-    lattices (|ambient| up to a couple hundred).
+    Breadth-first over extensions <H, g>, deduplicated by element set and
+    ordered by (order, elements).  <H, g> = <H, h g h'> for h, h' in H, so g
+    runs in ascending order and its whole double coset HgH is then skipped:
+    each closure starts from the smallest element of its double coset, the
+    first g that trying every element would reach, so the generators are
+    the ones that exhaustive search gives.
     """
     if isinstance(ambient, GroupTable):
         sub = full_subgroup(ambient)

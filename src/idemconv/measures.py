@@ -274,7 +274,7 @@ def convolve(a: Measure, b: Measure) -> Measure:
     tab = field_tables(n)
     red = tab.pow_rows[: 2 * tab.degree - 1]
     rows = _kernel.convolve_exact(
-        parent._mul_lists, parent.mul_np, anum, bnum, red, tab.red_max
+        parent.mul, parent.mul_np, anum, bnum, red, tab.red_max
     )
     return Measure._build(parent, n, rows, a.den * b.den)
 
@@ -382,7 +382,7 @@ class FloatMeasure:
         out = np.zeros(self.parent.order, dtype=np.complex128)
         np.add.at(
             out,
-            self.parent.mul_flat,
+            self.parent.mul_np.ravel(),
             np.multiply.outer(self.values, other.values).ravel(),
         )
         return FloatMeasure(self.parent, out)

@@ -66,6 +66,14 @@ def test_non_associative_table_is_parse_error(tmp_path, capsys):
     assert "invalid group table: table is not associative at" in err
 
 
+def test_table_with_null_entry_is_parse_error(tmp_path, capsys):
+    path = scenario(tmp_path, {"schema_version": 1, "group": {"table": [[0, None], [1, 0]]}})
+    code, out, err = run(capsys, ["group", "--scenario", path])
+    assert code == 2
+    assert out == ""
+    assert "invalid group table: table rows must be length-n index vectors" in err
+
+
 def test_classify_trivial_haar(tmp_path, capsys):
     path = scenario(
         tmp_path, {"schema_version": 1, "group": "C1", "measure": {"haar": []}}

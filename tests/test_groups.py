@@ -169,6 +169,79 @@ def test_subgroup_counts(s3, s4, d4, q8, c12):
     assert len(all_subgroups(c12)) == 6
 
 
+def _reference_lattice(parent, ambient_elements):
+    """The exhaustive search: one closure of H and g for every g outside H."""
+    triv = trivial_subgroup(parent)
+    found = {triv.elements: triv}
+    frontier = [triv]
+    while frontier:
+        fresh = []
+        for h in frontier:
+            for g in ambient_elements:
+                if g in h.element_set:
+                    continue
+                s = closure(parent, h.generators + (g,))
+                if s.elements not in found:
+                    found[s.elements] = s
+                    fresh.append(s)
+        frontier = fresh
+    return sorted(found.values(), key=lambda s: (s.order, s.elements))
+
+
+def _s4_inside_s5(s5):
+    return closure(s5, (s5.idx("(12)"), s5.idx("(1234)")))
+
+
+@pytest.mark.parametrize(
+    "name, ambient",
+    [
+        ("s3", full_subgroup),
+        ("s4", full_subgroup),
+        ("d4", full_subgroup),
+        ("q8", full_subgroup),
+        ("c12", full_subgroup),
+        ("g18", full_subgroup),
+        ("s5", full_subgroup),
+        ("s5", _s4_inside_s5),
+    ],
+    ids=["S3", "S4", "D4", "Q8", "C12", "G18", "S5", "S4-in-S5"],
+)
+def test_lattice_matches_exhaustive_search(request, name, ambient):
+    # one closure per double coset HgH finds the same subgroups, in the same
+    # order and with the same generators, as one closure per element g
+    g = request.getfixturevalue(name)
+    amb = ambient(g)
+    subs = all_subgroups(amb)
+    ref = _reference_lattice(g, amb.elements)
+    assert [(s.order, s.elements, s.generators) for s in subs] == [
+        (s.order, s.elements, s.generators) for s in ref
+    ]
+    for s in subs:
+        assert closure(g, s.generators).elements == s.elements
+        assert s.element_set <= amb.element_set
+
+
+def test_element_orders_and_inverses_match_table_walk(s4, d4, q8, c12, g18):
+    for g in (s4, d4, q8, c12, g18, direct_product(cyclic_group(4), dihedral_group(6))):
+        for x in range(g.order):
+            k, y = 1, x
+            while y != g.identity:
+                y, k = g.mul[y][x], k + 1
+            assert g.element_order(x) == g.element_orders[x] == k
+            assert g.inv[x] == g.mul[x].index(g.identity)
+        assert g.exponent == np.lcm.reduce([g.element_order(x) for x in range(g.order)])
+
+
+@pytest.mark.parametrize(
+    "mul",
+    [[[0, 1], [1]], [[0, None], [1, 0]], [0, 1], [[0, 1], [1, "x"]], [[0, 1], [1, 2**70]]],
+    ids=["ragged", "null", "flat", "text", "huge"],
+)
+def test_malformed_table_is_value_error(mul):
+    with pytest.raises(ValueError, match="table rows must be length-n index vectors"):
+        GroupTable(mul)
+
+
 def test_subgroup_equality_and_hash(s3):
     a = closure(s3, [s3.idx("(123)")])
     b = subgroup_from_elements(s3, [0, 3, 4])
