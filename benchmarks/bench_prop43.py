@@ -1,0 +1,116 @@
+"""verify_prop_43 on a seeded, stratified sample of commuting S5 pairs.
+
+Draws ordered pairs of S5 (subgroup, character) items at random, keeps the
+commuting ones until each stratum is full (dense: |K1K2| >= 60, where every
+product is an n = 120 convolution with a large support; sparse: the rest),
+then times verify_prop_43 on each kept pair.  It reports the time per
+stratum, the slowest pair and a SHA-256 over every report's orders and
+counts in sample order, so two runs can be compared without storing the
+reports.  The row is stamped with the machine, Python, numpy and the kernel
+backend.
+
+Invoke as: python3 benchmarks/bench_prop43.py [--out BENCH.json --label NAME]
+With --out, the row is appended to the "rows" list of that JSON file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import random
+import time
+from pathlib import Path
+
+import numpy as np
+
+from idemconv import (
+    all_subgroups,
+    character_group,
+    classify_pair,
+    symmetric_group,
+    verify_prop_43,
+)
+from idemconv._kernel import backend_name
+
+SAMPLE_SEED = 0
+DENSE_ORDER = 60
+QUOTA = {"dense": 8, "sparse": 40}
+
+
+def _draw(items):
+    """Rejection-sample commuting pairs until every stratum is full."""
+    rng = random.Random(SAMPLE_SEED)
+    left = dict(QUOTA)
+    sample = []
+    while any(left.values()):
+        p, q = items[rng.randrange(len(items))], items[rng.randrange(len(items))]
+        v = classify_pair(*p, *q)
+        if v.kind != "commute":
+            continue
+        stratum = "dense" if v.product_subgroup.order >= DENSE_ORDER else "sparse"
+        if left[stratum]:
+            left[stratum] -= 1
+            sample.append((stratum, p + q))
+    return sample
+
+
+def _key(rep) -> str:
+    return (
+        f"{rep.k12.order},{rep.h1.order},{rep.h2.order},{rep.span.order},"
+        f"{rep.gamma_group.order},{rep.proper_inclusion},{rep.forward_pairs},"
+        f"{rep.forward_realized},{rep.reverse_realized},{rep.passed};"
+    )
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", type=Path, help="append the row to this JSON file")
+    ap.add_argument("--label", default="", help="name of the row, e.g. before/after")
+    args = ap.parse_args()
+
+    t0 = time.perf_counter()
+    s5 = symmetric_group(5)
+    items = [(k, chi) for k in all_subgroups(s5) for chi in character_group(k)]
+    sample = _draw(items)
+    setup_s = time.perf_counter() - t0
+
+    digest = hashlib.sha256()
+    stratum_s = dict.fromkeys(QUOTA, 0.0)
+    slowest = 0.0
+    for stratum, pair in sample:
+        t0 = time.perf_counter()
+        rep = verify_prop_43(*pair)
+        dt = time.perf_counter() - t0
+        stratum_s[stratum] += dt
+        slowest = max(slowest, dt)
+        digest.update(_key(rep).encode())
+    total_s = sum(stratum_s.values())
+
+    row = {
+        "script": Path(__file__).name,
+        "label": args.label,
+        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()}",
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "backend": backend_name(),
+        "pairs": dict(QUOTA),
+        "setup_s": round(setup_s, 3),
+        "dense_s": round(stratum_s["dense"], 3),
+        "sparse_s": round(stratum_s["sparse"], 3),
+        "total_s": round(total_s, 3),
+        "pairs_per_s": round(len(sample) / total_s, 2),
+        "slowest_pair_ms": round(1000 * slowest, 1),
+        "report_sha256": digest.hexdigest(),
+    }
+    print(json.dumps(row, indent=2))
+    if args.out is not None:
+        doc = json.loads(args.out.read_text()) if args.out.exists() else {"rows": []}
+        doc["rows"].append(row)
+        args.out.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -349,13 +349,13 @@ def is_subgroup_product(k1: Subgroup, k2: Subgroup) -> ProductVerdict:
 
 def normalizer(k: Subgroup) -> Subgroup:
     parent = k.parent
-    eset = k.element_set
-    members = [
-        g
-        for g in range(parent.order)
-        if all(parent.conjugate(g, a) in eset for a in k.elements)
-    ]
-    return subgroup_from_elements(parent, members, validate=False)
+    mul_np = parent.mul_np
+    inside = np.zeros(parent.order, dtype=bool)
+    inside[list(k.elements)] = True
+    # conj[g, j] = g * k_j * g^-1
+    conj = mul_np[mul_np[:, k.elements], np.asarray(parent.inv)[:, None]]
+    members = np.flatnonzero(inside[conj].all(axis=1))
+    return subgroup_from_elements(parent, members.tolist(), validate=False)
 
 
 def centralizer(k: Subgroup) -> Subgroup:

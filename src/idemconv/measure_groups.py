@@ -184,6 +184,19 @@ def verify_prop_43(
     of rho m_{K1K2} has its translation part inside <H1 H2>.  Reverse:
     every element of <H1 H2> is realized by such a product with scalar
     exactly 1.  Also reports whether <H1 H2> is proper in G_{K1K2,rho}.
+
+    Left translation is a row permutation and delta_g * (a * b) =
+    (delta_g * a) * b, so the product for (g1, g2) is, bit for bit, the
+    g1-translate of c[g2] = rho1 m_K1 * delta_{g2} * rho2 m_K2.  Support
+    size, left-coset shape and being a unit multiple of a translate of
+    rho m_{K1K2} survive left translation, so each c[g2] is convolved and
+    tested once, and g1 only moves its translation part: from the coset
+    s0 K1K2 to the coset g1 s0 K1K2, read off as that coset's least
+    element.  Each G_{K_j,rho_j} is computed once.  The reverse step reuses
+    c[x2] for x2 in H2 (a subset of G_{K2,rho2}) to build the pair blocks,
+    and convolves rho m_{K1K2} with each block once: every node measure of
+    the realization search is checked equal to delta_g * rho m_{K1K2}, so
+    the step from g by block b is the g-translate of that one product.
     """
     verdict = classify_pair(k1, rho1, k2, rho2)
     if verdict.kind != "commute":
@@ -195,36 +208,40 @@ def verify_prop_43(
     parent = k1.parent
     mul = parent.mul
 
+    big1 = g_k_rho(k1, rho1)
+    big2 = g_k_rho(k2, rho2)
     g_prod = g_k_rho(k12, rho12)
-    h1 = intersection(g_k_rho(k1, rho1), g_prod)
-    h2 = intersection(g_k_rho(k2, rho2), g_prod)
+    h1 = intersection(big1, g_prod)
+    h2 = intersection(big2, g_prod)
     span = closure(parent, h1.elements + h2.elements)
     span_set = span.element_set
     g_prod_set = g_prod.element_set
+    h2_set = h2.element_set
 
     idem1 = char_idem(k1, rho1)
     idem2 = char_idem(k2, rho2)
     idem12 = char_idem(k12, rho12)
-    k12_set = k12.element_set
+    # the least element of each left coset x K1K2
+    coset_min = parent.mul_np[:, k12.elements].min(axis=1).tolist()
 
     # forward: conditional inclusion over all Gamma generator pairs
-    big1 = g_k_rho(k1, rho1)
-    big2 = g_k_rho(k2, rho2)
-    pairs = 0
     realized = 0
-    for g1 in big1.elements:
-        a = idem1.translate_left(g1)
-        for g2 in big2.elements:
-            pairs += 1
-            prod = convolve(a, idem2.translate_left(g2))
-            supp = prod.support()
-            if len(supp) != k12.order:
-                continue
-            s = supp[0]
-            if sorted(mul[s][x] for x in k12.elements) != list(supp):
-                continue
-            z = unit_multiple(prod, idem12.translate_left(s))
-            if z is None or s not in g_prod_set:
+    c: dict[int, Measure] = {}  # c[g2] for g2 in H2, reused by the reverse step
+    for g2 in big2.elements:
+        prod = convolve(idem1, idem2.translate_left(g2))
+        if g2 in h2_set:
+            c[g2] = prod
+        supp = prod.support()
+        if len(supp) != k12.order:
+            continue
+        s0 = supp[0]
+        if sorted(mul[s0][x] for x in k12.elements) != list(supp):
+            continue
+        if unit_multiple(prod, idem12.translate_left(s0)) is None:
+            continue
+        for g1 in big1.elements:
+            s = coset_min[mul[g1][s0]]
+            if s not in g_prod_set:
                 continue
             realized += 1
             if s not in span_set:
@@ -235,36 +252,34 @@ def verify_prop_43(
     # reverse: BFS realization by pair blocks, scalar 1
     blocks: dict[int, Measure] = {}
     for x1 in h1.elements:
-        b1 = idem1.translate_left(x1)
         for x2 in h2.elements:
             g = mul[x1][x2]
             if g in blocks:
                 continue
-            pm = convolve(b1, idem2.translate_left(x2))
+            pm = c[x2].translate_left(x1)
             if pm != idem12.translate_left(g):
                 raise InvariantViolation(
                     "pair block does not collapse to a translate of rho m_K1K2"
                 )
             blocks[g] = pm
-    node_measure: dict[int, Measure] = {parent.identity: idem12}
+    steps = {b: convolve(idem12, pb) for b, pb in blocks.items()}
+    reached = {parent.identity}
     frontier = [parent.identity]
     while frontier:
         nxt = []
         for g in frontier:
-            pg = node_measure[g]
-            for b, pb in blocks.items():
+            for b, q in steps.items():
                 t = mul[g][b]
-                if t in node_measure:
+                if t in reached:
                     continue
-                pt = convolve(pg, pb)
-                if pt != idem12.translate_left(t):
+                if q.translate_left(g) != idem12.translate_left(t):
                     raise InvariantViolation(
                         "reverse realization produced a non-unit scalar"
                     )
-                node_measure[t] = pt
+                reached.add(t)
                 nxt.append(t)
         frontier = nxt
-    if set(node_measure) != span_set:
+    if reached != span_set:
         raise InvariantViolation("pair blocks fail to reach all of <H1 H2>")
 
     return Prop43Report(
@@ -275,9 +290,9 @@ def verify_prop_43(
         span,
         g_prod,
         proper_inclusion=span.order < g_prod.order,
-        forward_pairs=pairs,
+        forward_pairs=big1.order * big2.order,
         forward_realized=realized,
-        reverse_realized=len(node_measure),
+        reverse_realized=len(reached),
         passed=True,
     )
 

@@ -177,19 +177,17 @@ class Measure:
 
     def translate_left(self, g: int) -> "Measure":
         """Convolution by dirac(g) on the left: new(x) = old(g^-1 x)."""
-        mul = self.parent.mul
-        rows: list[tuple[int, ...]] = [()] * self.parent.order
-        for h in range(self.parent.order):
-            rows[mul[g][h]] = self.num[h]
-        return Measure(self.parent, self.conductor, tuple(rows), self.den)
+        parent = self.parent
+        perm = parent.mul[parent.inv[g]]
+        rows = tuple(map(self.num.__getitem__, perm))
+        return Measure(parent, self.conductor, rows, self.den)
 
     def translate_right(self, g: int) -> "Measure":
         """Convolution by dirac(g) on the right: new(x) = old(x g^-1)."""
-        mul = self.parent.mul
-        rows: list[tuple[int, ...]] = [()] * self.parent.order
-        for h in range(self.parent.order):
-            rows[mul[h][g]] = self.num[h]
-        return Measure(self.parent, self.conductor, tuple(rows), self.den)
+        parent = self.parent
+        perm = parent.mul_np[:, parent.inv[g]].tolist()
+        rows = tuple(map(self.num.__getitem__, perm))
+        return Measure(parent, self.conductor, rows, self.den)
 
     def adjoint(self) -> "Measure":
         """mu*(g) = conj(mu(g^-1)); an involution on the algebra."""

@@ -4,7 +4,13 @@ Groups are immutable once built, so session scope is safe and keeps the
 subgroup-lattice caches warm across test modules.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import idemconv
 
 from idemconv import (
     cyclic_group,
@@ -52,3 +58,22 @@ def g18():
     torus = direct_product(cyclic_group(3), cyclic_group(3))
     swap = tuple((x % 3) * 3 + x // 3 for x in range(9))
     return semidirect_product(torus, cyclic_group(2), [tuple(range(9)), swap])
+
+
+def _run_optimized(code):
+    """Run code under python -O (asserts stripped); it exits 0 on success."""
+    src = os.path.dirname(os.path.dirname(idemconv.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", "if __debug__:\n    raise SystemExit(2)\n" + code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.fixture(scope="session")
+def run_optimized():
+    return _run_optimized

@@ -1,9 +1,6 @@
 """Pairwise commutation of contractive idempotents."""
 
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -11,7 +8,6 @@ from math import lcm
 import numpy as np
 import pytest
 
-import idemconv
 from idemconv import (
     all_subgroups,
     char_idem,
@@ -146,24 +142,10 @@ def test_product_map_not_a_character_is_non_commuting(s3):
     assert v.witness == next(g for g in range(s3.order) if lhs.coeff(g) != rhs.coeff(g))
 
 
-def _run_optimized(code):
-    """Run code under python -O (asserts stripped); it exits 0 on success."""
-    src = os.path.dirname(os.path.dirname(idemconv.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", "if __debug__:\n    raise SystemExit(2)\n" + code],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_verify_check_survives_optimize():
+def test_verify_check_survives_optimize(run_optimized):
     # the verify=True cross-checks are raises, not asserts: under python -O
     # a convolution that contradicts the verdict must still be reported
-    _run_optimized(
+    run_optimized(
         "import idemconv.commutation as c\n"
         "from idemconv import character_group, closure, dirac, symmetric_group\n"
         "from idemconv.errors import InvariantViolation\n"
@@ -179,10 +161,10 @@ def test_verify_check_survives_optimize():
     )
 
 
-def test_product_character_failure_survives_optimize():
+def test_product_character_failure_survives_optimize(run_optimized):
     # equal closed-form products must give a character (structure theorem);
     # if building it fails, that is reported, not turned into a verdict
-    _run_optimized(
+    run_optimized(
         "import idemconv.commutation as c\n"
         "from idemconv import character_group, closure, symmetric_group\n"
         "from idemconv.errors import InvariantViolation\n"
@@ -200,10 +182,10 @@ def test_product_character_failure_survives_optimize():
     )
 
 
-def test_verify_checks_closed_form_survives_optimize():
+def test_verify_checks_closed_form_survives_optimize(run_optimized):
     # one corrupted exponent gives wrong closed-form products on a
     # non-commuting pair; only verify=True, which convolves, can see it
-    _run_optimized(
+    run_optimized(
         "from fractions import Fraction\n"
         "from idemconv import Character, character_group, classify_pair, closure, symmetric_group\n"
         "from idemconv.errors import InvariantViolation\n"

@@ -296,6 +296,18 @@ def test_normalizer_centralizer(s3, d4):
     assert centralizer(rot).order == 4
 
 
+def test_normalizer_matches_conjugation_definition(s4, s5, d4, q8):
+    # {g : g a g^-1 in K for every a in K}, one conjugate at a time
+    for g in (s4, s5, d4, q8):
+        for k in all_subgroups(g):
+            members = tuple(
+                x
+                for x in range(g.order)
+                if all(g.conjugate(x, a) in k.element_set for a in k.elements)
+            )
+            assert normalizer(k).elements == members
+
+
 def test_commutator_subgroups(s3, s4, q8):
     assert commutator_subgroup(full_subgroup(s3)).order == 3
     assert commutator_subgroup(full_subgroup(s4)).order == 12

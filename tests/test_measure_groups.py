@@ -9,8 +9,10 @@ from idemconv import (
     CycloScalar,
     Measure,
     adjoint,
+    all_subgroups,
     char_idem,
     character_group,
+    classify_pair,
     closure,
     convolve,
     cyclic_group,
@@ -20,6 +22,7 @@ from idemconv import (
     g_k_rho,
     gamma_elements,
     haar,
+    intersection,
     is_local_unitary,
     n_k_rho,
     nu_u,
@@ -29,8 +32,10 @@ from idemconv import (
     trivial_subgroup,
     verify_prop_43,
 )
-from idemconv.measure_groups import exp_char_diagonal
+from idemconv.errors import InvariantViolation, PreconditionError
+from idemconv.measure_groups import Prop43Report, exp_char_diagonal, unit_multiple
 from idemconv.measures import FloatMeasure
+from idemconv.suite import _g18
 
 
 def trivial_char(sub):
@@ -189,3 +194,217 @@ def test_exp_char_diagonal_requires_abelian(s3):
     lam = dirac(s3, 1) - adjoint(dirac(s3, 1))
     with pytest.raises(Exception):
         exp_char_diagonal(lam)
+
+
+def _reference_prop_43(k1, rho1, k2, rho2):
+    """verify_prop_43 by definition: one convolution per (g1, g2) pair."""
+    verdict = classify_pair(k1, rho1, k2, rho2)
+    if verdict.kind != "commute":
+        raise PreconditionError(
+            f"pair does not satisfy the commuting case (got {verdict.kind})"
+        )
+    k12 = verdict.product_subgroup
+    rho12 = verdict.product_character
+    parent = k1.parent
+    mul = parent.mul
+
+    g_prod = g_k_rho(k12, rho12)
+    h1 = intersection(g_k_rho(k1, rho1), g_prod)
+    h2 = intersection(g_k_rho(k2, rho2), g_prod)
+    span = closure(parent, h1.elements + h2.elements)
+    span_set = span.element_set
+    g_prod_set = g_prod.element_set
+
+    idem1 = char_idem(k1, rho1)
+    idem2 = char_idem(k2, rho2)
+    idem12 = char_idem(k12, rho12)
+
+    big1 = g_k_rho(k1, rho1)
+    big2 = g_k_rho(k2, rho2)
+    pairs = 0
+    realized = 0
+    for g1 in big1.elements:
+        a = idem1.translate_left(g1)
+        for g2 in big2.elements:
+            pairs += 1
+            prod = convolve(a, idem2.translate_left(g2))
+            supp = prod.support()
+            if len(supp) != k12.order:
+                continue
+            s = supp[0]
+            if sorted(mul[s][x] for x in k12.elements) != list(supp):
+                continue
+            z = unit_multiple(prod, idem12.translate_left(s))
+            if z is None or s not in g_prod_set:
+                continue
+            realized += 1
+            if s not in span_set:
+                raise InvariantViolation(
+                    "forward inclusion fails: product lands outside <H1 H2>"
+                )
+
+    blocks = {}
+    for x1 in h1.elements:
+        b1 = idem1.translate_left(x1)
+        for x2 in h2.elements:
+            g = mul[x1][x2]
+            if g in blocks:
+                continue
+            pm = convolve(b1, idem2.translate_left(x2))
+            if pm != idem12.translate_left(g):
+                raise InvariantViolation(
+                    "pair block does not collapse to a translate of rho m_K1K2"
+                )
+            blocks[g] = pm
+    node_measure = {parent.identity: idem12}
+    frontier = [parent.identity]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            pg = node_measure[g]
+            for b, pb in blocks.items():
+                t = mul[g][b]
+                if t in node_measure:
+                    continue
+                pt = convolve(pg, pb)
+                if pt != idem12.translate_left(t):
+                    raise InvariantViolation(
+                        "reverse realization produced a non-unit scalar"
+                    )
+                node_measure[t] = pt
+                nxt.append(t)
+        frontier = nxt
+    if set(node_measure) != span_set:
+        raise InvariantViolation("pair blocks fail to reach all of <H1 H2>")
+
+    return Prop43Report(
+        k12,
+        rho12,
+        h1,
+        h2,
+        span,
+        g_prod,
+        proper_inclusion=span.order < g_prod.order,
+        forward_pairs=pairs,
+        forward_realized=realized,
+        reverse_realized=len(node_measure),
+        passed=True,
+    )
+
+
+def _commuting_pairs(g):
+    items = [(k, chi) for k in all_subgroups(g) for chi in character_group(k)]
+    return [
+        a + b for a in items for b in items if classify_pair(*a, *b).kind == "commute"
+    ]
+
+
+@pytest.mark.parametrize("name", ["s3", "q8", "d4"])
+def test_prop_43_matches_reference_exhaustive(name, request):
+    pairs = _commuting_pairs(request.getfixturevalue(name))
+    assert pairs
+    for pair in pairs:
+        assert verify_prop_43(*pair) == _reference_prop_43(*pair)
+
+
+def test_prop_43_matches_reference_s4_sample(s4):
+    for pair in random.Random(43).sample(_commuting_pairs(s4), 120):
+        assert verify_prop_43(*pair) == _reference_prop_43(*pair)
+
+
+def test_prop_43_matches_reference_g18():
+    _, k1, k2, rho1, rho2 = _g18()
+    rep = verify_prop_43(k1, rho1, k2, rho2)
+    assert rep.proper_inclusion
+    assert rep == _reference_prop_43(k1, rho1, k2, rho2)
+
+
+def test_prop_43_matches_reference_dense_s5(s5):
+    # A5 (trivial) with <(12)> (sign): K1K2 = S5, G_{A5,1} = S5, so every
+    # product is an n = 120 convolution with a dense first factor
+    a5 = closure(s5, [s5.idx("(123)"), s5.idx("(12345)")])
+    k2 = closure(s5, [s5.idx("(12)")])
+    sign = next(c for c in character_group(k2) if not c.is_trivial)
+    rep = verify_prop_43(a5, trivial_char(a5), k2, sign)
+    assert rep.k12.order == 120
+    assert rep.forward_pairs == 120 * g_k_rho(k2, sign).order
+    assert rep == _reference_prop_43(a5, trivial_char(a5), k2, sign)
+
+
+def _random_measure(g, rng, conductor):
+    coeffs = []
+    for _ in range(g.order):
+        if rng.random() < 0.4:
+            coeffs.append(0)
+            continue
+        z = CycloScalar.root_of_unity(Fraction(rng.randrange(conductor), conductor))
+        coeffs.append(z * Fraction(rng.randint(-3, 3), rng.randint(1, 5)))
+    return Measure.from_coeffs(g, coeffs)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_convolution_commutes_with_translation_bit_for_bit(s4, seed):
+    # verify_prop_43 reads delta_g * (a * b) off a * b as a translate; the
+    # translate must be the very Measure convolution would have produced
+    rng = random.Random(seed)
+    for _ in range(4):
+        a = _random_measure(s4, rng, rng.choice([1, 3, 4, 8, 12]))
+        b = _random_measure(s4, rng, rng.choice([1, 3, 4, 8, 12]))
+        g = rng.randrange(s4.order)
+        for lhs, rhs in (
+            (convolve(a.translate_left(g), b), convolve(a, b).translate_left(g)),
+            (convolve(a, b.translate_right(g)), convolve(a, b).translate_right(g)),
+        ):
+            assert (lhs.num, lhs.den, lhs.conductor) == (rhs.num, rhs.den, rhs.conductor)
+
+
+def test_forward_inclusion_survives_optimize(run_optimized):
+    # two point masses at e: every delta_{g1} * delta_{g2} is realized, so
+    # a span too small for the translation parts must be reported
+    run_optimized(
+        "import idemconv.measure_groups as mg\n"
+        "from idemconv import character_group, symmetric_group, trivial_subgroup\n"
+        "from idemconv.errors import InvariantViolation\n"
+        "g = symmetric_group(3)\n"
+        "t = trivial_subgroup(g)\n"
+        "rho = character_group(t)[0]\n"
+        "mg.closure = lambda parent, seed: trivial_subgroup(parent)\n"
+        "try:\n"
+        "    mg.verify_prop_43(t, rho, t, rho)\n"
+        "except InvariantViolation as exc:\n"
+        "    raise SystemExit(0 if 'forward inclusion' in str(exc) else 3)\n"
+        "raise SystemExit(1)\n"
+    )
+
+
+def test_reverse_checks_survive_optimize(run_optimized):
+    # one corrupted row in every product must fail the pair-block collapse
+    # or the scalar-1 realization, never pass silently
+    run_optimized(
+        "from fractions import Fraction\n"
+        "import idemconv.measure_groups as mg\n"
+        "from idemconv import character_group, closure, dihedral_group\n"
+        "from idemconv.errors import InvariantViolation\n"
+        "g = dihedral_group(4)\n"
+        "k1 = closure(g, [g.idx('r^2')])\n"
+        "k2 = closure(g, [g.idx('r')])\n"
+        "rho1 = next(c for c in character_group(k1) if not c.is_trivial)\n"
+        "rho2 = next(c for c in character_group(k2)"
+        " if c.rotation(g.idx('r')) == Fraction(1, 4))\n"
+        "real = mg.convolve\n"
+        "def corrupted(a, b):\n"
+        "    m = real(a, b)\n"
+        "    supp = m.support()\n"
+        "    if not supp:\n"
+        "        return m\n"
+        "    rows = list(m.num)\n"
+        "    rows[supp[-1]] = tuple(2 * c for c in rows[supp[-1]])\n"
+        "    return mg.Measure._build(m.parent, m.conductor, rows, m.den)\n"
+        "mg.convolve = corrupted\n"
+        "try:\n"
+        "    mg.verify_prop_43(k1, rho1, k2, rho2)\n"
+        "except InvariantViolation as exc:\n"
+        "    msg = str(exc)\n"
+        "    raise SystemExit(0 if 'pair block' in msg or 'reverse' in msg else 3)\n"
+        "raise SystemExit(1)\n"
+    )
