@@ -6,8 +6,9 @@ product is an n = 120 convolution with a large support; sparse: the rest),
 then times verify_prop_43 on each kept pair.  It reports the time per
 stratum, the slowest pair and a SHA-256 over every report's orders and
 counts in sample order, so two runs can be compared without storing the
-reports.  The row is stamped with the machine, Python, numpy and the kernel
-backend.
+reports.  It also times one layer on its own: g_k_rho over all 515 S5
+(subgroup, character) items.  The row is stamped with the machine, Python,
+numpy and the kernel backend.
 
 Invoke as: python3 benchmarks/bench_prop43.py [--out BENCH.json --label NAME]
 With --out, the row is appended to the "rows" list of that JSON file.
@@ -30,6 +31,7 @@ from idemconv import (
     all_subgroups,
     character_group,
     classify_pair,
+    g_k_rho,
     symmetric_group,
     verify_prop_43,
 )
@@ -77,6 +79,11 @@ def main() -> None:
     sample = _draw(items)
     setup_s = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
+    for item in items:
+        g_k_rho(*item)
+    g_k_rho_s = time.perf_counter() - t0
+
     digest = hashlib.sha256()
     stratum_s = dict.fromkeys(QUOTA, 0.0)
     slowest = 0.0
@@ -98,6 +105,7 @@ def main() -> None:
         "backend": backend_name(),
         "pairs": dict(QUOTA),
         "setup_s": round(setup_s, 3),
+        "g_k_rho_s": round(g_k_rho_s, 3),
         "dense_s": round(stratum_s["dense"], 3),
         "sparse_s": round(stratum_s["sparse"], 3),
         "total_s": round(total_s, 3),

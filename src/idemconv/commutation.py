@@ -120,20 +120,21 @@ def classify_pair(
         raise MismatchedParents(
             f"subgroups live in different parents ({parent.name} vs {k2.parent.name})"
         )
+    if verify:
+        # the brute-force products every verdict is checked against
+        idem1, idem2 = char_idem(k1, rho1), char_idem(k2, rho2)
+        conv_left, conv_right = convolve(idem1, idem2), convolve(idem2, idem1)
     t1, t2 = rho1._exponents, rho2._exponents
     a, b = (t1 >= 0).nonzero()[0], (t2 >= 0).nonzero()[0]
     ta, tb, t2a = t1[a], t2[b], t2[a]
 
     # t2a >= 0 exactly on K1 meet K2
     if ((t2a >= 0) & (t2a != ta)).any():
-        verdict = CommutationVerdict("zero_product")
-        if verify:
-            left = convolve(char_idem(k1, rho1), char_idem(k2, rho2))
-            right = convolve(char_idem(k2, rho2), char_idem(k1, rho1))
-            if not (left.is_zero() and right.is_zero()):
-                raise InvariantViolation("zero_product verdict, nonzero convolution")
-            verdict = CommutationVerdict("zero_product", left=left, right=right)
-        return verdict
+        if not verify:
+            return CommutationVerdict("zero_product")
+        if not (conv_left.is_zero() and conv_right.is_zero()):
+            raise InvariantViolation("zero_product verdict, nonzero convolution")
+        return CommutationVerdict("zero_product", left=conv_left, right=conv_right)
 
     # the exponent of rho1(a) rho2(b) at x = ab (left) and at x = ba (right),
     # -1 off the product set; agreement on K1 meet K2 makes every
@@ -157,17 +158,13 @@ def classify_pair(
             # equal products make a nonzero idempotent of norm <= 1, which is
             # rho m_K for a subgroup K and a character rho (Greenleaf)
             raise InvariantViolation(f"products agree but give no character: {exc}") from exc
-        verdict = CommutationVerdict("commute", k12, rho12)
-        if verify:
-            left = convolve(char_idem(k1, rho1), char_idem(k2, rho2))
-            right = convolve(char_idem(k2, rho2), char_idem(k1, rho1))
-            predicted = char_idem(k12, rho12)
-            if not left == right == predicted:
-                raise InvariantViolation("commute verdict, convolutions disagree with it")
-            if restrict(rho12, k1) != rho1 or restrict(rho12, k2) != rho2:
-                raise InvariantViolation("product character does not restrict to rho1, rho2")
-            verdict = CommutationVerdict("commute", k12, rho12, left=left, right=right)
-        return verdict
+        if not verify:
+            return CommutationVerdict("commute", k12, rho12)
+        if not conv_left == conv_right == char_idem(k12, rho12):
+            raise InvariantViolation("commute verdict, convolutions disagree with it")
+        if restrict(rho12, k1) != rho1 or restrict(rho12, k2) != rho2:
+            raise InvariantViolation("product character does not restrict to rho1, rho2")
+        return CommutationVerdict("commute", k12, rho12, left=conv_left, right=conv_right)
 
     witness = int(differs.argmax())
     n = lcm(rho1.conductor, rho2.conductor)
@@ -176,8 +173,6 @@ def classify_pair(
     left = _monomial(parent, left_exps, n, den)
     right = _monomial(parent, right_exps, n, den)
     if verify:
-        conv_left = convolve(char_idem(k1, rho1), char_idem(k2, rho2))
-        conv_right = convolve(char_idem(k2, rho2), char_idem(k1, rho1))
         if _packed(left) != _packed(conv_left) or _packed(right) != _packed(conv_right):
             raise InvariantViolation("closed-form products disagree with the convolutions")
         if _first_difference(conv_left, conv_right) != witness:

@@ -347,14 +347,21 @@ def is_subgroup_product(k1: Subgroup, k2: Subgroup) -> ProductVerdict:
     return ProductVerdict(True, sub, None, None)
 
 
-def normalizer(k: Subgroup) -> Subgroup:
+def _conjugates_inside(k: Subgroup, gs: Sequence[int]) -> np.ndarray:
+    """Mask [i, j]: whether gs[i] * k_j * gs[i]^-1 lies in K, by one gather."""
     parent = k.parent
     mul_np = parent.mul_np
+    ks = np.asarray(k.elements, dtype=np.int64)
+    gs = np.asarray(gs, dtype=np.int64)
     inside = np.zeros(parent.order, dtype=bool)
-    inside[list(k.elements)] = True
-    # conj[g, j] = g * k_j * g^-1
-    conj = mul_np[mul_np[:, k.elements], np.asarray(parent.inv)[:, None]]
-    members = np.flatnonzero(inside[conj].all(axis=1))
+    inside[ks] = True
+    conj = mul_np[mul_np[gs[:, None], ks], np.asarray(parent.inv)[gs][:, None]]
+    return inside[conj]
+
+
+def normalizer(k: Subgroup) -> Subgroup:
+    parent = k.parent
+    members = np.flatnonzero(_conjugates_inside(k, range(parent.order)).all(axis=1))
     return subgroup_from_elements(parent, members.tolist(), validate=False)
 
 
@@ -390,11 +397,7 @@ def is_normal_in(n: Subgroup, h: Subgroup) -> bool:
     _require_same_parent(n, h)
     if not n.element_set <= h.element_set:
         return False
-    parent = n.parent
-    nset = n.element_set
-    return all(
-        parent.conjugate(g, a) in nset for g in h.elements for a in n.elements
-    )
+    return bool(_conjugates_inside(n, h.elements).all())
 
 
 def is_matched_pair(k1: Subgroup, k2: Subgroup) -> bool:

@@ -69,14 +69,21 @@ def g_k_rho(k: Subgroup, rho: Character) -> Subgroup:
     Computed twice: directly (exact measure equality for every g) and as
     the preimage in N_{K,rho} of the centralizer of K/ker(rho) inside
     N_{K,rho}/ker(rho); the two must agree.
+
+    Translation only permutes the rows of rho*m_K and keeps its conductor
+    and denominator, so delta_g * base == base * delta_g exactly when the
+    rows agree at every x: base(g^-1 x) == base(x g^-1).  Rows are compared
+    as small integer ids, one gather for all g at once.
     """
     parent = k.parent
     base = char_idem(k, rho)
-    direct = tuple(
-        g
-        for g in range(parent.order)
-        if base.translate_left(g) == base.translate_right(g)
-    )
+    ids: dict[tuple[int, ...], int] = {}
+    row_id = np.array([ids.setdefault(row, len(ids)) for row in base.num])
+    mul_np = parent.mul_np
+    inv = np.asarray(parent.inv)
+    # [g, x] -> g^-1 x on the left, x g^-1 on the right
+    commutes = (row_id[mul_np[inv]] == row_id[mul_np[:, inv].T]).all(axis=1)
+    direct = tuple(np.flatnonzero(commutes).tolist())
 
     nkr = n_k_rho(k, rho)
     ker = kernel(rho)
@@ -194,9 +201,13 @@ def verify_prop_43(
     s0 K1K2 to the coset g1 s0 K1K2, read off as that coset's least
     element.  Each G_{K_j,rho_j} is computed once.  The reverse step reuses
     c[x2] for x2 in H2 (a subset of G_{K2,rho2}) to build the pair blocks,
-    and convolves rho m_{K1K2} with each block once: every node measure of
-    the realization search is checked equal to delta_g * rho m_{K1K2}, so
-    the step from g by block b is the g-translate of that one product.
+    each checked equal to delta_b * omega (omega = rho m_{K1K2}).  Every
+    block index b = x1 x2 lies in G_{K1K2,rho}, so delta_b * omega =
+    omega * delta_b and omega * block_b = (omega * omega) * delta_b, bit for
+    bit: one square omega * omega, right-translated by b, gives every step.
+    Every node measure of the realization search is checked equal to
+    delta_g * omega, so the step from g by block b is the g-translate of
+    that product.
     """
     verdict = classify_pair(k1, rho1, k2, rho2)
     if verdict.kind != "commute":
@@ -250,19 +261,18 @@ def verify_prop_43(
                 )
 
     # reverse: BFS realization by pair blocks, scalar 1
-    blocks: dict[int, Measure] = {}
+    sq = convolve(idem12, idem12)
+    steps: dict[int, Measure] = {}  # block index b -> omega * block_b
     for x1 in h1.elements:
         for x2 in h2.elements:
             g = mul[x1][x2]
-            if g in blocks:
+            if g in steps:
                 continue
-            pm = c[x2].translate_left(x1)
-            if pm != idem12.translate_left(g):
+            if c[x2].translate_left(x1) != idem12.translate_left(g):
                 raise InvariantViolation(
                     "pair block does not collapse to a translate of rho m_K1K2"
                 )
-            blocks[g] = pm
-    steps = {b: convolve(idem12, pb) for b, pb in blocks.items()}
+            steps[g] = sq.translate_right(g)
     reached = {parent.identity}
     frontier = [parent.identity]
     while frontier:

@@ -33,6 +33,7 @@ from idemconv import (
     symmetric_group,
     trivial_subgroup,
 )
+from idemconv.groups import is_normal_in
 
 
 def test_cyclic_basics():
@@ -306,6 +307,24 @@ def test_normalizer_matches_conjugation_definition(s4, s5, d4, q8):
                 if all(g.conjugate(x, a) in k.element_set for a in k.elements)
             )
             assert normalizer(k).elements == members
+
+
+def test_is_normal_in_matches_conjugation_definition(s4, s5, d4, q8):
+    # N inside H and g a g^-1 in N for every g in H, a in N, one at a time
+    kinds = set()
+    for g in (s4, s5, d4, q8):
+        subs = all_subgroups(g)
+        for h in subs:
+            for n in subs:
+                expected = n.element_set <= h.element_set and all(
+                    g.conjugate(x, a) in n.element_set
+                    for x in h.elements
+                    for a in n.elements
+                )
+                assert is_normal_in(n, h) == expected
+                kinds.add((n.element_set <= h.element_set, expected))
+    # contained and normal, contained and not normal (none in Q8), not contained
+    assert kinds == {(True, True), (True, False), (False, False)}
 
 
 def test_commutator_subgroups(s3, s4, q8):

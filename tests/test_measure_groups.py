@@ -68,6 +68,49 @@ def test_g_is_contained_in_n(s4):
             assert set(g.elements) <= set(n.elements)
 
 
+def _reference_g_k_rho(k, rho):
+    """G_{K,rho} by definition: one translate pair compared per g."""
+    base = char_idem(k, rho)
+    return tuple(
+        g
+        for g in range(k.parent.order)
+        if base.translate_left(g) == base.translate_right(g)
+    )
+
+
+def _items(g):
+    return [(k, chi) for k in all_subgroups(g) for chi in character_group(k)]
+
+
+@pytest.mark.parametrize("name", ["s3", "s4", "d4", "q8", "g18"])
+def test_g_k_rho_matches_translate_definition(name, request):
+    for k, chi in _items(request.getfixturevalue(name)):
+        assert g_k_rho(k, chi).elements == _reference_g_k_rho(k, chi)
+
+
+def test_g_k_rho_matches_translate_definition_s5_sample(s5):
+    for k, chi in random.Random(9).sample(_items(s5), 60):
+        assert g_k_rho(k, chi).elements == _reference_g_k_rho(k, chi)
+
+
+def test_g_k_rho_quotient_check_survives_optimize(run_optimized):
+    # a quotient path that loses the centralizer must be caught: for the
+    # trivial pair on S3 the direct definition gives all of S3
+    run_optimized(
+        "import idemconv.measure_groups as mg\n"
+        "from idemconv import character_group, symmetric_group, trivial_subgroup\n"
+        "from idemconv.errors import InvariantViolation\n"
+        "g = symmetric_group(3)\n"
+        "t = trivial_subgroup(g)\n"
+        "mg.centralizer = lambda k: trivial_subgroup(k.parent)\n"
+        "try:\n"
+        "    mg.g_k_rho(t, character_group(t)[0])\n"
+        "except InvariantViolation as exc:\n"
+        "    raise SystemExit(0 if 'quotient' in str(exc) else 3)\n"
+        "raise SystemExit(1)\n"
+    )
+
+
 def test_invariance_via_translation(d4):
     # x in G_{K,rho} iff delta_x * m is a unimodular multiple of m
     rot = closure(d4, [d4.idx("r")])
@@ -293,7 +336,7 @@ def _reference_prop_43(k1, rho1, k2, rho2):
 
 
 def _commuting_pairs(g):
-    items = [(k, chi) for k in all_subgroups(g) for chi in character_group(k)]
+    items = _items(g)
     return [
         a + b for a in items for b in items if classify_pair(*a, *b).kind == "commute"
     ]
@@ -329,6 +372,32 @@ def test_prop_43_matches_reference_dense_s5(s5):
     assert rep.k12.order == 120
     assert rep.forward_pairs == 120 * g_k_rho(k2, sign).order
     assert rep == _reference_prop_43(a5, trivial_char(a5), k2, sign)
+
+
+def _sample_commuting_pairs(g, count, seed):
+    """Rejection-sample ordered commuting pairs of (subgroup, character) items."""
+    items = _items(g)
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a, b = items[rng.randrange(len(items))], items[rng.randrange(len(items))]
+        if classify_pair(*a, *b).kind == "commute":
+            out.append(a + b)
+    return out
+
+
+@pytest.mark.parametrize("name, count", [("s4", 20), ("s5", 16)])
+def test_reverse_step_square_matches_block_convolution(name, count, request):
+    # verify_prop_43 takes omega * block_b as (omega * omega) * delta_b for
+    # every block index b in G_{K1K2,rho}, where block_b = delta_b * omega
+    for pair in _sample_commuting_pairs(request.getfixturevalue(name), count, 9):
+        v = classify_pair(*pair)
+        omega = char_idem(v.product_subgroup, v.product_character)
+        sq = convolve(omega, omega)
+        for b in g_k_rho(v.product_subgroup, v.product_character).elements:
+            lhs = sq.translate_right(b)
+            rhs = convolve(omega, omega.translate_left(b))
+            assert (lhs.num, lhs.den, lhs.conductor) == (rhs.num, rhs.den, rhs.conductor)
 
 
 def _random_measure(g, rng, conductor):
