@@ -1,24 +1,47 @@
-"""Vectorised vs scalar character validation on S5 subgroups.
+"""Character construction and validation on S5 subgroups, and the paths that use it.
 
-Times Character(k, chi.rot), which validates in one numpy pass over integer
-exponents, against the element-by-element Fraction loop it replaced, on S5
-subgroups of order 1, 6, 24 and 120.  Both must accept every valid
-character and reject one corrupted rotation with the same message.
-Invoke as: python3 benchmarks/bench_characters.py
+Times both entry points, Character(k, exps) on integer exponents and
+Character.from_rotations(k, rot) on Fractions, each validating in one
+numpy pass, against the element-by-element Fraction loop they replaced, on
+S5 subgroups of order 1, 6, 24 and 120.  Both must accept every valid
+character and reject one corrupted value with the reference's message, or
+the run fails.  Then times character_group over the whole S5 lattice with
+its cache cleared, and the in-process wall time of the limit-sweep and
+commute-oracle-sweep fixtures (best of three, so caches are warm), which
+must pass.
+
+A tree whose constructor still takes rotations has no exponent entry point:
+its row times that constructor as from_rotations and leaves exps null.
+
+Invoke as: python3 benchmarks/bench_characters.py [--out BENCH.json --label NAME]
+With --out, the row is appended to the "rows" list of that JSON file.
 """
 
 from __future__ import annotations
 
+import argparse
+import json
+import os
+import platform
 import time
 from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
 
 from idemconv import (
     Character,
     all_subgroups,
     character_group,
+    run_fixture,
     symmetric_group,
     trivial_subgroup,
 )
+from idemconv._kernel import backend_name
+
+FIXTURES = ("limit-sweep", "commute-oracle-sweep")
+HAS_EXPS = "exps" in Character.__dataclass_fields__
+from_rotations = Character.from_rotations if HAS_EXPS else Character
 
 
 def scalar_validate(domain, rot) -> None:
@@ -45,51 +68,124 @@ def scalar_validate(domain, rot) -> None:
                 )
 
 
-def _workloads():
-    s5 = symmetric_group(5)
-    subgroups = all_subgroups(s5)
+def _workloads(subgroups):
+    s5 = subgroups[0].parent
     yield "trivial (order 1)", trivial_subgroup(s5), 2000
     for order, repeats in ((6, 1000), (24, 200), (120, 10)):
         k = next(k for k in subgroups if k.order == order and len(character_group(k)) > 1)
         yield f"order {order}", k, repeats
 
 
-def _time(check, k, rot, repeats: int) -> float:
+def _time(fn, repeats: int, rounds: int = 3) -> float:
     best = float("inf")
-    for _ in range(3):
+    for _ in range(rounds):
         t0 = time.perf_counter()
         for _ in range(repeats):
-            check(k, rot)
+            fn()
         best = min(best, (time.perf_counter() - t0) / repeats)
     return best
 
 
-def _message(check, k, rot):
+def _message(check, k, values):
     try:
-        check(k, rot)
+        check(k, values)
     except ValueError as exc:
         return str(exc)
     return None
 
 
-def main() -> None:
-    rows = []
-    for name, k, repeats in _workloads():
-        chi = character_group(k)[-1]
-        bad = chi.rot[:-1] + (Fraction(1, 7),)
-        for rot in (chi.rot, bad):
-            want = _message(scalar_validate, k, rot)
-            got = _message(Character, k, rot)
-            if got != want:
-                raise SystemExit(f"validators disagree on {name}: {got!r} != {want!r}")
-        scalar = _time(scalar_validate, k, chi.rot, repeats)
-        vector = _time(Character, k, chi.rot, repeats)
-        rows.append((name, scalar, vector))
+def _parity(name, check, k, cases) -> None:
+    """check must agree with the reference on every (values, rotations) case."""
+    for values, rot in cases:
+        want = _message(scalar_validate, k, rot)
+        got = _message(check, k, values)
+        if got != want:
+            raise SystemExit(f"validators disagree on {name}: {got!r} != {want!r}")
 
-    width = max(len(r[0]) for r in rows)
-    print(f"{'subgroup of S5':<{width}}  {'scalar':>10}  {'numpy':>10}  speedup")
-    for name, scalar, vector in rows:
-        print(f"{name:<{width}}  {scalar * 1e6:9.1f}u  {vector * 1e6:9.1f}u  {scalar / vector:9.1f}x")
+
+def _character_group_s(subgroups) -> float:
+    best = float("inf")
+    for _ in range(5):
+        character_group.cache_clear()
+        t0 = time.perf_counter()
+        for k in subgroups:
+            character_group(k)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def _fixture_s(name: str) -> float:
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        result = run_fixture(name)
+        best = min(best, time.perf_counter() - t0)
+        if not result.passed:
+            raise SystemExit(f"fixture {name} failed: {result.details}")
+    return best
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", type=Path, help="append the row to this JSON file")
+    ap.add_argument("--label", default="", help="name of the row, e.g. before/after")
+    args = ap.parse_args()
+
+    subgroups = all_subgroups(symmetric_group(5))
+    rows = {}
+    for name, k, repeats in _workloads(subgroups):
+        chi = character_group(k)[-1]
+        rot = chi.rot
+        _parity(name, from_rotations, k, [(r, r) for r in (rot, rot[:-1] + (Fraction(1, 7),))])
+        row = {
+            "order": k.order,
+            "scalar_us": _time(lambda: scalar_validate(k, rot), repeats) * 1e6,
+            "from_rotations_us": _time(lambda: from_rotations(k, rot), repeats) * 1e6,
+            "exps_us": None,
+        }
+        if HAS_EXPS:
+            e = k.parent.exponent
+            exps = chi.exps
+            moved = exps[:-1] + ((exps[-1] + 1) % e,)
+            cases = [(t, tuple(Fraction(x, e) for x in t)) for t in (exps, moved)]
+            _parity(name, Character, k, cases)
+            row["exps_us"] = _time(lambda: Character(k, exps), repeats) * 1e6
+        rows[name] = row
+    lattice_s = _character_group_s(subgroups)
+    fixtures = {name: _fixture_s(name) for name in FIXTURES}
+
+    width = max(len(name) for name in rows)
+    print(f"{'subgroup of S5':<{width}}  {'scalar':>10}  {'rotations':>10}  {'exps':>10}")
+    for name, r in rows.items():
+        exps = "-" if r["exps_us"] is None else f"{r['exps_us']:9.1f}u"
+        print(
+            f"{name:<{width}}  {r['scalar_us']:9.1f}u  {r['from_rotations_us']:9.1f}u  {exps:>10}"
+        )
+    print(
+        f"character_group over the {len(subgroups)} S5 subgroups, cache cleared: "
+        f"{lattice_s * 1e3:.1f}ms"
+    )
+    for name, s in fixtures.items():
+        print(f"fixture {name}: {s:.3f}s")
+
+    if args.out is not None:
+        row = {
+            "script": Path(__file__).name,
+            "label": args.label,
+            "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()}",
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "backend": backend_name(),
+            "construct_us": {
+                name: {k: v if not isinstance(v, float) else round(v, 1) for k, v in r.items()}
+                for name, r in rows.items()
+            },
+            "character_group_s5_lattice_ms": round(lattice_s * 1e3, 2),
+            "fixture_s": {name: round(s, 3) for name, s in fixtures.items()},
+        }
+        doc = json.loads(args.out.read_text()) if args.out.exists() else {"rows": []}
+        doc["rows"].append(row)
+        args.out.write_text(json.dumps(doc, indent=2) + "\n")
 
 
 if __name__ == "__main__":

@@ -1,14 +1,13 @@
 """Multiplicative character groups of subgroups of a finite group.
 
-A character is stored as a rational rotation number per element: the value
-at g is exp(2*pi*i*rot(g)). Rotation arithmetic is exact and canonical;
-conversion to cyclotomic scalars happens only at the measures boundary.
+A character is stored as one integer exponent t per domain element, with
+value exp(2*pi*i*t/e) and 0 <= t < e for e the parent's exponent: every
+character value is an e-th root of unity, so the form is exact and
+canonical, and character arithmetic is integer arithmetic mod e.  Rational
+rotations t/e exist only at the boundary (from_rotations, rot, rotation).
 
-Every construction is validated, in one numpy pass over integer exponents:
-the rotations are scaled to integers t = rot * e mod e, with e the parent's
-exponent (widened by any stray denominator, so the check stays exact on bad
-input), and multiplicativity becomes t[g*h] == (t[g] + t[h]) mod e over the
-domain's product table.
+Every construction is validated in one numpy pass, where multiplicativity
+is t[g*h] == (t[g] + t[h]) mod e over the domain's product table.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,72 +42,90 @@ __all__ = [
 ]
 
 
+def _check(domain: Subgroup, exps: Sequence[int], e: int, dtype=np.int64) -> None:
+    """Raise ValueError naming the first failure, in a fixed order, unless
+    exps (exponents mod e aligned with domain.elements) is a character."""
+    elems = domain.elements
+    n = len(elems)
+    if len(exps) != n:
+        raise ValueError("need one rotation per subgroup element")
+    if exps and (min(exps) < 0 or max(exps) >= e):
+        raise ValueError("rotations must lie in [0, 1)")
+    t = np.array(exps, dtype=dtype)
+    parent = domain.parent
+    idx = np.array(elems, dtype=np.intp)
+    # position of each domain element; -1 marks a product escaping it
+    where = np.full(parent.order, -1, dtype=np.intp)
+    where[idx] = np.arange(n)
+    prod = where[parent.mul_np[idx[:, None], idx]]
+    if where[parent.identity] < 0 or prod.min() < 0:
+        raise ValueError("character domain is not closed under the group operation")
+    if t[where[parent.identity]] != 0:
+        raise ValueError("character must send the identity to 1")
+    # g^order = 1 exactly when t(g) is a multiple of e / order
+    bad_order = t % (e // parent.element_orders[idx].astype(t.dtype, copy=False)) != 0
+    ok = t[prod] == (t[:, None] + t[None, :]) % e
+    if bad_order.any() or not ok.all():
+        i = int((bad_order | ~ok.all(axis=1)).argmax())
+        g = parent.labels[elems[i]]
+        if bad_order[i]:
+            raise ValueError(f"value at {g} is not an order-dividing root of unity")
+        h = parent.labels[elems[int(ok[i].argmin())]]
+        raise ValueError(f"not multiplicative at ({g},{h})")
+
+
 @dataclass(frozen=True)
 class Character:
-    """A multiplicative character on a subgroup, as rotation numbers.
+    """A multiplicative character on a subgroup, as integer exponents.
 
-    rot is aligned with domain.elements and holds Fractions in [0, 1).
-    Construction validates it, vectorised over integer exponents (see the
-    module docstring); a failure raises ValueError naming the first bad
-    element or pair in row order, the element's order check before its
-    row of products.
+    exps is aligned with domain.elements and holds ints in [0, e) for
+    e = domain.parent.exponent.  Construction validates it; a failure raises
+    ValueError naming the first bad element or pair in row order, the
+    element's order check before its row of products.
     """
 
     domain: Subgroup
-    rot: tuple[Fraction, ...]
+    exps: tuple[int, ...]
 
     def __post_init__(self):
-        elems = self.domain.elements
-        n = len(elems)
-        if len(self.rot) != n:
-            raise ValueError("need one rotation per subgroup element")
-        num = [r.numerator for r in self.rot]
-        den = [r.denominator for r in self.rot]
-        if any(p < 0 or p >= q for p, q in zip(num, den)):
-            raise ValueError("rotations must lie in [0, 1)")
-        parent = self.domain.parent
-        # a valid character has every denominator dividing the exponent;
-        # only absurd denominators push e past int64, to exact object ints
-        e = lcm(parent.exponent, *den)
-        dtype = np.int64 if e < 2**62 else object
-        q = np.array(den, dtype=dtype)
-        t = np.array(num, dtype=dtype) * (e // q)
-        idx = np.array(elems, dtype=np.intp)
-        # position of each domain element; -1 marks a product escaping it
-        where = np.full(parent.order, -1, dtype=np.intp)
-        where[idx] = np.arange(n)
-        prod = where[parent.mul_np[idx[:, None], idx]]
-        if where[parent.identity] < 0 or prod.min() < 0:
-            raise ValueError("character domain is not closed under the group operation")
-        if t[where[parent.identity]] != 0:
-            raise ValueError("character must send the identity to 1")
-        bad_order = parent.element_orders[idx] % q != 0
-        ok = t[prod] == (t[:, None] + t[None, :]) % e
-        if bad_order.any() or not ok.all():
-            i = int((bad_order | ~ok.all(axis=1)).argmax())
-            g = parent.labels[elems[i]]
-            if bad_order[i]:
-                raise ValueError(f"value at {g} is not an order-dividing root of unity")
-            h = parent.labels[elems[int(ok[i].argmin())]]
-            raise ValueError(f"not multiplicative at ({g},{h})")
+        if type(sum(self.exps)) is not int:  # one Fraction or float makes the sum one
+            raise TypeError("exponents must be ints; see from_rotations")
+        _check(self.domain, self.exps, self.domain.parent.exponent)
+
+    @classmethod
+    def from_rotations(cls, domain: Subgroup, rot: Sequence[Fraction]) -> "Character":
+        """The character with value exp(2*pi*i*rot[j]) at domain.elements[j];
+        raises ValueError as the constructor does."""
+        e = domain.parent.exponent
+        if all(e % r.denominator == 0 for r in rot):
+            return cls(domain, tuple(r.numerator * (e // r.denominator) for r in rot))
+        # no e-th root of unity: check over a modulus every denominator divides,
+        # as object ints past int64, so the error names the first bad element
+        wide = lcm(e, *(r.denominator for r in rot))
+        t = [r.numerator * (wide // r.denominator) for r in rot]
+        _check(domain, t, wide, np.int64 if wide < 2**62 else object)
+        raise InvariantViolation("a rotation off the exponent's roots of unity passed the check")
 
     @cached_property
     def _pos(self) -> dict[int, int]:
         return {g: i for i, g in enumerate(self.domain.elements)}
 
+    def _exps_on(self, sub: Subgroup) -> tuple[int, ...]:
+        """exps restricted to a subgroup of the domain."""
+        return tuple(self._exponents[list(sub.elements)].tolist())
+
     @cached_property
     def _exponents(self) -> np.ndarray:
-        """int64 t over the whole parent: chi(g) = exp(2*pi*i*t[g]/e) with
-        e = parent.exponent and 0 <= t[g] < e on the domain, -1 off it.
-
-        Exact because construction checked every denominator divides the
-        element's order, hence e.
-        """
-        parent = self.domain.parent
-        e = parent.exponent
-        t = np.full(parent.order, -1, dtype=np.int64)
-        t[list(self.domain.elements)] = [r.numerator * (e // r.denominator) for r in self.rot]
+        """exps scattered over the whole parent as int64, -1 off the domain."""
+        t = np.full(self.domain.parent.order, -1, dtype=np.int64)
+        t[list(self.domain.elements)] = self.exps
         return t
+
+    @cached_property
+    def rot(self) -> tuple[Fraction, ...]:
+        """The rotations exps / e in [0, 1), aligned with domain.elements."""
+        e = self.domain.parent.exponent
+        return tuple(Fraction(t, e) for t in self.exps)
 
     def rotation(self, g: int) -> Fraction:
         try:
@@ -121,20 +138,23 @@ class Character:
 
     @cached_property
     def conductor(self) -> int:
-        return lcm(1, *(r.denominator for r in self.rot))
+        e = self.domain.parent.exponent
+        return e // gcd(e, *self.exps)
 
     @property
     def is_trivial(self) -> bool:
-        return not any(self.rot)
+        return not any(self.exps)
 
     def conjugate(self) -> "Character":
-        return Character(self.domain, tuple((-r) % 1 for r in self.rot))
+        e = self.domain.parent.exponent
+        return Character(self.domain, tuple(-t % e for t in self.exps))
 
     def __mul__(self, other: "Character") -> "Character":
         if self.domain != other.domain:
             raise PreconditionError("pointwise product needs a common domain")
+        e = self.domain.parent.exponent
         return Character(
-            self.domain, tuple((a + b) % 1 for a, b in zip(self.rot, other.rot))
+            self.domain, tuple((a + b) % e for a, b in zip(self.exps, other.exps))
         )
 
     def __repr__(self) -> str:
@@ -212,18 +232,15 @@ def character_group(k: Subgroup) -> tuple[Character, ...]:
     if len(coords) != q_group.order:
         raise InvariantViolation("cyclic factors do not span the abelianization")
 
-    factor_orders = [d for _, d in basis]
+    # character m takes coordinates c to sum m_i c_i / d_i turns, which is
+    # exponent sum m_i c_i (e / d_i) mod e
+    e = parent.exponent
+    element_coords = [coords[quot.projection[g]] for g in k.elements]
     chars = []
-    for m in itertools.product(*(range(d) for d in factor_orders)):
-        rot = []
-        for g in k.elements:
-            c = coords[quot.projection[g]]
-            total = sum(
-                (Fraction(mi * ci, di) for mi, ci, di in zip(m, c, factor_orders)),
-                Fraction(0),
-            )
-            rot.append(total % 1)
-        chars.append(Character(k, tuple(rot)))
+    for m in itertools.product(*(range(d) for _, d in basis)):
+        w = [mi * (e // d) for mi, (_, d) in zip(m, basis)]
+        exps = tuple(sum(a * b for a, b in zip(w, c)) % e for c in element_coords)
+        chars.append(Character(k, exps))
     if len(chars) != k.order // comm.order:
         raise InvariantViolation("character count mismatch")
     return tuple(chars)
@@ -234,11 +251,11 @@ def restrict(chi: Character, sub: Subgroup) -> Character:
         raise PreconditionError("restriction target lives in a different parent")
     if not sub.element_set <= chi.domain.element_set:
         raise PreconditionError("restriction target is not inside the domain")
-    return Character(sub, tuple(chi.rotation(g) for g in sub.elements))
+    return Character(sub, chi._exps_on(sub))
 
 
 def kernel(chi: Character) -> Subgroup:
-    members = [g for g, r in zip(chi.domain.elements, chi.rot) if r == 0]
+    members = [g for g, t in zip(chi.domain.elements, chi.exps) if t == 0]
     return subgroup_from_elements(chi.domain.parent, members, validate=False)
 
 
@@ -262,7 +279,7 @@ def find_extension(
     matches = [
         rho
         for rho in character_group(target)
-        if all(restrict(rho, chi.domain) == chi for chi in constraints)
+        if all(rho._exps_on(chi.domain) == chi.exps for chi in constraints)
     ]
     if closure(parent, union).elements == target.elements and len(matches) > 1:
         raise InvariantViolation("constraints generate the target but fix no unique character")

@@ -52,6 +52,7 @@ from .dynamics import free_product_decay, idempotent_power_limit, stromberg_chec
 from .measure_groups import g_k_rho, gamma_elements, n_k_rho, omega_class_count
 from .so3 import example_33_report
 from .suite import FIXTURES, SuiteConfig, run_suite
+from .suite import _char_desc as _suite_char_desc
 from ._kernel import backend_name
 
 SCHEMA_VERSION = 1
@@ -291,7 +292,7 @@ def _character_from_rotations(sub: Subgroup, rotations, field: str) -> Character
             "parse", "character must map generator labels to rotations", field
         )
     if not rotations:
-        return Character(sub, tuple(Fraction(0) for _ in sub.elements))
+        return Character(sub, (0,) * sub.order)
     assign: dict[int, Fraction] = {}
     for lab, rotstr in rotations.items():
         gidx = _label_idx(parent, lab, f"{field}.{lab}")
@@ -328,7 +329,7 @@ def _character_from_rotations(sub: Subgroup, rotations, field: str) -> Character
             field,
         )
     try:
-        return Character(sub, tuple(rot[g] for g in sub.elements))
+        return Character.from_rotations(sub, tuple(rot[g] for g in sub.elements))
     except ValueError as exc:
         raise CliError("precondition", f"invalid character: {exc}", field)
 
@@ -390,20 +391,7 @@ def _measure_from_spec(g: GroupTable, spec, field: str) -> Measure:
 
 
 def _char_desc(chi: Optional[Character]) -> Optional[str]:
-    if chi is None:
-        return None
-    if chi.is_trivial:
-        return "trivial"
-    parent = chi.domain.parent
-    gens = chi.domain.generators or chi.domain.elements
-    parts = [f"{parent.labels[g]}:{chi.rotation(g)}" for g in gens if chi.rotation(g)]
-    if not parts:
-        parts = [
-            f"{parent.labels[g]}:{chi.rotation(g)}"
-            for g in chi.domain.elements
-            if chi.rotation(g)
-        ]
-    return ",".join(parts)
+    return None if chi is None else _suite_char_desc(chi)
 
 
 def _sub_labels(sub: Optional[Subgroup]) -> Optional[list[str]]:

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .characters import Character, restrict
+from .characters import Character
 from .cyclo import field_tables, promote_rows
 from .errors import InvariantViolation, MismatchedParents, PreconditionError
 from .groups import (
@@ -151,9 +151,8 @@ def classify_pair(
         k12 = subgroup_from_elements(
             parent, support.tolist(), k1.generators + k2.generators, validate=False
         )
-        e = parent.exponent
         try:
-            rho12 = Character(k12, tuple(Fraction(t, e) for t in left_exps[support].tolist()))
+            rho12 = Character(k12, tuple(left_exps[support].tolist()))
         except ValueError as exc:
             # equal products make a nonzero idempotent of norm <= 1, which is
             # rho m_K for a subgroup K and a character rho (Greenleaf)
@@ -162,7 +161,7 @@ def classify_pair(
             return CommutationVerdict("commute", k12, rho12)
         if not conv_left == conv_right == char_idem(k12, rho12):
             raise InvariantViolation("commute verdict, convolutions disagree with it")
-        if restrict(rho12, k1) != rho1 or restrict(rho12, k2) != rho2:
+        if rho12._exps_on(k1) != rho1.exps or rho12._exps_on(k2) != rho2.exps:
             raise InvariantViolation("product character does not restrict to rho1, rho2")
         return CommutationVerdict("commute", k12, rho12, left=conv_left, right=conv_right)
 
@@ -209,10 +208,8 @@ def semidirect_counterexample(
         acts = [tuple(action(x)) for x in range(a_grp.order)]
     else:
         acts = [tuple(p) for p in action]
-    moved = any(
-        any(rho.rotation(p[g]) != rho.rotation(g) for g in range(k_grp.order))
-        for p in acts
-    )
+    t = rho.exps  # rho is on all of K, so t[g] is its exponent at g
+    moved = any(tuple(t[x] for x in p) != t for p in acts)
     if not moved:
         raise PreconditionError("rho is invariant under the action; no counterexample")
 
@@ -224,8 +221,9 @@ def semidirect_counterexample(
     a_embedded = subgroup_from_elements(
         g, [k_grp.identity * na + x for x in range(na)], validate=False
     )
+    scale = g.exponent // k_grp.exponent  # K's exponent divides that of K x| A
     rho_emb = Character(
-        k_embedded, tuple(rho.rotation(x // na) for x in k_embedded.elements)
+        k_embedded, tuple(t[x // na] * scale for x in k_embedded.elements)
     )
     left = convolve(char_idem(k_embedded, rho_emb), haar(a_embedded))
     right = convolve(haar(a_embedded), char_idem(k_embedded, rho_emb))

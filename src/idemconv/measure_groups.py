@@ -70,15 +70,13 @@ def g_k_rho(k: Subgroup, rho: Character) -> Subgroup:
     the preimage in N_{K,rho} of the centralizer of K/ker(rho) inside
     N_{K,rho}/ker(rho); the two must agree.
 
-    Translation only permutes the rows of rho*m_K and keeps its conductor
-    and denominator, so delta_g * base == base * delta_g exactly when the
-    rows agree at every x: base(g^-1 x) == base(x g^-1).  Rows are compared
-    as small integer ids, one gather for all g at once.
+    Translation only permutes the rows of omega = rho*m_K, so delta_g *
+    omega == omega * delta_g exactly when omega(g^-1 x) == omega(x g^-1) at
+    every x.  Rows of omega are equal exactly where rho's exponents (-1 off
+    K) are, so the exponents are compared, one gather for all g at once.
     """
     parent = k.parent
-    base = char_idem(k, rho)
-    ids: dict[tuple[int, ...], int] = {}
-    row_id = np.array([ids.setdefault(row, len(ids)) for row in base.num])
+    row_id = rho._exponents
     mul_np = parent.mul_np
     inv = np.asarray(parent.inv)
     # [g, x] -> g^-1 x on the left, x g^-1 on the right

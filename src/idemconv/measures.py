@@ -251,14 +251,12 @@ def char_idem(k: Subgroup, chi: Character) -> Measure:
         raise PreconditionError("character domain differs from the given subgroup")
     n = chi.conductor
     tab = field_tables(n)
-    d = tab.degree
     parent = k.parent
-    zero_row = (0,) * d
-    rows = [zero_row] * parent.order
-    for i, g in enumerate(k.elements):
-        rot = chi.rot[i]
-        t = (rot.numerator * (n // rot.denominator)) % n
-        rows[g] = tab.pow_rows[t]
+    rows = [(0,) * tab.degree] * parent.order
+    # the conductor n divides e, and e / n divides every exponent
+    step = parent.exponent // n
+    for g, t in zip(k.elements, chi.exps):
+        rows[g] = tab.pow_rows[t // step]
     return Measure._build(parent, n, rows, k.order)
 
 
@@ -347,7 +345,7 @@ def classify_idempotent(mu: Measure) -> IdempotentClass:
             return IdempotentClass("idempotent_other")
         rots.append(rot)
     try:
-        chi = Character(k, tuple(rots))
+        chi = Character.from_rotations(k, tuple(rots))
     except ValueError:
         return IdempotentClass("idempotent_other")
     if mu != char_idem(k, chi):

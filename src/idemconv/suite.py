@@ -145,7 +145,7 @@ def _fx_example_24i(cfg: SuiteConfig) -> FixtureResult:
     c8 = cyclic_group(8)
     c2 = cyclic_group(2)
     flip = tuple((-k) % 8 for k in range(8))
-    rho = Character(full_subgroup(c8), tuple(Fraction(k, 8) for k in range(8)))
+    rho = Character(full_subgroup(c8), tuple(range(8)))
     rep = semidirect_counterexample(c8, c2, [tuple(range(8)), flip], rho)
     ok = rep.coefficient_check and rep.left != rep.right
     return FixtureResult(

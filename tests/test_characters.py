@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -16,9 +16,13 @@ from idemconv import (
     find_extension,
     full_subgroup,
     restrict,
+    char_idem,
+    kernel,
     trivial_subgroup,
 )
+from idemconv.cyclo import field_tables
 from idemconv.errors import PreconditionError
+from idemconv.measures import Measure
 
 
 def rot_of(chi, g: int) -> Fraction:
@@ -69,7 +73,7 @@ def test_constructor_rejects_non_multiplicative(s3):
     # rotation 1/2 on an order-3 element cannot define a character
     bad = {g: Fraction(1, 2) if g != 0 else Fraction(0) for g in k.elements}
     with pytest.raises((PreconditionError, ValueError)):
-        Character(k, tuple(bad[g] for g in k.elements))
+        Character.from_rotations(k, tuple(bad[g] for g in k.elements))
 
 
 def test_conjugate_inverts(c12):
@@ -210,10 +214,10 @@ def test_vectorised_validation_matches_scalar_reference(name, request):
     for k in all_subgroups(group):
         for chi in character_group(k):
             assert _outcome(scalar_validate, k, chi.rot) is None
-            assert _outcome(Character, k, chi.rot) is None
+            assert _outcome(Character.from_rotations, k, chi.rot) is None
             for kind, rot in _perturbations(k, chi, rng):
                 want = _outcome(scalar_validate, k, rot)
-                assert _outcome(Character, k, rot) == want, (kind, k, rot)
+                assert _outcome(Character.from_rotations, k, rot) == want, (kind, k, rot)
                 cases += 1
                 rejected += want is not None
     assert rejected > cases // 2
@@ -225,7 +229,81 @@ def test_non_subgroup_domain_rejected(s3):
     a, b = s3.idx("(12)"), s3.idx("(13)")
     escapes = Subgroup(s3, tuple(sorted((s3.identity, a, b))), (a, b))
     with pytest.raises(ValueError, match="not closed"):
-        Character(escapes, (Fraction(0),) * 3)
+        Character.from_rotations(escapes, (Fraction(0),) * 3)
     no_identity = Subgroup(s3, (a,), (a,))
     with pytest.raises(ValueError, match="not closed"):
-        Character(no_identity, (Fraction(0),))
+        Character.from_rotations(no_identity, (Fraction(0),))
+
+
+# -- the exponent form against the Fraction formulas it replaced ---------------
+
+
+def _ref_char_idem(k, rot):
+    """chi * haar(k) from rotations, as char_idem built it before exponents."""
+    n = lcm(1, *(r.denominator for r in rot))
+    tab = field_tables(n)
+    rows = [(0,) * tab.degree] * k.parent.order
+    for g, r in zip(k.elements, rot):
+        rows[g] = tab.pow_rows[(r.numerator * (n // r.denominator)) % n]
+    return Measure._build(k.parent, n, rows, k.order)
+
+
+@pytest.mark.parametrize("name", ["s4", "d4", "q8", "c12"])
+def test_exponent_form_matches_fraction_reference(name, request):
+    group = request.getfixturevalue(name)
+    e = group.exponent
+    lattice = all_subgroups(group)
+    for k in lattice:
+        subs = [h for h in lattice if h.element_set <= k.element_set]
+        chars = character_group(k)
+        for chi in chars:
+            rot = chi.rot
+            again = Character.from_rotations(k, rot)
+            assert again == chi and hash(again) == hash(chi)
+            assert chi.conjugate().rot == tuple((-r) % 1 for r in rot)
+            for psi in chars:
+                assert (chi * psi).rot == tuple((a + b) % 1 for a, b in zip(rot, psi.rot))
+            for h in subs:
+                assert restrict(chi, h).rot == tuple(chi.rotation(g) for g in h.elements)
+            zeros = tuple(g for g, r in zip(k.elements, rot) if r == 0)
+            assert kernel(chi).elements == zeros
+            assert chi.conductor == lcm(1, *(r.denominator for r in rot))
+            assert chi.is_trivial == (not any(rot))
+            mu, ref = char_idem(k, chi), _ref_char_idem(k, rot)
+            assert (mu.conductor, mu.num, mu.den) == (ref.conductor, ref.num, ref.den)
+
+            exps = chi.exps
+            for bad in (exps[:-1], exps + (0,), exps[:-1] + (e,), exps[:-1] + (-1,)):
+                with pytest.raises(ValueError):
+                    Character(k, bad)
+            with pytest.raises(TypeError):
+                Character(k, rot)
+
+
+def test_stray_denominator_rejected_without_the_check_survives_optimize(run_optimized):
+    # a denominator not dividing the exponent is rejected even if the
+    # widened check itself lets it through
+    run_optimized(
+        "from fractions import Fraction\n"
+        "import idemconv.characters as c\n"
+        "from idemconv import closure, symmetric_group\n"
+        "from idemconv.errors import InvariantViolation\n"
+        "g = symmetric_group(3)\n"
+        "k = closure(g, [g.idx('(12)')])\n"
+        "c._check = lambda *args: None\n"
+        "try:\n"
+        "    c.Character.from_rotations(k, (Fraction(0), Fraction(1, 5)))\n"
+        "except InvariantViolation:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+
+
+def test_character_surface_read_by_the_benchmark(c12):
+    # perfbench/spans.py wraps these through vars(Character), and
+    # perfbench/oracle.py and workloads.py read rot as Fractions
+    assert {"__post_init__", "conjugate", "__mul__"} <= set(vars(Character))
+    chi = character_group(full_subgroup(c12))[1]
+    assert all(isinstance(r, Fraction) for r in chi.rot)
+    assert [r.numerator * (12 // r.denominator) for r in chi.rot] == list(chi.exps)
+    assert isinstance(chi.rotation(1), Fraction)
