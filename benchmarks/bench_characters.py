@@ -19,16 +19,10 @@ With --out, the row is appended to the "rows" list of that JSON file.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import time
 from fractions import Fraction
-from pathlib import Path
 
-import numpy as np
-
+import common
 from idemconv import (
     Character,
     all_subgroups,
@@ -37,7 +31,6 @@ from idemconv import (
     symmetric_group,
     trivial_subgroup,
 )
-from idemconv._kernel import backend_name
 
 FIXTURES = ("limit-sweep", "commute-oracle-sweep")
 HAS_EXPS = "exps" in Character.__dataclass_fields__
@@ -126,10 +119,7 @@ def _fixture_s(name: str) -> float:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", type=Path, help="append the row to this JSON file")
-    ap.add_argument("--label", default="", help="name of the row, e.g. before/after")
-    args = ap.parse_args()
+    args = common.parser(__doc__).parse_args()
 
     subgroups = all_subgroups(symmetric_group(5))
     rows = {}
@@ -170,12 +160,7 @@ def main() -> None:
 
     if args.out is not None:
         row = {
-            "script": Path(__file__).name,
-            "label": args.label,
-            "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()}",
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "backend": backend_name(),
+            **common.stamp(__file__, args.label),
             "construct_us": {
                 name: {k: v if not isinstance(v, float) else round(v, 1) for k, v in r.items()}
                 for name, r in rows.items()
@@ -183,9 +168,7 @@ def main() -> None:
             "character_group_s5_lattice_ms": round(lattice_s * 1e3, 2),
             "fixture_s": {name: round(s, 3) for name, s in fixtures.items()},
         }
-        doc = json.loads(args.out.read_text()) if args.out.exists() else {"rows": []}
-        doc["rows"].append(row)
-        args.out.write_text(json.dumps(doc, indent=2) + "\n")
+        common.append(args.out, row)
 
 
 if __name__ == "__main__":

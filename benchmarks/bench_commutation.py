@@ -15,20 +15,14 @@ With --out, the row is appended to the "rows" list of that JSON file.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
-import os
-import platform
 import random
 import time
 from collections import Counter
-from pathlib import Path
 
-import numpy as np
-
+import common
 from idemconv import all_subgroups, character_group, classify_pair, symmetric_group
-from idemconv._kernel import backend_name
 
 SAMPLE_SEED = 0
 SAMPLE_PAIRS = 500
@@ -45,10 +39,7 @@ def _key(v):
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", type=Path, help="append the row to this JSON file")
-    ap.add_argument("--label", default="", help="name of the row, e.g. before/after")
-    args = ap.parse_args()
+    args = common.parser(__doc__).parse_args()
 
     t0 = time.perf_counter()
     s5 = symmetric_group(5)
@@ -76,12 +67,7 @@ def main() -> None:
     verify_s = time.perf_counter() - t0
 
     row = {
-        "script": Path(__file__).name,
-        "label": args.label,
-        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()}",
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "backend": backend_name(),
+        **common.stamp(__file__, args.label),
         "items": len(items),
         "pairs": pairs,
         "setup_s": round(setup_s, 3),
@@ -93,10 +79,7 @@ def main() -> None:
         "verify_sample_s": round(verify_s, 3),
     }
     print(json.dumps(row, indent=2))
-    if args.out is not None:
-        doc = json.loads(args.out.read_text()) if args.out.exists() else {"rows": []}
-        doc["rows"].append(row)
-        args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    common.append(args.out, row)
 
 
 if __name__ == "__main__":

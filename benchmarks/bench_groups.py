@@ -24,15 +24,9 @@ With --out, the row is appended to the "rows" list of that JSON file.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import time
-from pathlib import Path
 
-import numpy as np
-
+import common
 from idemconv import (
     GroupTable,
     all_subgroups,
@@ -44,7 +38,6 @@ from idemconv import (
     quotient_group,
     symmetric_group,
 )
-from idemconv._kernel import backend_name
 from idemconv.groups import _check_associativity
 
 LATTICE_COUNTS = {"S4": 30, "S5": 156, "S6": 1455}
@@ -88,9 +81,7 @@ def _lattice_s(name: str) -> float:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", type=Path, help="append the row to this JSON file")
-    ap.add_argument("--label", default="", help="name of the row, e.g. before/after")
+    ap = common.parser(__doc__)
     ap.add_argument(
         "--lattice", nargs="*", default=list(LATTICE_COUNTS), choices=list(LATTICE_COUNTS),
         help="groups whose subgroup lattice is timed (default: all)",
@@ -145,12 +136,7 @@ def main() -> None:
 
     if args.out is not None:
         row = {
-            "script": Path(__file__).name,
-            "label": args.label,
-            "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()}",
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "backend": backend_name(),
+            **common.stamp(__file__, args.label),
             "tables": {
                 name: {k: round(v, 3) if isinstance(v, float) else v for k, v in t.items()}
                 for name, t in tables.items()
@@ -158,9 +144,7 @@ def main() -> None:
             "small_tables": {k: round(v, 3) for k, v in small.items()},
             "lattice_s": {name: round(s, 3) for name, s in lattice.items()},
         }
-        doc = json.loads(args.out.read_text()) if args.out.exists() else {"rows": []}
-        doc["rows"].append(row)
-        args.out.write_text(json.dumps(doc, indent=2) + "\n")
+        common.append(args.out, row)
 
 
 if __name__ == "__main__":

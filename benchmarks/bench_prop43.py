@@ -16,17 +16,12 @@ With --out, the row is appended to the "rows" list of that JSON file.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
-import os
-import platform
 import random
 import time
-from pathlib import Path
 
-import numpy as np
-
+import common
 from idemconv import (
     all_subgroups,
     character_group,
@@ -35,7 +30,6 @@ from idemconv import (
     symmetric_group,
     verify_prop_43,
 )
-from idemconv._kernel import backend_name
 
 SAMPLE_SEED = 0
 DENSE_ORDER = 60
@@ -68,10 +62,7 @@ def _key(rep) -> str:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", type=Path, help="append the row to this JSON file")
-    ap.add_argument("--label", default="", help="name of the row, e.g. before/after")
-    args = ap.parse_args()
+    args = common.parser(__doc__).parse_args()
 
     t0 = time.perf_counter()
     s5 = symmetric_group(5)
@@ -97,12 +88,7 @@ def main() -> None:
     total_s = sum(stratum_s.values())
 
     row = {
-        "script": Path(__file__).name,
-        "label": args.label,
-        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()}",
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "backend": backend_name(),
+        **common.stamp(__file__, args.label),
         "pairs": dict(QUOTA),
         "setup_s": round(setup_s, 3),
         "g_k_rho_s": round(g_k_rho_s, 3),
@@ -114,10 +100,7 @@ def main() -> None:
         "report_sha256": digest.hexdigest(),
     }
     print(json.dumps(row, indent=2))
-    if args.out is not None:
-        doc = json.loads(args.out.read_text()) if args.out.exists() else {"rows": []}
-        doc["rows"].append(row)
-        args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    common.append(args.out, row)
 
 
 if __name__ == "__main__":

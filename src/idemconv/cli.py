@@ -80,6 +80,8 @@ def _load_scenario(path: str) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError("parse", f"scenario is not valid JSON: {exc}", "--scenario")
+    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+        raise CliError("parse", f"scenario holds an oversized number: {exc}", "--scenario")
     if not isinstance(obj, dict):
         raise CliError("parse", "scenario must be a JSON object", "--scenario")
     ver = obj.get("schema_version")
@@ -109,6 +111,12 @@ def _fraction(value, field: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction expands 10**exp in full, exp + 1 digits: past the limit, unprintable
+        m = re.search(r"e[-+]?([\d_]+)\s*\Z", value, re.IGNORECASE)
+        digits = m.group(1).replace("_", "").lstrip("0") if m else ""
+        limit = sys.get_int_max_str_digits()
+        if limit and (len(digits) > len(str(limit)) or int(digits or 0) >= limit):
+            raise CliError("parse", f"decimal exponent too large: {value!r}", field)
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError):

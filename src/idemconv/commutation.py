@@ -18,14 +18,13 @@ verdict against brute-force convolution; the test suite switches it on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .characters import Character
-from .cyclo import field_tables, promote_rows
+from .cyclo import field_tables, promote_rows, scale_rows
 from .errors import InvariantViolation, MismatchedParents, PreconditionError
 from .groups import (
     GroupTable,
@@ -65,12 +64,9 @@ class CommutationVerdict:
 
 def _first_difference(a: Measure, b: Measure) -> Optional[int]:
     n = lcm(a.conductor, b.conductor)
-    ra = promote_rows(a.num, a.conductor, n)
-    rb = promote_rows(b.num, b.conductor, n)
-    for g in range(a.parent.order):
-        if any(x * b.den != y * a.den for x, y in zip(ra[g], rb[g])):
-            return g
-    return None
+    ra = scale_rows(promote_rows(a.rows, a.conductor, n), b.den)
+    differs = (ra != scale_rows(promote_rows(b.rows, b.conductor, n), a.den)).any(axis=1)
+    return int(differs.argmax()) if differs.any() else None
 
 
 def _monomial(parent: GroupTable, exps: np.ndarray, n: int, den: int) -> Measure:
@@ -80,15 +76,9 @@ def _monomial(parent: GroupTable, exps: np.ndarray, n: int, den: int) -> Measure
     Packed as convolve packs it: the row at the identity, exponent 0, is
     (1, 0, ..., 0), so rows over den are already in lowest terms.
     """
-    tab = field_tables(n)
-    # -1 // step is -1, which picks the zero row appended at the end
-    rows = tab.pow_rows[:n] + ((0,) * tab.degree,)
-    idx = exps // (parent.exponent // n)
-    return Measure(parent, n, tuple([rows[i] for i in idx.tolist()]), den)
-
-
-def _packed(mu: Measure) -> tuple:
-    return mu.conductor, mu.num, mu.den
+    # -1 // step is -1, which picks the zero row at the end of roots
+    rows = field_tables(n).roots[exps // (parent.exponent // n)]
+    return Measure(parent, n, rows, den)
 
 
 def classify_pair(
@@ -172,7 +162,7 @@ def classify_pair(
     left = _monomial(parent, left_exps, n, den)
     right = _monomial(parent, right_exps, n, den)
     if verify:
-        if _packed(left) != _packed(conv_left) or _packed(right) != _packed(conv_right):
+        if left != conv_left or right != conv_right:
             raise InvariantViolation("closed-form products disagree with the convolutions")
         if _first_difference(conv_left, conv_right) != witness:
             raise InvariantViolation("witness is not the first difference of the convolutions")
@@ -231,14 +221,10 @@ def semidirect_counterexample(
     if witness is None:
         raise InvariantViolation("products agree; the action test should have failed")
 
-    size = Fraction(1, k_grp.order * a_grp.order)
-    coeff_ok = True
-    for k in range(k_grp.order):
-        for x in range(na):
-            inv_act = acts[a_grp.inv[x]]
-            expected = rho.value(inv_act[k]) * size
-            if right.coeff(k * na + x) != expected:
-                coeff_ok = False
+    # right at (k, x) is rho(x^-1(k)) / (|K| |A|): one root of unity per row
+    n = rho.conductor
+    exps = np.array(t)[np.array([acts[x] for x in a_grp.inv]).T] // (k_grp.exponent // n)
+    coeff_ok = right == Measure(g, n, field_tables(n).roots[exps.ravel()], k_grp.order * na)
     if not coeff_ok:
         raise InvariantViolation("closed-form coefficients disagree with the convolution")
     return SemidirectReport(g, left, right, witness, coeff_ok)

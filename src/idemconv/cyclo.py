@@ -3,13 +3,14 @@
 A field element is a row of integer coordinates over the power basis
 1, zeta, ..., zeta^(d-1), d = phi(N), reduced modulo the N-th cyclotomic
 polynomial, divided by one positive denominator that shares no factor with
-the row.  That form is canonical, so equality at one conductor is a tuple
+the row.  That form is canonical, so equality at one conductor is an array
 compare and zero tests are exact.  Values with different conductors are
 promoted to the least common multiple before combining.
 
-The row helpers (normalize, apply_matrix, promote_rows, conjugate_rows,
-multiply_rows, add_rows) work on a tuple of such rows over one shared
-denominator: a CycloScalar is one row, a Measure one row per group element.
+The row helpers take and return packed arrays (see pack): one row for a
+CycloScalar, one per group element for a Measure.  They run the same numpy
+code on int64 and object rows, on object ones once a bound on the results
+reaches 2**62, so int64 never wraps.
 
 >>> w = CycloScalar.root_of_unity(Fraction(1, 3))
 >>> (w * w * w).rational()
@@ -23,52 +24,30 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from itertools import combinations
+from math import gcd, lcm, prod
 from typing import Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "CycloScalar",
     "cyclotomic_poly",
     "field_tables",
     "promotion_rows",
+    "pack",
     "normalize",
-    "apply_matrix",
     "promote_rows",
     "conjugate_rows",
     "multiply_rows",
+    "scale_rows",
     "add_rows",
 ]
 
 RationalLike = Union[int, Fraction]
-IntRows = tuple[tuple[int, ...], ...]
 
-
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return tuple(out)
-
-
-def _poly_divexact(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
-    # Exact division of integer polynomials with monic divisor.
-    num_l = list(num)
-    dd = len(den) - 1
-    if den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    qd = len(num_l) - 1 - dd
-    quot = [0] * (qd + 1)
-    for k in range(qd, -1, -1):
-        c = num_l[k + dd]
-        quot[k] = c
-        if c:
-            for j, dj in enumerate(den):
-                num_l[k + j] -= c * dj
-    if any(num_l):
-        raise ValueError("division not exact")
-    return tuple(quot)
+# entries and bounds below this stay int64; headroom below 2**63 - 1
+INT64_LIMIT = 2**62
 
 
 @lru_cache(maxsize=None)
@@ -82,11 +61,28 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise ValueError(f"bad index {n}")
-    num = tuple([-1] + [0] * (n - 1) + [1])  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            num = _poly_divexact(num, cyclotomic_poly(d))
-    return num
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+    # the product of (x^(n/m) - 1)^mu(m) over squarefree m dividing n; the
+    # factors with mu(m) = 1 come first, so every division is exact
+    factors = [
+        (len(ps) % 2, n // prod(ps))
+        for k in range(len(primes) + 1)
+        for ps in combinations(primes, k)
+    ]
+    poly = np.ones(1, dtype=object)
+    for divide, d in sorted(factors):
+        if divide:  # times -(1 + x^d + x^2d + ...): a running sum down each residue mod d
+            blocks = np.concatenate((poly, np.zeros(-len(poly) % d, dtype=object))).reshape(-1, d)
+            poly = -blocks.cumsum(axis=0).ravel()[: len(poly) - d]
+        else:  # times x^d - 1
+            pad = np.zeros(d, dtype=object)
+            poly = np.concatenate((pad, poly)) - np.concatenate((poly, pad))
+    return tuple(int(c) for c in poly)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 class _FieldTables:
@@ -94,30 +90,36 @@ class _FieldTables:
 
     pow_rows[j] is the basis vector of zeta^j for every exponent j that the
     arithmetic can produce: 0 <= j < max(N, 2*phi(N) - 1).  conj_rows[j] is
-    the basis vector of zeta^-j, the conjugate of the j-th basis element.
+    the basis vector of zeta^-j, the conjugate of the j-th basis element;
+    roots is pow_rows[:N] then a zero row.  pow_max and red_max bound the
+    entries of pow_rows and of its first 2d-1 rows.
     """
 
-    __slots__ = ("conductor", "degree", "pow_rows", "conj_rows", "red_max")
+    __slots__ = (
+        "conductor", "degree", "pow_rows", "conj_rows", "roots", "toeplitz",
+        "pow_max", "red_max",
+    )
 
     def __init__(self, n: int):
         poly = cyclotomic_poly(n)
         d = len(poly) - 1
-        rows: list[tuple[int, ...]] = []
-        cur = [1] + [0] * (d - 1)
-        top = max(n, 2 * d - 1)
-        for _ in range(top):
-            rows.append(tuple(cur))
-            # multiply by x, then reduce the overflow coefficient
-            lead = cur[d - 1]
-            cur = [0] + cur[: d - 1]
-            if lead:
-                for i in range(d):
-                    cur[i] -= lead * poly[i]
+        # multiplication by x: shift up one place, fold x^d back in
+        times_x = np.eye(d, k=1, dtype=np.int64)
+        times_x[-1] -= poly[:d]
+        rows = np.zeros((max(n, 2 * d - 1), d), dtype=np.int64)
+        rows[0, 0] = 1
+        for j in range(1, len(rows)):
+            rows[j] = rows[j - 1] @ times_x
         self.conductor = n
         self.degree = d
-        self.pow_rows = tuple(rows)
-        self.conj_rows = tuple(rows[(n - j) % n] for j in range(d))
-        self.red_max = max(abs(c) for row in rows[: 2 * d - 1] for c in row)
+        self.pow_rows = _read_only(rows)
+        self.conj_rows = _read_only(rows[(n - np.arange(d)) % n])
+        self.roots = _read_only(np.vstack((rows[:n], np.zeros((1, d), dtype=np.int64))))
+        # (s + [0])[toeplitz] is the d x (2d-1) matrix of multiplication by s
+        shift = np.arange(2 * d - 1) - np.arange(d)[:, None]
+        self.toeplitz = _read_only(np.where((shift >= 0) & (shift < d), shift, d))
+        self.pow_max = max_abs(rows)
+        self.red_max = max_abs(rows[: 2 * d - 1])
 
 
 @lru_cache(maxsize=None)
@@ -126,53 +128,59 @@ def field_tables(n: int) -> _FieldTables:
 
 
 @lru_cache(maxsize=None)
-def promotion_rows(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+def promotion_rows(n: int, m: int) -> np.ndarray:
     """Basis vectors at conductor m for each power-basis element of Q(zeta_n)."""
     if m % n != 0:
         raise ValueError(f"conductor {n} does not divide {m}")
-    step = m // n
-    rows = field_tables(m).pow_rows
-    return tuple(rows[(j * step) % m] for j in range(field_tables(n).degree))
+    return _read_only(field_tables(m).pow_rows[np.arange(field_tables(n).degree) * (m // n)])
 
 
-# -- integer row helpers ---------------------------------------------------
+# -- packed integer rows ---------------------------------------------------
 
 
-def normalize(rows: Sequence[Sequence[int]], den: int) -> tuple[IntRows, int]:
+def max_abs(a: np.ndarray) -> int:
+    """The largest entry size of an int64 or object array, as a Python int."""
+    # np.abs wraps -2**63 to itself; read as uint64 that is 2**63, its true size
+    sizes = np.abs(a) if a.dtype == object else np.abs(a).view(np.uint64)
+    return int(np.maximum.reduce(sizes, axis=None, initial=0))
+
+
+def pack(rows) -> np.ndarray:
+    """Nested integers or an int64/object array as a packed integer array:
+    int64 when every entry is below 2**62 in size, object holding Python
+    ints otherwise, so the dtype depends only on the value."""
+    if not isinstance(rows, np.ndarray):
+        try:
+            rows = np.array(rows, dtype=np.int64)
+        except OverflowError:
+            rows = np.frompyfunc(int, 1, 1)(np.array(rows, dtype=object))
+    fits = max_abs(rows) < INT64_LIMIT
+    return rows if fits == (rows.dtype == np.int64) else rows.astype(np.int64 if fits else object)
+
+
+def _exact(bound: int, op, *arrays: np.ndarray) -> np.ndarray:
+    # op(*arrays) on object operands when its results may reach bound >= 2**62;
+    # int64 results then stay below 2**62, so only object ones need packing
+    if bound >= INT64_LIMIT:
+        arrays = tuple(a.astype(object) for a in arrays)
+    out = op(*arrays)
+    return out if out.dtype == np.int64 else pack(out)
+
+
+def normalize(rows, den: int) -> tuple[np.ndarray, int]:
     """rows / den in lowest terms: den > 0 and gcd(rows..., den) == 1."""
     if den == 0:
         raise ValueError("denominator must be nonzero")
-    g = abs(den)
-    for row in rows:
-        g = gcd(g, *row)
-        if g == 1:
-            break
+    rows = rows if isinstance(rows, np.ndarray) and rows.dtype == np.int64 else pack(rows)
+    g = gcd(int(np.gcd.reduce(rows, axis=None)), den)
     if den < 0:
         g = -g
     if g == 1:
-        return tuple(map(tuple, rows)), den
-    return tuple(tuple(c // g for c in row) for row in rows), den // g
+        return rows, den
+    return _exact(abs(g), lambda r: r // g, rows), den // g
 
 
-def apply_matrix(rows: Sequence[Sequence[int]], mat: Sequence[Sequence[int]]) -> IntRows:
-    """Each row r becomes sum_j r[j] * mat[j]; mat may have spare rows."""
-    zero = (0,) * len(mat[0])
-    out = []
-    for row in rows:
-        if not any(row):
-            out.append(zero)
-            continue
-        vec = list(zero)
-        for c, mrow in zip(row, mat):
-            if c:
-                for k, m in enumerate(mrow):
-                    if m:
-                        vec[k] += c * m
-        out.append(tuple(vec))
-    return tuple(out)
-
-
-def promote_rows(rows: IntRows, n_from: int, n_to: int) -> IntRows:
+def promote_rows(rows: np.ndarray, n_from: int, n_to: int) -> np.ndarray:
     """Re-express coordinate rows at conductor n_from at a multiple n_to.
 
     Promotion keeps rows in lowest terms: an algebraic integer of Q(zeta_n)
@@ -180,33 +188,48 @@ def promote_rows(rows: IntRows, n_from: int, n_to: int) -> IntRows:
     """
     if n_from == n_to:
         return rows
-    return apply_matrix(rows, promotion_rows(n_from, n_to))
+    bound = rows.shape[1] * max_abs(rows) * field_tables(n_to).pow_max
+    return _exact(bound, np.matmul, rows, promotion_rows(n_from, n_to))
 
 
-def conjugate_rows(rows: Sequence[Sequence[int]], n: int) -> IntRows:
+def conjugate_rows(rows: np.ndarray, n: int) -> np.ndarray:
     """Complex conjugate of each coordinate row at conductor n."""
-    return apply_matrix(rows, field_tables(n).conj_rows)
+    tab = field_tables(n)
+    return _exact(rows.shape[1] * max_abs(rows) * tab.pow_max, np.matmul, rows, tab.conj_rows)
 
 
-def multiply_rows(rows: Sequence[Sequence[int]], s: Sequence[int], n: int) -> IntRows:
-    """Field product of each coordinate row with the row s at conductor n."""
-    return apply_matrix([_poly_mul(row, s) for row in rows], field_tables(n).pow_rows)
+def multiply_rows(rows: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
+    """Field product of each coordinate row with the row s at conductor n:
+    the polynomial product by s, reduced by pow_rows."""
+    tab = field_tables(n)
+    d = tab.degree
+    bound = (2 * d - 1) * d * max(1, tab.red_max) * max_abs(rows) * max_abs(s)
+
+    def product(r, s):
+        return r @ np.concatenate((s, [0]))[tab.toeplitz] @ tab.pow_rows[: 2 * d - 1]
+
+    return _exact(bound, product, rows, s)
 
 
-def add_rows(
-    a: Sequence[Sequence[int]], da: int, b: Sequence[Sequence[int]], db: int
-) -> tuple[list[tuple[int, ...]], int]:
+def scale_rows(rows: np.ndarray, p: int) -> np.ndarray:
+    """rows * p for an integer p; the bound covers p, even against zero rows."""
+    return _exact(max(1, max_abs(rows)) * abs(p), lambda r: r * p, rows)
+
+
+def add_rows(a: np.ndarray, da: int, b: np.ndarray, db: int) -> tuple[np.ndarray, int]:
     """a / da + b / db row by row, over lcm(da, db); not normalized."""
     den = lcm(da, db)
     fa, fb = den // da, den // db
-    rows = [tuple(fa * x + fb * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)]
-    return rows, den
+    # the bound covers fa and fb themselves, even against zero rows
+    bound = max(fa, fb) * (max_abs(a) + max_abs(b) + 1)
+    return _exact(bound, lambda a, b: fa * a + fb * b, a, b), den
 
 
 class CycloScalar:
-    """An element num / den of Q(zeta_N) in canonical reduced form."""
+    """An element rows / den of Q(zeta_N) in canonical reduced form; rows is
+    a read-only (1, phi(N)) packed array."""
 
-    __slots__ = ("conductor", "num", "den")
+    __slots__ = ("conductor", "rows", "den")
 
     def __init__(self, conductor: int, coeffs: Sequence[RationalLike]):
         tab = field_tables(conductor)
@@ -216,18 +239,20 @@ class CycloScalar:
                 f"need {tab.degree} coefficients at conductor {conductor}, got {len(vec)}"
             )
         den = lcm(*(f.denominator for f in vec))
-        num = tuple(f.numerator * (den // f.denominator) for f in vec)
-        (self.num,), self.den = normalize((num,), den)
+        num = [f.numerator * (den // f.denominator) for f in vec]
+        rows, self.den = normalize([num], den)
+        self.rows = _read_only(rows)
         self.conductor = conductor
 
     @classmethod
-    def from_row(cls, conductor: int, num: Sequence[int], den: int) -> "CycloScalar":
+    def from_row(cls, conductor: int, num, den: int) -> "CycloScalar":
         """Trusted constructor: num / den with phi(conductor) integer entries.
 
         Normalizes but does not validate; for rows produced by the library.
         """
         out = object.__new__(cls)
-        (out.num,), out.den = normalize((num,), den)
+        rows, out.den = normalize(num, den)
+        out.rows = _read_only(rows.reshape(1, -1))
         out.conductor = conductor
         return out
 
@@ -235,7 +260,7 @@ class CycloScalar:
     def from_rational(cls, value: RationalLike, conductor: int = 1) -> "CycloScalar":
         q = Fraction(value)
         d = field_tables(conductor).degree
-        return cls.from_row(conductor, (q.numerator,) + (0,) * (d - 1), q.denominator)
+        return cls.from_row(conductor, [q.numerator] + [0] * (d - 1), q.denominator)
 
     @classmethod
     def zero(cls, conductor: int = 1) -> "CycloScalar":
@@ -257,6 +282,11 @@ class CycloScalar:
         return cls.from_row(conductor, field_tables(conductor).pow_rows[t], 1)
 
     @property
+    def num(self) -> tuple[int, ...]:
+        """The numerator as a tuple of Python ints."""
+        return tuple(self.rows[0].tolist())
+
+    @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Rational power-basis coordinates."""
         return tuple(Fraction(c, self.den) for c in self.num)
@@ -264,8 +294,8 @@ class CycloScalar:
     def promote(self, conductor: int) -> "CycloScalar":
         if conductor == self.conductor:
             return self
-        (num,) = promote_rows((self.num,), self.conductor, conductor)
-        return CycloScalar.from_row(conductor, num, self.den)
+        rows = promote_rows(self.rows, self.conductor, conductor)
+        return CycloScalar.from_row(conductor, rows, self.den)
 
     def _common(self, other: "CycloScalar") -> tuple["CycloScalar", "CycloScalar"]:
         if self.conductor == other.conductor:
@@ -283,13 +313,13 @@ class CycloScalar:
 
     def __add__(self, other) -> "CycloScalar":
         a, b = self._common(self._coerce(other))
-        (num,), den = add_rows((a.num,), a.den, (b.num,), b.den)
-        return CycloScalar.from_row(a.conductor, num, den)
+        rows, den = add_rows(a.rows, a.den, b.rows, b.den)
+        return CycloScalar.from_row(a.conductor, rows, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycloScalar":
-        return CycloScalar.from_row(self.conductor, tuple(-c for c in self.num), self.den)
+        return CycloScalar.from_row(self.conductor, -self.rows, self.den)
 
     def __sub__(self, other) -> "CycloScalar":
         return self + (-self._coerce(other))
@@ -306,16 +336,16 @@ class CycloScalar:
             a, q = other, self
         else:
             a, b = self._common(other)
-            (num,) = multiply_rows((a.num,), b.num, a.conductor)
-            return CycloScalar.from_row(a.conductor, num, a.den * b.den)
+            rows = multiply_rows(a.rows, b.rows[0], a.conductor)
+            return CycloScalar.from_row(a.conductor, rows, a.den * b.den)
         p = q.num[0]
-        return CycloScalar.from_row(a.conductor, tuple(c * p for c in a.num), a.den * q.den)
+        return CycloScalar.from_row(a.conductor, scale_rows(a.rows, p), a.den * q.den)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "CycloScalar":
-        (num,) = conjugate_rows((self.num,), self.conductor)
-        return CycloScalar.from_row(self.conductor, num, self.den)
+        rows = conjugate_rows(self.rows, self.conductor)
+        return CycloScalar.from_row(self.conductor, rows, self.den)
 
     def is_zero(self) -> bool:
         return not any(self.num)

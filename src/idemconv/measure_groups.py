@@ -112,9 +112,6 @@ class GammaElement:
     k: Subgroup
     rho: Character
 
-    def realize(self) -> Measure:
-        return char_idem(self.k, self.rho).translate_left(self.g)
-
 
 def gamma_elements(k: Subgroup, rho: Character) -> tuple[GammaElement, ...]:
     return tuple(GammaElement(g, k, rho) for g in g_k_rho(k, rho).elements)

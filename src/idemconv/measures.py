@@ -1,12 +1,12 @@
 """Measures on a finite group with exact cyclotomic coefficients.
 
-A Measure stores one power-basis coordinate row of integers per group
-element plus a single positive denominator, all at one conductor and in
-lowest terms.  That packed form is what the convolution kernel consumes.
-A CycloScalar is the same form with a single row, so coefficients cross
-the API boundary without conversion; both use the row helpers of
-idemconv.cyclo.  FloatMeasure is the complex128 companion used by the
-power-iteration dynamics.
+A Measure stores one read-only integer array of shape (group order, phi(N)),
+a power-basis coordinate row per group element, and one positive denominator,
+at one conductor N and in lowest terms; the array is int64 when every entry is
+below 2**62 in size and object (Python ints) otherwise.  The convolution kernel
+consumes that packed form.  A CycloScalar is the same form with one row, so
+coefficients cross the API without conversion; both use the row helpers of
+idemconv.cyclo.  FloatMeasure is the complex128 companion of the dynamics.
 """
 
 from __future__ import annotations
@@ -23,13 +23,14 @@ from . import _kernel
 from .characters import Character
 from .cyclo import (
     CycloScalar,
-    IntRows,
     add_rows,
     conjugate_rows,
     field_tables,
     multiply_rows,
     normalize,
+    pack,
     promote_rows,
+    scale_rows,
 )
 from .errors import InvariantViolation, MismatchedParents, PreconditionError
 from .groups import GroupTable, Subgroup, subgroup_from_elements
@@ -62,32 +63,32 @@ class Measure:
 
     Construct through from_coeffs, zero, or the dirac/haar/char_idem
     helpers; the raw constructor expects packed data already in lowest
-    terms, which equality relies on.  Measures are immutable, so the support
-    is computed once, on first use.
+    terms, which equality relies on, and checks only its shape.  Measures
+    are immutable, so the support is computed once, on first use.
     """
 
-    __slots__ = ("parent", "conductor", "num", "den", "_support")
+    __slots__ = ("parent", "conductor", "rows", "den", "_support")
 
-    def __init__(self, parent: GroupTable, conductor: int, num: IntRows, den: int):
-        if len(num) != parent.order:
-            raise ValueError("one coordinate row per group element required")
+    def __init__(self, parent: GroupTable, conductor: int, rows, den: int):
+        rows = rows if isinstance(rows, np.ndarray) else pack(rows)
+        if rows.shape != (parent.order, field_tables(conductor).degree):
+            raise ValueError(f"numerator shape {rows.shape} is not (group order, phi(conductor))")
         if den <= 0:
             raise ValueError("denominator must be positive")
+        rows.flags.writeable = False
         self.parent = parent
         self.conductor = conductor
-        self.num = num
+        self.rows = rows
         self.den = den
         self._support = None
 
     @classmethod
-    def _build(
-        cls, parent: GroupTable, conductor: int, num: Sequence[Sequence[int]], den: int
-    ) -> "Measure":
-        return cls(parent, conductor, *normalize(num, den))
+    def _build(cls, parent: GroupTable, conductor: int, rows, den: int) -> "Measure":
+        return cls(parent, conductor, *normalize(rows, den))
 
     @classmethod
     def zero(cls, parent: GroupTable) -> "Measure":
-        return cls(parent, 1, tuple((0,) for _ in range(parent.order)), 1)
+        return cls(parent, 1, np.zeros((parent.order, 1), dtype=np.int64), 1)
 
     @classmethod
     def from_coeffs(
@@ -102,29 +103,32 @@ class Measure:
         n = lcm(*(s.conductor for s in scalars))
         scalars = [s.promote(n) for s in scalars]
         den = lcm(*(s.den for s in scalars))
-        num = [tuple(c * (den // s.den) for c in s.num) for s in scalars]
-        return cls._build(parent, n, num, den)
+        rows = np.vstack([scale_rows(s.rows, den // s.den) for s in scalars])
+        return cls._build(parent, n, rows, den)
 
     # -- accessors ---------------------------------------------------------
 
+    @property
+    def num(self) -> tuple[tuple[int, ...], ...]:
+        """The numerator as a tuple of rows of Python ints."""
+        return tuple(map(tuple, self.rows.tolist()))
+
     def coeff(self, g: int) -> CycloScalar:
-        return CycloScalar.from_row(self.conductor, self.num[g], self.den)
+        return CycloScalar.from_row(self.conductor, self.rows[g], self.den)
 
     def coeffs(self) -> tuple[CycloScalar, ...]:
         return tuple(self.coeff(g) for g in range(self.parent.order))
 
     def support(self) -> tuple[int, ...]:
         if self._support is None:
-            self._support = tuple(g for g, row in enumerate(self.num) if any(row))
+            self._support = tuple(self.rows.any(axis=1).nonzero()[0].tolist())
         return self._support
 
     def is_zero(self) -> bool:
-        return all(not any(row) for row in self.num)
+        return not self.rows.any()
 
     def to_complex(self) -> np.ndarray:
-        basis = _basis_complex(self.conductor)
-        mat = np.array(self.num, dtype=np.float64)
-        return mat @ basis / self.den
+        return self.rows.astype(np.float64) @ _basis_complex(self.conductor) / self.den
 
     # -- linear structure ----------------------------------------------------
 
@@ -140,9 +144,9 @@ class Measure:
         self._require_sibling(other)
         n = lcm(self.conductor, other.conductor)
         rows, den = add_rows(
-            promote_rows(self.num, self.conductor, n),
+            promote_rows(self.rows, self.conductor, n),
             self.den,
-            promote_rows(other.num, other.conductor, n),
+            promote_rows(other.rows, other.conductor, n),
             other.den,
         )
         return Measure._build(self.parent, n, rows, den)
@@ -153,17 +157,16 @@ class Measure:
         return self + (-other)
 
     def __neg__(self) -> "Measure":
-        rows = tuple(tuple(-c for c in row) for row in self.num)
-        return Measure(self.parent, self.conductor, rows, self.den)
+        return Measure(self.parent, self.conductor, -self.rows, self.den)
 
     def scale(self, s: CycloScalar | Fraction | int) -> "Measure":
         if isinstance(s, CycloScalar) and not s.is_rational():
             n = lcm(self.conductor, s.conductor)
-            num = promote_rows(self.num, self.conductor, n)
-            rows = multiply_rows(num, s.promote(n).num, n)
+            rows = promote_rows(self.rows, self.conductor, n)
+            rows = multiply_rows(rows, s.promote(n).rows[0], n)
             return Measure._build(self.parent, n, rows, self.den * s.den)
         q = s.rational() if isinstance(s, CycloScalar) else Fraction(s)
-        rows = tuple(tuple(c * q.numerator for c in row) for row in self.num)
+        rows = scale_rows(self.rows, q.numerator)
         return Measure._build(self.parent, self.conductor, rows, self.den * q.denominator)
 
     def __mul__(self, s):
@@ -178,23 +181,19 @@ class Measure:
     def translate_left(self, g: int) -> "Measure":
         """Convolution by dirac(g) on the left: new(x) = old(g^-1 x)."""
         parent = self.parent
-        perm = parent.mul[parent.inv[g]]
-        rows = tuple(map(self.num.__getitem__, perm))
+        rows = self.rows[parent.mul_np[parent.inv[g]]]
         return Measure(parent, self.conductor, rows, self.den)
 
     def translate_right(self, g: int) -> "Measure":
         """Convolution by dirac(g) on the right: new(x) = old(x g^-1)."""
         parent = self.parent
-        perm = parent.mul_np[:, parent.inv[g]].tolist()
-        rows = tuple(map(self.num.__getitem__, perm))
+        rows = self.rows[parent.mul_np[:, parent.inv[g]]]
         return Measure(parent, self.conductor, rows, self.den)
 
     def adjoint(self) -> "Measure":
         """mu*(g) = conj(mu(g^-1)); an involution on the algebra."""
-        rows = [self.num[h] for h in self.parent.inv]
-        return Measure(
-            self.parent, self.conductor, conjugate_rows(rows, self.conductor), self.den
-        )
+        rows = conjugate_rows(self.rows[list(self.parent.inv)], self.conductor)
+        return Measure(self.parent, self.conductor, rows, self.den)
 
     # -- comparison ------------------------------------------------------------
 
@@ -207,8 +206,8 @@ class Measure:
         if self.den != other.den:
             return False
         n = lcm(self.conductor, other.conductor)
-        a = promote_rows(self.num, self.conductor, n)
-        return a == promote_rows(other.num, other.conductor, n)
+        a = promote_rows(self.rows, self.conductor, n)
+        return bool((a == promote_rows(other.rows, other.conductor, n)).all())
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -227,37 +226,35 @@ def dirac(parent: GroupTable, g: int | str) -> Measure:
     """Point mass at g."""
     if isinstance(g, str):
         g = parent.idx(g)
-    rows = [(0,)] * parent.order
-    rows[g] = (1,)
-    return Measure(parent, 1, tuple(rows), 1)
+    rows = np.zeros((parent.order, 1), dtype=np.int64)
+    rows[g] = 1
+    return Measure(parent, 1, rows, 1)
 
 
 def haar(k: Subgroup) -> Measure:
     """Normalized counting measure on the subgroup k."""
     parent = k.parent
-    rows = [(0,)] * parent.order
-    for g in k.elements:
-        rows[g] = (1,)
-    return Measure(parent, 1, tuple(rows), k.order)
+    rows = np.zeros((parent.order, 1), dtype=np.int64)
+    rows[list(k.elements)] = 1
+    return Measure(parent, 1, rows, k.order)
 
 
 def char_idem(k: Subgroup, chi: Character) -> Measure:
     """The contractive idempotent chi * haar(k).
 
     chi must be a character of k itself; coefficient at g in k is
-    chi(g) / |k|, zero elsewhere.
+    chi(g) / |k|, zero elsewhere.  The row at the identity is (1, 0, ...),
+    so the rows over |k| are already in lowest terms.
     """
     if chi.domain != k:
         raise PreconditionError("character domain differs from the given subgroup")
     n = chi.conductor
     tab = field_tables(n)
     parent = k.parent
-    rows = [(0,) * tab.degree] * parent.order
+    rows = np.zeros((parent.order, tab.degree), dtype=np.int64)
     # the conductor n divides e, and e / n divides every exponent
-    step = parent.exponent // n
-    for g, t in zip(k.elements, chi.exps):
-        rows[g] = tab.pow_rows[t // step]
-    return Measure._build(parent, n, rows, k.order)
+    rows[list(k.elements)] = tab.pow_rows[np.array(chi.exps) // (parent.exponent // n)]
+    return Measure(parent, n, rows, k.order)
 
 
 def convolve(a: Measure, b: Measure) -> Measure:
@@ -265,8 +262,8 @@ def convolve(a: Measure, b: Measure) -> Measure:
     a._require_sibling(b)
     parent = a.parent
     n = lcm(a.conductor, b.conductor)
-    anum = promote_rows(a.num, a.conductor, n)
-    bnum = promote_rows(b.num, b.conductor, n)
+    anum = promote_rows(a.rows, a.conductor, n)
+    bnum = promote_rows(b.rows, b.conductor, n)
     tab = field_tables(n)
     red = tab.pow_rows[: 2 * tab.degree - 1]
     rows = _kernel.convolve_exact(
@@ -292,9 +289,9 @@ def tv_norm(mu: "Measure | FloatMeasure") -> float:
 
 def is_probability(mu: Measure) -> bool:
     # rational means only the constant coordinate is nonzero
-    if any(any(row[1:]) or row[0] < 0 for row in mu.num):
+    if mu.rows[:, 1:].any() or (mu.rows[:, 0] < 0).any():
         return False
-    return sum(row[0] for row in mu.num) == mu.den
+    return sum(mu.rows[:, 0].tolist()) == mu.den
 
 
 # -- idempotent classification -------------------------------------------------
@@ -313,13 +310,6 @@ class IdempotentClass:
     character: Character | None = None
 
 
-def _as_character_rotation(value: CycloScalar, order: int) -> Fraction | None:
-    for t in range(order):
-        if value == CycloScalar.root_of_unity(Fraction(t, order)):
-            return Fraction(t, order)
-    return None
-
-
 def classify_idempotent(mu: Measure) -> IdempotentClass:
     """Decide where an element sits relative to mu * mu = mu.
 
@@ -336,16 +326,16 @@ def classify_idempotent(mu: Measure) -> IdempotentClass:
         k = subgroup_from_elements(parent, supp)
     except ValueError:
         return IdempotentClass("idempotent_other")
-    order = len(supp)
-    rots = []
-    for g in supp:
-        val = mu.coeff(g) * order
-        rot = _as_character_rotation(val, parent.element_order(g))
-        if rot is None:
-            return IdempotentClass("idempotent_other")
-        rots.append(rot)
+    # |K| mu(g) must be a root of unity, so an m-th one, m = lcm(2, conductor)
+    scaled = mu.scale(len(supp))
+    m = lcm(2, mu.conductor)
+    rows = promote_rows(scaled.rows[list(supp)], mu.conductor, m)
+    hits = (rows[:, None] == field_tables(m).roots[:m]).all(axis=2)
+    if scaled.den != 1 or not hits.any(axis=1).all():
+        return IdempotentClass("idempotent_other")
+    rots = tuple(Fraction(t, m) for t in hits.argmax(axis=1).tolist())
     try:
-        chi = Character.from_rotations(k, tuple(rots))
+        chi = Character.from_rotations(k, rots)
     except ValueError:
         return IdempotentClass("idempotent_other")
     if mu != char_idem(k, chi):
@@ -408,7 +398,7 @@ def measure_to_jsonable(mu: Measure, include_float: bool = False) -> dict:
     """JSON-ready dict; exact rationals as strings, support entries only."""
     entries = []
     for g in mu.support():
-        row = [str(Fraction(c, mu.den)) for c in mu.num[g]]
+        row = [str(Fraction(c, mu.den)) for c in mu.rows[g].tolist()]
         entries.append([mu.parent.labels[g], row, mu.conductor])
     obj: dict = {
         "group": mu.parent.name,

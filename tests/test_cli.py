@@ -1,6 +1,7 @@
 """Command-line interface: scenarios, payloads, exit codes."""
 
 import json
+import sys
 
 import pytest
 
@@ -225,6 +226,30 @@ def test_invalid_json_is_parse_error(tmp_path, capsys):
     p.write_text("{nope")
     code, _, err = run(capsys, ["group", "--scenario", str(p)])
     assert code == 2
+
+
+def test_oversized_json_integer_is_parse_error(tmp_path, capsys):
+    # json.loads raises a plain ValueError past the int digit limit
+    p = tmp_path / "big.json"
+    p.write_text('{"schema_version": 1, "group": "C2", "m": ' + "7" * 5001 + "}")
+    code, out, err = run(capsys, ["group", "--scenario", str(p)])
+    assert code == 2 and out == ""
+    assert "oversized number" in err
+
+
+@pytest.mark.parametrize("exponent", ["1000000", "-1000000", str(sys.get_int_max_str_digits())])
+def test_oversized_fraction_exponent_is_parse_error(tmp_path, capsys, exponent):
+    # Fraction would expand 10**exponent, and its str() would then fail
+    measure = {"scale": ["1e" + exponent, {"haar": []}]}
+    path = scenario(tmp_path, {"schema_version": 1, "group": "C1", "measure": measure})
+    code, out, err = run(capsys, ["classify", "--scenario", path, "--json"])
+    assert code == 2 and out == ""
+    assert "exponent" in err
+    # an exponent within the limit still parses
+    measure["scale"][0] = "25e-2"
+    path = scenario(tmp_path, {"schema_version": 1, "group": "C1", "measure": measure})
+    code, payload, _ = run_json(capsys, ["classify", "--scenario", path])
+    assert code == 0 and payload["measure"]["entries"] == [["e", ["1/4"], 1]]
 
 
 def test_wrong_schema_version_is_parse_error(tmp_path, capsys):

@@ -3,10 +3,12 @@
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from idemconv import CycloScalar
+from idemconv.cyclo import pack
 
 
 fractions = st.fractions(
@@ -146,3 +148,40 @@ def test_norm_is_nonnegative_rational(a):
     assert n.conjugate() == n
     if n.is_rational():
         assert n.rational() >= 0
+
+
+# -- the packed array form and its object (big-int) path -------------------------
+
+BIG = 2**70  # a power of two, so float evaluation scales by it exactly
+
+
+def test_pack_picks_the_dtype_from_the_value():
+    # a bare np.array makes the first float64 and the second uint64
+    for rows in ([[2**63], [-1]], [2**63], [[2**62]], [[-(2**62)]]):
+        packed = pack(rows)
+        assert packed.dtype == object and packed.tolist() == rows
+        assert all(type(c) is int for c in packed.ravel())
+    for rows in ([[2**62 - 1], [-(2**62) + 1]], [[0, 3]]):
+        packed = pack(rows)
+        assert packed.dtype == np.int64 and packed.tolist() == rows
+    assert pack(np.array([[2**62]], dtype=np.int64)).dtype == object
+    assert pack(np.array([[5, -2**61]], dtype=object)).dtype == np.int64
+
+
+def _same(a, b):
+    return (a.conductor, a.num, a.den, a.rows.dtype) == (b.conductor, b.num, b.den, b.rows.dtype)
+
+
+@given(scalars(), scalars())
+def test_object_path_matches_int64_path(a, b):
+    down, down2 = Fraction(1, BIG), Fraction(1, BIG * BIG)
+    big_a, big_b = a * BIG, b * BIG
+    assert big_a.is_zero() or big_a.rows.dtype == object
+    assert _same((big_a + big_b) * down, a + b)
+    assert _same((big_a - big_b) * down, a - b)
+    assert _same((big_a * big_b) * down2, a * b)
+    assert _same(big_a.conjugate() * down, a.conjugate())
+    assert _same(big_a.promote(120) * down, a.promote(120))
+    assert (big_a == big_b) == (a == b)
+    assert big_a.to_complex() == a.to_complex() * BIG
+    assert str(big_a * down) == str(a)

@@ -2,8 +2,9 @@
 
 The int64 (numpy) path runs whenever a magnitude bound shows no intermediate
 can reach 2**62; otherwise, or under FORCE_PURE, the big-int kernel runs.
-These tests run both paths on identical inputs and require exact equality,
-and check which path ran on either side of the bound.
+These tests run both paths on identical packed arrays and require exactly
+equal results, dtype included, and check which path ran on either side of
+the bound.
 """
 
 import os
@@ -18,11 +19,11 @@ from hypothesis import given, settings, strategies as st
 import idemconv
 from idemconv import _kernel
 from idemconv._kernel import _pykernel, backend_name, convolve_exact
-from idemconv.cyclo import field_tables
+from idemconv.cyclo import field_tables, pack
 from idemconv import char_idem, character_group, closure, cyclic_group, convolve, dirac, haar, full_subgroup, symmetric_group
 
-RED_D1 = [[1]]  # rational coefficients: no reduction needed
-RED_PHI4 = [[1, 0], [0, 1], [-1, 0]]  # x^2 = -1 in Q(i)
+RED_D1 = pack([[1]])  # rational coefficients: no reduction needed
+RED_PHI4 = pack([[1, 0], [0, 1], [-1, 0]])  # x^2 = -1 in Q(i)
 # fits int64, but each product is 2**80: over the bound
 OVER_BOUND_C4 = (
     [[2**40], [-(2**40)], [2**40], [-(2**40)]],
@@ -39,7 +40,14 @@ def tables(g):
     return mul_rows, np.array(mul_rows, dtype=np.int64)
 
 
+def assert_same(got, want):
+    """got is the packed array of the integer rows want, dtype included."""
+    want = pack(want)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def both_backends(mul_rows, mul_np, a, b, red, red_max=1):
+    a, b = pack(a), pack(b)
     prev = _kernel.FORCE_PURE
     try:
         _kernel.FORCE_PURE = True
@@ -82,7 +90,8 @@ def test_dirac_identity_rows():
     e = [[1 if x == 0 else 0] for x in range(5)]
     b = [[x + 1] for x in range(5)]
     pure, fast = both_backends(mul_rows, mul_np, e, b, RED_D1)
-    assert pure == fast == [[x + 1] for x in range(5)]
+    assert_same(pure, fast)
+    assert_same(fast, [[x + 1] for x in range(5)])
 
 
 def test_gaussian_integer_reduction():
@@ -90,7 +99,8 @@ def test_gaussian_integer_reduction():
     mul_rows, mul_np = tables(cyclic_group(1))
     a = [[1, 1]]
     pure, fast = both_backends(mul_rows, mul_np, a, a, RED_PHI4)
-    assert pure == fast == [[0, 2]]
+    assert_same(pure, fast)
+    assert_same(fast, [[0, 2]])
 
 
 @settings(max_examples=60, deadline=None)
@@ -107,7 +117,7 @@ def test_backends_agree_random(data):
     a = data.draw(st.lists(row, min_size=n, max_size=n))
     b = data.draw(st.lists(row, min_size=n, max_size=n))
     pure, fast = both_backends(mul_rows, mul_np, a, b, red, red_max)
-    assert pure == fast
+    assert_same(pure, fast)
 
 
 @pytest.mark.parametrize("block_terms", [_kernel._BLOCK_TERMS, 7])
@@ -123,10 +133,11 @@ def test_within_bound_runs_int64(monkeypatch, block_terms, conductor):
     a = rng.integers(-1000, 1000, size=(g.order, d)).tolist()
     b = rng.integers(-1000, 1000, size=(g.order, d)).tolist()
     a[2] = [0] * d
-    expect = _pykernel.convolve_exact(mul_rows, a, b, red)
+    expect = _pykernel.convolve_exact(mul_rows, a, b, red.tolist())
     monkeypatch.setattr(_pykernel, "convolve_exact", pure_must_not_run)
     monkeypatch.setattr(_kernel, "_BLOCK_TERMS", block_terms)
-    assert convolve_exact(mul_rows, mul_np, a, b, red, red_max) == expect
+    got = convolve_exact(mul_rows, mul_np, pack(a), pack(b), red, red_max)
+    assert_same(got, expect)
 
 
 def test_within_bound_measure_runs_int64(monkeypatch):
@@ -141,9 +152,11 @@ def test_within_bound_measure_runs_int64(monkeypatch):
 )
 def test_over_bound_falls_back_to_pure(monkeypatch, a, b):
     mul_rows, mul_np = tables(cyclic_group(len(a)))
-    expect = _pykernel.convolve_exact(mul_rows, a, b, RED_D1)
+    expect = _pykernel.convolve_exact(mul_rows, a, b, [[1]])
     calls = record_pure_calls(monkeypatch)
-    assert convolve_exact(mul_rows, mul_np, a, b, RED_D1, 1) == expect
+    # int64 inputs, so the bound (not the dtype) decides the fallback
+    a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    assert_same(convolve_exact(mul_rows, mul_np, a, b, RED_D1, 1), expect)
     assert len(calls) == 1
     assert max(abs(v[0]) for v in expect) >= 2**63
 
@@ -154,10 +167,12 @@ def test_fallback_survives_optimize():
         "import numpy as np\n"
         "from idemconv._kernel import convolve_exact\n"
         "from idemconv._kernel._pykernel import convolve_exact as pure\n"
+        "from idemconv.cyclo import pack\n"
         f"a, b = {OVER_BOUND_C4!r}\n"
         "mul = [[(x + y) % 4 for y in range(4)] for x in range(4)]\n"
-        "got = convolve_exact(mul, np.array(mul), a, b, [[1]], 1)\n"
-        "raise SystemExit(0 if got == pure(mul, a, b, [[1]]) else 1)\n"
+        "got = convolve_exact(mul, np.array(mul), pack(a), pack(b), pack([[1]]), 1)\n"
+        "want = pack(pure(mul, a, b, [[1]]))\n"
+        "raise SystemExit(0 if got.dtype == want.dtype and np.array_equal(got, want) else 1)\n"
     )
     src = os.path.dirname(os.path.dirname(idemconv.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -179,7 +194,7 @@ def test_big_integers_stay_exact():
     a = [[big], [-big], [big], [0]]
     b = [[big], [big], [0], [-big]]
     pure, fast = both_backends(mul_rows, mul_np, a, b, RED_D1)
-    assert pure == fast
+    assert_same(pure, fast)
     assert any(abs(v[0]) >= 10**60 for v in pure)
 
 
@@ -188,7 +203,8 @@ def test_force_pure_switch(monkeypatch):
     calls = record_pure_calls(monkeypatch)
     monkeypatch.setattr(_kernel, "FORCE_PURE", True)
     assert backend_name() == "pure"
-    assert convolve_exact(mul_rows, mul_np, [[1], [0]], [[1], [0]], RED_D1, 1) == [[1], [0]]
+    e = pack([[1], [0]])
+    assert_same(convolve_exact(mul_rows, mul_np, e, e, RED_D1, 1), [[1], [0]])
     assert len(calls) == 1
     monkeypatch.setattr(_kernel, "FORCE_PURE", False)
     assert backend_name() == "compiled"

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -253,3 +254,83 @@ def test_cached_support_matches_rows(data):
         first = m.support()
         assert first == _rows_support(m)
         assert m.support() is first
+
+
+# -- the packed array form: shape check and the object (big-int) path -----------
+
+BIG = 2**70  # a power of two, so float evaluation scales by it exactly
+
+
+def test_raw_constructor_checks_shape(c4):
+    # conductor 4 has two coordinates, so one column is the wrong shape
+    with pytest.raises(ValueError, match="shape"):
+        Measure(c4, 4, ((1,), (0,), (0,), (0,)), 1)
+    with pytest.raises(ValueError, match="shape"):
+        Measure(c4, 1, ((1,), (0,), (0,)), 1)
+    assert Measure(c4, 1, ((1,), (0,), (0,), (0,)), 1) == dirac(c4, 0)
+
+
+def _identical(a, b):
+    return (a.conductor, a.num, a.den, a.rows.dtype) == (b.conductor, b.num, b.den, b.rows.dtype)
+
+
+def _down(m, k=1):
+    return m.scale(Fraction(1, BIG**k))
+
+
+def _object_pair(d4):
+    """Two small D4 measures with cyclotomic and rational coefficients."""
+    rot = closure(d4, [d4.idx("r")])
+    chi = next(c for c in character_group(rot) if c.rotation(d4.idx("r")) == Fraction(1, 4))
+    mu = char_idem(rot, chi) + dirac(d4, d4.idx("s")).scale(Fraction(-2, 3))
+    nu = haar(full_subgroup(d4)).scale(Fraction(5, 7)) + dirac(d4, d4.idx("rs"))
+    return mu, nu
+
+
+def test_object_path_matches_int64_path(d4):
+    from idemconv import _kernel
+
+    mu, nu = _object_pair(d4)
+    big_mu, big_nu = mu.scale(BIG), nu.scale(BIG)
+    for m in (big_mu, big_nu):
+        assert m.rows.dtype == object and max(abs(c) for r in m.num for c in r) > 2**62
+    assert mu.rows.dtype == nu.rows.dtype == np.int64
+    z = CycloScalar.root_of_unity(Fraction(3, 8)) * Fraction(-5, 3)
+
+    assert _identical(_down(big_mu + big_nu), mu + nu)
+    assert _identical(_down(big_mu - big_nu), mu - nu)
+    assert _identical(_down(big_mu.scale(Fraction(-3, 11))), mu.scale(Fraction(-3, 11)))
+    assert _identical(_down(big_mu.scale(z)), mu.scale(z))
+    for pure in (True, False):
+        saved = _kernel.FORCE_PURE
+        _kernel.FORCE_PURE = pure
+        try:
+            assert _identical(_down(convolve(big_mu, big_nu), 2), convolve(mu, nu))
+        finally:
+            _kernel.FORCE_PURE = saved
+    g = d4.idx("rs")
+    assert _identical(_down(big_mu.translate_left(g)), mu.translate_left(g))
+    assert _identical(_down(big_mu.translate_right(g)), mu.translate_right(g))
+    assert _identical(_down(adjoint(big_mu)), adjoint(mu))
+    assert big_mu == Measure.from_coeffs(d4, [c * BIG for c in mu.coeffs()])
+    assert big_mu != big_nu and big_mu != mu
+    assert big_mu.support() == mu.support() and not big_mu.is_zero()
+    assert np.array_equal(big_mu.to_complex() / BIG, mu.to_complex())
+    big_json = measure_to_jsonable(big_mu, include_float=True)
+    small_json = measure_to_jsonable(mu, include_float=True)
+    assert [[e[0], [str(Fraction(c) / BIG) for c in e[1]], e[2]] for e in big_json["entries"]] == (
+        small_json["entries"]
+    )
+    assert _identical(_down(measure_from_jsonable(d4, big_json)), mu)
+
+
+def test_int64_sums_past_the_bound_stay_exact(c4):
+    # each entry fits int64 and packs as int64; their sum does not
+    near = 2**61 + 1
+    m = Measure._build(c4, 1, [[near], [-near], [0], [1]], 1)
+    assert m.rows.dtype == np.int64
+    total = (m + m).scale(4)
+    assert total.num == ((8 * near,), (-8 * near,), (0,), (8,))
+    assert total.rows.dtype == object
+    # and back below 2**62 the dtype returns to int64
+    assert (total - total.scale(Fraction(1, 2))).scale(Fraction(1, 2**61)).rows.dtype == np.int64
