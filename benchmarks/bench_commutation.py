@@ -1,16 +1,24 @@
-"""The full S5 commutation sweep: classify_pair on all 265,225 ordered pairs.
+"""The full S5 commutation sweep, and the verified oracle sweep of paper-suite.
 
-Times classify_pair(verify=False) over every ordered pair of the 515
-(subgroup, character) items of S5 and reports the verdict counts and a
-digest of every (kind, witness) in sweep order, so two runs can be compared
-without storing the verdicts.  A seeded 500-pair sample is then classified
-again with verify=True, which convolves and checks each verdict; the two
-runs must agree on kind, witness, product subgroup and product character,
-or the script raises.  The row is stamped with the machine, Python, numpy
-and the kernel backend.
+The first row times classify_pair(verify=False) over every ordered pair of
+the 515 (subgroup, character) items of S5, 265,225 pairs, and reports the
+verdict counts and a digest of every (kind, witness) in sweep order, so two
+runs can be compared without storing the verdicts.  A seeded 500-pair sample
+is then classified again with verify=True, which convolves and checks each
+verdict; the two runs must agree on kind, witness, product subgroup and
+product character, or the script raises.
+
+The second row times the commute-oracle-sweep fixture's work: every one of
+the 8,290 ordered pairs of S3, S4, D4 and Q8, checked against brute-force
+convolution with classify_block(verify=True), one call per ordered subgroup
+pair (K1, K2).  It reports the best of three passes and the verdict counts
+per group.  On a tree without classify_block it times classify_pair(verify=True)
+per pair instead, and its "entry" key says so.
+
+Each row is stamped with the machine, Python, numpy and the kernel backend.
 
 Invoke as: python3 benchmarks/bench_commutation.py [--out BENCH.json --label NAME]
-With --out, the row is appended to the "rows" list of that JSON file.
+With --out, both rows are appended to the "rows" list of that JSON file.
 """
 
 from __future__ import annotations
@@ -22,10 +30,19 @@ import time
 from collections import Counter
 
 import common
-from idemconv import all_subgroups, character_group, classify_pair, symmetric_group
+import idemconv
+from idemconv import (
+    all_subgroups,
+    character_group,
+    classify_pair,
+    dihedral_group,
+    quaternion_group,
+    symmetric_group,
+)
 
 SAMPLE_SEED = 0
 SAMPLE_PAIRS = 500
+ORACLE_PASSES = 3
 
 
 def _key(v):
@@ -38,9 +55,7 @@ def _key(v):
     )
 
 
-def main() -> None:
-    args = common.parser(__doc__).parse_args()
-
+def _s5_row(label: str) -> dict:
     t0 = time.perf_counter()
     s5 = symmetric_group(5)
     items = [(k, chi) for k in all_subgroups(s5) for chi in character_group(k)]
@@ -66,8 +81,8 @@ def main() -> None:
             raise RuntimeError(f"verify=True disagrees: {_key(fast)} != {_key(checked)}")
     verify_s = time.perf_counter() - t0
 
-    row = {
-        **common.stamp(__file__, args.label),
+    return {
+        **common.stamp(__file__, label),
         "items": len(items),
         "pairs": pairs,
         "setup_s": round(setup_s, 3),
@@ -78,8 +93,48 @@ def main() -> None:
         "verify_sample_pairs": SAMPLE_PAIRS,
         "verify_sample_s": round(verify_s, 3),
     }
-    print(json.dumps(row, indent=2))
-    common.append(args.out, row)
+
+
+def _verified_counts(k1, chars1, k2, chars2) -> Counter[str]:
+    if hasattr(idemconv, "classify_block"):
+        verdicts = idemconv.classify_block(k1, chars1, k2, chars2, verify=True)
+    else:
+        verdicts = [[classify_pair(k1, r1, k2, r2, verify=True) for r2 in chars2] for r1 in chars1]
+    return Counter(v.kind for row in verdicts for v in row)
+
+
+def _oracle_row(label: str) -> dict:
+    groups = [symmetric_group(3), symmetric_group(4), dihedral_group(4), quaternion_group()]
+    blocks = {g.name: [(k, character_group(k)) for k in all_subgroups(g)] for g in groups}
+    best, per = float("inf"), {}
+    for _ in range(ORACLE_PASSES):
+        t0 = time.perf_counter()
+        for name, group_blocks in blocks.items():
+            counts: Counter[str] = Counter()
+            for k1, chars1 in group_blocks:
+                for k2, chars2 in group_blocks:
+                    counts += _verified_counts(k1, chars1, k2, chars2)
+            per[name] = dict(sorted(counts.items()))
+        best = min(best, time.perf_counter() - t0)
+    pairs = sum(sum(c.values()) for c in per.values())
+    return {
+        **common.stamp(__file__, label),
+        "workload": "commute-oracle-sweep",
+        "entry": "classify_block" if hasattr(idemconv, "classify_block") else "classify_pair",
+        "pairs": pairs,
+        "subgroup_pairs": sum(len(b) ** 2 for b in blocks.values()),
+        "passes": ORACLE_PASSES,
+        "sweep_s": round(best, 3),
+        "pairs_per_s": round(pairs / best),
+        "verdicts": per,
+    }
+
+
+def main() -> None:
+    args = common.parser(__doc__).parse_args()
+    for row in (_s5_row(args.label), _oracle_row(args.label)):
+        print(json.dumps(row, indent=2))
+        common.append(args.out, row)
 
 
 if __name__ == "__main__":

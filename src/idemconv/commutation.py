@@ -11,13 +11,20 @@ and the value does not depend on the factorisation ab = x chosen (two
 choices differ by an element of K1 meet K2, where the characters agree).
 So each product is one integer exponent modulo the parent's exponent per
 element of its support, and the two products are compared as integer
-vectors.  Nothing is convolved unless verify=True, which cross-checks every
-verdict against brute-force convolution; the test suite switches it on.
+vectors.  A verdict keeps those exponents and builds the product measures
+only when they are read.
+
+classify_block decides every pair of characters of one ordered subgroup
+pair (K1, K2) the same way, pair by pair.  Nothing is convolved unless
+verify=True, which cross-checks the verdicts of a whole block against
+brute-force convolution, one stacked kernel call per side; the test suite
+and classify_pair(verify=True), a block of one pair, switch it on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import lcm
 from typing import Callable, Optional, Sequence, Union
 
@@ -32,11 +39,12 @@ from .groups import (
     semidirect_product,
     subgroup_from_elements,
 )
-from .measures import Measure, char_idem, convolve, haar
+from .measures import Measure, _char_idem_rows, _convolve_rows, char_idem, convolve, haar
 
 __all__ = [
     "CommutationVerdict",
     "classify_pair",
+    "classify_block",
     "SemidirectReport",
     "semidirect_counterexample",
 ]
@@ -49,17 +57,35 @@ class CommutationVerdict:
     kind is "zero_product", "commute", or "non_commuting".  For "commute"
     the product equals char_idem(product_subgroup, product_character); for
     "non_commuting" witness is the smallest element index where the two
-    products differ.  left/right hold the products: for "non_commuting"
-    always, built in closed form (bit-identical to convolve); for the other
-    kinds only under verify, where they are the convolutions themselves.
+    products differ.  left/right are the products, bit-identical to
+    convolve: for "non_commuting" always, for the other kinds only under
+    verify.  They are built on first read from _products, which holds
+    (parent, conductor, denominator, exps): exps[0] and exps[1] are the
+    exponents of the left and right products, -1 off their support.
     """
 
     kind: str
     product_subgroup: Optional[Subgroup] = None
     product_character: Optional[Character] = None
     witness: Optional[int] = None
-    left: Optional[Measure] = None
-    right: Optional[Measure] = None
+    _products: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def left(self) -> Optional[Measure]:
+        return self._product(0)
+
+    @cached_property
+    def right(self) -> Optional[Measure]:
+        return self._product(1)
+
+    def _product(self, side: int) -> Optional[Measure]:
+        if self._products is None:
+            return None
+        parent, n, den, exps = self._products
+        # the row at the identity, exponent 0, is (1, 0, ..., 0), so rows over
+        # den are in lowest terms; -1 // step is -1, the zero row of roots
+        rows = field_tables(n).roots[exps[side] // (parent.exponent // n)]
+        return Measure(parent, n, rows, den)
 
 
 def _first_difference(a: Measure, b: Measure) -> Optional[int]:
@@ -69,16 +95,118 @@ def _first_difference(a: Measure, b: Measure) -> Optional[int]:
     return int(differs.argmax()) if differs.any() else None
 
 
-def _monomial(parent: GroupTable, exps: np.ndarray, n: int, den: int) -> Measure:
-    """The measure zeta_e^exps[x] / den on exps >= 0, e = parent.exponent,
-    at conductor n; every exponent must be a multiple of e / n.
+def _require(
+    k1: Subgroup, chars1: Sequence[Character], k2: Subgroup, chars2: Sequence[Character]
+) -> None:
+    if any(rho.domain != k1 for rho in chars1):
+        raise PreconditionError("rho1 is not a character of K1")
+    if any(rho.domain != k2 for rho in chars2):
+        raise PreconditionError("rho2 is not a character of K2")
+    if k2.parent is not k1.parent:
+        raise MismatchedParents(
+            f"subgroups live in different parents ({k1.parent.name} vs {k2.parent.name})"
+        )
 
-    Packed as convolve packs it: the row at the identity, exponent 0, is
-    (1, 0, ..., 0), so rows over den are already in lowest terms.
+
+def _decide(
+    k1: Subgroup, rho1: Character, k2: Subgroup, rho2: Character, keep: bool
+) -> CommutationVerdict:
+    """The closed-form verdict on one pair.  Non-commuting verdicts keep
+    their products; keep=True keeps them for every kind."""
+    parent = k1.parent
+    t1, t2 = rho1._exponents, rho2._exponents
+    a, b = (t1 >= 0).nonzero()[0], (t2 >= 0).nonzero()[0]
+    ta, tb, t2a = t1[a], t2[b], t2[a]
+    n = lcm(rho1.conductor, rho2.conductor)
+
+    # t2a >= 0 exactly on K1 meet K2
+    if ((t2a >= 0) & (t2a != ta)).any():
+        if not keep:
+            return CommutationVerdict("zero_product")
+        zero = np.full((2, parent.order), -1, dtype=np.int64)
+        return CommutationVerdict("zero_product", _products=(parent, n, 1, zero))
+
+    # the exponent of rho1(a) rho2(b) at x = ab (left) and at x = ba (right),
+    # -1 off the product set; agreement on K1 meet K2 makes every
+    # factorisation of x write the same value
+    s = (ta[:, None] + tb) % parent.exponent
+    exps = np.full((2, parent.order), -1, dtype=np.int64)
+    exps[0, parent.mul_np[a[:, None], b]] = s
+    exps[1, parent.mul_np[b[:, None], a]] = s.T
+    differs = exps[0] != exps[1]
+    # |K1K2| = |K1||K2| / |K1 meet K2|, the support of either product
+    support = np.flatnonzero(exps[0] >= 0)
+    products = (parent, n, support.size, exps)
+
+    if not differs.any():
+        k12 = subgroup_from_elements(
+            parent, support.tolist(), k1.generators + k2.generators, validate=False
+        )
+        try:
+            rho12 = Character(k12, tuple(exps[0, support].tolist()))
+        except ValueError as exc:
+            # equal products make a nonzero idempotent of norm <= 1, which is
+            # rho m_K for a subgroup K and a character rho (Greenleaf)
+            raise InvariantViolation(f"products agree but give no character: {exc}") from exc
+        return CommutationVerdict("commute", k12, rho12, _products=products if keep else None)
+
+    return CommutationVerdict("non_commuting", witness=int(differs.argmax()), _products=products)
+
+
+_DISAGREES = {
+    "zero_product": "zero_product verdict, nonzero convolution",
+    "commute": "commute verdict, convolutions disagree with it",
+    "non_commuting": "closed-form products disagree with the convolutions",
+}
+
+
+def _check_block(
+    k1: Subgroup,
+    chars1: Sequence[Character],
+    k2: Subgroup,
+    chars2: Sequence[Character],
+    verdicts: list[list[CommutationVerdict]],
+) -> None:
+    """Check the verdicts of a block against brute-force convolution.
+
+    Each side's char_idem rows are built once, from the characters' exps
+    (never from the closed form), at the block's common conductor n; one
+    kernel call per side gives every left and every right product, each over
+    |K1||K2|.  Every closed-form product counts each x = ab once per element
+    of K1 meet K2, so times |K1 meet K2| it must equal its convolution.  A
+    commute verdict's character must restrict to rho1 and rho2 and its
+    char_idem must equal the products; a witness must be the first element
+    where the two convolutions differ.  Failures raise InvariantViolation.
     """
-    # -1 // step is -1, which picks the zero row at the end of roots
-    rows = field_tables(n).roots[exps // (parent.exponent // n)]
-    return Measure(parent, n, rows, den)
+    parent = k1.parent
+    order, m1, m2 = parent.order, len(chars1), len(chars2)
+    n = lcm(*(rho.conductor for rho in chars1), *(rho.conductor for rho in chars2))
+    rows1, rows2 = _char_idem_rows(k1, chars1, n), _char_idem_rows(k2, chars2, n)
+    left = _convolve_rows(parent, n, rows1, rows2).reshape(m1, m2, order, -1)
+    right = _convolve_rows(parent, n, rows2, rows1).reshape(m2, m1, order, -1).swapaxes(0, 1)
+    meet = len(k1.element_set & k2.element_set)
+
+    flat = [v for row in verdicts for v in row]
+    exps = np.stack([v._products[3] for v in flat]).reshape(m1, m2, 2, order)
+    closed = meet * field_tables(n).roots[exps // (parent.exponent // n)]
+    wrong = (np.stack((left, right), axis=2) != closed).any(axis=(2, 3, 4)).ravel()
+    if wrong.any():
+        raise InvariantViolation(_DISAGREES[flat[int(wrong.argmax())].kind])
+
+    for i, row in enumerate(verdicts):
+        for j, v in enumerate(row):
+            if v.kind != "commute":
+                continue
+            rho12 = v.product_character
+            if rho12._exps_on(k1) != chars1[i].exps or rho12._exps_on(k2) != chars2[j].exps:
+                raise InvariantViolation("product character does not restrict to rho1, rho2")
+            if not (left[i, j] == meet * _char_idem_rows(v.product_subgroup, (rho12,), n)).all():
+                raise InvariantViolation("commute verdict, convolutions differ from its char_idem")
+
+    differs = (left != right).any(axis=3)
+    first = np.where(differs.any(axis=2), differs.argmax(axis=2), -1).ravel()
+    if first.tolist() != [-1 if v.witness is None else v.witness for v in flat]:
+        raise InvariantViolation("witness is not the first difference of the convolutions")
 
 
 def classify_pair(
@@ -98,75 +226,34 @@ def classify_pair(
     (c) otherwise                                    -> non_commuting, witness.
 
     The products are compared as exponent vectors (module docstring);
-    verify=True also convolves and checks the verdict, the product
-    character, and for (c) the closed-form products and the witness.
+    verify=True checks the verdict as a block of one pair (classify_block).
     """
-    if rho1.domain != k1:
-        raise PreconditionError("rho1 is not a character of K1")
-    if rho2.domain != k2:
-        raise PreconditionError("rho2 is not a character of K2")
-    parent = k1.parent
-    if k2.parent is not parent:
-        raise MismatchedParents(
-            f"subgroups live in different parents ({parent.name} vs {k2.parent.name})"
-        )
+    _require(k1, (rho1,), k2, (rho2,))
+    v = _decide(k1, rho1, k2, rho2, verify)
     if verify:
-        # the brute-force products every verdict is checked against
-        idem1, idem2 = char_idem(k1, rho1), char_idem(k2, rho2)
-        conv_left, conv_right = convolve(idem1, idem2), convolve(idem2, idem1)
-    t1, t2 = rho1._exponents, rho2._exponents
-    a, b = (t1 >= 0).nonzero()[0], (t2 >= 0).nonzero()[0]
-    ta, tb, t2a = t1[a], t2[b], t2[a]
+        _check_block(k1, (rho1,), k2, (rho2,), [[v]])
+    return v
 
-    # t2a >= 0 exactly on K1 meet K2
-    if ((t2a >= 0) & (t2a != ta)).any():
-        if not verify:
-            return CommutationVerdict("zero_product")
-        if not (conv_left.is_zero() and conv_right.is_zero()):
-            raise InvariantViolation("zero_product verdict, nonzero convolution")
-        return CommutationVerdict("zero_product", left=conv_left, right=conv_right)
 
-    # the exponent of rho1(a) rho2(b) at x = ab (left) and at x = ba (right),
-    # -1 off the product set; agreement on K1 meet K2 makes every
-    # factorisation of x write the same value
-    s = (ta[:, None] + tb) % parent.exponent
-    left_exps = np.full(parent.order, -1, dtype=np.int64)
-    left_exps[parent.mul_np[a[:, None], b]] = s
-    right_exps = np.full(parent.order, -1, dtype=np.int64)
-    right_exps[parent.mul_np[b[:, None], a]] = s.T
-    differs = left_exps != right_exps
+def classify_block(
+    k1: Subgroup,
+    chars1: Sequence[Character],
+    k2: Subgroup,
+    chars2: Sequence[Character],
+    *,
+    verify: bool = False,
+) -> list[list[CommutationVerdict]]:
+    """classify_pair on every pair of characters of K1 and of K2.
 
-    if not differs.any():
-        support = np.flatnonzero(left_exps >= 0)
-        k12 = subgroup_from_elements(
-            parent, support.tolist(), k1.generators + k2.generators, validate=False
-        )
-        try:
-            rho12 = Character(k12, tuple(left_exps[support].tolist()))
-        except ValueError as exc:
-            # equal products make a nonzero idempotent of norm <= 1, which is
-            # rho m_K for a subgroup K and a character rho (Greenleaf)
-            raise InvariantViolation(f"products agree but give no character: {exc}") from exc
-        if not verify:
-            return CommutationVerdict("commute", k12, rho12)
-        if not conv_left == conv_right == char_idem(k12, rho12):
-            raise InvariantViolation("commute verdict, convolutions disagree with it")
-        if rho12._exps_on(k1) != rho1.exps or rho12._exps_on(k2) != rho2.exps:
-            raise InvariantViolation("product character does not restrict to rho1, rho2")
-        return CommutationVerdict("commute", k12, rho12, left=conv_left, right=conv_right)
-
-    witness = int(differs.argmax())
-    n = lcm(rho1.conductor, rho2.conductor)
-    # |K1K2| = |K1||K2| / |K1 meet K2|, the support of either product
-    den = int(np.count_nonzero(left_exps >= 0))
-    left = _monomial(parent, left_exps, n, den)
-    right = _monomial(parent, right_exps, n, den)
+    Entry [i][j] is the verdict on (chars1[i], chars2[j]), decided as
+    classify_pair decides it.  verify=True checks the whole block against
+    brute-force convolution with one stacked kernel call per side.
+    """
+    _require(k1, chars1, k2, chars2)
+    verdicts = [[_decide(k1, r1, k2, r2, verify) for r2 in chars2] for r1 in chars1]
     if verify:
-        if left != conv_left or right != conv_right:
-            raise InvariantViolation("closed-form products disagree with the convolutions")
-        if _first_difference(conv_left, conv_right) != witness:
-            raise InvariantViolation("witness is not the first difference of the convolutions")
-    return CommutationVerdict("non_commuting", witness=witness, left=left, right=right)
+        _check_block(k1, chars1, k2, chars2, verdicts)
+    return verdicts
 
 
 @dataclass(frozen=True)

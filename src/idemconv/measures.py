@@ -248,28 +248,37 @@ def char_idem(k: Subgroup, chi: Character) -> Measure:
     """
     if chi.domain != k:
         raise PreconditionError("character domain differs from the given subgroup")
-    n = chi.conductor
+    return Measure(k.parent, chi.conductor, _char_idem_rows(k, (chi,), chi.conductor), k.order)
+
+
+def _char_idem_rows(k: Subgroup, chis: Sequence[Character], n: int) -> np.ndarray:
+    """The numerators of char_idem(k, chi) over |k| at conductor n, stacked
+    as the kernel stacks them: (len(chis) * group order, phi(n)).  n must be
+    a multiple of every chi's conductor."""
     tab = field_tables(n)
     parent = k.parent
-    rows = np.zeros((parent.order, tab.degree), dtype=np.int64)
-    # the conductor n divides e, and e / n divides every exponent
-    rows[list(k.elements)] = tab.pow_rows[np.array(chi.exps) // (parent.exponent // n)]
-    return Measure(parent, n, rows, k.order)
+    rows = np.zeros((len(chis), parent.order, tab.degree), dtype=np.int64)
+    # n divides e, and e / n divides every exponent
+    exps = np.array([chi.exps for chi in chis])
+    rows[:, list(k.elements)] = tab.pow_rows[exps // (parent.exponent // n)]
+    return rows.reshape(-1, tab.degree)
+
+
+def _convolve_rows(parent: GroupTable, n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every product of two stacks of packed numerators at conductor n
+    (see idemconv._kernel.convolve_exact), not normalized."""
+    tab = field_tables(n)
+    red = tab.pow_rows[: 2 * tab.degree - 1]
+    return _kernel.convolve_exact(parent.mul, parent.mul_np, a, b, red, tab.red_max)
 
 
 def convolve(a: Measure, b: Measure) -> Measure:
     """(a * b)(x) = sum over h of a(h) b(h^-1 x)."""
     a._require_sibling(b)
-    parent = a.parent
     n = lcm(a.conductor, b.conductor)
     anum = promote_rows(a.rows, a.conductor, n)
     bnum = promote_rows(b.rows, b.conductor, n)
-    tab = field_tables(n)
-    red = tab.pow_rows[: 2 * tab.degree - 1]
-    rows = _kernel.convolve_exact(
-        parent.mul, parent.mul_np, anum, bnum, red, tab.red_max
-    )
-    return Measure._build(parent, n, rows, a.den * b.den)
+    return Measure._build(a.parent, n, _convolve_rows(a.parent, n, anum, bnum), a.den * b.den)
 
 
 def adjoint(mu: Measure) -> Measure:

@@ -252,6 +252,23 @@ def test_oversized_fraction_exponent_is_parse_error(tmp_path, capsys, exponent):
     assert code == 0 and payload["measure"]["entries"] == [["e", ["1/4"], 1]]
 
 
+def test_fraction_digits_past_the_limit_are_parse_error(tmp_path, capsys):
+    # each exponent is within the limit, but the numerator or denominator
+    # Fraction builds from mantissa and exponent has limit + 1 digits
+    limit = sys.get_int_max_str_digits()
+    for value in (f"12e{limit - 1}", f"1_0e{limit - 1}", f"0.1e-{limit - 1}"):
+        measure = {"scale": [value, {"haar": []}]}
+        path = scenario(tmp_path, {"schema_version": 1, "group": "C1", "measure": measure})
+        code, out, err = run(capsys, ["classify", "--scenario", path, "--json"])
+        assert code == 2 and out == ""
+        assert "exponent" in err
+    # 10**(limit - 1) has exactly limit digits and still prints
+    measure = {"scale": [f"1e{limit - 1}", {"haar": []}]}
+    path = scenario(tmp_path, {"schema_version": 1, "group": "C1", "measure": measure})
+    code, payload, _ = run_json(capsys, ["classify", "--scenario", path])
+    assert code == 0 and payload["measure"]["entries"] == [["e", ["1" + "0" * (limit - 1)], 1]]
+
+
 def test_wrong_schema_version_is_parse_error(tmp_path, capsys):
     path = scenario(tmp_path, {"schema_version": 99, "group": "C2"})
     code, _, err = run(capsys, ["group", "--scenario", path])

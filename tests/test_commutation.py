@@ -12,6 +12,7 @@ from idemconv import (
     all_subgroups,
     char_idem,
     character_group,
+    classify_block,
     classify_pair,
     closure,
     convolve,
@@ -146,15 +147,20 @@ def test_verify_check_survives_optimize(run_optimized):
     # the verify=True cross-checks are raises, not asserts: under python -O
     # a convolution that contradicts the verdict must still be reported
     run_optimized(
-        "import idemconv.commutation as c\n"
-        "from idemconv import character_group, closure, dirac, symmetric_group\n"
+        "import idemconv._kernel as kernel\n"
+        "from idemconv import character_group, classify_pair, closure, symmetric_group\n"
         "from idemconv.errors import InvariantViolation\n"
         "g = symmetric_group(3)\n"
         "k1 = closure(g, [g.idx('(12)')])\n"
         "k2 = closure(g, [g.idx('(123)')])\n"
-        "c.convolve = lambda a, b: dirac(g, g.identity)\n"
+        "exact = kernel.convolve_exact\n"
+        "def wrong(*args):\n"
+        "    out = exact(*args).copy()\n"
+        "    out[g.identity, 0] += 1\n"
+        "    return out\n"
+        "kernel.convolve_exact = wrong\n"
         "try:\n"
-        "    c.classify_pair(k1, character_group(k1)[0], k2, character_group(k2)[0], verify=True)\n"
+        "    classify_pair(k1, character_group(k1)[0], k2, character_group(k2)[0], verify=True)\n"
         "except InvariantViolation:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
@@ -250,12 +256,25 @@ def _reference_product(parent, k1, rho1, k2, rho2, n):
     return counts.reshape(parent.order, n) @ _power_basis(n)[0]
 
 
-def _check_against_reference(parent, k1, rho1, k2, rho2):
-    v = classify_pair(k1, rho1, k2, rho2)
+def _same_products(v, left, right, n, scale):
+    for mu, ref in ((v.left, left), (v.right, right)):
+        assert mu.conductor == n and np.array_equal(np.array(mu.num) * scale, ref * mu.den)
+
+
+def _check_against_reference(parent, k1, rho1, k2, rho2, v=None):
+    """v, or classify_pair's verdict, against the reference products; a
+    verdict from verify=True carries its products for every kind."""
+    verified = v is not None
+    if v is None:
+        v = classify_pair(k1, rho1, k2, rho2)
     n = lcm(rho1.conductor, rho2.conductor)
     left = _reference_product(parent, k1, rho1, k2, rho2, n)
     right = _reference_product(parent, k2, rho2, k1, rho1, n)
     scale = k1.order * k2.order
+    if verified or v.kind == "non_commuting":
+        _same_products(v, left, right, n, scale)
+    else:
+        assert v.left is None and v.right is None
     if not left.any():
         assert v.kind == "zero_product" and not right.any()
         return
@@ -266,7 +285,7 @@ def _check_against_reference(parent, k1, rho1, k2, rho2):
         for mu, ref, a, b in sides:
             conv = convolve(char_idem(*a), char_idem(*b))
             assert (mu.conductor, mu.num, mu.den) == (conv.conductor, conv.num, conv.den)
-            assert mu.conductor == n and np.array_equal(np.array(mu.num) * scale, ref * mu.den)
+            assert mu.rows.dtype == conv.rows.dtype
         return
     assert v.kind == "commute"
     support = tuple(np.flatnonzero(left.any(axis=1)).tolist())
@@ -298,3 +317,141 @@ def test_closed_form_matches_reference_on_s5_sample(s5):
     for _ in range(2000):
         (k1, r1), (k2, r2) = rng.choice(items), rng.choice(items)
         _check_against_reference(s5, k1, r1, k2, r2)
+
+
+def _check_blocks_against_reference(group, pairs):
+    for k1, k2 in pairs:
+        chars1, chars2 = character_group(k1), character_group(k2)
+        verdicts = classify_block(k1, chars1, k2, chars2, verify=True)
+        assert [len(row) for row in verdicts] == [len(chars2)] * len(chars1)
+        for r1, row in zip(chars1, verdicts):
+            for r2, v in zip(chars2, row):
+                _check_against_reference(group, k1, r1, k2, r2, v)
+
+
+@pytest.mark.parametrize("name", ["s3", "s4", "d4", "q8"])
+def test_block_matches_reference_exhaustively(name, request):
+    group = request.getfixturevalue(name)
+    subs = all_subgroups(group)
+    _check_blocks_against_reference(group, [(k1, k2) for k1 in subs for k2 in subs])
+
+
+def test_block_matches_reference_on_s5_sample(s5):
+    subs = all_subgroups(s5)
+    rng = random.Random(2015)
+    _check_blocks_against_reference(s5, [(rng.choice(subs), rng.choice(subs)) for _ in range(200)])
+
+
+def test_products_are_built_on_first_read(s3):
+    # a non_commuting verdict keeps two exponent vectors, and builds its
+    # measures when left or right is read, once
+    k1 = closure(s3, [s3.idx("(12)")])
+    k2 = closure(s3, [s3.idx("(13)")])
+    triv1, triv2 = character_group(k1)[0], character_group(k2)[0]
+    v = classify_pair(k1, triv1, k2, triv2)
+    assert v.kind == "non_commuting"
+    assert "left" not in vars(v) and "right" not in vars(v)
+    m1, m2 = char_idem(k1, triv1), char_idem(k2, triv2)
+    for mu, conv in ((v.left, convolve(m1, m2)), (v.right, convolve(m2, m1))):
+        assert (mu.conductor, mu.den) == (conv.conductor, conv.den)
+        assert mu.rows.dtype == conv.rows.dtype and np.array_equal(mu.rows, conv.rows)
+    assert v.left is v.left
+    # the other kinds carry products only under verify
+    k3 = closure(s3, [s3.idx("(123)")])
+    commute = classify_pair(k1, triv1, k3, character_group(k3)[0])
+    assert commute.kind == "commute" and commute.left is None and commute.right is None
+
+
+def test_block_rejects_foreign_characters(s3):
+    k1 = closure(s3, [s3.idx("(12)")])
+    k2 = closure(s3, [s3.idx("(13)")])
+    with pytest.raises(PreconditionError):
+        classify_block(k1, character_group(k1) + character_group(k2), k2, character_group(k2))
+
+
+# -- each check of a verified block, under python -O ----------------------------
+# S3 with K1 = <(12)> and K2 = <(123)>: a 2 x 3 block in which both
+# characters of K1 commute with the trivial one of K2 and the other four
+# pairs do not.  One pair's verdict is corrupted after it is decided; the
+# check must name it.
+
+_BLOCK_SETUP = (
+    "import dataclasses\n"
+    "import idemconv.commutation as c\n"
+    "from idemconv import character_group, closure, symmetric_group\n"
+    "from idemconv.errors import InvariantViolation\n"
+    "g = symmetric_group(3)\n"
+    "k1 = closure(g, [g.idx('(12)')])\n"
+    "k2 = closure(g, [g.idx('(123)')])\n"
+    "chars1, chars2 = character_group(k1), character_group(k2)\n"
+    "block = c.classify_block(k1, chars1, k2, chars2, verify=True)\n"
+    "kinds = sorted(v.kind for row in block for v in row)\n"
+    "if kinds != ['commute'] * 2 + ['non_commuting'] * 4:\n"
+    "    raise SystemExit(3)\n"
+    "decide = c._decide\n"
+    "def corrupting(kind, change):\n"
+    "    done = []\n"
+    "    def corrupted(*args):\n"
+    "        v = decide(*args)\n"
+    "        if v.kind == kind and not done:\n"
+    "            done.append(v)\n"
+    "            return change(v)\n"
+    "        return v\n"
+    "    return corrupted\n"
+)
+
+
+def _expect_block_failure(run_optimized, kind, change, message):
+    run_optimized(
+        _BLOCK_SETUP
+        + f"c._decide = corrupting({kind!r}, {change})\n"
+        + "try:\n"
+        + "    c.classify_block(k1, chars1, k2, chars2, verify=True)\n"
+        + "except InvariantViolation as exc:\n"
+        + f"    raise SystemExit(0 if {message!r} in str(exc) else 4)\n"
+        + "raise SystemExit(1)\n"
+    )
+
+
+def test_block_zero_check_survives_optimize(run_optimized):
+    # a commuting pair called zero_product: its convolutions are not zero
+    _expect_block_failure(
+        run_optimized,
+        "commute",
+        "lambda v: c.CommutationVerdict('zero_product', _products=(v._products[0], 1, 1, "
+        "-1 + 0 * v._products[3]))",
+        "zero_product verdict, nonzero convolution",
+    )
+
+
+def test_block_closed_form_check_survives_optimize(run_optimized):
+    # a non_commuting pair with its two products swapped
+    _expect_block_failure(
+        run_optimized,
+        "non_commuting",
+        "lambda v: dataclasses.replace(v, _products=v._products[:3] + (v._products[3][::-1],))",
+        "closed-form products disagree with the convolutions",
+    )
+
+
+def test_block_restriction_check_survives_optimize(run_optimized):
+    # the first commuting pair is trivial on both sides; its trivial product
+    # character on S3 replaced by the sign character leaves the products
+    # unchanged, but no longer restricts to the trivial rho1
+    _expect_block_failure(
+        run_optimized,
+        "commute",
+        "lambda v: dataclasses.replace(v, product_character="
+        "next(x for x in character_group(v.product_subgroup) if not x.is_trivial))",
+        "does not restrict to rho1, rho2",
+    )
+
+
+def test_block_witness_check_survives_optimize(run_optimized):
+    # a non_commuting pair whose witness is moved past the first difference
+    _expect_block_failure(
+        run_optimized,
+        "non_commuting",
+        "lambda v: dataclasses.replace(v, witness=v.witness + 1)",
+        "witness is not the first difference",
+    )

@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 import idemconv
 from idemconv import _kernel
 from idemconv._kernel import _pykernel, backend_name, convolve_exact
-from idemconv.cyclo import field_tables, pack
+from idemconv.cyclo import field_tables, max_abs, pack
+from idemconv.measures import Measure
 from idemconv import char_idem, character_group, closure, cyclic_group, convolve, dirac, haar, full_subgroup, symmetric_group
 
 RED_D1 = pack([[1]])  # rational coefficients: no reduction needed
@@ -234,3 +235,74 @@ def test_measure_convolution_backend_independent(data):
     finally:
         _kernel.FORCE_PURE = prev
     assert slow == fast
+
+
+# -- stacks: m1 numerators times m2 in one call ---------------------------------
+
+
+def _random_measures(g, n, rng, count, size):
+    """count measures at conductor n, the second one zero, with entries below size."""
+    d = field_tables(n).degree
+    out = []
+    for k in range(count):
+        rows = rng.integers(-size, size, size=(g.order, d)) * (k != 1)
+        out.append(Measure._build(g, n, pack(rows.tolist()), k + 2))
+    return out
+
+
+def _assert_stack_is_convolve(g, n, a, b, stacked):
+    """Block (i, j) of the stack, over den_i * den_j, is convolve(a[i], b[j]) bit for bit."""
+    m2 = len(b)
+    for i, mu in enumerate(a):
+        for j, nu in enumerate(b):
+            block = stacked[(i * m2 + j) * g.order : (i * m2 + j + 1) * g.order]
+            got, want = Measure._build(g, n, block, mu.den * nu.den), convolve(mu, nu)
+            assert (got.conductor, got.den) == (want.conductor, want.den)
+            assert_same(got.rows, want.rows)
+
+
+def _stack(measures):
+    return np.vstack([m.rows for m in measures])
+
+
+@pytest.mark.parametrize("conductor", [1, 12, 105])
+def test_stack_matches_per_pair_convolve_int64(monkeypatch, conductor):
+    g = symmetric_group(3)
+    rng = np.random.default_rng(conductor)
+    a = _random_measures(g, conductor, rng, 3, 1000)
+    b = _random_measures(g, conductor, rng, 2, 1000)
+    red, red_max = reduction(conductor)
+    monkeypatch.setattr(_pykernel, "convolve_exact", pure_must_not_run)
+    stacked = convolve_exact(g.mul, g.mul_np, _stack(a), _stack(b), red, red_max)
+    assert stacked.shape == (3 * 2 * g.order, field_tables(conductor).degree)
+    monkeypatch.undo()
+    _assert_stack_is_convolve(g, conductor, a, b, stacked)
+
+
+def test_stack_matches_per_pair_convolve_force_pure(monkeypatch):
+    g = symmetric_group(3)
+    rng = np.random.default_rng(5)
+    a = _random_measures(g, 12, rng, 2, 50)
+    b = _random_measures(g, 12, rng, 3, 50)
+    red, red_max = reduction(12)
+    calls = record_pure_calls(monkeypatch)
+    monkeypatch.setattr(_kernel, "FORCE_PURE", True)
+    stacked = convolve_exact(g.mul, g.mul_np, _stack(a), _stack(b), red, red_max)
+    assert len(calls) == 2 * 3  # the big-int kernel runs once per pair
+    monkeypatch.setattr(_kernel, "FORCE_PURE", False)
+    _assert_stack_is_convolve(g, 12, a, b, stacked)
+
+
+def test_stack_over_the_bound_falls_back_exactly(monkeypatch):
+    # one measure per side has entries near 2**40: its products pass 2**62,
+    # so the whole stack takes the big-int kernel and packs as object
+    g = symmetric_group(3)
+    rng = np.random.default_rng(8)
+    a = _random_measures(g, 12, rng, 3, 50) + _random_measures(g, 12, rng, 1, 2**40)
+    b = _random_measures(g, 12, rng, 1, 2**40) + _random_measures(g, 12, rng, 1, 50)
+    red, red_max = reduction(12)
+    calls = record_pure_calls(monkeypatch)
+    stacked = convolve_exact(g.mul, g.mul_np, _stack(a), _stack(b), red, red_max)
+    assert len(calls) == 4 * 2 and stacked.dtype == object
+    assert max_abs(stacked) >= 2**62
+    _assert_stack_is_convolve(g, 12, a, b, stacked)
