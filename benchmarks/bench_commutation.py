@@ -12,8 +12,7 @@ The second row times the commute-oracle-sweep fixture's work: every one of
 the 8,290 ordered pairs of S3, S4, D4 and Q8, checked against brute-force
 convolution with classify_block(verify=True), one call per ordered subgroup
 pair (K1, K2).  It reports the best of three passes and the verdict counts
-per group.  On a tree without classify_block it times classify_pair(verify=True)
-per pair instead, and its "entry" key says so.
+per group.
 
 Each row is stamped with the machine, Python, numpy and the kernel backend.
 
@@ -30,10 +29,10 @@ import time
 from collections import Counter
 
 import common
-import idemconv
 from idemconv import (
     all_subgroups,
     character_group,
+    classify_block,
     classify_pair,
     dihedral_group,
     quaternion_group,
@@ -95,14 +94,6 @@ def _s5_row(label: str) -> dict:
     }
 
 
-def _verified_counts(k1, chars1, k2, chars2) -> Counter[str]:
-    if hasattr(idemconv, "classify_block"):
-        verdicts = idemconv.classify_block(k1, chars1, k2, chars2, verify=True)
-    else:
-        verdicts = [[classify_pair(k1, r1, k2, r2, verify=True) for r2 in chars2] for r1 in chars1]
-    return Counter(v.kind for row in verdicts for v in row)
-
-
 def _oracle_row(label: str) -> dict:
     groups = [symmetric_group(3), symmetric_group(4), dihedral_group(4), quaternion_group()]
     blocks = {g.name: [(k, character_group(k)) for k in all_subgroups(g)] for g in groups}
@@ -113,14 +104,14 @@ def _oracle_row(label: str) -> dict:
             counts: Counter[str] = Counter()
             for k1, chars1 in group_blocks:
                 for k2, chars2 in group_blocks:
-                    counts += _verified_counts(k1, chars1, k2, chars2)
+                    block = classify_block(k1, chars1, k2, chars2, verify=True)
+                    counts.update(v.kind for row in block for v in row)
             per[name] = dict(sorted(counts.items()))
         best = min(best, time.perf_counter() - t0)
     pairs = sum(sum(c.values()) for c in per.values())
     return {
         **common.stamp(__file__, label),
         "workload": "commute-oracle-sweep",
-        "entry": "classify_block" if hasattr(idemconv, "classify_block") else "classify_pair",
         "pairs": pairs,
         "subgroup_pairs": sum(len(b) ** 2 for b in blocks.values()),
         "passes": ORACLE_PASSES,

@@ -111,22 +111,21 @@ def _fraction(value, field: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        # Fraction builds the mantissa digits times 10**shift, or over
-        # 10**-shift, shift = exp - (digits after the point); a numerator or
-        # denominator past the int digit limit cannot be printed
-        m = re.fullmatch(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?e([-+]?)([\d_]+)\s*", value, re.I)
+        # Fraction expands 10**exp in full, exp + 1 digits: past the limit, unprintable
+        m = re.search(r"e[-+]?([\d_]+)\s*\Z", value, re.IGNORECASE)
+        digits = m.group(1).replace("_", "").lstrip("0") if m else ""
         limit = sys.get_int_max_str_digits()
-        if m and limit:
-            whole, frac, sign, exp = ((g or "").replace("_", "") for g in m.groups())
-            exp = exp.lstrip("0")
-            shift = int(sign + exp) - len(frac) if len(exp) <= len(str(limit)) else None
-            digits = len((whole + frac).lstrip("0"))
-            if shift is None or digits + shift > limit or -shift >= limit:
-                raise CliError("parse", f"decimal exponent too large: {value!r}", field)
+        if limit and (len(digits) > len(str(limit)) or int(digits or 0) >= limit):
+            raise CliError("parse", f"decimal exponent too large: {value!r}", field)
         try:
-            return Fraction(value.strip())
+            q = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
             raise CliError("parse", f"not a fraction: {value!r}", field)
+        # the parts of a decimal are parsed apart, so their joined numerator,
+        # or the mantissa times 10**exp, can still be past the limit
+        if limit and max(abs(q.numerator), q.denominator) >= 10**limit:
+            raise CliError("parse", f"fraction has more than {limit} digits: {value!r}", field)
+        return q
     raise CliError(
         "parse", f"expected a fraction string, got {type(value).__name__}", field
     )

@@ -83,9 +83,15 @@ class CommutationVerdict:
             return None
         parent, n, den, exps = self._products
         # the row at the identity, exponent 0, is (1, 0, ..., 0), so rows over
-        # den are in lowest terms; -1 // step is -1, the zero row of roots
-        rows = field_tables(n).roots[exps[side] // (parent.exponent // n)]
-        return Measure(parent, n, rows, den)
+        # den are in lowest terms
+        return Measure(parent, n, _monomial_rows(parent, exps[side], n), den)
+
+
+def _monomial_rows(parent: GroupTable, exps: np.ndarray, n: int) -> np.ndarray:
+    """The rows of zeta^e at conductor n for exponents e modulo the parent's
+    exponent, any leading shape; n divides each e's order, so e is a multiple
+    of parent.exponent // n, and -1 // step is -1, the zero row of roots."""
+    return field_tables(n).roots[exps // (parent.exponent // n)]
 
 
 def _first_difference(a: Measure, b: Measure) -> Optional[int]:
@@ -188,7 +194,7 @@ def _check_block(
 
     flat = [v for row in verdicts for v in row]
     exps = np.stack([v._products[3] for v in flat]).reshape(m1, m2, 2, order)
-    closed = meet * field_tables(n).roots[exps // (parent.exponent // n)]
+    closed = meet * _monomial_rows(parent, exps, n)
     wrong = (np.stack((left, right), axis=2) != closed).any(axis=(2, 3, 4)).ravel()
     if wrong.any():
         raise InvariantViolation(_DISAGREES[flat[int(wrong.argmax())].kind])
@@ -251,7 +257,7 @@ def classify_block(
     """
     _require(k1, chars1, k2, chars2)
     verdicts = [[_decide(k1, r1, k2, r2, verify) for r2 in chars2] for r1 in chars1]
-    if verify:
+    if verify and chars1 and chars2:
         _check_block(k1, chars1, k2, chars2, verdicts)
     return verdicts
 

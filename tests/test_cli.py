@@ -253,20 +253,35 @@ def test_oversized_fraction_exponent_is_parse_error(tmp_path, capsys, exponent):
 
 
 def test_fraction_digits_past_the_limit_are_parse_error(tmp_path, capsys):
-    # each exponent is within the limit, but the numerator or denominator
-    # Fraction builds from mantissa and exponent has limit + 1 digits
+    # each exponent and each digit run is within the limit, but the numerator
+    # or denominator Fraction builds from them has more than limit digits
     limit = sys.get_int_max_str_digits()
-    for value in (f"12e{limit - 1}", f"1_0e{limit - 1}", f"0.1e-{limit - 1}"):
+    half = "1" * (limit * 2 // 3)
+    for value in (
+        f"12e{limit - 1}",
+        f"1_0e{limit - 1}",
+        f"0.1e-{limit - 1}",
+        f"{half}.{half}e1",
+        f"{half}.{half}",
+    ):
         measure = {"scale": [value, {"haar": []}]}
         path = scenario(tmp_path, {"schema_version": 1, "group": "C1", "measure": measure})
         code, out, err = run(capsys, ["classify", "--scenario", path, "--json"])
         assert code == 2 and out == ""
-        assert "exponent" in err
+        assert "digits" in err
     # 10**(limit - 1) has exactly limit digits and still prints
     measure = {"scale": [f"1e{limit - 1}", {"haar": []}]}
     path = scenario(tmp_path, {"schema_version": 1, "group": "C1", "measure": measure})
     code, payload, _ = run_json(capsys, ["classify", "--scenario", path])
     assert code == 0 and payload["measure"]["entries"] == [["e", ["1" + "0" * (limit - 1)], 1]]
+
+
+@pytest.mark.parametrize(("value", "entry"), [("1e0", "1"), ("1e-0", "1"), ("2.5E00", "5/2")])
+def test_zero_fraction_exponent_parses(tmp_path, capsys, value, entry):
+    measure = {"scale": [value, {"haar": []}]}
+    path = scenario(tmp_path, {"schema_version": 1, "group": "C1", "measure": measure})
+    code, payload, _ = run_json(capsys, ["classify", "--scenario", path])
+    assert code == 0 and payload["measure"]["entries"] == [["e", [entry], 1]]
 
 
 def test_wrong_schema_version_is_parse_error(tmp_path, capsys):

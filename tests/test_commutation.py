@@ -369,6 +369,14 @@ def test_block_rejects_foreign_characters(s3):
         classify_block(k1, character_group(k1) + character_group(k2), k2, character_group(k2))
 
 
+@pytest.mark.parametrize("verify", [False, True])
+def test_empty_block_has_no_verdicts(s3, verify):
+    k1 = closure(s3, [s3.idx("(12)")])
+    k2 = closure(s3, [s3.idx("(123)")])
+    assert classify_block(k1, [], k2, character_group(k2), verify=verify) == []
+    assert classify_block(k1, character_group(k1), k2, [], verify=verify) == [[], []]
+
+
 # -- each check of a verified block, under python -O ----------------------------
 # S3 with K1 = <(12)> and K2 = <(123)>: a 2 x 3 block in which both
 # characters of K1 commute with the trivial one of K2 and the other four
