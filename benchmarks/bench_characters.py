@@ -10,9 +10,6 @@ its cache cleared, and the in-process wall time of the limit-sweep and
 commute-oracle-sweep fixtures (best of three, so caches are warm), which
 must pass.
 
-A tree whose constructor still takes rotations has no exponent entry point:
-its row times that constructor as from_rotations and leaves exps null.
-
 Invoke as: python3 benchmarks/bench_characters.py [--out BENCH.json --label NAME]
 With --out, the row is appended to the "rows" list of that JSON file.
 """
@@ -33,8 +30,6 @@ from idemconv import (
 )
 
 FIXTURES = ("limit-sweep", "commute-oracle-sweep")
-HAS_EXPS = "exps" in Character.__dataclass_fields__
-from_rotations = Character.from_rotations if HAS_EXPS else Character
 
 
 def scalar_validate(domain, rot) -> None:
@@ -126,30 +121,28 @@ def main() -> None:
     for name, k, repeats in _workloads(subgroups):
         chi = character_group(k)[-1]
         rot = chi.rot
-        _parity(name, from_rotations, k, [(r, r) for r in (rot, rot[:-1] + (Fraction(1, 7),))])
-        row = {
+        rotated = rot[:-1] + (Fraction(1, 7),)
+        _parity(name, Character.from_rotations, k, [(r, r) for r in (rot, rotated)])
+        e = k.parent.exponent
+        exps = chi.exps
+        moved = exps[:-1] + ((exps[-1] + 1) % e,)
+        cases = [(t, tuple(Fraction(x, e) for x in t)) for t in (exps, moved)]
+        _parity(name, Character, k, cases)
+        rows[name] = {
             "order": k.order,
             "scalar_us": _time(lambda: scalar_validate(k, rot), repeats) * 1e6,
-            "from_rotations_us": _time(lambda: from_rotations(k, rot), repeats) * 1e6,
-            "exps_us": None,
+            "from_rotations_us": _time(lambda: Character.from_rotations(k, rot), repeats) * 1e6,
+            "exps_us": _time(lambda: Character(k, exps), repeats) * 1e6,
         }
-        if HAS_EXPS:
-            e = k.parent.exponent
-            exps = chi.exps
-            moved = exps[:-1] + ((exps[-1] + 1) % e,)
-            cases = [(t, tuple(Fraction(x, e) for x in t)) for t in (exps, moved)]
-            _parity(name, Character, k, cases)
-            row["exps_us"] = _time(lambda: Character(k, exps), repeats) * 1e6
-        rows[name] = row
     lattice_s = _character_group_s(subgroups)
     fixtures = {name: _fixture_s(name) for name in FIXTURES}
 
     width = max(len(name) for name in rows)
     print(f"{'subgroup of S5':<{width}}  {'scalar':>10}  {'rotations':>10}  {'exps':>10}")
     for name, r in rows.items():
-        exps = "-" if r["exps_us"] is None else f"{r['exps_us']:9.1f}u"
         print(
-            f"{name:<{width}}  {r['scalar_us']:9.1f}u  {r['from_rotations_us']:9.1f}u  {exps:>10}"
+            f"{name:<{width}}  {r['scalar_us']:9.1f}u  {r['from_rotations_us']:9.1f}u"
+            f"  {r['exps_us']:9.1f}u"
         )
     print(
         f"character_group over the {len(subgroups)} S5 subgroups, cache cleared: "

@@ -1,15 +1,21 @@
-"""Int64 (compiled) vs pure convolution kernel on representative workloads.
+"""The convolution kernel on Python ints (pure) and on int64, on three workloads.
 
-Runs the same exact convolutions through both backends (flipping the
-dispatch flag in place), checks the integer outputs agree, and prints a
-timing table.  Invoke as: python3 benchmarks/bench_convolve.py
+Runs the same exact convolutions with the kernel's FORCE_PURE switch on
+(the scatter on object rows) and off (int64 rows), fails unless the
+results agree, and prints a timing table, best of three passes.  The row
+is stamped with the machine, Python, numpy and the kernel backend.
+
+Invoke as: python3 benchmarks/bench_convolve.py [--out BENCH.json --label NAME]
+With --out, the row is appended to the "rows" list of that JSON file.
 """
 
 from __future__ import annotations
 
+import json
 import time
 from fractions import Fraction
 
+import common
 import idemconv._kernel as kernel
 from idemconv import (
     Character,
@@ -58,6 +64,7 @@ def _time(mu, nu, repeats: int) -> float:
 
 
 def main() -> None:
+    args = common.parser(__doc__).parse_args()
     rows = []
     for name, mu, nu, repeats in _workloads():
         saved = kernel.FORCE_PURE
@@ -74,9 +81,18 @@ def main() -> None:
         rows.append((name, pure, fast))
 
     width = max(len(r[0]) for r in rows)
-    print(f"{'workload':<{width}}  {'pure':>10}  {'compiled':>10}  speedup")
+    print(f"{'workload':<{width}}  {'pure':>10}  {'int64':>10}  speedup")
     for name, pure, fast in rows:
         print(f"{name:<{width}}  {pure * 1e6:9.1f}u  {fast * 1e6:9.1f}u  {pure / fast:9.1f}x")
+    row = {
+        **common.stamp(__file__, args.label),
+        "cases": [
+            {"workload": name, "pure_us": round(pure * 1e6, 1), "int64_us": round(fast * 1e6, 1)}
+            for name, pure, fast in rows
+        ],
+    }
+    print(json.dumps(row, indent=2))
+    common.append(args.out, row)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
-"""Convolution kernel dispatch.
+"""Exact group-algebra convolution kernel.
 
-The int64 backend (numpy) runs unless FORCE_PURE is set or a conservative
-magnitude bound cannot show that every intermediate stays below 2**62 (for a
-nonzero product with an object input it never can).  Otherwise the pure
-big-int backend runs; both give identical packed arrays (idemconv.cyclo.pack).
+One numpy scatter runs on int64 rows, or on object rows (Python ints) when
+FORCE_PURE is set or a conservative bound on its results reaches 2**62.
+idemconv.cyclo._exact makes that choice, as for every other row helper, so
+int64 never wraps and both dtypes give identical packed arrays
+(idemconv.cyclo.pack).
 """
 
 from __future__ import annotations
@@ -12,13 +13,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ..cyclo import INT64_LIMIT, max_abs, pack
-from . import _pykernel
+from .cyclo import INT64_LIMIT, _exact, max_abs
 
 # The int64 path is present; it needs nothing beyond numpy.
 HAS_COMPILED = True
 
-# In-process switch to the pure backend, read on every call.
+# In-process switch: run the scatter on Python ints, read on every call.
 FORCE_PURE = False
 
 # products formed per np.add.at call, so temporaries stay near 8 MB each
@@ -50,6 +50,8 @@ def convolve_exact(
     """
     n = len(mul_rows)
     d = red_rows.shape[1]
+    m2 = len(b_rows) // n
+    m = len(a_rows) // n * m2
     ga = a_rows.any(axis=1).nonzero()[0]
     hb = b_rows.any(axis=1).nonzero()[0]
     a, b = a_rows[ga], b_rows[hb]
@@ -58,17 +60,7 @@ def convolve_exact(
     # back in adds at most (d-1)*red_max times that again.  The nonzero rows
     # of the whole stack bound those of any one product.  Zero only if a
     # side is zero.
-    bound = min(ga.size, hb.size) * d * max_abs(a) * max_abs(b)
-    if FORCE_PURE or bound * 2 * d * max(1, red_max) >= INT64_LIMIT:
-        a_list, b_list, red = a_rows.tolist(), b_rows.tolist(), red_rows.tolist()
-        blocks = [
-            _pykernel.convolve_exact(mul_rows, a_list[i : i + n], b_list[j : j + n], red)
-            for i in range(0, len(a_list), n)
-            for j in range(0, len(b_list), n)
-        ]
-        return pack([row for block in blocks for row in block])
-    m2 = len(b_rows) // n
-    m = len(a_rows) // n * m2
+    bound = min(ga.size, hb.size) * d * max_abs(a) * max_abs(b) * 2 * d * max(1, red_max)
     if not bound:
         return np.zeros((m * n, d), dtype=np.int64)
 
@@ -79,11 +71,17 @@ def convolve_exact(
     if m > 1:
         targets += np.add.outer(ga // n * m2, hb // n) * (n * width)
     cols = np.arange(d)[:, None] + np.arange(d)
-    acc = np.zeros(m * n * width, dtype=np.int64)
     step = max(1, _BLOCK_TERMS // (hb.size * d * d))
-    for lo in range(0, ga.size, step):
-        hi = lo + step
-        terms = a[lo:hi, None, :, None] * b[None, :, None, :]
-        np.add.at(acc, targets[lo:hi, :, None, None] + cols, terms)
-    acc = acc.reshape(m * n, width)
-    return acc[:, :d] + acc[:, d:] @ red_rows[d:width]
+
+    def scatter(a, b, fold):
+        acc = np.zeros(m * n * width, dtype=a.dtype)
+        for lo in range(0, ga.size, step):
+            hi = lo + step
+            terms = a[lo:hi, None, :, None] * b[None, :, None, :]
+            np.add.at(acc, targets[lo:hi, :, None, None] + cols, terms)
+        acc = acc.reshape(m * n, width)
+        return acc[:, :d] + acc[:, d:] @ fold
+
+    if FORCE_PURE:
+        bound = max(bound, INT64_LIMIT)
+    return _exact(bound, scatter, a, b, red_rows[d:width])

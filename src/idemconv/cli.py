@@ -686,16 +686,6 @@ _HANDLERS = {
     "paper-suite": _cmd_paper_suite,
 }
 
-_SCENARIO_COMMANDS = (
-    "group",
-    "classify",
-    "commute",
-    "limit",
-    "stromberg",
-    "measure-groups",
-    "free-walk",
-)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

@@ -9,7 +9,6 @@ __all__ = [
     "MismatchedParents",
     "PreconditionError",
     "BudgetExceeded",
-    "ScenarioError",
     "InvariantViolation",
 ]
 
@@ -41,11 +40,3 @@ class InvariantViolation(AssertionError):
     IdemconvError so that it keeps the error category of the assert it
     replaces, while surviving python -O.
     """
-
-
-class ScenarioError(IdemconvError):
-    """A scenario file references something that does not exist."""
-
-    def __init__(self, message: str, field: str = ""):
-        super().__init__(message)
-        self.field = field

@@ -22,13 +22,11 @@ from .errors import InvariantViolation, PreconditionError
 from .groups import (
     GroupTable,
     Subgroup,
-    centralizer,
     closure,
     full_subgroup,
     intersection,
     left_cosets,
     normalizer,
-    quotient_group,
     subgroup_from_elements,
 )
 from .measures import (
@@ -68,7 +66,9 @@ def g_k_rho(k: Subgroup, rho: Character) -> Subgroup:
 
     Computed twice: directly (exact measure equality for every g) and as
     the preimage in N_{K,rho} of the centralizer of K/ker(rho) inside
-    N_{K,rho}/ker(rho); the two must agree.
+    N_{K,rho}/ker(rho); the two must agree.  The preimage is read without
+    building the quotient: the g in N_{K,rho} with g k g^-1 k^-1 in ker(rho)
+    for every k in K.
 
     Translation only permutes the rows of omega = rho*m_K, so delta_g *
     omega == omega * delta_g exactly when omega(g^-1 x) == omega(x g^-1) at
@@ -83,16 +83,11 @@ def g_k_rho(k: Subgroup, rho: Character) -> Subgroup:
     commutes = (row_id[mul_np[inv]] == row_id[mul_np[:, inv].T]).all(axis=1)
     direct = tuple(np.flatnonzero(commutes).tolist())
 
-    nkr = n_k_rho(k, rho)
-    ker = kernel(rho)
-    q = quotient_group(nkr, ker)
-    k_image = subgroup_from_elements(
-        q.group, {q.projection[g] for g in k.elements}, validate=False
-    )
-    central = centralizer(k_image).element_set
-    via_quotient = tuple(
-        g for g in nkr.elements if q.projection[g] in central
-    )
+    nkr = np.asarray(n_k_rho(k, rho).elements)
+    ks = np.asarray(k.elements)
+    # [g, k] -> g k g^-1 k^-1, for g in N_{K,rho}
+    comm = mul_np[mul_np[mul_np[nkr[:, None], ks], inv[nkr, None]], inv[ks]]
+    via_quotient = tuple(nkr[(row_id == 0)[comm].all(axis=1)].tolist())
     if direct != via_quotient:
         raise InvariantViolation(
             "the convolution and quotient definitions of G_{K,rho} disagree"

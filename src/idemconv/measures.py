@@ -11,6 +11,7 @@ idemconv.cyclo.  FloatMeasure is the complex128 companion of the dynamics.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -404,10 +405,20 @@ class FloatMeasure:
 
 
 def measure_to_jsonable(mu: Measure, include_float: bool = False) -> dict:
-    """JSON-ready dict; exact rationals as strings, support entries only."""
+    """JSON-ready dict; exact rationals as strings, support entries only.
+
+    Raises PreconditionError if an entry has more digits than Python's int
+    digit limit (sys.get_int_max_str_digits()) lets str() print.
+    """
     entries = []
     for g in mu.support():
-        row = [str(Fraction(c, mu.den)) for c in mu.rows[g].tolist()]
+        try:
+            row = [str(Fraction(c, mu.den)) for c in mu.rows[g].tolist()]
+        except ValueError:
+            raise PreconditionError(
+                f"a coefficient at {mu.parent.labels[g]} has more than "
+                f"{sys.get_int_max_str_digits()} digits, the int digit limit"
+            ) from None
         entries.append([mu.parent.labels[g], row, mu.conductor])
     obj: dict = {
         "group": mu.parent.name,

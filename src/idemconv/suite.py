@@ -99,10 +99,6 @@ def _fixture(name: str):
     return deco
 
 
-def _by_label(g: GroupTable) -> dict[str, int]:
-    return {lab: i for i, lab in enumerate(g.labels)}
-
-
 def _char_desc(chi: Character) -> str:
     if chi.is_trivial:
         return "trivial"
@@ -170,7 +166,7 @@ def _fx_example_24ii(cfg: SuiteConfig) -> FixtureResult:
     all 8 combinations; both trivial gives the full-group Haar idempotent.
     """
     s5 = symmetric_group(5)
-    by = _by_label(s5)
+    by = s5.label_index
     k1 = closure(s5, (by["(12)"], by["(1234)"]))
     k2 = closure(s5, (by["(12345)"],))
     chars1 = character_group(k1)
@@ -251,7 +247,7 @@ def _fx_limit_sweep(cfg: SuiteConfig) -> FixtureResult:
         }
 
     s3 = symmetric_group(3)
-    by = _by_label(s3)
+    by = s3.label_index
     k_swap = closure(s3, (by["(12)"],))
     k_rot = closure(s3, (by["(123)"],))
     k_other = closure(s3, (by["(13)"],))
@@ -384,7 +380,7 @@ def _fx_example_44i(cfg: SuiteConfig) -> FixtureResult:
     span fills the whole commuting group (equality, no proper inclusion).
     """
     d4 = dihedral_group(4)
-    by = _by_label(d4)
+    by = d4.label_index
     k1 = closure(d4, (by["r^2"],))
     k2 = closure(d4, (by["r"],))
     rho1 = next(c for c in character_group(k1) if not c.is_trivial)
@@ -423,7 +419,7 @@ def _fx_example_44ii(cfg: SuiteConfig) -> FixtureResult:
     S5, again matching the product's commuting group exactly.
     """
     s5 = symmetric_group(5)
-    by = _by_label(s5)
+    by = s5.label_index
     k1 = closure(s5, (by["(12)"], by["(1234)"]))
     k2 = closure(s5, (by["(12345)"],))
     rho1 = character_group(k1)[0]

@@ -1,9 +1,8 @@
-"""Pure-Python exact convolution kernel.
+"""Pure-Python exact convolution kernel, the reference for idemconv._kernel.
 
 Works on integer numerator rows (one row of power-basis coordinates per
-group element); Python integers never overflow, so this is the reference the
-int64 kernel is tested against and its fallback when the 64-bit bound would
-be exceeded.
+group element); Python integers never overflow, and it shares no code with
+the numpy scatter, so the kernel tests compare both of its dtypes with it.
 """
 
 from __future__ import annotations

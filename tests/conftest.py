@@ -60,6 +60,26 @@ def g18():
     return semidirect_product(torus, cyclic_group(2), [tuple(range(9)), swap])
 
 
+@pytest.fixture
+def scatter_dtypes(monkeypatch):
+    """The dtype each convolution scatter of the test ran on, observed at the
+    kernel's one widening point (idemconv.cyclo._exact)."""
+    from idemconv import _kernel
+
+    dtypes = []
+    real = _kernel._exact
+
+    def spy(bound, op, *arrays):
+        def observed(*operands):
+            dtypes.append(operands[0].dtype)
+            return op(*operands)
+
+        return real(bound, observed, *arrays)
+
+    monkeypatch.setattr(_kernel, "_exact", spy)
+    return dtypes
+
+
 def _run_optimized(code):
     """Run code under python -O (asserts stripped); it exits 0 on success."""
     src = os.path.dirname(os.path.dirname(idemconv.__file__))

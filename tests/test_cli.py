@@ -284,6 +284,23 @@ def test_zero_fraction_exponent_parses(tmp_path, capsys, value, entry):
     assert code == 0 and payload["measure"]["entries"] == [["e", [entry], 1]]
 
 
+def test_sum_past_the_digit_limit_is_precondition_error(tmp_path, capsys, scatter_dtypes):
+    # each summand is within the limit, their sum has limit + 1 digits; the
+    # classification convolves it on Python ints, and only printing it fails
+    limit = sys.get_int_max_str_digits()
+    term = {"scale": [f"9e{limit - 1}", {"haar": []}]}
+    path = scenario(
+        tmp_path, {"schema_version": 1, "group": "C1", "measure": {"sum": [term, term]}}
+    )
+    message = f"a coefficient at e has more than {limit} digits, the int digit limit"
+    code, out, err = run(capsys, ["classify", "--scenario", path])
+    assert (code, out, err) == (4, "", f"error[precondition]: {message}\n")
+    assert object in scatter_dtypes
+    code, out, err = run(capsys, ["classify", "--scenario", path, "--json"])
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == {"category": "precondition", "message": message}
+
+
 def test_wrong_schema_version_is_parse_error(tmp_path, capsys):
     path = scenario(tmp_path, {"schema_version": 99, "group": "C2"})
     code, _, err = run(capsys, ["group", "--scenario", path])

@@ -1,10 +1,11 @@
-"""Int64 vs pure convolution kernel agreement.
+"""The convolution kernel on int64 and on Python ints.
 
-The int64 (numpy) path runs whenever a magnitude bound shows no intermediate
-can reach 2**62; otherwise, or under FORCE_PURE, the big-int kernel runs.
-These tests run both paths on identical packed arrays and require exactly
-equal results, dtype included, and check which path ran on either side of
-the bound.
+One numpy scatter runs on int64 rows whenever a magnitude bound shows no
+intermediate can reach 2**62; otherwise, or under FORCE_PURE, it runs on
+object rows.  These tests run both dtypes on identical packed arrays and
+require results equal to the pure-Python reference in tests/_pykernel.py,
+dtype included, and check at the kernel's one widening point
+(idemconv.cyclo._exact) which dtype ran on either side of the bound.
 """
 
 import os
@@ -18,10 +19,12 @@ from hypothesis import given, settings, strategies as st
 
 import idemconv
 from idemconv import _kernel
-from idemconv._kernel import _pykernel, backend_name, convolve_exact
+from idemconv._kernel import backend_name, convolve_exact
 from idemconv.cyclo import field_tables, max_abs, pack
 from idemconv.measures import Measure
 from idemconv import char_idem, character_group, closure, cyclic_group, convolve, dirac, haar, full_subgroup, symmetric_group
+
+from _pykernel import convolve_exact as reference
 
 RED_D1 = pack([[1]])  # rational coefficients: no reduction needed
 RED_PHI4 = pack([[1, 0], [0, 1], [-1, 0]])  # x^2 = -1 in Q(i)
@@ -48,6 +51,8 @@ def assert_same(got, want):
 
 
 def both_backends(mul_rows, mul_np, a, b, red, red_max=1):
+    """The kernel under FORCE_PURE and without it, each equal to the reference."""
+    want = reference(mul_rows, a, b, red.tolist())
     a, b = pack(a), pack(b)
     prev = _kernel.FORCE_PURE
     try:
@@ -57,29 +62,14 @@ def both_backends(mul_rows, mul_np, a, b, red, red_max=1):
         fast = convolve_exact(mul_rows, mul_np, a, b, red, red_max)
     finally:
         _kernel.FORCE_PURE = prev
+    assert_same(pure, want)
+    assert_same(fast, want)
     return pure, fast
 
 
 def reduction(n):
     tab = field_tables(n)
     return tab.pow_rows[: 2 * tab.degree - 1], tab.red_max
-
-
-def pure_must_not_run(*args):
-    raise AssertionError("fell back to the pure kernel within the int64 bound")
-
-
-def record_pure_calls(monkeypatch):
-    """Route the big-int kernel through a recorder; returns its call list."""
-    calls = []
-    real = _pykernel.convolve_exact
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(_pykernel, "convolve_exact", spy)
-    return calls
 
 
 def test_backend_name():
@@ -123,7 +113,7 @@ def test_backends_agree_random(data):
 
 @pytest.mark.parametrize("block_terms", [_kernel._BLOCK_TERMS, 7])
 @pytest.mark.parametrize("conductor", [1, 12, 105])
-def test_within_bound_runs_int64(monkeypatch, block_terms, conductor):
+def test_within_bound_runs_int64(monkeypatch, block_terms, conductor, scatter_dtypes):
     # conductor 105: d = 48 and red_max = 2; block_terms = 7 splits the
     # scatter into one block per row of a
     g = symmetric_group(3)
@@ -134,31 +124,30 @@ def test_within_bound_runs_int64(monkeypatch, block_terms, conductor):
     a = rng.integers(-1000, 1000, size=(g.order, d)).tolist()
     b = rng.integers(-1000, 1000, size=(g.order, d)).tolist()
     a[2] = [0] * d
-    expect = _pykernel.convolve_exact(mul_rows, a, b, red.tolist())
-    monkeypatch.setattr(_pykernel, "convolve_exact", pure_must_not_run)
+    expect = reference(mul_rows, a, b, red.tolist())
     monkeypatch.setattr(_kernel, "_BLOCK_TERMS", block_terms)
     got = convolve_exact(mul_rows, mul_np, pack(a), pack(b), red, red_max)
     assert_same(got, expect)
+    assert scatter_dtypes == [np.int64]
 
 
-def test_within_bound_measure_runs_int64(monkeypatch):
+def test_within_bound_measure_runs_int64(scatter_dtypes):
     full = full_subgroup(symmetric_group(5))
     expect = haar(full)
-    monkeypatch.setattr(_pykernel, "convolve_exact", pure_must_not_run)
     assert convolve(expect, expect) == expect
+    assert scatter_dtypes == [np.int64]
 
 
 @pytest.mark.parametrize(
     "a, b", [OVER_BOUND_C4, MIN_INT64_C4, DENSE_C8], ids=["2**40", "-2**63", "dense"]
 )
-def test_over_bound_falls_back_to_pure(monkeypatch, a, b):
+def test_over_bound_falls_back_to_pure(a, b, scatter_dtypes):
     mul_rows, mul_np = tables(cyclic_group(len(a)))
-    expect = _pykernel.convolve_exact(mul_rows, a, b, [[1]])
-    calls = record_pure_calls(monkeypatch)
+    expect = reference(mul_rows, a, b, [[1]])
     # int64 inputs, so the bound (not the dtype) decides the fallback
     a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
     assert_same(convolve_exact(mul_rows, mul_np, a, b, RED_D1, 1), expect)
-    assert len(calls) == 1
+    assert scatter_dtypes == [object]
     assert max(abs(v[0]) for v in expect) >= 2**63
 
 
@@ -167,7 +156,7 @@ def test_fallback_survives_optimize():
     code = (
         "import numpy as np\n"
         "from idemconv._kernel import convolve_exact\n"
-        "from idemconv._kernel._pykernel import convolve_exact as pure\n"
+        "from _pykernel import convolve_exact as pure\n"
         "from idemconv.cyclo import pack\n"
         f"a, b = {OVER_BOUND_C4!r}\n"
         "mul = [[(x + y) % 4 for y in range(4)] for x in range(4)]\n"
@@ -176,7 +165,8 @@ def test_fallback_survives_optimize():
         "raise SystemExit(0 if got.dtype == want.dtype and np.array_equal(got, want) else 1)\n"
     )
     src = os.path.dirname(os.path.dirname(idemconv.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code],
         env=dict(os.environ, PYTHONPATH=path),
@@ -199,14 +189,13 @@ def test_big_integers_stay_exact():
     assert any(abs(v[0]) >= 10**60 for v in pure)
 
 
-def test_force_pure_switch(monkeypatch):
+def test_force_pure_switch(monkeypatch, scatter_dtypes):
     mul_rows, mul_np = tables(cyclic_group(2))
-    calls = record_pure_calls(monkeypatch)
     monkeypatch.setattr(_kernel, "FORCE_PURE", True)
     assert backend_name() == "pure"
     e = pack([[1], [0]])
     assert_same(convolve_exact(mul_rows, mul_np, e, e, RED_D1, 1), [[1], [0]])
-    assert len(calls) == 1
+    assert scatter_dtypes == [object]
     monkeypatch.setattr(_kernel, "FORCE_PURE", False)
     assert backend_name() == "compiled"
 
@@ -251,11 +240,14 @@ def _random_measures(g, n, rng, count, size):
 
 
 def _assert_stack_is_convolve(g, n, a, b, stacked):
-    """Block (i, j) of the stack, over den_i * den_j, is convolve(a[i], b[j]) bit for bit."""
+    """Block (i, j) of the stack is the reference product of a[i] and b[j], and
+    over den_i * den_j it is convolve(a[i], b[j]) bit for bit."""
     m2 = len(b)
+    red = reduction(n)[0].tolist()
     for i, mu in enumerate(a):
         for j, nu in enumerate(b):
             block = stacked[(i * m2 + j) * g.order : (i * m2 + j + 1) * g.order]
+            assert_same(pack(block), reference(g.mul, mu.rows.tolist(), nu.rows.tolist(), red))
             got, want = Measure._build(g, n, block, mu.den * nu.den), convolve(mu, nu)
             assert (got.conductor, got.den) == (want.conductor, want.den)
             assert_same(got.rows, want.rows)
@@ -266,43 +258,55 @@ def _stack(measures):
 
 
 @pytest.mark.parametrize("conductor", [1, 12, 105])
-def test_stack_matches_per_pair_convolve_int64(monkeypatch, conductor):
+def test_stack_matches_per_pair_convolve_int64(monkeypatch, conductor, scatter_dtypes):
     g = symmetric_group(3)
     rng = np.random.default_rng(conductor)
     a = _random_measures(g, conductor, rng, 3, 1000)
     b = _random_measures(g, conductor, rng, 2, 1000)
     red, red_max = reduction(conductor)
-    monkeypatch.setattr(_pykernel, "convolve_exact", pure_must_not_run)
     stacked = convolve_exact(g.mul, g.mul_np, _stack(a), _stack(b), red, red_max)
     assert stacked.shape == (3 * 2 * g.order, field_tables(conductor).degree)
+    assert scatter_dtypes == [np.int64]
     monkeypatch.undo()
     _assert_stack_is_convolve(g, conductor, a, b, stacked)
 
 
-def test_stack_matches_per_pair_convolve_force_pure(monkeypatch):
+def test_stack_matches_per_pair_convolve_force_pure(monkeypatch, scatter_dtypes):
     g = symmetric_group(3)
     rng = np.random.default_rng(5)
     a = _random_measures(g, 12, rng, 2, 50)
     b = _random_measures(g, 12, rng, 3, 50)
     red, red_max = reduction(12)
-    calls = record_pure_calls(monkeypatch)
     monkeypatch.setattr(_kernel, "FORCE_PURE", True)
     stacked = convolve_exact(g.mul, g.mul_np, _stack(a), _stack(b), red, red_max)
-    assert len(calls) == 2 * 3  # the big-int kernel runs once per pair
+    assert scatter_dtypes == [object]  # one scatter on Python ints for the whole stack
     monkeypatch.setattr(_kernel, "FORCE_PURE", False)
     _assert_stack_is_convolve(g, 12, a, b, stacked)
 
 
-def test_stack_over_the_bound_falls_back_exactly(monkeypatch):
+def test_stack_over_the_bound_falls_back_exactly(scatter_dtypes):
     # one measure per side has entries near 2**40: its products pass 2**62,
-    # so the whole stack takes the big-int kernel and packs as object
+    # so the whole stack runs on Python ints and packs as object
     g = symmetric_group(3)
     rng = np.random.default_rng(8)
     a = _random_measures(g, 12, rng, 3, 50) + _random_measures(g, 12, rng, 1, 2**40)
     b = _random_measures(g, 12, rng, 1, 2**40) + _random_measures(g, 12, rng, 1, 50)
     red, red_max = reduction(12)
-    calls = record_pure_calls(monkeypatch)
     stacked = convolve_exact(g.mul, g.mul_np, _stack(a), _stack(b), red, red_max)
-    assert len(calls) == 4 * 2 and stacked.dtype == object
+    assert scatter_dtypes == [object] and stacked.dtype == object
     assert max_abs(stacked) >= 2**62
     _assert_stack_is_convolve(g, 12, a, b, stacked)
+
+
+@pytest.mark.parametrize("conductor", [1, 12, 105])
+def test_big_int_stack_matches_reference(conductor, scatter_dtypes):
+    # every nonzero measure has entries near 10**20, past int64 on input
+    g = symmetric_group(3)
+    rng = np.random.default_rng(conductor)
+    a, b = _random_measures(g, conductor, rng, 3, 50), _random_measures(g, conductor, rng, 2, 50)
+    a, b = [m.scale(10**20) for m in a], [m.scale(10**20) for m in b]
+    assert a[0].rows.dtype == b[0].rows.dtype == object
+    red, red_max = reduction(conductor)
+    stacked = convolve_exact(g.mul, g.mul_np, _stack(a), _stack(b), red, red_max)
+    assert scatter_dtypes == [object] and stacked.dtype == object
+    _assert_stack_is_convolve(g, conductor, a, b, stacked)

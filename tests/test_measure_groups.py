@@ -94,15 +94,16 @@ def test_g_k_rho_matches_translate_definition_s5_sample(s5):
 
 
 def test_g_k_rho_quotient_check_survives_optimize(run_optimized):
-    # a quotient path that loses the centralizer must be caught: for the
-    # trivial pair on S3 the direct definition gives all of S3
+    # a commutator path that loses elements must be caught: for the trivial
+    # pair on S3 the direct definition gives all of S3, while a commutator
+    # test over a corrupted N_{K,rho} = {e} keeps only the identity
     run_optimized(
         "import idemconv.measure_groups as mg\n"
         "from idemconv import character_group, symmetric_group, trivial_subgroup\n"
         "from idemconv.errors import InvariantViolation\n"
         "g = symmetric_group(3)\n"
         "t = trivial_subgroup(g)\n"
-        "mg.centralizer = lambda k: trivial_subgroup(k.parent)\n"
+        "mg.n_k_rho = lambda k, rho: trivial_subgroup(k.parent)\n"
         "try:\n"
         "    mg.g_k_rho(t, character_group(t)[0])\n"
         "except InvariantViolation as exc:\n"
