@@ -6,9 +6,10 @@ product is an n = 120 convolution with a large support; sparse: the rest),
 then times verify_prop_43 on each kept pair.  It reports the time per
 stratum, the slowest pair and a SHA-256 over every report's orders and
 counts in sample order, so two runs can be compared without storing the
-reports.  It also times one layer on its own: g_k_rho over all 515 S5
-(subgroup, character) items.  The row is stamped with the machine, Python,
-numpy and the kernel backend.
+reports.  An untimed pass over the same pairs under tracemalloc reports the
+largest per-pair peak of traced memory.  It also times one layer on its
+own: g_k_rho over all 515 S5 (subgroup, character) items.  The row is
+stamped with the machine, Python, numpy and the kernel backend.
 
 Invoke as: python3 benchmarks/bench_prop43.py [--out BENCH.json --label NAME]
 With --out, the row is appended to the "rows" list of that JSON file.
@@ -20,6 +21,7 @@ import hashlib
 import json
 import random
 import time
+import tracemalloc
 
 import common
 from idemconv import (
@@ -87,6 +89,14 @@ def main() -> None:
         digest.update(_key(rep).encode())
     total_s = sum(stratum_s.values())
 
+    tracemalloc.start()
+    peak = 0
+    for _, pair in sample:
+        tracemalloc.reset_peak()
+        verify_prop_43(*pair)
+        peak = max(peak, tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+
     row = {
         **common.stamp(__file__, args.label),
         "pairs": dict(QUOTA),
@@ -97,6 +107,7 @@ def main() -> None:
         "total_s": round(total_s, 3),
         "pairs_per_s": round(len(sample) / total_s, 2),
         "slowest_pair_ms": round(1000 * slowest, 1),
+        "peak_pair_traced_kb": round(peak / 1024, 1),
         "report_sha256": digest.hexdigest(),
     }
     print(json.dumps(row, indent=2))

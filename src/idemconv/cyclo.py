@@ -199,14 +199,17 @@ def conjugate_rows(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def multiply_rows(rows: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
-    """Field product of each coordinate row with the row s at conductor n:
-    the polynomial product by s, reduced by pow_rows."""
+    """Field product of each coordinate row with s at conductor n, where s is
+    one row or a stack of one row per row: the polynomial product by s,
+    reduced by pow_rows."""
     tab = field_tables(n)
     d = tab.degree
     bound = (2 * d - 1) * d * max(1, tab.red_max) * max_abs(rows) * max_abs(s)
 
     def product(r, s):
-        return r @ np.concatenate((s, [0]))[tab.toeplitz] @ tab.pow_rows[: 2 * d - 1]
+        padded = np.zeros(s.shape[:-1] + (d + 1,), dtype=s.dtype)
+        padded[..., :d] = s
+        return (r[:, None] @ padded[..., tab.toeplitz])[:, 0] @ tab.pow_rows[: 2 * d - 1]
 
     return _exact(bound, product, rows, s)
 
@@ -328,6 +331,9 @@ class CycloScalar:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "CycloScalar":
+        if isinstance(other, (int, Fraction)):
+            rows = scale_rows(self.rows, other.numerator)
+            return CycloScalar.from_row(self.conductor, rows, self.den * other.denominator)
         other = self._coerce(other)
         # a rational factor scales the row without promotion
         if other.is_rational():

@@ -11,13 +11,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from math import lcm
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .characters import Character, character_group, kernel
 from .commutation import classify_pair
-from .cyclo import CycloScalar
+from .cyclo import (
+    CycloScalar,
+    _exact,
+    conjugate_rows,
+    field_tables,
+    max_abs,
+    multiply_rows,
+    promote_rows,
+    scale_rows,
+)
 from .errors import InvariantViolation, PreconditionError
 from .groups import (
     GroupTable,
@@ -32,6 +42,7 @@ from .groups import (
 from .measures import (
     FloatMeasure,
     Measure,
+    _convolve_rows,
     adjoint,
     char_idem,
     convolve,
@@ -156,6 +167,76 @@ def is_local_unitary(nu: Measure, k: Subgroup, rho: Character) -> bool:
     return True
 
 
+def _translate_products(a: Measure, b: Measure, gs: Sequence[int]) -> tuple[np.ndarray, int]:
+    """Every product a * delta_g * b for g in gs, unnormalised: a stack
+    (len(gs), |G|, d) of numerators over a.den * b.den at the common
+    conductor n, returned with n.
+
+    The translates of b are one row gather, convolved against a in slices
+    so that no kernel call forms more term products than one convolution of
+    two full-support measures, |G|^2 d^2: the kernel's temporaries grow with
+    the stack, and an unsliced one would raise the peak memory.
+    """
+    parent = a.parent
+    order = parent.order
+    n = lcm(a.conductor, b.conductor)
+    a_rows = promote_rows(a.rows, a.conductor, n)
+    b_rows = promote_rows(b.rows, b.conductor, n)
+    d = a_rows.shape[1]
+    # row x of delta_g * b is row g^-1 x of b
+    translates = b_rows[parent.mul_np[np.asarray(parent.inv)[list(gs)]]]
+    step = max(1, order * order // (len(a.support()) * len(b.support())))
+    prods = [
+        _convolve_rows(parent, n, a_rows, translates[lo : lo + step].reshape(-1, d))
+        for lo in range(0, len(translates), step)
+    ]
+    return np.concatenate(prods).reshape(-1, order, d), n
+
+
+def _coset_unit_multiples(
+    prods: np.ndarray, den: int, n: int, k12: Subgroup, rho12: Character
+) -> tuple[np.ndarray, np.ndarray]:
+    """unit_multiple over a stack of products, in array passes.
+
+    prods is (m, |G|, d): numerators over den at conductor n, which rho12's
+    conductor divides.  Returns, for each product P, its least support
+    element s0 and whether P has support s0 K12 and is a unit multiple of
+    delta_{s0} * omega, omega = rho12 m_K12.  That translate's coefficient
+    at s0 is omega(e) = 1/|K12|, rational and nonzero, so the multiple is
+    z = |K12| T(e) for T(k) = P(s0 k), and unit_multiple succeeds exactly
+    when T(k) = T(e) zeta_n^t(k) on K12 (t: rho12's exponents at conductor
+    n) and |K12|^2 T(e) conj(T(e)) = 1: both are compares of integer rows
+    over den, the second against den^2.
+    """
+    parent = k12.parent
+    tab = field_tables(n)
+    d = tab.degree
+    ks = np.asarray(k12.elements)
+    nonzero = (prods != 0).any(axis=2)
+    s0 = nonzero.argmax(axis=1)
+    coset = parent.mul_np[s0[:, None], ks]  # [i, k] -> s0_i k
+    shaped = np.zeros_like(nonzero)
+    shaped[np.arange(len(prods))[:, None], coset] = True
+    idx = np.flatnonzero((shaped == nonzero).all(axis=1))
+
+    lead = prods[idx, s0[idx]]  # T(e)
+    t = rho12._exponents[ks] // (parent.exponent // n)
+    # rot[k, j] is zeta^(j + t(k)), so lead @ rot[k] is T(e) zeta^t(k)
+    rot = tab.pow_rows[(np.arange(d) + t[:, None]) % n]
+    want = _exact(
+        d * max_abs(lead) * tab.pow_max,
+        lambda r, q: (r[:, None, None] @ q)[:, :, 0],
+        lead,
+        rot,
+    )
+    multiple = (prods[idx[:, None], coset[idx]] == want).all(axis=(1, 2))
+    norm = scale_rows(multiply_rows(lead, conjugate_rows(lead, n), n), k12.order**2)
+    unit = (norm[:, 0] == den * den) & ~(norm[:, 1:] != 0).any(axis=1)
+    hit = np.zeros(len(prods), dtype=bool)
+    hit[idx] = multiple & unit
+    return s0, hit
+
+
 @dataclass(frozen=True)
 class Prop43Report:
     k12: Subgroup
@@ -189,10 +270,14 @@ def verify_prop_43(
     rho m_{K1K2} survive left translation, so each c[g2] is convolved and
     tested once, and g1 only moves its translation part: from the coset
     s0 K1K2 to the coset g1 s0 K1K2, read off as that coset's least
-    element.  Each G_{K_j,rho_j} is computed once.  The reverse step reuses
-    c[x2] for x2 in H2 (a subset of G_{K2,rho2}) to build the pair blocks,
-    each checked equal to delta_b * omega (omega = rho m_{K1K2}).  Every
-    block index b = x1 x2 lies in G_{K1K2,rho}, so delta_b * omega =
+    element.  Every c[g2] comes from one stacked convolution of the
+    translates, in slices (_translate_products), and is tested in array
+    passes (_coset_unit_multiples); only the c[x2] the reverse step reads
+    become Measures.  Each G_{K_j,rho_j} is computed once.  The reverse
+    step reuses c[x2] for x2 in H2 (a subset of G_{K2,rho2}) to build the
+    pair blocks, each checked equal to delta_b * omega (omega =
+    rho m_{K1K2}).  Every block index b = x1 x2 lies in G_{K1K2,rho}, so
+    delta_b * omega =
     omega * delta_b and omega * block_b = (omega * omega) * delta_b, bit for
     bit: one square omega * omega, right-translated by b, gives every step.
     Every node measure of the realization search is checked equal to
@@ -216,39 +301,36 @@ def verify_prop_43(
     h2 = intersection(big2, g_prod)
     span = closure(parent, h1.elements + h2.elements)
     span_set = span.element_set
-    g_prod_set = g_prod.element_set
     h2_set = h2.element_set
 
     idem1 = char_idem(k1, rho1)
     idem2 = char_idem(k2, rho2)
     idem12 = char_idem(k12, rho12)
     # the least element of each left coset x K1K2
-    coset_min = parent.mul_np[:, k12.elements].min(axis=1).tolist()
+    coset_min = parent.mul_np[:, k12.elements].min(axis=1)
 
     # forward: conditional inclusion over all Gamma generator pairs
-    realized = 0
-    c: dict[int, Measure] = {}  # c[g2] for g2 in H2, reused by the reverse step
-    for g2 in big2.elements:
-        prod = convolve(idem1, idem2.translate_left(g2))
-        if g2 in h2_set:
-            c[g2] = prod
-        supp = prod.support()
-        if len(supp) != k12.order:
-            continue
-        s0 = supp[0]
-        if sorted(mul[s0][x] for x in k12.elements) != list(supp):
-            continue
-        if unit_multiple(prod, idem12.translate_left(s0)) is None:
-            continue
-        for g1 in big1.elements:
-            s = coset_min[mul[g1][s0]]
-            if s not in g_prod_set:
-                continue
-            realized += 1
-            if s not in span_set:
-                raise InvariantViolation(
-                    "forward inclusion fails: product lands outside <H1 H2>"
-                )
+    prods, n = _translate_products(idem1, idem2, big2.elements)
+    den = idem1.den * idem2.den
+    s0, hit = _coset_unit_multiples(prods, den, n, k12, rho12)
+    # the g1-translate of c[g2] lies on the coset g1 s0 K1K2
+    s = coset_min[parent.mul_np[np.asarray(big1.elements)[:, None], s0[hit]]]
+    in_prod = np.zeros(parent.order, dtype=bool)
+    in_prod[list(g_prod.elements)] = True
+    in_span = np.zeros(parent.order, dtype=bool)
+    in_span[list(span.elements)] = True
+    s = s[in_prod[s]]
+    realized = s.size
+    if not in_span[s].all():
+        raise InvariantViolation(
+            "forward inclusion fails: product lands outside <H1 H2>"
+        )
+    # c[x2] for x2 in H2, reused by the reverse step
+    c = {
+        x2: Measure._build(parent, n, prods[j], den)
+        for j, x2 in enumerate(big2.elements)
+        if x2 in h2_set
+    }
 
     # reverse: BFS realization by pair blocks, scalar 1
     sq = convolve(idem12, idem12)

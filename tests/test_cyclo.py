@@ -1,5 +1,6 @@
 """Exact cyclotomic scalar arithmetic."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from idemconv import CycloScalar
-from idemconv.cyclo import pack
+from idemconv.cyclo import multiply_rows, pack
 
 
 fractions = st.fractions(
@@ -185,3 +186,46 @@ def test_object_path_matches_int64_path(a, b):
     assert (big_a == big_b) == (a == b)
     assert big_a.to_complex() == a.to_complex() * BIG
     assert str(big_a * down) == str(a)
+
+
+def _seeded_scalar(rng, conductor):
+    terms = [
+        CycloScalar.root_of_unity(Fraction(rng.randrange(conductor), conductor), conductor)
+        * Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        for _ in range(rng.randint(1, 3))
+    ]
+    return sum(terms[1:], terms[0])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rational_factor_scales_like_a_rational_scalar(seed):
+    # z * q scales z's row directly; z * CycloScalar(q) packs and normalizes
+    # q first: both must give the same canonical value, dtype included
+    rng = random.Random(seed)
+    for _ in range(40):
+        z = _seeded_scalar(rng, rng.choice([1, 3, 4, 5, 8, 12, 24]))
+        if rng.random() < 0.2:
+            z = z * BIG
+        for q in (
+            0,
+            -1,
+            rng.randint(-9, 9),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+            Fraction(-BIG, 3),
+        ):
+            via_scalar = z * CycloScalar.from_rational(q)
+            assert _same(z * q, via_scalar)
+            assert _same(q * z, via_scalar)
+
+
+def test_multiply_rows_by_a_stack_matches_row_by_row():
+    rng = random.Random(5)
+    for n in (1, 4, 5, 12, 24):
+        a = [_seeded_scalar(rng, n) for _ in range(6)]
+        b = [_seeded_scalar(rng, n) for _ in range(6)]
+        rows = np.vstack([x.rows for x in a])
+        stack = np.vstack([y.rows for y in b])
+        want = np.vstack([multiply_rows(x.rows, y.rows[0], n) for x, y in zip(a, b)])
+        assert (multiply_rows(rows, stack, n) == want).all()
+        wide = multiply_rows(rows.astype(object) * BIG, stack, n)
+        assert wide.dtype == object and (wide == want.astype(object) * BIG).all()

@@ -3,8 +3,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from idemconv import _kernel
 from idemconv import (
     CycloScalar,
     Measure,
@@ -32,8 +34,15 @@ from idemconv import (
     trivial_subgroup,
     verify_prop_43,
 )
+from idemconv.cyclo import field_tables, multiply_rows
 from idemconv.errors import InvariantViolation, PreconditionError
-from idemconv.measure_groups import Prop43Report, exp_char_diagonal, unit_multiple
+from idemconv.measure_groups import (
+    Prop43Report,
+    _coset_unit_multiples,
+    _translate_products,
+    exp_char_diagonal,
+    unit_multiple,
+)
 from idemconv.measures import FloatMeasure
 from idemconv.suite import _g18
 
@@ -363,16 +372,70 @@ def test_prop_43_matches_reference_g18():
     assert rep == _reference_prop_43(k1, rho1, k2, rho2)
 
 
-def test_prop_43_matches_reference_dense_s5(s5):
+def _term_products(monkeypatch):
+    """The term products of every convolve_exact call: nonzero rows of each
+    side times d^2, as the kernel forms them."""
+    counts = []
+    real = _kernel.convolve_exact
+
+    def spy(mul_rows, mul_np, a_rows, b_rows, red_rows, red_max):
+        nnz_a = int((a_rows != 0).any(axis=1).sum())
+        nnz_b = int((b_rows != 0).any(axis=1).sum())
+        counts.append(nnz_a * nnz_b * red_rows.shape[1] ** 2)
+        return real(mul_rows, mul_np, a_rows, b_rows, red_rows, red_max)
+
+    monkeypatch.setattr(_kernel, "convolve_exact", spy)
+    return counts
+
+
+def test_prop_43_matches_reference_dense_s5(s5, monkeypatch):
     # A5 (trivial) with <(12)> (sign): K1K2 = S5, G_{A5,1} = S5, so every
     # product is an n = 120 convolution with a dense first factor
     a5 = closure(s5, [s5.idx("(123)"), s5.idx("(12345)")])
     k2 = closure(s5, [s5.idx("(12)")])
     sign = next(c for c in character_group(k2) if not c.is_trivial)
-    rep = verify_prop_43(a5, trivial_char(a5), k2, sign)
+    with monkeypatch.context() as m:
+        terms = _term_products(m)
+        rep = verify_prop_43(a5, trivial_char(a5), k2, sign)
+    # the 12 translates fit one kernel call, then the square omega * omega;
+    # d = 1 at conductors 1 and 2
+    assert len(terms) == 2
+    assert max(terms) <= s5.order**2
     assert rep.k12.order == 120
     assert rep.forward_pairs == 120 * g_k_rho(k2, sign).order
     assert rep == _reference_prop_43(a5, trivial_char(a5), k2, sign)
+
+
+def test_prop_43_slices_dense_translates_at_the_bound(s5, monkeypatch):
+    # m_A5 with itself: |K1||K2| = 3600, so the 120 translates go to the
+    # kernel in 30 slices of 4, each forming exactly |G|^2 = 14,400 terms
+    a5 = closure(s5, [s5.idx("(123)"), s5.idx("(12345)")])
+    one = trivial_char(a5)
+    terms = _term_products(monkeypatch)
+    rep = verify_prop_43(a5, one, a5, one)
+    assert terms[:30] == [s5.order**2] * 30
+    assert len(terms) == 31 and terms[30] <= s5.order**2
+    assert (rep.forward_pairs, rep.forward_realized, rep.reverse_realized) == (14400, 14400, 120)
+
+
+def test_prop_43_matches_reference_sliced_s5(s5):
+    # <(123)> (trivial) with A5 (trivial): |K1||K2| = 180, so the 120
+    # translates of m_A5 go to the kernel in two slices of 80 and 40
+    c3 = closure(s5, [s5.idx("(123)")])
+    a5 = closure(s5, [s5.idx("(123)"), s5.idx("(12345)")])
+    pair = (c3, trivial_char(c3), a5, trivial_char(a5))
+    assert verify_prop_43(*pair) == _reference_prop_43(*pair)
+
+
+def test_prop_43_matches_reference_object_scatter(s4, monkeypatch, scatter_dtypes):
+    # under FORCE_PURE every scatter, the stacked forward slices included,
+    # runs on Python ints; the reports must not change
+    pairs = random.Random(44).sample(_commuting_pairs(s4), 12)
+    want = [_reference_prop_43(*pair) for pair in pairs]
+    monkeypatch.setattr(_kernel, "FORCE_PURE", True)
+    del scatter_dtypes[:]
+    assert [verify_prop_43(*pair) for pair in pairs] == want
+    assert scatter_dtypes and set(scatter_dtypes) == {np.dtype(object)}
 
 
 def _sample_commuting_pairs(g, count, seed):
@@ -428,6 +491,73 @@ def test_convolution_commutes_with_translation_bit_for_bit(s4, seed):
             assert (lhs.num, lhs.den, lhs.conductor) == (rhs.num, rhs.den, rhs.conductor)
 
 
+def _reference_hits(prod, k12, idem12):
+    """c[g2]'s forward test as unit_multiple decides it: (s0, hit)."""
+    supp = prod.support()
+    if not supp:
+        return None, False
+    s0 = supp[0]
+    if sorted(k12.parent.mul[s0][x] for x in k12.elements) != list(supp):
+        return s0, False
+    return s0, unit_multiple(prod, idem12.translate_left(s0)) is not None
+
+
+@pytest.mark.parametrize("name, count", [("s4", 40), ("s5", 12)])
+def test_coset_unit_multiples_match_unit_multiple(name, count, request):
+    g = request.getfixturevalue(name)
+    hits = 0
+    for k1, rho1, k2, rho2 in _sample_commuting_pairs(g, count, 14):
+        v = classify_pair(k1, rho1, k2, rho2)
+        k12, rho12 = v.product_subgroup, v.product_character
+        idem1, idem2 = char_idem(k1, rho1), char_idem(k2, rho2)
+        idem12 = char_idem(k12, rho12)
+        g2s = g_k_rho(k2, rho2).elements
+        prods, n = _translate_products(idem1, idem2, g2s)
+        den = idem1.den * idem2.den
+        s0, hit = _coset_unit_multiples(prods, den, n, k12, rho12)
+        for j, g2 in enumerate(g2s):
+            prod = convolve(idem1, idem2.translate_left(g2))
+            built = Measure._build(g, n, prods[j], den)
+            assert (built.num, built.den, built.conductor) == (prod.num, prod.den, prod.conductor)
+            want_s0, want_hit = _reference_hits(prod, k12, idem12)
+            assert bool(hit[j]) == want_hit
+            if want_s0 is not None:
+                assert s0[j] == want_s0
+            hits += want_hit
+    assert hits
+
+
+def test_coset_unit_multiples_reject_near_misses(d4):
+    # stacks with the right coset support that are no unit multiple, a
+    # multiple that spills off the coset, and a zero product, beside true
+    # multiples by the units -1 and i
+    k1 = closure(d4, [d4.idx("r^2")])
+    k2 = closure(d4, [d4.idx("r")])
+    rho1 = next(c for c in character_group(k1) if not c.is_trivial)
+    rho2 = next(c for c in character_group(k2) if c.rotation(d4.idx("r")) == Fraction(1, 4))
+    v = classify_pair(k1, rho1, k2, rho2)
+    k12, rho12 = v.product_subgroup, v.product_character
+    idem1, idem2 = char_idem(k1, rho1), char_idem(k2, rho2)
+    prods, n = _translate_products(idem1, idem2, g_k_rho(k2, rho2).elements)
+    den = idem1.den * idem2.den
+    _, hit = _coset_unit_multiples(prods, den, n, k12, rho12)
+    p = prods[int(hit.argmax())]
+    assert hit.any() and n == 4
+    supp = p.any(axis=1).nonzero()[0]
+    bent = p.copy()
+    bent[supp[-1]] *= 2
+    spilled = p.copy()
+    spilled[np.flatnonzero(~p.any(axis=1))[-1]] = p[supp[0]]
+    times_i = multiply_rows(p, field_tables(n).pow_rows[1], n)
+    stack = np.stack([2 * p, bent, spilled, np.zeros_like(p), -p, times_i, p])
+    _, hit = _coset_unit_multiples(stack, den, n, k12, rho12)
+    assert hit.tolist() == [False] * 4 + [True] * 3
+    idem12 = char_idem(k12, rho12)
+    for rows, want in zip(stack, hit):
+        prod = Measure._build(d4, n, rows, den)
+        assert _reference_hits(prod, k12, idem12)[1] == want
+
+
 def test_forward_inclusion_survives_optimize(run_optimized):
     # two point masses at e: every delta_{g1} * delta_{g2} is realized, so
     # a span too small for the translation parts must be reported
@@ -447,10 +577,10 @@ def test_forward_inclusion_survives_optimize(run_optimized):
     )
 
 
-def test_reverse_checks_survive_optimize(run_optimized):
-    # one corrupted row in every product must fail the pair-block collapse
-    # or the scalar-1 realization, never pass silently
-    run_optimized(
+def _corrupted_prop_43(patch, message):
+    """Code for run_optimized: verify_prop_43 on a D4 pair after patch; it
+    exits 0 when the InvariantViolation raised names message."""
+    return (
         "from fractions import Fraction\n"
         "import idemconv.measure_groups as mg\n"
         "from idemconv import character_group, closure, dihedral_group\n"
@@ -461,20 +591,47 @@ def test_reverse_checks_survive_optimize(run_optimized):
         "rho1 = next(c for c in character_group(k1) if not c.is_trivial)\n"
         "rho2 = next(c for c in character_group(k2)"
         " if c.rotation(g.idx('r')) == Fraction(1, 4))\n"
-        "real = mg.convolve\n"
-        "def corrupted(a, b):\n"
-        "    m = real(a, b)\n"
-        "    supp = m.support()\n"
-        "    if not supp:\n"
-        "        return m\n"
-        "    rows = list(m.num)\n"
-        "    rows[supp[-1]] = tuple(2 * c for c in rows[supp[-1]])\n"
-        "    return mg.Measure._build(m.parent, m.conductor, rows, m.den)\n"
-        "mg.convolve = corrupted\n"
-        "try:\n"
+        + patch
+        + "try:\n"
         "    mg.verify_prop_43(k1, rho1, k2, rho2)\n"
         "except InvariantViolation as exc:\n"
-        "    msg = str(exc)\n"
-        "    raise SystemExit(0 if 'pair block' in msg or 'reverse' in msg else 3)\n"
+        f"    raise SystemExit(0 if {message!r} in str(exc) else 3)\n"
         "raise SystemExit(1)\n"
+    )
+
+
+def test_reverse_checks_survive_optimize(run_optimized):
+    # one corrupted row in every product of the forward step's stack, of
+    # which the pair blocks are made, must fail the pair-block collapse
+    run_optimized(
+        _corrupted_prop_43(
+            "real = mg._convolve_rows\n"
+            "def corrupted(parent, n, a, b):\n"
+            "    out = real(parent, n, a, b).reshape(-1, parent.order, a.shape[1]).copy()\n"
+            "    for block in out:\n"
+            "        supp = block.any(axis=1).nonzero()[0]\n"
+            "        if supp.size:\n"
+            "            block[supp[-1]] *= 2\n"
+            "    return out.reshape(-1, a.shape[1])\n"
+            "mg._convolve_rows = corrupted\n",
+            "pair block",
+        )
+    )
+
+
+def test_reverse_square_check_survives_optimize(run_optimized):
+    # one corrupted row in the square omega * omega, of which every step of
+    # the realization search is made, must fail the scalar-1 realization
+    run_optimized(
+        _corrupted_prop_43(
+            "real = mg.convolve\n"
+            "def corrupted(a, b):\n"
+            "    m = real(a, b)\n"
+            "    supp = m.support()\n"
+            "    rows = list(m.num)\n"
+            "    rows[supp[-1]] = tuple(2 * c for c in rows[supp[-1]])\n"
+            "    return mg.Measure._build(m.parent, m.conductor, rows, m.den)\n"
+            "mg.convolve = corrupted\n",
+            "reverse realization",
+        )
     )
