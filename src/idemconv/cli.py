@@ -82,6 +82,8 @@ def _load_scenario(path: str) -> dict:
         raise CliError("parse", f"scenario is not valid JSON: {exc}", "--scenario")
     except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
         raise CliError("parse", f"scenario holds an oversized number: {exc}", "--scenario")
+    except RecursionError:  # nesting past the decoder's depth
+        raise CliError("parse", "scenario is nested too deeply", "--scenario")
     if not isinstance(obj, dict):
         raise CliError("parse", "scenario must be a JSON object", "--scenario")
     ver = obj.get("schema_version")
@@ -234,8 +236,11 @@ def _build_group(spec, field: str = "group") -> GroupTable:
                     f"of {MAX_GROUP_ORDER}",
                     f"{field}.table",
                 )
+            labels = spec.get("labels")
+            if labels is not None and not isinstance(labels, list):
+                raise CliError("parse", "labels must be a list", f"{field}.labels")
             try:
-                return GroupTable(table, spec.get("labels"))
+                return GroupTable(table, labels)
             except ValueError as exc:
                 raise CliError("parse", f"invalid group table: {exc}", f"{field}.table")
         if "semidirect" in spec:

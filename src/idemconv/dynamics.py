@@ -377,6 +377,8 @@ def free_product_decay(
         raise PreconditionError("both cyclic orders must be at least 2")
     if budget is None:
         budget = _word_budget()
+    if m * n > budget:  # the base measure has exactly m n words a^i b^j
+        raise BudgetExceeded(f"word support exceeded budget {budget}")
     orders = (m, n)
 
     def factor_haar(slot: int, order: int, rot: Optional[Fraction]) -> WordMeasure:

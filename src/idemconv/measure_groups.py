@@ -237,6 +237,19 @@ def _coset_unit_multiples(
     return s0, hit
 
 
+def _left_translates_of(rows: np.ndarray, den: int, n: int, omega: Measure, gs) -> bool:
+    """Whether every rows[i] / den at conductor n (a stack of numerators, not
+    necessarily in lowest terms) is delta_{gs[i]} * omega, as Measure.__eq__
+    decides it: both sides at the common conductor, cross-multiplied."""
+    parent = omega.parent
+    m = lcm(n, omega.conductor)
+    # row x of delta_g * omega is row g^-1 x of omega
+    want = omega.rows[parent.mul_np[np.asarray(parent.inv)[gs]]]
+    lhs = scale_rows(promote_rows(rows.reshape(-1, rows.shape[-1]), n, m), omega.den)
+    rhs = scale_rows(promote_rows(want.reshape(-1, want.shape[-1]), omega.conductor, m), den)
+    return bool((lhs == rhs).all())
+
+
 @dataclass(frozen=True)
 class Prop43Report:
     k12: Subgroup
@@ -272,17 +285,17 @@ def verify_prop_43(
     s0 K1K2 to the coset g1 s0 K1K2, read off as that coset's least
     element.  Every c[g2] comes from one stacked convolution of the
     translates, in slices (_translate_products), and is tested in array
-    passes (_coset_unit_multiples); only the c[x2] the reverse step reads
-    become Measures.  Each G_{K_j,rho_j} is computed once.  The reverse
-    step reuses c[x2] for x2 in H2 (a subset of G_{K2,rho2}) to build the
-    pair blocks, each checked equal to delta_b * omega (omega =
-    rho m_{K1K2}).  Every block index b = x1 x2 lies in G_{K1K2,rho}, so
-    delta_b * omega =
-    omega * delta_b and omega * block_b = (omega * omega) * delta_b, bit for
-    bit: one square omega * omega, right-translated by b, gives every step.
-    Every node measure of the realization search is checked equal to
-    delta_g * omega, so the step from g by block b is the g-translate of
-    that product.
+    passes (_coset_unit_multiples).  Each G_{K_j,rho_j} is computed once.
+
+    Reverse, with omega = rho m_{K1K2}: the pair block delta_x1 * c[x2] is
+    delta_{x1 x2} * omega exactly when c[x2] is delta_x2 * omega, so one
+    compare over x2 in H2 decides every block.  Each block index b = x1 x2
+    lies in G_{K1K2,rho}, so omega * block_b = (omega * omega) * delta_b, and
+    the search step from g by b, delta_g * (omega * omega) * delta_b, is
+    delta_{g b} * omega exactly when (omega * omega) * delta_b is
+    delta_b * omega: one compare over every b decides every step (b = e asks
+    omega * omega = omega).  The steps from e reach the subgroup the b
+    generate, which must be <H1 H2>.
     """
     verdict = classify_pair(k1, rho1, k2, rho2)
     if verdict.kind != "commute":
@@ -292,7 +305,7 @@ def verify_prop_43(
     k12 = verdict.product_subgroup
     rho12 = verdict.product_character
     parent = k1.parent
-    mul = parent.mul
+    mul_np = parent.mul_np
 
     big1 = g_k_rho(k1, rho1)
     big2 = g_k_rho(k2, rho2)
@@ -300,21 +313,19 @@ def verify_prop_43(
     h1 = intersection(big1, g_prod)
     h2 = intersection(big2, g_prod)
     span = closure(parent, h1.elements + h2.elements)
-    span_set = span.element_set
-    h2_set = h2.element_set
 
     idem1 = char_idem(k1, rho1)
     idem2 = char_idem(k2, rho2)
     idem12 = char_idem(k12, rho12)
     # the least element of each left coset x K1K2
-    coset_min = parent.mul_np[:, k12.elements].min(axis=1)
+    coset_min = mul_np[:, k12.elements].min(axis=1)
 
     # forward: conditional inclusion over all Gamma generator pairs
     prods, n = _translate_products(idem1, idem2, big2.elements)
     den = idem1.den * idem2.den
     s0, hit = _coset_unit_multiples(prods, den, n, k12, rho12)
     # the g1-translate of c[g2] lies on the coset g1 s0 K1K2
-    s = coset_min[parent.mul_np[np.asarray(big1.elements)[:, None], s0[hit]]]
+    s = coset_min[mul_np[np.asarray(big1.elements)[:, None], s0[hit]]]
     in_prod = np.zeros(parent.order, dtype=bool)
     in_prod[list(g_prod.elements)] = True
     in_span = np.zeros(parent.order, dtype=bool)
@@ -325,43 +336,23 @@ def verify_prop_43(
         raise InvariantViolation(
             "forward inclusion fails: product lands outside <H1 H2>"
         )
-    # c[x2] for x2 in H2, reused by the reverse step
-    c = {
-        x2: Measure._build(parent, n, prods[j], den)
-        for j, x2 in enumerate(big2.elements)
-        if x2 in h2_set
-    }
-
-    # reverse: BFS realization by pair blocks, scalar 1
+    # reverse: one compare decides every pair block, one every search step
+    in_h2 = np.isin(big2.elements, h2.elements)
+    x2s = np.asarray(big2.elements)[in_h2]
+    if not _left_translates_of(prods[in_h2], den, n, idem12, x2s):
+        raise InvariantViolation(
+            "pair block does not collapse to a translate of rho m_K1K2"
+        )
+    blocks = np.unique(mul_np[np.asarray(h1.elements)[:, None], x2s])
     sq = convolve(idem12, idem12)
-    steps: dict[int, Measure] = {}  # block index b -> omega * block_b
-    for x1 in h1.elements:
-        for x2 in h2.elements:
-            g = mul[x1][x2]
-            if g in steps:
-                continue
-            if c[x2].translate_left(x1) != idem12.translate_left(g):
-                raise InvariantViolation(
-                    "pair block does not collapse to a translate of rho m_K1K2"
-                )
-            steps[g] = sq.translate_right(g)
-    reached = {parent.identity}
-    frontier = [parent.identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for b, q in steps.items():
-                t = mul[g][b]
-                if t in reached:
-                    continue
-                if q.translate_left(g) != idem12.translate_left(t):
-                    raise InvariantViolation(
-                        "reverse realization produced a non-unit scalar"
-                    )
-                reached.add(t)
-                nxt.append(t)
-        frontier = nxt
-    if reached != span_set:
+    # row x of sq * delta_b is row x b^-1 of sq
+    sq_b = sq.rows[mul_np[:, np.asarray(parent.inv)[blocks]].T]
+    if not _left_translates_of(sq_b, sq.den, sq.conductor, idem12, blocks):
+        raise InvariantViolation(
+            "reverse realization produced a non-unit scalar"
+        )
+    reached = closure(parent, blocks.tolist())
+    if reached.element_set != span.element_set:
         raise InvariantViolation("pair blocks fail to reach all of <H1 H2>")
 
     return Prop43Report(
@@ -374,7 +365,7 @@ def verify_prop_43(
         proper_inclusion=span.order < g_prod.order,
         forward_pairs=big1.order * big2.order,
         forward_realized=realized,
-        reverse_realized=len(reached),
+        reverse_realized=reached.order,
         passed=True,
     )
 

@@ -75,6 +75,16 @@ def test_table_with_null_entry_is_parse_error(tmp_path, capsys):
     assert "invalid group table: table rows must be length-n index vectors" in err
 
 
+@pytest.mark.parametrize("labels", [5, {"e": 0}, "e"])
+def test_table_labels_of_wrong_type_are_parse_error(tmp_path, capsys, labels):
+    path = scenario(
+        tmp_path, {"schema_version": 1, "group": {"table": [[0]], "labels": labels}}
+    )
+    code, out, err = run_json(capsys, ["group", "--scenario", path])
+    assert code == 2 and out is None
+    assert json.loads(err)["error"]["field"] == "group.labels"
+
+
 def test_classify_trivial_haar(tmp_path, capsys):
     path = scenario(
         tmp_path, {"schema_version": 1, "group": "C1", "measure": {"haar": []}}
@@ -226,6 +236,27 @@ def test_invalid_json_is_parse_error(tmp_path, capsys):
     p.write_text("{nope")
     code, _, err = run(capsys, ["group", "--scenario", str(p)])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"schema_version": 1, "group": "C1", "measure": '
+        + '{"sum": [' * 600 + '{"haar": []}' + "]}" * 600 + "}",
+        "[" * 100_000 + "]" * 100_000,
+    ],
+    ids=["sum-600", "arrays-100000"],
+)
+def test_deeply_nested_scenario_is_parse_error(tmp_path, capsys, text):
+    p = tmp_path / "deep.json"
+    p.write_text(text)
+    code, out, err = run_json(capsys, ["classify", "--scenario", str(p)])
+    assert code == 2 and out is None
+    assert json.loads(err)["error"] == {
+        "category": "parse",
+        "field": "--scenario",
+        "message": "scenario is nested too deeply",
+    }
 
 
 def test_oversized_json_integer_is_parse_error(tmp_path, capsys):

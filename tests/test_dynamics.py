@@ -17,6 +17,7 @@ from idemconv import (
     stromberg_check,
     verify_corollary_35,
 )
+from idemconv.dynamics import FreeWord
 from idemconv.errors import BudgetExceeded, PreconditionError
 
 
@@ -131,6 +132,18 @@ def test_free_product_decay_budget_flag():
     rep = free_product_decay(2, 3, n_max=8, budget=100)
     assert rep.budget_exceeded
     assert len(rep.max_by_power) < 8
+
+
+def test_free_product_budget_is_checked_before_building_words(monkeypatch):
+    # the base measure has exactly m n words: past the budget no word is built
+    def refuse(self):
+        raise AssertionError("a FreeWord was built")
+
+    assert free_product_decay(2, 3, n_max=1, budget=6).support_by_power == (6,)
+    monkeypatch.setattr(FreeWord, "__post_init__", refuse)
+    for m, n, budget in [(2, 3, 5), (200_000, 2, 1000)]:
+        with pytest.raises(BudgetExceeded, match=f"exceeded budget {budget}$"):
+            free_product_decay(m, n, budget=budget)
 
 
 def test_free_product_budget_env_var(monkeypatch):

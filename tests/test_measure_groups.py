@@ -619,6 +619,31 @@ def test_reverse_checks_survive_optimize(run_optimized):
     )
 
 
+def test_one_corrupted_pair_block_survives_optimize(run_optimized):
+    # one corrupted row in the forward product c[x2] of a single x2 != e in
+    # H2 must fail the pair-block collapse: every x2 is checked, not only e
+    run_optimized(
+        _corrupted_prop_43(
+            "v = mg.classify_pair(k1, rho1, k2, rho2)\n"
+            "h2 = mg.intersection(\n"
+            "    mg.g_k_rho(k2, rho2), mg.g_k_rho(v.product_subgroup, v.product_character)\n"
+            ")\n"
+            "x2 = h2.elements[-1]\n"
+            "if x2 == g.identity:\n"
+            "    raise SystemExit(4)\n"
+            "real = mg._translate_products\n"
+            "def corrupted(a, b, gs):\n"
+            "    prods, n = real(a, b, gs)\n"
+            "    prods = prods.copy()\n"
+            "    block = prods[list(gs).index(x2)]\n"
+            "    block[block.any(axis=1).nonzero()[0][-1]] *= 2\n"
+            "    return prods, n\n"
+            "mg._translate_products = corrupted\n",
+            "pair block",
+        )
+    )
+
+
 def test_reverse_square_check_survives_optimize(run_optimized):
     # one corrupted row in the square omega * omega, of which every step of
     # the realization search is made, must fail the scalar-1 realization
