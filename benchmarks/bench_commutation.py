@@ -8,16 +8,20 @@ is then classified again with verify=True, which convolves and checks each
 verdict; the two runs must agree on kind, witness, product subgroup and
 product character, or the script raises.
 
-The second row times the commute-oracle-sweep fixture's work: every one of
+The second row times the same sweep through classify_row(verify=False),
+one call per K1 against every (K2, characters) block of S5, reading the
+verdicts in the same sweep order; the script raises unless its counts and
+digest equal the first row's.
+
+The third row times the commute-oracle-sweep fixture's work: every one of
 the 8,290 ordered pairs of S3, S4, D4 and Q8, checked against brute-force
-convolution with classify_block(verify=True), one call per ordered subgroup
-pair (K1, K2).  It reports the best of three passes and the verdict counts
-per group.
+convolution with classify_row(verify=True), one call per K1.  It reports
+the best of three passes and the verdict counts per group.
 
 Each row is stamped with the machine, Python, numpy and the kernel backend.
 
 Invoke as: python3 benchmarks/bench_commutation.py [--out BENCH.json --label NAME]
-With --out, both rows are appended to the "rows" list of that JSON file.
+With --out, the three rows are appended to the "rows" list of that JSON file.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ import common
 from idemconv import (
     all_subgroups,
     character_group,
-    classify_block,
     classify_pair,
+    classify_row,
     dihedral_group,
     quaternion_group,
     symmetric_group,
@@ -94,6 +98,36 @@ def _s5_row(label: str) -> dict:
     }
 
 
+def _s5_rows_row(label: str, reference: dict) -> dict:
+    s5 = symmetric_group(5)
+    blocks = [(k, character_group(k)) for k in all_subgroups(s5)]
+
+    counts: Counter[str] = Counter()
+    digest = hashlib.sha256()
+    t0 = time.perf_counter()
+    for k1, chars1 in blocks:
+        row = classify_row(k1, chars1, blocks)
+        for i in range(len(chars1)):
+            for block in row:
+                for v in block[i]:
+                    counts[v.kind] += 1
+                    digest.update(f"{v.kind}:{v.witness};".encode())
+    sweep_s = time.perf_counter() - t0
+    pairs = sum(counts.values())
+    verdicts = dict(sorted(counts.items()))
+    if (verdicts, digest.hexdigest()) != (reference["verdicts"], reference["witness_sha256"]):
+        raise RuntimeError(f"classify_row sweep disagrees: {verdicts}, {digest.hexdigest()}")
+    return {
+        **common.stamp(__file__, label),
+        "workload": "s5-sweep-classify_row",
+        "pairs": pairs,
+        "sweep_s": round(sweep_s, 3),
+        "pairs_per_s": round(pairs / sweep_s),
+        "verdicts": verdicts,
+        "witness_sha256": digest.hexdigest(),
+    }
+
+
 def _oracle_row(label: str) -> dict:
     groups = [symmetric_group(3), symmetric_group(4), dihedral_group(4), quaternion_group()]
     blocks = {g.name: [(k, character_group(k)) for k in all_subgroups(g)] for g in groups}
@@ -103,8 +137,7 @@ def _oracle_row(label: str) -> dict:
         for name, group_blocks in blocks.items():
             counts: Counter[str] = Counter()
             for k1, chars1 in group_blocks:
-                for k2, chars2 in group_blocks:
-                    block = classify_block(k1, chars1, k2, chars2, verify=True)
+                for block in classify_row(k1, chars1, group_blocks, verify=True):
                     counts.update(v.kind for row in block for v in row)
             per[name] = dict(sorted(counts.items()))
         best = min(best, time.perf_counter() - t0)
@@ -123,7 +156,8 @@ def _oracle_row(label: str) -> dict:
 
 def main() -> None:
     args = common.parser(__doc__).parse_args()
-    for row in (_s5_row(args.label), _oracle_row(args.label)):
+    s5 = _s5_row(args.label)
+    for row in (s5, _s5_rows_row(args.label, s5), _oracle_row(args.label)):
         print(json.dumps(row, indent=2))
         common.append(args.out, row)
 

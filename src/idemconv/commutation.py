@@ -14,11 +14,16 @@ element of its support, and the two products are compared as integer
 vectors.  A verdict keeps those exponents and builds the product measures
 only when they are read.
 
-classify_block decides every pair of characters of one ordered subgroup
-pair (K1, K2) the same way, pair by pair.  Nothing is convolved unless
-verify=True, which cross-checks the verdicts of a whole block against
-brute-force convolution, one stacked kernel call per side; the test suite
-and classify_pair(verify=True), a block of one pair, switch it on.
+classify_row decides every pair of characters of K1 against each block
+(K2, characters of K2) of a row, one array pass per block: the characters'
+exponents are stacked, so one compare on K1 meet K2 finds every zero
+product and one scatter through the multiplication table gives every pair
+of products; classify_block is a row of one block.  classify_pair keeps
+the per-pair form, which is faster than a block of one pair.  Nothing is
+convolved unless verify=True, which cross-checks the verdicts of a whole
+row against brute-force convolution, one stacked kernel call per side for
+each conductor of the row's blocks; the test suite, the oracle fixture and
+classify_pair(verify=True), a row of one 1x1 block, switch it on.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ __all__ = [
     "CommutationVerdict",
     "classify_pair",
     "classify_block",
+    "classify_row",
     "SemidirectReport",
     "semidirect_counterexample",
 ]
@@ -159,55 +165,193 @@ def _decide(
     return CommutationVerdict("non_commuting", witness=int(differs.argmax()), _products=products)
 
 
+def _exponents(chars: Sequence[Character]) -> np.ndarray:
+    """The characters' _exponents stacked as rows: -1 off their domain."""
+    return np.stack([rho._exponents for rho in chars])
+
+
+def _decide_block(
+    k1: Subgroup,
+    chars1: Sequence[Character],
+    t1: np.ndarray,
+    k2: Subgroup,
+    chars2: Sequence[Character],
+    keep: bool,
+) -> list[list[CommutationVerdict]]:
+    """_decide on every pair of one (K1, K2) block, in one array pass.
+
+    The pairs share the scatter indices mul[K1][:, K2] and mul[K2][:, K1],
+    the intersection K1 meet K2 and the support K1K2, so stacking the characters'
+    exponents gives every zero test, every pair of products and every
+    witness at once.  K12 is built once; each commuting pair's product
+    character is validated as _decide validates it.  Entry [i][j] is
+    _decide's verdict on (chars1[i], chars2[j]), products included.  t1
+    is _exponents(chars1), computed once per row.
+    """
+    if not chars1 or not chars2:
+        return [[] for _ in chars1]
+    parent = k1.parent
+    t2 = _exponents(chars2)
+    a, b = np.array(k1.elements), np.array(k2.elements)
+    meet = a[t2[0, a] >= 0]
+    zero = (t1[:, None, meet] != t2[None, :, meet]).any(axis=2)
+    i, j = (~zero).nonzero()
+
+    # _decide's exponent vectors for each pair that is not zero, in row order
+    s = (t1[i][:, a, None] + t2[j][:, None, b]) % parent.exponent
+    exps = np.full((i.size, 2, parent.order), -1, dtype=np.int64)
+    exps[:, 0][:, parent.mul_np[a[:, None], b]] = s
+    exps[:, 1][:, parent.mul_np[b[:, None], a]] = s.swapaxes(1, 2)
+    differs = exps[:, 0] != exps[:, 1]
+    commute = ~differs.any(axis=1)
+    witness = differs.argmax(axis=1).tolist()
+    if commute.any():
+        support = np.flatnonzero(exps[0, 0] >= 0)
+        k12 = subgroup_from_elements(
+            parent, support.tolist(), k1.generators + k2.generators, validate=False
+        )
+        values = iter(exps[commute, 0][:, support].tolist())
+    # |K1K2| = |K1||K2| / |K1 meet K2|, the support of either product
+    den = k1.order * k2.order // meet.size
+    # the exponents of two zero products, shared by the block's zero verdicts
+    zeros = np.full((2, parent.order), -1, dtype=np.int64)
+    zeros.flags.writeable = False
+
+    conductors2 = [rho.conductor for rho in chars2]
+    verdicts = []
+    p = 0
+    for rho1, row_zero in zip(chars1, zero.tolist()):
+        n1, row = rho1.conductor, []
+        for n2, z in zip(conductors2, row_zero):
+            n = lcm(n1, n2)
+            if z:
+                products = (parent, n, 1, zeros) if keep else None
+                row.append(CommutationVerdict("zero_product", _products=products))
+                continue
+            products = (parent, n, den, exps[p])
+            if not commute[p]:
+                v = CommutationVerdict("non_commuting", witness=witness[p], _products=products)
+            else:
+                try:
+                    rho12 = Character(k12, tuple(next(values)))
+                except ValueError as exc:
+                    raise InvariantViolation(
+                        f"products agree but give no character: {exc}"
+                    ) from exc
+                v = CommutationVerdict("commute", k12, rho12, _products=products if keep else None)
+            row.append(v)
+            p += 1
+        verdicts.append(row)
+    return verdicts
+
+
 _DISAGREES = {
     "zero_product": "zero_product verdict, nonzero convolution",
     "commute": "commute verdict, convolutions disagree with it",
     "non_commuting": "closed-form products disagree with the convolutions",
 }
 
+# bound on the bytes of stacked products that the row check holds for one run
+# of blocks: the left and right convolutions and their closed forms, four
+# int64 entries per pair, group element and coordinate
+_ROW_BYTES = 8 << 20
 
-def _check_block(
+
+def _row_runs(
     k1: Subgroup,
     chars1: Sequence[Character],
-    k2: Subgroup,
-    chars2: Sequence[Character],
-    verdicts: list[list[CommutationVerdict]],
-) -> None:
-    """Check the verdicts of a block against brute-force convolution.
+    blocks2: Sequence[tuple[Subgroup, Sequence[Character]]],
+) -> list[list[int]]:
+    """The block indices of a row, in the runs that _check_row convolves.
 
-    Each side's char_idem rows are built once, from the characters' exps
-    (never from the closed form), at the block's common conductor n; one
-    kernel call per side gives every left and every right product, each over
-    |K1||K2|.  Every closed-form product counts each x = ab once per element
-    of K1 meet K2, so times |K1 meet K2| it must equal its convolution.  A
-    commute verdict's character must restrict to rho1 and rho2 and its
-    char_idem must equal the products; a witness must be the first element
-    where the two convolutions differ.  Failures raise InvariantViolation.
+    Blocks are grouped by their conductor, the lcm of every conductor in
+    chars1 and in the block's chars2, so each pair is convolved at its
+    block's conductor, as a block on its own would be.  A group whose
+    stacked products would pass _ROW_BYTES is cut into runs of whole
+    blocks.  Blocks with no characters are in no run.
     """
+    order, n1 = k1.parent.order, lcm(*(rho.conductor for rho in chars1))
+    groups: dict[int, list[int]] = {}
+    for b, (_, chars2) in enumerate(blocks2):
+        if chars2:
+            groups.setdefault(lcm(n1, *(rho.conductor for rho in chars2)), []).append(b)
+    runs = []
+    for n, members in groups.items():
+        per_char = 4 * len(chars1) * order * field_tables(n).degree * 8
+        runs.append([])
+        size = 0
+        for b in members:
+            width = len(blocks2[b][1]) * per_char
+            if runs[-1] and size + width > _ROW_BYTES:
+                runs.append([])
+                size = 0
+            runs[-1].append(b)
+            size += width
+    return runs
+
+
+def _check_row(
+    k1: Subgroup,
+    chars1: Sequence[Character],
+    blocks2: Sequence[tuple[Subgroup, Sequence[Character]]],
+    verdicts: Sequence[list[list[CommutationVerdict]]],
+) -> None:
+    """Check the verdicts of a row of blocks against brute-force convolution,
+    one run of blocks (_row_runs) at a time."""
+    for run in _row_runs(k1, chars1, blocks2):
+        _check_run(k1, chars1, [blocks2[b] for b in run], [verdicts[b] for b in run])
+
+
+def _check_run(
+    k1: Subgroup,
+    chars1: Sequence[Character],
+    blocks2: Sequence[tuple[Subgroup, Sequence[Character]]],
+    verdicts: Sequence[list[list[CommutationVerdict]]],
+) -> None:
+    """Check the verdicts of one run of blocks of a row.
+
+    The run's K2 characters are stacked as one list of columns.  Each
+    side's char_idem rows are built once, from the characters' exps (never
+    from the closed form), at the run's common conductor n; one kernel call
+    per side gives every left and every right product, each over |K1||K2|.
+    Every closed-form product counts each x = ab once per element of
+    K1 meet K2, so times its column's |K1 meet K2| it must equal its
+    convolution.  A commute verdict's character must restrict to rho1 and
+    rho2 and its char_idem must equal the products; a witness must be the
+    first element where the two convolutions differ.  Failures raise
+    InvariantViolation.
+    """
+    chars2 = [rho for _, chars in blocks2 for rho in chars]
     parent = k1.parent
     order, m1, m2 = parent.order, len(chars1), len(chars2)
     n = lcm(*(rho.conductor for rho in chars1), *(rho.conductor for rho in chars2))
-    rows1, rows2 = _char_idem_rows(k1, chars1, n), _char_idem_rows(k2, chars2, n)
+    rows1 = _char_idem_rows(k1, chars1, n)
+    rows2 = np.concatenate([_char_idem_rows(k2, chars, n) for k2, chars in blocks2])
     left = _convolve_rows(parent, n, rows1, rows2).reshape(m1, m2, order, -1)
     right = _convolve_rows(parent, n, rows2, rows1).reshape(m2, m1, order, -1).swapaxes(0, 1)
-    meet = len(k1.element_set & k2.element_set)
+    widths = [len(chars) for _, chars in blocks2]
+    meet = np.repeat([len(k1.element_set & k2.element_set) for k2, _ in blocks2], widths)
 
-    flat = [v for row in verdicts for v in row]
+    # verdict [i, c] of the run: row i of chars1, column c of chars2
+    flat = [v for i in range(m1) for block in verdicts for v in block[i]]
     exps = np.stack([v._products[3] for v in flat]).reshape(m1, m2, 2, order)
-    closed = meet * _monomial_rows(parent, exps, n)
-    wrong = (np.stack((left, right), axis=2) != closed).any(axis=(2, 3, 4)).ravel()
+    closed = _monomial_rows(parent, exps, n)
+    closed *= meet[:, None, None, None]
+    wrong = ((left != closed[:, :, 0]) | (right != closed[:, :, 1])).any(axis=(2, 3)).ravel()
     if wrong.any():
         raise InvariantViolation(_DISAGREES[flat[int(wrong.argmax())].kind])
 
-    for i, row in enumerate(verdicts):
-        for j, v in enumerate(row):
-            if v.kind != "commute":
-                continue
-            rho12 = v.product_character
-            if rho12._exps_on(k1) != chars1[i].exps or rho12._exps_on(k2) != chars2[j].exps:
-                raise InvariantViolation("product character does not restrict to rho1, rho2")
-            if not (left[i, j] == meet * _char_idem_rows(v.product_subgroup, (rho12,), n)).all():
-                raise InvariantViolation("commute verdict, convolutions differ from its char_idem")
+    pairs = [p for p, v in enumerate(flat) if v.kind == "commute"]
+    if pairs:
+        i, c = np.divmod(pairs, m2)
+        t12 = _exponents([flat[p].product_character for p in pairs])
+        t1, t2 = _exponents(chars1)[i], _exponents(chars2)[c]
+        if (((t1 >= 0) & (t12 != t1)) | ((t2 >= 0) & (t12 != t2))).any():
+            raise InvariantViolation("product character does not restrict to rho1, rho2")
+        # rho12's char_idem over |K12| is _monomial_rows of its exponents
+        idem = meet[c][:, None, None] * _monomial_rows(parent, t12, n)
+        if (left[i, c] != idem).any():
+            raise InvariantViolation("commute verdict, convolutions differ from its char_idem")
 
     differs = (left != right).any(axis=3)
     first = np.where(differs.any(axis=2), differs.argmax(axis=2), -1).ravel()
@@ -232,13 +376,39 @@ def classify_pair(
     (c) otherwise                                    -> non_commuting, witness.
 
     The products are compared as exponent vectors (module docstring);
-    verify=True checks the verdict as a block of one pair (classify_block).
+    verify=True checks the verdict as a row of one 1x1 block (classify_row).
     """
     _require(k1, (rho1,), k2, (rho2,))
     v = _decide(k1, rho1, k2, rho2, verify)
     if verify:
-        _check_block(k1, (rho1,), k2, (rho2,), [[v]])
+        _check_row(k1, (rho1,), [(k2, (rho2,))], [[[v]]])
     return v
+
+
+def classify_row(
+    k1: Subgroup,
+    chars1: Sequence[Character],
+    blocks2: Sequence[tuple[Subgroup, Sequence[Character]]],
+    *,
+    verify: bool = False,
+) -> list[list[list[CommutationVerdict]]]:
+    """classify_block of K1 against each (k2, chars2) of blocks2.
+
+    Entry [b][i][j] is the verdict on (chars1[i], blocks2[b][1][j]), decided
+    as classify_pair decides it, one array pass per block.  verify=True
+    checks the whole row against brute-force convolution: one stacked
+    kernel call per side for each conductor of the row's blocks, cut into
+    runs of whole blocks where the stack would pass _ROW_BYTES.
+    """
+    # chars1 once for the row, then each block's characters and parent
+    _require(k1, chars1, k1, ())
+    for k2, chars2 in blocks2:
+        _require(k1, (), k2, chars2)
+    t1 = _exponents(chars1) if chars1 else None
+    verdicts = [_decide_block(k1, chars1, t1, k2, chars2, verify) for k2, chars2 in blocks2]
+    if verify and chars1:
+        _check_row(k1, chars1, blocks2, verdicts)
+    return verdicts
 
 
 def classify_block(
@@ -249,17 +419,11 @@ def classify_block(
     *,
     verify: bool = False,
 ) -> list[list[CommutationVerdict]]:
-    """classify_pair on every pair of characters of K1 and of K2.
-
-    Entry [i][j] is the verdict on (chars1[i], chars2[j]), decided as
-    classify_pair decides it.  verify=True checks the whole block against
-    brute-force convolution with one stacked kernel call per side.
+    """classify_pair on every pair of characters of K1 and of K2: the row of
+    one block (classify_row).  Entry [i][j] is the verdict on
+    (chars1[i], chars2[j]).
     """
-    _require(k1, chars1, k2, chars2)
-    verdicts = [[_decide(k1, r1, k2, r2, verify) for r2 in chars2] for r1 in chars1]
-    if verify and chars1 and chars2:
-        _check_block(k1, chars1, k2, chars2, verdicts)
-    return verdicts
+    return classify_row(k1, chars1, [(k2, chars2)], verify=verify)[0]
 
 
 @dataclass(frozen=True)

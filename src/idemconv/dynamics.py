@@ -329,11 +329,14 @@ def _word_convolve(
         for w2, c2 in nu.items():
             w = w1 * w2
             prev = out.get(w)
-            out[w] = c1 * c2 if prev is None else prev + c1 * c2
-        if len(out) > budget:
-            raise BudgetExceeded(
-                f"word support exceeded budget {budget}", partial=out
-            )
+            if prev is not None:
+                out[w] = prev + c1 * c2
+            elif len(out) >= budget:  # w would be word budget + 1
+                raise BudgetExceeded(
+                    f"word support exceeded budget {budget}", partial=out
+                )
+            else:
+                out[w] = c1 * c2
     return {
         w: c
         for w, c in out.items()

@@ -42,7 +42,7 @@ from .measures import (
     convolve,
     dirac,
 )
-from .commutation import classify_block, classify_pair, semidirect_counterexample
+from .commutation import classify_pair, classify_row, semidirect_counterexample
 from .dynamics import (
     free_product_decay,
     idempotent_power_limit,
@@ -196,19 +196,19 @@ def _fx_example_24ii(cfg: SuiteConfig) -> FixtureResult:
 
 @_fixture("commute-oracle-sweep")
 def _fx_commute_sweep(cfg: SuiteConfig) -> FixtureResult:
-    """classify_block vs brute-force convolution on every ordered pair.
+    """classify_row vs brute-force convolution on every ordered pair.
 
-    verify=True convolves every product of each (K1, K2) block exactly and
-    checks the verdicts, so a single mismatch raises InvariantViolation and
-    fails the fixture.
+    verify=True convolves every product of each K1's row of (K1, K2) blocks
+    exactly and checks the verdicts, so a single mismatch raises
+    InvariantViolation and fails the fixture.
     """
     per: dict[str, dict] = {}
     for g in _sweep_groups():
         blocks = [(k, character_group(k)) for k in all_subgroups(g)]
         counts = {"commute": 0, "zero_product": 0, "non_commuting": 0}
         for k1, chars1 in blocks:
-            for k2, chars2 in blocks:
-                for row in classify_block(k1, chars1, k2, chars2, verify=True):
+            for block in classify_row(k1, chars1, blocks, verify=True):
+                for row in block:
                     for v in row:
                         counts[v.kind] += 1
         items = sum(len(chars) for _, chars in blocks)

@@ -8,18 +8,21 @@ from math import lcm
 import numpy as np
 import pytest
 
+import idemconv.commutation as commutation
 from idemconv import (
     all_subgroups,
     char_idem,
     character_group,
     classify_block,
     classify_pair,
+    classify_row,
     closure,
     convolve,
     cyclic_group,
     full_subgroup,
     semidirect_counterexample,
 )
+from idemconv.cyclo import field_tables
 from idemconv.errors import PreconditionError
 
 
@@ -169,7 +172,8 @@ def test_verify_check_survives_optimize(run_optimized):
 
 def test_product_character_failure_survives_optimize(run_optimized):
     # equal closed-form products must give a character (structure theorem);
-    # if building it fails, that is reported, not turned into a verdict
+    # if building it fails, that is reported, not turned into a verdict, by
+    # the pair decision and by the block decision alike
     run_optimized(
         "import idemconv.commutation as c\n"
         "from idemconv import character_group, closure, symmetric_group\n"
@@ -182,8 +186,13 @@ def test_product_character_failure_survives_optimize(run_optimized):
         "c.Character = broken\n"
         "try:\n"
         "    c.classify_pair(k1, character_group(k1)[0], k2, character_group(k2)[0])\n"
+        "    raise SystemExit(1)\n"
         "except InvariantViolation:\n"
-        "    raise SystemExit(0)\n"
+        "    pass\n"
+        "try:\n"
+        "    c.classify_block(k1, character_group(k1), k2, character_group(k2))\n"
+        "except InvariantViolation as exc:\n"
+        "    raise SystemExit(0 if 'products agree but give no character' in str(exc) else 4)\n"
         "raise SystemExit(1)\n"
     )
 
@@ -248,12 +257,27 @@ def _exps(chi, n):
     return np.array([r.numerator * (n // r.denominator) for r in chi.rot])
 
 
-def _reference_product(parent, k1, rho1, k2, rho2, n):
-    """(rho1 m_K1) * (rho2 m_K2): integer rows over |K1||K2| at conductor n."""
+def _reference_product(k1, rho1, k2, rho2, n):
+    """(rho1 m_K1) * (rho2 m_K2): integer rows over |K1||K2| at conductor n,
+    read-only."""
+    parent = k1.parent
     x = parent.mul_np[np.array(k1.elements)[:, None], np.array(k2.elements)]
     t = np.add.outer(_exps(rho1, n), _exps(rho2, n)) % n
     counts = np.bincount((x * n + t).ravel(), minlength=parent.order * n)
-    return counts.reshape(parent.order, n) @ _power_basis(n)[0]
+    rows = counts.reshape(parent.order, n) @ _power_basis(n)[0]
+    rows.flags.writeable = False
+    return rows
+
+
+def _convolution(k1, rho1, k2, rho2):
+    return convolve(char_idem(k1, rho1), char_idem(k2, rho2))
+
+
+# The exhaustive comparisons meet every pair of a group twice, pair by pair
+# and in blocks, and each product once more as the other side of the swapped
+# pair, so they compute each product once per session.  Sampled S5 pairs
+# seldom repeat, and compute theirs afresh rather than hold them.
+_SHARED = (lru_cache(maxsize=None)(_reference_product), lru_cache(maxsize=None)(_convolution))
 
 
 def _same_products(v, left, right, n, scale):
@@ -261,15 +285,17 @@ def _same_products(v, left, right, n, scale):
         assert mu.conductor == n and np.array_equal(np.array(mu.num) * scale, ref * mu.den)
 
 
-def _check_against_reference(parent, k1, rho1, k2, rho2, v=None):
+def _check_against_reference(parent, k1, rho1, k2, rho2, v=None, shared=False):
     """v, or classify_pair's verdict, against the reference products; a
-    verdict from verify=True carries its products for every kind."""
+    verdict from verify=True carries its products for every kind.  shared
+    reads the products from the session's _SHARED caches."""
+    reference, convolution = _SHARED if shared else (_reference_product, _convolution)
     verified = v is not None
     if v is None:
         v = classify_pair(k1, rho1, k2, rho2)
     n = lcm(rho1.conductor, rho2.conductor)
-    left = _reference_product(parent, k1, rho1, k2, rho2, n)
-    right = _reference_product(parent, k2, rho2, k1, rho1, n)
+    left = reference(k1, rho1, k2, rho2, n)
+    right = reference(k2, rho2, k1, rho1, n)
     scale = k1.order * k2.order
     if verified or v.kind == "non_commuting":
         _same_products(v, left, right, n, scale)
@@ -283,7 +309,7 @@ def _check_against_reference(parent, k1, rho1, k2, rho2, v=None):
         assert (v.kind, v.witness) == ("non_commuting", differs[0])
         sides = ((v.left, left, (k1, rho1), (k2, rho2)), (v.right, right, (k2, rho2), (k1, rho1)))
         for mu, ref, a, b in sides:
-            conv = convolve(char_idem(*a), char_idem(*b))
+            conv = convolution(*a, *b)
             assert (mu.conductor, mu.num, mu.den) == (conv.conductor, conv.num, conv.den)
             assert mu.rows.dtype == conv.rows.dtype
         return
@@ -308,7 +334,7 @@ def test_closed_form_matches_reference_exhaustively(name, request):
     items = _items(group)
     for k1, r1 in items:
         for k2, r2 in items:
-            _check_against_reference(group, k1, r1, k2, r2)
+            _check_against_reference(group, k1, r1, k2, r2, shared=True)
 
 
 def test_closed_form_matches_reference_on_s5_sample(s5):
@@ -319,21 +345,21 @@ def test_closed_form_matches_reference_on_s5_sample(s5):
         _check_against_reference(s5, k1, r1, k2, r2)
 
 
-def _check_blocks_against_reference(group, pairs):
+def _check_blocks_against_reference(group, pairs, shared=False):
     for k1, k2 in pairs:
         chars1, chars2 = character_group(k1), character_group(k2)
         verdicts = classify_block(k1, chars1, k2, chars2, verify=True)
         assert [len(row) for row in verdicts] == [len(chars2)] * len(chars1)
         for r1, row in zip(chars1, verdicts):
             for r2, v in zip(chars2, row):
-                _check_against_reference(group, k1, r1, k2, r2, v)
+                _check_against_reference(group, k1, r1, k2, r2, v, shared)
 
 
 @pytest.mark.parametrize("name", ["s3", "s4", "d4", "q8"])
 def test_block_matches_reference_exhaustively(name, request):
     group = request.getfixturevalue(name)
     subs = all_subgroups(group)
-    _check_blocks_against_reference(group, [(k1, k2) for k1 in subs for k2 in subs])
+    _check_blocks_against_reference(group, [(k1, k2) for k1 in subs for k2 in subs], True)
 
 
 def test_block_matches_reference_on_s5_sample(s5):
@@ -367,27 +393,53 @@ def test_block_rejects_foreign_characters(s3):
     k2 = closure(s3, [s3.idx("(13)")])
     with pytest.raises(PreconditionError):
         classify_block(k1, character_group(k1) + character_group(k2), k2, character_group(k2))
+    # in a row, a later block's characters are checked too
+    blocks2 = [(k2, character_group(k2)), (k2, character_group(k1))]
+    with pytest.raises(PreconditionError):
+        classify_row(k1, character_group(k1), blocks2)
 
 
 @pytest.mark.parametrize("verify", [False, True])
 def test_empty_block_has_no_verdicts(s3, verify):
     k1 = closure(s3, [s3.idx("(12)")])
     k2 = closure(s3, [s3.idx("(123)")])
-    assert classify_block(k1, [], k2, character_group(k2), verify=verify) == []
-    assert classify_block(k1, character_group(k1), k2, [], verify=verify) == [[], []]
+    chars1, chars2 = character_group(k1), character_group(k2)
+    assert classify_block(k1, [], k2, chars2, verify=verify) == []
+    assert classify_block(k1, chars1, k2, [], verify=verify) == [[], []]
+    assert classify_row(k1, chars1, [], verify=verify) == []
+    row = classify_row(k1, chars1, [(k2, []), (k2, chars2)], verify=verify)
+    assert row[0] == [[], []] and [len(r) for r in row[1]] == [3, 3]
 
 
-# -- each check of a verified block, under python -O ----------------------------
+# -- each check of a verified row, under python -O -------------------------------
+# The block decision is wrapped so that it corrupts one verdict after deciding
+# it: the first verdict of the given kind, in the block of target (any block
+# when target is None).  The row check must name it.
+#
 # S3 with K1 = <(12)> and K2 = <(123)>: a 2 x 3 block in which both
 # characters of K1 commute with the trivial one of K2 and the other four
-# pairs do not.  One pair's verdict is corrupted after it is decided; the
-# check must name it.
+# pairs do not.
 
-_BLOCK_SETUP = (
+_CORRUPTING = (
     "import dataclasses\n"
     "import idemconv.commutation as c\n"
     "from idemconv import character_group, closure, symmetric_group\n"
     "from idemconv.errors import InvariantViolation\n"
+    "decide = c._decide_block\n"
+    "def corrupting(kind, change, target=None):\n"
+    "    done = []\n"
+    "    def corrupted(k1, chars1, t1, k2, chars2, keep):\n"
+    "        block = decide(k1, chars1, t1, k2, chars2, keep)\n"
+    "        for row in block:\n"
+    "            for j, v in enumerate(row):\n"
+    "                if v.kind == kind and not done and target in (None, k2):\n"
+    "                    done.append(v)\n"
+    "                    row[j] = change(v)\n"
+    "        return block\n"
+    "    return corrupted\n"
+)
+
+_S3_BLOCK = (
     "g = symmetric_group(3)\n"
     "k1 = closure(g, [g.idx('(12)')])\n"
     "k2 = closure(g, [g.idx('(123)')])\n"
@@ -396,25 +448,18 @@ _BLOCK_SETUP = (
     "kinds = sorted(v.kind for row in block for v in row)\n"
     "if kinds != ['commute'] * 2 + ['non_commuting'] * 4:\n"
     "    raise SystemExit(3)\n"
-    "decide = c._decide\n"
-    "def corrupting(kind, change):\n"
-    "    done = []\n"
-    "    def corrupted(*args):\n"
-    "        v = decide(*args)\n"
-    "        if v.kind == kind and not done:\n"
-    "            done.append(v)\n"
-    "            return change(v)\n"
-    "        return v\n"
-    "    return corrupted\n"
+    "def classify():\n"
+    "    c.classify_block(k1, chars1, k2, chars2, verify=True)\n"
 )
 
 
-def _expect_block_failure(run_optimized, kind, change, message):
+def _expect_block_failure(run_optimized, kind, change, message, setup=_S3_BLOCK, target=None):
     run_optimized(
-        _BLOCK_SETUP
-        + f"c._decide = corrupting({kind!r}, {change})\n"
+        _CORRUPTING
+        + setup
+        + f"c._decide_block = corrupting({kind!r}, {change}, {target})\n"
         + "try:\n"
-        + "    c.classify_block(k1, chars1, k2, chars2, verify=True)\n"
+        + "    classify()\n"
         + "except InvariantViolation as exc:\n"
         + f"    raise SystemExit(0 if {message!r} in str(exc) else 4)\n"
         + "raise SystemExit(1)\n"
@@ -463,3 +508,150 @@ def test_block_witness_check_survives_optimize(run_optimized):
         "lambda v: dataclasses.replace(v, witness=v.witness + 1)",
         "witness is not the first difference",
     )
+
+
+def test_row_char_idem_check_survives_optimize(run_optimized):
+    # S4 with K1 = <(12)>, against K2 = <(12)(34)> and then K2 = <(34)>: in
+    # both blocks every pair commutes with K1K2 = <(12), (34)>, and both are
+    # at conductor 2, so the row check convolves them in one run, the second
+    # block's pairs after the first's.  The trivial pair of the second block
+    # gets a D4 that contains K1K2 as its product subgroup and the trivial
+    # character of D4 as its product character: the products and the
+    # restrictions are unchanged, but that character's char_idem spreads
+    # over eight elements where the products have four
+    _expect_block_failure(
+        run_optimized,
+        "commute",
+        "lambda v: dataclasses.replace(v, product_subgroup=d4, "
+        "product_character=character_group(d4)[0])",
+        "commute verdict, convolutions differ from its char_idem",
+        setup=(
+            "g = symmetric_group(4)\n"
+            "k1 = closure(g, [g.idx('(12)')])\n"
+            "first = closure(g, [g.idx('(12)(34)')])\n"
+            "k2 = closure(g, [g.idx('(34)')])\n"
+            "d4 = closure(g, [g.idx('(1324)'), g.idx('(12)')])\n"
+            "chars1 = character_group(k1)\n"
+            "blocks2 = [(first, character_group(first)), (k2, character_group(k2))]\n"
+            "row = c.classify_row(k1, chars1, blocks2, verify=True)\n"
+            "if [v.kind for block in row for r in block for v in r] != ['commute'] * 8:\n"
+            "    raise SystemExit(3)\n"
+            "if c._row_runs(k1, chars1, blocks2) != [[0, 1]]:\n"
+            "    raise SystemExit(3)\n"
+            "if d4.order != 8 or not k1.element_set | k2.element_set <= d4.element_set:\n"
+            "    raise SystemExit(3)\n"
+            "def classify():\n"
+            "    c.classify_row(k1, chars1, blocks2, verify=True)\n"
+        ),
+        target="k2",
+    )
+
+
+# -- the block decision against _decide, and the row --------------------------
+
+
+def _verdict_key(v):
+    k12, rho12 = v.product_subgroup, v.product_character
+    products = None
+    if v._products is not None:
+        parent, n, den, exps = v._products
+        products = (id(parent), n, den, exps.tolist())
+    return (
+        v.kind,
+        v.witness,
+        None if k12 is None else (k12.elements, k12.generators),
+        None if rho12 is None else rho12.exps,
+        products,
+    )
+
+
+def _check_block_decision(pairs, keep):
+    for k1, k2 in pairs:
+        chars1, chars2 = character_group(k1), character_group(k2)
+        block = commutation._decide_block(
+            k1, chars1, commutation._exponents(chars1), k2, chars2, keep
+        )
+        assert [[_verdict_key(v) for v in row] for row in block] == [
+            [_verdict_key(commutation._decide(k1, r1, k2, r2, keep)) for r2 in chars2]
+            for r1 in chars1
+        ]
+
+
+@pytest.mark.parametrize("keep", [False, True])
+@pytest.mark.parametrize("name", ["s3", "s4", "d4", "q8"])
+def test_block_decision_matches_pairwise_exhaustively(name, keep, request):
+    group = request.getfixturevalue(name)
+    subs = all_subgroups(group)
+    _check_block_decision([(k1, k2) for k1 in subs for k2 in subs], keep)
+
+
+@pytest.mark.parametrize("keep", [False, True])
+def test_block_decision_matches_pairwise_on_s5_sample(s5, keep):
+    subs = all_subgroups(s5)
+    rng = random.Random(16)
+    _check_block_decision([(rng.choice(subs), rng.choice(subs)) for _ in range(300)], keep)
+
+
+def _row_keys(row):
+    return [[[_verdict_key(v) for v in r] for r in block] for block in row]
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_row_is_its_blocks(s4, verify):
+    blocks = [(k, character_group(k)) for k in all_subgroups(s4)]
+    for k1, chars1 in blocks[::7]:
+        row = classify_row(k1, chars1, blocks, verify=verify)
+        assert _row_keys(row) == _row_keys(
+            classify_block(k1, chars1, k2, chars2, verify=verify) for k2, chars2 in blocks
+        )
+
+
+def _runs_within_bound(k1, chars1, blocks):
+    """_row_runs of the row: every block once, and each run's stacked
+    products (four per pair, element and coordinate) within _ROW_BYTES
+    unless it is a single block."""
+    runs = commutation._row_runs(k1, chars1, blocks)
+    assert sorted(b for run in runs for b in run) == [b for b, (_, c) in enumerate(blocks) if c]
+    for run in runs:
+        chars2 = [rho for b in run for rho in blocks[b][1]]
+        n = lcm(*(rho.conductor for rho in chars1), *(rho.conductor for rho in chars2))
+        size = 4 * len(chars1) * len(chars2) * k1.parent.order * field_tables(n).degree * 8
+        assert size <= commutation._ROW_BYTES or len(run) == 1
+    return runs
+
+
+def test_row_check_runs_are_bounded(s4, s5, monkeypatch):
+    # one kernel call per side for each conductor of the row's blocks, and
+    # one per run when a small bound cuts them into runs
+    blocks = [(k, character_group(k)) for k in all_subgroups(s4)]
+    k1, chars1 = max(blocks, key=lambda kc: len(kc[1]))
+    n1 = lcm(*(rho.conductor for rho in chars1))
+    conductors = {lcm(n1, *(rho.conductor for rho in chars2)) for _, chars2 in blocks}
+    calls = []
+    real = commutation._convolve_rows
+
+    def spy(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(commutation, "_convolve_rows", spy)
+    classify_row(k1, chars1, blocks)
+    assert calls == []
+    expected = _row_keys(classify_row(k1, chars1, blocks, verify=True))
+    assert sorted(calls) == sorted(2 * list(conductors))
+    assert len(_runs_within_bound(k1, chars1, blocks)) == len(conductors)
+
+    monkeypatch.setattr(commutation, "_ROW_BYTES", 16 * len(chars1) * s4.order * 8)
+    calls.clear()
+    assert _row_keys(classify_row(k1, chars1, blocks, verify=True)) == expected
+    runs = _runs_within_bound(k1, chars1, blocks)
+    assert len(runs) > len(conductors) and len(calls) == 2 * len(runs)
+
+    # an S5 row at the real bound: up to 515 columns of 120 x phi(n)
+    # entries, so some conductor's blocks are cut into several runs
+    monkeypatch.undo()
+    s5_blocks = [(k, character_group(k)) for k in all_subgroups(s5)]
+    k1, chars1 = max(s5_blocks, key=lambda kc: len(kc[1]))
+    n1 = lcm(*(rho.conductor for rho in chars1))
+    conductors = {lcm(n1, *(rho.conductor for rho in chars2)) for _, chars2 in s5_blocks}
+    assert len(_runs_within_bound(k1, chars1, s5_blocks)) > len(conductors)

@@ -17,7 +17,7 @@ from idemconv import (
     stromberg_check,
     verify_corollary_35,
 )
-from idemconv.dynamics import FreeWord
+from idemconv.dynamics import FreeWord, _word_convolve
 from idemconv.errors import BudgetExceeded, PreconditionError
 
 
@@ -144,6 +144,21 @@ def test_free_product_budget_is_checked_before_building_words(monkeypatch):
     for m, n, budget in [(2, 3, 5), (200_000, 2, 1000)]:
         with pytest.raises(BudgetExceeded, match=f"exceeded budget {budget}$"):
             free_product_decay(m, n, budget=budget)
+
+
+def test_word_budget_is_checked_before_each_new_word():
+    # squaring the 900-word base of C30 * C30 reaches far past 1000 words
+    # within its first row; the product stops at the first word past budget
+    orders = (30, 30)
+    haar = [
+        {FreeWord.generator(slot, e, orders): Fraction(1, 30) for e in range(30)}
+        for slot in (0, 1)
+    ]
+    base = _word_convolve(haar[0], haar[1], 900)
+    assert len(base) == 900
+    with pytest.raises(BudgetExceeded, match="exceeded budget 1000$") as info:
+        _word_convolve(base, base, 1000)
+    assert len(info.value.partial) <= 1001
 
 
 def test_free_product_budget_env_var(monkeypatch):
