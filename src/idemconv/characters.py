@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cyclo import CycloScalar
+from .cyclo import INT64_LIMIT, CycloScalar
 from .errors import InvariantViolation, PreconditionError
 from .groups import (
     GroupTable,
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-def _check(domain: Subgroup, exps: Sequence[int], e: int, dtype=np.int64) -> None:
+def _check(domain: Subgroup, exps: Sequence[int], e: int) -> None:
     """Raise ValueError naming the first failure, in a fixed order, unless
     exps (exponents mod e aligned with domain.elements) is a character."""
     elems = domain.elements
@@ -51,7 +51,7 @@ def _check(domain: Subgroup, exps: Sequence[int], e: int, dtype=np.int64) -> Non
         raise ValueError("need one rotation per subgroup element")
     if exps and (min(exps) < 0 or max(exps) >= e):
         raise ValueError("rotations must lie in [0, 1)")
-    t = np.array(exps, dtype=dtype)
+    t = np.array(exps, dtype=object if e >= INT64_LIMIT else np.int64)
     parent = domain.parent
     idx = np.array(elems, dtype=np.intp)
     # position of each domain element; -1 marks a product escaping it
@@ -103,7 +103,7 @@ class Character:
         # as object ints past int64, so the error names the first bad element
         wide = lcm(e, *(r.denominator for r in rot))
         t = [r.numerator * (wide // r.denominator) for r in rot]
-        _check(domain, t, wide, np.int64 if wide < 2**62 else object)
+        _check(domain, t, wide)
         raise InvariantViolation("a rotation off the exponent's roots of unity passed the check")
 
     @cached_property

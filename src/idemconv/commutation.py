@@ -23,7 +23,8 @@ the per-pair form, which is faster than a block of one pair.  Nothing is
 convolved unless verify=True, which cross-checks the verdicts of a whole
 row against brute-force convolution, one stacked kernel call per side for
 each conductor of the row's blocks; the test suite, the oracle fixture and
-classify_pair(verify=True), a row of one 1x1 block, switch it on.
+semidirect_counterexample switch it on, through classify_pair(verify=True),
+a row of one 1x1 block, or classify_row.
 """
 
 from __future__ import annotations
@@ -36,15 +37,16 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .characters import Character
-from .cyclo import field_tables, promote_rows, scale_rows
-from .errors import InvariantViolation, MismatchedParents, PreconditionError
+from .cyclo import field_tables
+from .errors import InvariantViolation, PreconditionError
 from .groups import (
     GroupTable,
     Subgroup,
+    _require_same_parent,
     semidirect_product,
     subgroup_from_elements,
 )
-from .measures import Measure, _char_idem_rows, _convolve_rows, char_idem, convolve, haar
+from .measures import Measure, _char_idem_rows, _convolve_rows
 
 __all__ = [
     "CommutationVerdict",
@@ -100,13 +102,6 @@ def _monomial_rows(parent: GroupTable, exps: np.ndarray, n: int) -> np.ndarray:
     return field_tables(n).roots[exps // (parent.exponent // n)]
 
 
-def _first_difference(a: Measure, b: Measure) -> Optional[int]:
-    n = lcm(a.conductor, b.conductor)
-    ra = scale_rows(promote_rows(a.rows, a.conductor, n), b.den)
-    differs = (ra != scale_rows(promote_rows(b.rows, b.conductor, n), a.den)).any(axis=1)
-    return int(differs.argmax()) if differs.any() else None
-
-
 def _require(
     k1: Subgroup, chars1: Sequence[Character], k2: Subgroup, chars2: Sequence[Character]
 ) -> None:
@@ -114,10 +109,7 @@ def _require(
         raise PreconditionError("rho1 is not a character of K1")
     if any(rho.domain != k2 for rho in chars2):
         raise PreconditionError("rho2 is not a character of K2")
-    if k2.parent is not k1.parent:
-        raise MismatchedParents(
-            f"subgroups live in different parents ({k1.parent.name} vs {k2.parent.name})"
-        )
+    _require_same_parent(k1, k2)
 
 
 def _decide(
@@ -472,11 +464,11 @@ def semidirect_counterexample(
     rho_emb = Character(
         k_embedded, tuple(t[x // na] * scale for x in k_embedded.elements)
     )
-    left = convolve(char_idem(k_embedded, rho_emb), haar(a_embedded))
-    right = convolve(haar(a_embedded), char_idem(k_embedded, rho_emb))
-    witness = _first_difference(left, right)
-    if witness is None:
+    trivial = Character(a_embedded, (0,) * na)
+    v = classify_pair(k_embedded, rho_emb, a_embedded, trivial, verify=True)
+    if v.kind != "non_commuting":
         raise InvariantViolation("products agree; the action test should have failed")
+    left, right = v.left, v.right
 
     # right at (k, x) is rho(x^-1(k)) / (|K| |A|): one root of unity per row
     n = rho.conductor
@@ -484,4 +476,4 @@ def semidirect_counterexample(
     coeff_ok = right == Measure(g, n, field_tables(n).roots[exps.ravel()], k_grp.order * na)
     if not coeff_ok:
         raise InvariantViolation("closed-form coefficients disagree with the convolution")
-    return SemidirectReport(g, left, right, witness, coeff_ok)
+    return SemidirectReport(g, left, right, v.witness, coeff_ok)

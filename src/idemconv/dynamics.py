@@ -242,12 +242,17 @@ DEFAULT_WORD_BUDGET = 5_000_000
 
 def _word_budget() -> int:
     raw = os.environ.get("IDEMCONV_WORD_BUDGET", "")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_WORD_BUDGET
+    if not raw:
+        return DEFAULT_WORD_BUDGET
+    try:
+        budget = int(raw)
+        if budget < 1:
+            raise ValueError
+    except ValueError:
+        raise PreconditionError(
+            f"IDEMCONV_WORD_BUDGET must be a positive integer, got {raw!r}"
+        ) from None
+    return budget
 
 
 @dataclass(frozen=True)

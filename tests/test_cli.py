@@ -377,6 +377,14 @@ def test_oversized_group_is_precondition_error(tmp_path, capsys):
     assert code == 4
 
 
+def test_bad_word_budget_is_precondition_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("IDEMCONV_WORD_BUDGET", "5e6")
+    path = scenario(tmp_path, {"schema_version": 1, "m": 2, "n": 3})
+    code, out, err = run(capsys, ["free-walk", "--scenario", path])
+    message = "IDEMCONV_WORD_BUDGET must be a positive integer, got '5e6'"
+    assert (code, out, err) == (4, "", f"error[precondition]: {message}\n")
+
+
 def test_conflicting_rotations_is_precondition_error(tmp_path, capsys):
     # rotation 1/3 on an order-2 element cannot extend to a character
     path = scenario(

@@ -10,6 +10,7 @@ import pytest
 
 import idemconv.commutation as commutation
 from idemconv import (
+    Character,
     all_subgroups,
     char_idem,
     character_group,
@@ -20,7 +21,9 @@ from idemconv import (
     convolve,
     cyclic_group,
     full_subgroup,
+    haar,
     semidirect_counterexample,
+    subgroup_from_elements,
 )
 from idemconv.cyclo import field_tables
 from idemconv.errors import PreconditionError
@@ -118,6 +121,25 @@ def test_semidirect_counterexample_inversion():
     assert rep.coefficient_check
     assert rep.witness is not None
     assert rep.left != rep.right
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_semidirect_products_are_the_convolutions(n):
+    # C_n x| C_2 by inversion, K = C_n at 2k and A = C_2 at 0, 1: for every
+    # character that inversion moves (one not real at the generator 1), left
+    # and right are the two convolutions and witness is their first difference
+    cn, c2 = cyclic_group(n), cyclic_group(2)
+    inv = [tuple(range(n)), tuple((-x) % n for x in range(n))]
+    moved = [rho for rho in character_group(full_subgroup(cn)) if 2 * rho.rotation(1) % 1]
+    assert len(moved) == n - 1 - (n % 2 == 0)
+    for rho in moved:
+        rep = semidirect_counterexample(cn, c2, inv, rho)
+        k = subgroup_from_elements(rep.group, [2 * x for x in range(n)])
+        m_a = haar(subgroup_from_elements(rep.group, [0, 1]))
+        m_k = char_idem(k, Character.from_rotations(k, [rho.rotation(x // 2) for x in k.elements]))
+        assert (rep.left, rep.right) == (convolve(m_k, m_a), convolve(m_a, m_k))
+        differ = [x for x in range(rep.group.order) if rep.left.coeff(x) != rep.right.coeff(x)]
+        assert rep.witness == differ[0]
 
 
 def test_semidirect_rejects_invariant_character():

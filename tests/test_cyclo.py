@@ -1,5 +1,8 @@
 """Exact cyclotomic scalar arithmetic."""
 
+import doctest
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 from math import gcd
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import idemconv
 from idemconv import CycloScalar
 from idemconv.cyclo import multiply_rows, pack
 
@@ -229,3 +233,11 @@ def test_multiply_rows_by_a_stack_matches_row_by_row():
         assert (multiply_rows(rows, stack, n) == want).all()
         wide = multiply_rows(rows.astype(object) * BIG, stack, n)
         assert wide.dtype == object and (wide == want.astype(object) * BIG).all()
+
+
+def test_library_doctests():
+    # the examples of every idemconv module run; cyclo.py alone has five
+    names = ["idemconv", *(m.name for m in pkgutil.iter_modules(idemconv.__path__, "idemconv."))]
+    runs = [doctest.testmod(importlib.import_module(name)) for name in names]
+    assert sum(r.failed for r in runs) == 0
+    assert sum(r.attempted for r in runs) >= 5

@@ -167,6 +167,13 @@ def test_free_product_budget_env_var(monkeypatch):
     assert rep.budget_exceeded
 
 
+@pytest.mark.parametrize("raw", ["abc", "5e6", "0", "-5"])
+def test_free_product_budget_env_var_must_be_a_positive_integer(monkeypatch, raw):
+    monkeypatch.setenv("IDEMCONV_WORD_BUDGET", raw)
+    with pytest.raises(PreconditionError, match=f"IDEMCONV_WORD_BUDGET .*'{raw}'"):
+        free_product_decay(2, 3, n_max=8)
+
+
 def test_free_product_rejects_bad_orders():
     with pytest.raises((PreconditionError, ValueError)):
         free_product_decay(1, 3)

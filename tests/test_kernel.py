@@ -8,16 +8,12 @@ dtype included, and check at the kernel's one widening point
 (idemconv.cyclo._exact) which dtype ran on either side of the bound.
 """
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import idemconv
 from idemconv import _kernel
 from idemconv._kernel import backend_name, convolve_exact
 from idemconv.cyclo import field_tables, max_abs, pack
@@ -151,7 +147,7 @@ def test_over_bound_falls_back_to_pure(a, b, scatter_dtypes):
     assert max(abs(v[0]) for v in expect) >= 2**63
 
 
-def test_fallback_survives_optimize():
+def test_fallback_survives_optimize(run_optimized):
     # the bound is an if, not an assert: python -O must still fall back
     code = (
         "import numpy as np\n"
@@ -164,17 +160,7 @@ def test_fallback_survives_optimize():
         "want = pack(pure(mul, a, b, [[1]]))\n"
         "raise SystemExit(0 if got.dtype == want.dtype and np.array_equal(got, want) else 1)\n"
     )
-    src = os.path.dirname(os.path.dirname(idemconv.__file__))
-    here = os.path.dirname(os.path.abspath(__file__))
-    path = os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
+    run_optimized(code)
 
 
 def test_big_integers_stay_exact():

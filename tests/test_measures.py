@@ -1,8 +1,5 @@
 """Exact measures: convolution, adjoints, idempotent classification."""
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from math import gcd
 
@@ -10,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import idemconv
 from idemconv import (
     CycloScalar,
     Measure,
@@ -97,7 +93,7 @@ def test_classification_kinds(c4):
     assert classify_idempotent(mix).kind == "idempotent_other"
 
 
-def test_classify_check_survives_optimize():
+def test_classify_check_survives_optimize(run_optimized):
     # the final char_idem comparison is a raise, not an assert: under
     # python -O a wrong reconstruction must still be reported
     code = (
@@ -114,16 +110,7 @@ def test_classify_check_survives_optimize():
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
     )
-    src = os.path.dirname(os.path.dirname(idemconv.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
+    run_optimized(code)
 
 
 def test_classify_trivial_group():

@@ -1,12 +1,7 @@
 """Fixture registry plumbing (individual fixtures are exercised elsewhere)."""
 
-import os
-import subprocess
-import sys
-
 import pytest
 
-import idemconv
 from idemconv.suite import FIXTURES, FixtureResult, SuiteConfig, run_fixture, run_suite
 
 EXPECTED = [
@@ -68,7 +63,7 @@ def test_config_propagates_grid():
     assert res.details["grid"] == 24
 
 
-def test_limit_check_survives_optimize():
+def test_limit_check_survives_optimize(run_optimized):
     # idempotent_power_limit raises InvariantViolation when the float
     # iteration stalls, so under python -O a run that cannot converge must
     # still fail the limit-sweep fixture by name
@@ -83,13 +78,4 @@ def test_limit_check_survives_optimize():
         "ok = not res.passed and 'InvariantViolation' in res.details['error']\n"
         "raise SystemExit(0 if ok else 1)\n"
     )
-    src = os.path.dirname(os.path.dirname(idemconv.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    run_optimized(code, timeout=120)
