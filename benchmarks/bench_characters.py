@@ -64,16 +64,6 @@ def _workloads(subgroups):
         yield f"order {order}", k, repeats
 
 
-def _time(fn, repeats: int, rounds: int = 3) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        for _ in range(repeats):
-            fn()
-        best = min(best, (time.perf_counter() - t0) / repeats)
-    return best
-
-
 def _message(check, k, values):
     try:
         check(k, values)
@@ -130,9 +120,11 @@ def main() -> None:
         _parity(name, Character, k, cases)
         rows[name] = {
             "order": k.order,
-            "scalar_us": _time(lambda: scalar_validate(k, rot), repeats) * 1e6,
-            "from_rotations_us": _time(lambda: Character.from_rotations(k, rot), repeats) * 1e6,
-            "exps_us": _time(lambda: Character(k, exps), repeats) * 1e6,
+            "scalar_us": common.best_time(lambda: scalar_validate(k, rot), repeats) * 1e6,
+            "from_rotations_us": common.best_time(
+                lambda: Character.from_rotations(k, rot), repeats
+            ) * 1e6,
+            "exps_us": common.best_time(lambda: Character(k, exps), repeats) * 1e6,
         }
     lattice_s = _character_group_s(subgroups)
     fixtures = {name: _fixture_s(name) for name in FIXTURES}

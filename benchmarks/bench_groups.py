@@ -60,16 +60,6 @@ def _broken_c1024() -> list[list[int]]:
     return mul
 
 
-def _time(fn, repeats: int, rounds: int = 3) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        for _ in range(repeats):
-            fn()
-        best = min(best, (time.perf_counter() - t0) / repeats)
-    return best
-
-
 def _lattice_s(name: str) -> float:
     g = symmetric_group(int(name[1:]))  # a fresh parent, so the lattice cache is cold
     t0 = time.perf_counter()
@@ -100,9 +90,13 @@ def main() -> None:
     for name, g, repeats in _workloads():
         tables[name] = {
             "order": g.order,
-            "build_ms": _time(lambda: GroupTable(g.mul, g.labels), repeats) * 1e3,
-            "build_mul_ms": _time(lambda: GroupTable(g.mul, g.labels).mul, repeats) * 1e3,
-            "assoc_ms": _time(lambda: _check_associativity(g.mul_np, g.identity), repeats) * 1e3,
+            "build_ms": common.best_time(lambda: GroupTable(g.mul, g.labels), repeats) * 1e3,
+            "build_mul_ms": common.best_time(
+                lambda: GroupTable(g.mul, g.labels).mul, repeats
+            ) * 1e3,
+            "assoc_ms": common.best_time(
+                lambda: _check_associativity(g.mul_np, g.identity), repeats
+            ) * 1e3,
         }
 
     s5 = symmetric_group(5)
@@ -110,10 +104,10 @@ def main() -> None:
     abel = [quotient_group(k, commutator_subgroup(k)).group for k in subs]
     small = {
         "abelianisation_tables": len(abel),
-        "abelianisation_build_ms": _time(
+        "abelianisation_build_ms": common.best_time(
             lambda: [GroupTable(q.mul, q.labels) for q in abel], 1, 30
         ) * 1e3,
-        "character_group_ms": _time(
+        "character_group_ms": common.best_time(
             lambda: [character_group.__wrapped__(k) for k in subs], 1, 30
         ) * 1e3,
     }

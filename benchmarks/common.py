@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import platform
+import time
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,17 @@ def stamp(script: str, label: str) -> dict:
         "numpy": np.__version__,
         "backend": backend_name(),
     }
+
+
+def best_time(fn, repeats: int, rounds: int = 3) -> float:
+    """Seconds per call of fn: the best of rounds runs of repeats calls each."""
+    best = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        for _ in range(repeats):
+            fn()
+        best = min(best, (time.perf_counter() - t0) / repeats)
+    return best
 
 
 def append(out: Path | None, row: dict) -> None:

@@ -207,7 +207,9 @@ def _abelian_basis(group: GroupTable) -> list[tuple[int, int]]:
     return out
 
 
-@lru_cache(maxsize=None)
+# keyed by the parent group object, so bounded for callers that build fresh
+# groups: one paper-suite run holds 189 entries, and S6 has 1,455 subgroups
+@lru_cache(maxsize=2048)
 def character_group(k: Subgroup) -> tuple[Character, ...]:
     """All multiplicative characters of K, the trivial character first.
 

@@ -27,6 +27,7 @@ from .errors import BudgetExceeded, IdemconvError
 from .groups import (
     GroupTable,
     Subgroup,
+    _permutation_closure,
     all_subgroups,
     closure,
     cyclic_group,
@@ -34,6 +35,7 @@ from .groups import (
     direct_product,
     from_permutations,
     full_subgroup,
+    left_cosets,
     quaternion_group,
     semidirect_product,
     symmetric_group,
@@ -49,10 +51,9 @@ from .measures import (
 )
 from .commutation import classify_pair
 from .dynamics import free_product_decay, idempotent_power_limit, stromberg_check
-from .measure_groups import g_k_rho, gamma_elements, n_k_rho, omega_class_count
+from .measure_groups import g_k_rho, n_k_rho
 from .so3 import example_33_report
-from .suite import FIXTURES, SuiteConfig, run_suite
-from .suite import _char_desc as _suite_char_desc
+from .suite import FIXTURES, SuiteConfig, _char_desc, run_suite
 from ._kernel import backend_name
 
 SCHEMA_VERSION = 1
@@ -133,6 +134,14 @@ def _fraction(value, field: str) -> Fraction:
     )
 
 
+def _check_size(size: int, head: str, field: str) -> None:
+    """Refuse a group past MAX_GROUP_ORDER before it is built."""
+    if size > MAX_GROUP_ORDER:
+        raise CliError(
+            "precondition", f"{head} the desk-scale bound of {MAX_GROUP_ORDER}", field
+        )
+
+
 def _atom_group(token: str, field: str) -> GroupTable:
     if token == "Q8":
         return quaternion_group()
@@ -148,36 +157,8 @@ def _atom_group(token: str, field: str) -> GroupTable:
     if n < 1:
         raise CliError("parse", f"group atom {token!r} needs n >= 1", field)
     order = math.factorial(n) if kind == "S" else (n if kind == "C" else 2 * n)
-    if order > MAX_GROUP_ORDER:
-        raise CliError(
-            "precondition",
-            f"{token} has {order} elements, beyond the desk-scale bound "
-            f"of {MAX_GROUP_ORDER}",
-            field,
-        )
-    if kind == "S":
-        return symmetric_group(n)
-    if kind == "C":
-        return cyclic_group(n)
-    return dihedral_group(n)
-
-
-def _perm_closure_size(gens: list[tuple[int, ...]], cap: int) -> int:
-    d = len(gens[0])
-    seen = {tuple(range(d))}
-    frontier = list(seen)
-    while frontier:
-        fresh = []
-        for p in frontier:
-            for g in gens:
-                q = tuple(p[g[i]] for i in range(d))
-                if q not in seen:
-                    seen.add(q)
-                    fresh.append(q)
-                    if len(seen) > cap:
-                        return len(seen)
-        frontier = fresh
-    return len(seen)
+    _check_size(order, f"{token} has {order} elements, beyond", field)
+    return {"S": symmetric_group, "C": cyclic_group, "D": dihedral_group}[kind](n)
 
 
 def _build_group(spec, field: str = "group") -> GroupTable:
@@ -187,13 +168,7 @@ def _build_group(spec, field: str = "group") -> GroupTable:
             raise CliError("parse", "empty group expression", field)
         parts = [_atom_group(t, field) for t in tokens]
         total = math.prod(p.order for p in parts)
-        if total > MAX_GROUP_ORDER:
-            raise CliError(
-                "precondition",
-                f"product group has {total} elements, beyond the desk-scale "
-                f"bound of {MAX_GROUP_ORDER}",
-                field,
-            )
+        _check_size(total, f"product group has {total} elements, beyond", field)
         out = parts[0]
         for p in parts[1:]:
             out = direct_product(out, p)
@@ -219,23 +194,15 @@ def _build_group(spec, field: str = "group") -> GroupTable:
                         f"generator {i} is not a permutation of 0..{d - 1}",
                         f"{field}.generators[{i}]",
                     )
-            if _perm_closure_size(gens, MAX_GROUP_ORDER) > MAX_GROUP_ORDER:
-                raise CliError(
-                    "precondition",
-                    f"generated permutation group exceeds the desk-scale bound "
-                    f"of {MAX_GROUP_ORDER}",
-                    f"{field}.generators",
-                )
+            _check_size(
+                len(_permutation_closure(gens, d, MAX_GROUP_ORDER)),
+                "generated permutation group exceeds",
+                f"{field}.generators",
+            )
             return from_permutations(gens)
         if "table" in spec:
             table = _need(spec, "table", list, f"{field}.table")
-            if len(table) > MAX_GROUP_ORDER:
-                raise CliError(
-                    "precondition",
-                    f"table has {len(table)} rows, beyond the desk-scale bound "
-                    f"of {MAX_GROUP_ORDER}",
-                    f"{field}.table",
-                )
+            _check_size(len(table), f"table has {len(table)} rows, beyond", f"{field}.table")
             labels = spec.get("labels")
             if labels is not None and not isinstance(labels, list):
                 raise CliError("parse", "labels must be a list", f"{field}.labels")
@@ -244,30 +211,21 @@ def _build_group(spec, field: str = "group") -> GroupTable:
             except ValueError as exc:
                 raise CliError("parse", f"invalid group table: {exc}", f"{field}.table")
         if "semidirect" in spec:
-            sd = _need(spec, "semidirect", dict, f"{field}.semidirect")
-            normal = _build_group(
-                _need(sd, "normal", (str, dict), f"{field}.semidirect.normal"),
-                f"{field}.semidirect.normal",
+            at = f"{field}.semidirect"
+            sd = _need(spec, "semidirect", dict, at)
+            normal, acting = (
+                _build_group(_need(sd, key, (str, dict), f"{at}.{key}"), f"{at}.{key}")
+                for key in ("normal", "acting")
             )
-            acting = _build_group(
-                _need(sd, "acting", (str, dict), f"{field}.semidirect.acting"),
-                f"{field}.semidirect.acting",
-            )
-            if normal.order * acting.order > MAX_GROUP_ORDER:
-                raise CliError(
-                    "precondition",
-                    "semidirect product exceeds the desk-scale bound "
-                    f"of {MAX_GROUP_ORDER}",
-                    f"{field}.semidirect",
-                )
-            action = _need(sd, "action", list, f"{field}.semidirect.action")
+            _check_size(normal.order * acting.order, "semidirect product exceeds", at)
+            action = _need(sd, "action", list, f"{at}.action")
             try:
                 acts = [tuple(int(x) for x in p) for p in action]
             except (TypeError, ValueError):
                 raise CliError(
                     "parse",
                     "action must be a list of permutations of the normal factor",
-                    f"{field}.semidirect.action",
+                    f"{at}.action",
                 )
             try:
                 return semidirect_product(normal, acting, acts)
@@ -275,7 +233,7 @@ def _build_group(spec, field: str = "group") -> GroupTable:
                 raise CliError(
                     "precondition",
                     f"action does not define automorphisms: {exc}",
-                    f"{field}.semidirect.action",
+                    f"{at}.action",
                 )
     raise CliError(
         "parse",
@@ -303,14 +261,20 @@ def _subgroup_from_labels(g: GroupTable, labels, field: str) -> Subgroup:
     return closure(g, idxs)
 
 
-def _character_from_rotations(sub: Subgroup, rotations, field: str) -> Character:
-    parent = sub.parent
-    if not isinstance(rotations, dict):
-        raise CliError(
-            "parse", "character must map generator labels to rotations", field
-        )
+def _read_character(
+    parent: GroupTable, obj: dict, at: str = "", keys=("subgroup", "rotations")
+) -> tuple[Subgroup, Character]:
+    """The subgroup and character obj names under keys, at field paths at + key.
+
+    The subgroup is a list of generator labels, the character a map from
+    generator labels to rotations; the rest of its values are multiplied out.
+    """
+    sub_key, rot_key = keys
+    sub = _subgroup_from_labels(parent, _need(obj, sub_key, list, at + sub_key), at + sub_key)
+    field = at + rot_key
+    rotations = _need(obj, rot_key, dict, field)
     if not rotations:
-        return Character(sub, (0,) * sub.order)
+        return sub, Character(sub, (0,) * sub.order)
     assign: dict[int, Fraction] = {}
     for lab, rotstr in rotations.items():
         gidx = _label_idx(parent, lab, f"{field}.{lab}")
@@ -347,7 +311,7 @@ def _character_from_rotations(sub: Subgroup, rotations, field: str) -> Character
             field,
         )
     try:
-        return Character.from_rotations(sub, tuple(rot[g] for g in sub.elements))
+        return sub, Character.from_rotations(sub, tuple(rot[g] for g in sub.elements))
     except ValueError as exc:
         raise CliError("precondition", f"invalid character: {exc}", field)
 
@@ -360,17 +324,7 @@ def _measure_from_spec(g: GroupTable, spec, field: str) -> Measure:
             return haar(_subgroup_from_labels(g, spec["haar"], f"{field}.haar"))
         if "char_idem" in spec:
             ci = _need(spec, "char_idem", dict, f"{field}.char_idem")
-            sub = _subgroup_from_labels(
-                g,
-                _need(ci, "subgroup", list, f"{field}.char_idem.subgroup"),
-                f"{field}.char_idem.subgroup",
-            )
-            chi = _character_from_rotations(
-                sub,
-                _need(ci, "rotations", dict, f"{field}.char_idem.rotations"),
-                f"{field}.char_idem.rotations",
-            )
-            return char_idem(sub, chi)
+            return char_idem(*_read_character(g, ci, f"{field}.char_idem."))
         if "sum" in spec:
             terms = _need(spec, "sum", list, f"{field}.sum")
             if not terms:
@@ -408,10 +362,6 @@ def _measure_from_spec(g: GroupTable, spec, field: str) -> Measure:
     )
 
 
-def _char_desc(chi: Optional[Character]) -> Optional[str]:
-    return None if chi is None else _suite_char_desc(chi)
-
-
 def _sub_labels(sub: Optional[Subgroup]) -> Optional[list[str]]:
     if sub is None:
         return None
@@ -421,9 +371,14 @@ def _sub_labels(sub: Optional[Subgroup]) -> Optional[list[str]]:
 # -- subcommand handlers ----------------------------------------------------------
 
 
-def _cmd_group(args) -> tuple[int, dict, list[str]]:
+def _scenario_group(args) -> tuple[dict, GroupTable]:
+    """The scenario file named by --scenario, and the group it builds."""
     sc = _load_scenario(args.scenario)
-    g = _build_group(_need(sc, "group", (str, dict), "group"))
+    return sc, _build_group(_need(sc, "group", (str, dict), "group"))
+
+
+def _cmd_group(args) -> tuple[int, dict, list[str]]:
+    _, g = _scenario_group(args)
     subs = all_subgroups(g)
     chars = character_group(full_subgroup(g))
     payload = {
@@ -448,8 +403,7 @@ def _cmd_group(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_classify(args) -> tuple[int, dict, list[str]]:
-    sc = _load_scenario(args.scenario)
-    g = _build_group(_need(sc, "group", (str, dict), "group"))
+    sc, g = _scenario_group(args)
     mu = _measure_from_spec(g, _need(sc, "measure", dict, "measure"), "measure")
     verdict = classify_idempotent(mu)
     payload = {
@@ -465,18 +419,10 @@ def _cmd_classify(args) -> tuple[int, dict, list[str]]:
     return 0, payload, lines
 
 
-def _pair_from_scenario(sc: dict, g: GroupTable):
-    k1 = _subgroup_from_labels(g, _need(sc, "k1", list, "k1"), "k1")
-    rho1 = _character_from_rotations(k1, _need(sc, "rho1", dict, "rho1"), "rho1")
-    k2 = _subgroup_from_labels(g, _need(sc, "k2", list, "k2"), "k2")
-    rho2 = _character_from_rotations(k2, _need(sc, "rho2", dict, "rho2"), "rho2")
-    return k1, rho1, k2, rho2
-
-
 def _cmd_commute(args) -> tuple[int, dict, list[str]]:
-    sc = _load_scenario(args.scenario)
-    g = _build_group(_need(sc, "group", (str, dict), "group"))
-    k1, rho1, k2, rho2 = _pair_from_scenario(sc, g)
+    sc, g = _scenario_group(args)
+    k1, rho1 = _read_character(g, sc, keys=("k1", "rho1"))
+    k2, rho2 = _read_character(g, sc, keys=("k2", "rho2"))
     v = classify_pair(k1, rho1, k2, rho2, verify=True)
     payload: dict = {"kind": v.kind}
     lines = [f"kind         {v.kind}"]
@@ -496,8 +442,7 @@ def _cmd_commute(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_limit(args) -> tuple[int, dict, list[str]]:
-    sc = _load_scenario(args.scenario)
-    g = _build_group(_need(sc, "group", (str, dict), "group"))
+    sc, g = _scenario_group(args)
     raw = _need(sc, "factors", list, "factors")
     if not raw:
         raise CliError("parse", "need at least one factor", "factors")
@@ -505,15 +450,7 @@ def _cmd_limit(args) -> tuple[int, dict, list[str]]:
     for i, f in enumerate(raw):
         if not isinstance(f, dict):
             raise CliError("parse", "each factor is an object", f"factors[{i}]")
-        sub = _subgroup_from_labels(
-            g, _need(f, "subgroup", list, f"factors[{i}].subgroup"),
-            f"factors[{i}].subgroup",
-        )
-        chi = _character_from_rotations(
-            sub, _need(f, "rotations", dict, f"factors[{i}].rotations"),
-            f"factors[{i}].rotations",
-        )
-        factors.append((sub, chi))
+        factors.append(_read_character(g, f, f"factors[{i}]."))
     rep = idempotent_power_limit(factors, tol=args.tol, n_max=args.max_iter)
     payload = {
         "kind": rep.kind,
@@ -532,8 +469,7 @@ def _cmd_limit(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_stromberg(args) -> tuple[int, dict, list[str]]:
-    sc = _load_scenario(args.scenario)
-    g = _build_group(_need(sc, "group", (str, dict), "group"))
+    sc, g = _scenario_group(args)
     mu = _measure_from_spec(g, _need(sc, "measure", dict, "measure"), "measure")
     res = stromberg_check(mu, tol=args.tol, n_max=args.max_iter)
     payload = {
@@ -563,22 +499,18 @@ def _cmd_stromberg(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_measure_groups(args) -> tuple[int, dict, list[str]]:
-    sc = _load_scenario(args.scenario)
-    g = _build_group(_need(sc, "group", (str, dict), "group"))
-    sub = _subgroup_from_labels(g, _need(sc, "subgroup", list, "subgroup"), "subgroup")
-    chi = _character_from_rotations(
-        sub, _need(sc, "rotations", dict, "rotations"), "rotations"
-    )
+    sc, g = _scenario_group(args)
+    sub, chi = _read_character(g, sc)
     nkr = n_k_rho(sub, chi)
     gkr = g_k_rho(sub, chi)
-    gamma = gamma_elements(sub, chi)
-    omega = omega_class_count(sub, chi)
+    # Gamma has one translate per element of G_{K,rho}; Omega is G_{K,rho}/K
+    omega = len(left_cosets(gkr, sub).cosets)
     payload = {
         "subgroup": _sub_labels(sub),
         "character": _char_desc(chi),
         "n_k_rho": _sub_labels(nkr),
         "g_k_rho": _sub_labels(gkr),
-        "gamma_size": len(gamma),
+        "gamma_size": gkr.order,
         "omega_classes": omega,
     }
     lines = [
@@ -586,7 +518,7 @@ def _cmd_measure_groups(args) -> tuple[int, dict, list[str]]:
         f"character    {_char_desc(chi)}",
         f"normalizer   order {nkr.order} (character-preserving)",
         f"commuting    order {gkr.order}: " + " ".join(gkr.label_list),
-        f"gamma        {len(gamma)} translation parts",
+        f"gamma        {gkr.order} translation parts",
         f"omega        {omega} classes",
     ]
     return 0, payload, lines
@@ -609,10 +541,7 @@ def _cmd_free_walk(args) -> tuple[int, dict, list[str]]:
             raise CliError(
                 "parse", "rotations must be [fraction, fraction]", "rotations"
             )
-        rotations = (
-            _fraction(pair[0], "rotations[0]"),
-            _fraction(pair[1], "rotations[1]"),
-        )
+        rotations = tuple(_fraction(r, f"rotations[{i}]") for i, r in enumerate(pair))
     rep = free_product_decay(m, n, rotations=rotations, n_max=n_max, eps=float(eps))
     payload = {
         "orders": list(rep.orders),
@@ -739,10 +668,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args) -> None:
+    """--tol must be finite and positive, --max-iter and --grid at least 1."""
+    tol = getattr(args, "tol", 1.0)
+    if not (math.isfinite(tol) and tol > 0):
+        raise CliError("parse", f"--tol must be finite and > 0, got {tol!r}", "--tol")
+    for flag in ("--max-iter", "--grid"):
+        value = getattr(args, flag[2:].replace("-", "_"), 1)
+        if value < 1:
+            raise CliError("parse", f"{flag} must be >= 1, got {value}", flag)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     handler = _HANDLERS[args.command]
     try:
+        _check_flags(args)
         code, payload, lines = handler(args)
     except CliError as err:
         return _emit_error(err, args.json)

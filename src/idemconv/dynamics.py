@@ -41,6 +41,21 @@ __all__ = [
 ]
 
 
+def _power_iterate(
+    step: FloatMeasure, target: FloatMeasure, tol: float, n_max: int
+) -> tuple[FloatMeasure, int, float]:
+    """Powers step^1, step^2, ... until one is within tol of target or the
+    n_max-th is reached: the last power, its exponent and its distance."""
+    v = step
+    res = v.distance(target)
+    it = 1
+    while res > tol and it < n_max:
+        v = v.convolve(step)
+        it += 1
+        res = v.distance(target)
+    return v, it, res
+
+
 # -- Stromberg dichotomy -------------------------------------------------------
 
 
@@ -88,16 +103,9 @@ def stromberg_check(
             hit = (n, coset[0])
             break
 
-    v = FloatMeasure.from_measure(mu)
     step = FloatMeasure.from_measure(mu)
     if hit is None:
-        target = FloatMeasure.from_measure(haar(k))
-        res = v.distance(target)
-        it = 1
-        while res > tol and it < n_max:
-            v = v.convolve(step)
-            it += 1
-            res = v.distance(target)
+        _, it, res = _power_iterate(step, FloatMeasure.from_measure(haar(k)), tol, n_max)
         if not res <= tol:  # also catches a NaN residual
             raise InvariantViolation(
                 f"no coset obstruction but powers did not reach haar within {n_max}"
@@ -106,7 +114,7 @@ def stromberg_check(
 
     n_sub, rep = hit
     worst = float("inf")
-    prev = v
+    v = prev = step
     it = 0
     for it in range(1, 65):
         v = v.convolve(step)
@@ -175,15 +183,9 @@ def idempotent_power_limit(
         predicted = Measure.zero(parent)
         kind = "zero_limit"
 
-    target = FloatMeasure.from_measure(predicted)
-    step = FloatMeasure.from_measure(nu)
-    v = step
-    res = v.distance(target)
-    it = 1
-    while res > tol and it < n_max:
-        v = v.convolve(step)
-        it += 1
-        res = v.distance(target)
+    v, it, res = _power_iterate(
+        FloatMeasure.from_measure(nu), FloatMeasure.from_measure(predicted), tol, n_max
+    )
     agreement = res <= tol
     if not agreement:
         raise InvariantViolation(f"float iteration stalled at residual {res:.3g}")

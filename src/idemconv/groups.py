@@ -475,7 +475,8 @@ def left_cosets(h: Subgroup, lsub: Subgroup) -> CosetSpace:
     return CosetSpace(h, lsub, tuple(cosets), tuple(reps))
 
 
-@lru_cache(maxsize=None)
+# bounded like character_group; one paper-suite run holds 86 lattices
+@lru_cache(maxsize=256)
 def _all_subgroups_cached(
     parent_ref: GroupTable, ambient_elements: tuple[int, ...]
 ) -> tuple[Subgroup, ...]:
@@ -697,6 +698,26 @@ def semidirect_product(
     return GroupTable(mul, labels, name=f"{n_grp.name}:{a_grp.name}")
 
 
+def _permutation_closure(
+    gens: Sequence[tuple[int, ...]], degree: int, cap: Optional[int] = None
+) -> set[tuple[int, ...]]:
+    """The permutations that gens generate, breadth-first; stops once past cap."""
+    seen = {tuple(range(degree))}
+    frontier = list(seen)
+    while frontier:
+        fresh = []
+        for p in frontier:
+            for g in gens:
+                q = _perm_compose(p, g)
+                if q not in seen:
+                    seen.add(q)
+                    fresh.append(q)
+                    if cap is not None and len(seen) > cap:
+                        return seen
+        frontier = fresh
+    return seen
+
+
 def from_permutations(
     gens: Sequence[Sequence[int]], degree: Optional[int] = None
 ) -> GroupTable:
@@ -711,18 +732,7 @@ def from_permutations(
         if tuple(sorted(pt)) != straight:
             raise ValueError(f"{p} is not a permutation of 0..{d-1}")
         gen_tuples.append(pt)
-    seen = {straight}
-    frontier = [straight]
-    while frontier:
-        fresh = []
-        for p in frontier:
-            for g in gen_tuples:
-                q = _perm_compose(p, g)
-                if q not in seen:
-                    seen.add(q)
-                    fresh.append(q)
-        frontier = fresh
-    perms = sorted(seen)
+    perms = sorted(_permutation_closure(gen_tuples, d))
     index = {p: i for i, p in enumerate(perms)}
     mul = [[index[_perm_compose(p, q)] for q in perms] for p in perms]
     labels = [_cycle_label(p) for p in perms]

@@ -99,7 +99,9 @@ def _fixture(name: str):
     return deco
 
 
-def _char_desc(chi: Character) -> str:
+def _char_desc(chi: Optional[Character]) -> Optional[str]:
+    if chi is None:
+        return None
     if chi.is_trivial:
         return "trivial"
     parent = chi.domain.parent

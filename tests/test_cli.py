@@ -2,10 +2,11 @@
 
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
-from idemconv import cli
+from idemconv import cli, measure_groups
 from idemconv import suite as suite_mod
 
 
@@ -25,6 +26,98 @@ def run_json(capsys, argv):
     code, out, err = run(capsys, argv + ["--json"])
     payload = json.loads(out) if out.strip() else None
     return code, payload, err
+
+
+# Every scenario shape and error path of the CLI, run in text and in --json:
+# exit code, stdout (lines, or the parsed payload) and stderr, exactly.
+PINS = json.loads((Path(__file__).parent / "cli_pins.json").read_text())
+
+
+@pytest.mark.parametrize("pin", PINS, ids=[pin["id"] for pin in PINS])
+def test_cli_output_is_pinned(tmp_path, capsys, monkeypatch, pin):
+    for name, value in pin.get("env", {}).items():
+        monkeypatch.setenv(name, value)
+    argv = list(pin["argv"])
+    if "scenario" in pin:
+        argv += ["--scenario", scenario(tmp_path, pin["scenario"])]
+    code, out, err = run(capsys, argv)
+    assert {"code": code, "stdout": out.splitlines(), "stderr": err} == pin["text"]
+    assert out == "".join(line + "\n" for line in pin["text"]["stdout"])
+    code, out, err = run(capsys, argv + ["--json"])
+    want = pin["json"]
+    assert code == want["code"]
+    assert out == dump(want["stdout"], indent=2)
+    assert err == dump(want["stderr"])
+
+
+def dump(obj, indent=None):
+    """The CLI's JSON rendering of obj, or nothing for None."""
+    return "" if obj is None else json.dumps(obj, sort_keys=True, indent=indent) + "\n"
+
+
+def test_table_past_the_bound_is_precondition_error(tmp_path, capsys):
+    path = scenario(tmp_path, {"schema_version": 1, "group": {"table": [[0]] * 1025}})
+    message = "table has 1025 rows, beyond the desk-scale bound of 1024"
+    code, out, err = run(capsys, ["group", "--scenario", path])
+    assert (code, out, err) == (4, "", f"error[precondition] at group.table: {message}\n")
+    code, out, err = run_json(capsys, ["group", "--scenario", path])
+    assert code == 4 and out is None
+    assert json.loads(err)["error"] == {
+        "category": "precondition", "field": "group.table", "message": message
+    }
+    # 1024 rows pass the bound, and the table is then refused as a table
+    path = scenario(tmp_path, {"schema_version": 1, "group": {"table": [[0]] * 1024}})
+    code, out, err = run(capsys, ["group", "--scenario", path])
+    assert (code, out) == (2, "")
+    assert err.startswith("error[parse] at group.table: invalid group table:")
+
+
+FLAG_SCENARIOS = {
+    "limit": {
+        "schema_version": 1,
+        "group": "S3",
+        "factors": [{"subgroup": ["(12)"], "rotations": {"(12)": "1/2"}}],
+    },
+    "stromberg": {
+        "schema_version": 1,
+        "group": "C3",
+        "measure": {"scale": ["1/2", {"sum": [{"dirac": "a"}, {"dirac": "a^2"}]}]},
+    },
+}
+
+
+BAD_FLAGS = {
+    "limit --tol -1": "--tol must be finite and > 0, got -1.0",
+    "limit --tol nan": "--tol must be finite and > 0, got nan",
+    "limit --tol inf": "--tol must be finite and > 0, got inf",
+    "limit --max-iter 0": "--max-iter must be >= 1, got 0",
+    "stromberg --tol -1": "--tol must be finite and > 0, got -1.0",
+    "stromberg --max-iter -5": "--max-iter must be >= 1, got -5",
+    "example33 --grid 0": "--grid must be >= 1, got 0",
+    "paper-suite --tol 0": "--tol must be finite and > 0, got 0.0",
+    "paper-suite --grid -1": "--grid must be >= 1, got -1",
+    "paper-suite --max-iter 0": "--max-iter must be >= 1, got 0",
+}
+
+
+@pytest.mark.parametrize("command", BAD_FLAGS)
+def test_bad_flag_is_parse_error(tmp_path, capsys, command):
+    argv = command.split()
+    flag, message = argv[1], BAD_FLAGS[command]
+    if argv[0] in FLAG_SCENARIOS:
+        argv += ["--scenario", scenario(tmp_path, FLAG_SCENARIOS[argv[0]])]
+    assert run(capsys, argv) == (2, "", f"error[parse] at {flag}: {message}\n")
+    code, out, err = run_json(capsys, argv)
+    assert (code, out) == (2, None)
+    assert json.loads(err)["error"] == {"category": "parse", "field": flag, "message": message}
+
+
+def test_smallest_flag_values_are_accepted(tmp_path, capsys):
+    path = scenario(tmp_path, FLAG_SCENARIOS["limit"])
+    code, payload, _ = run_json(capsys, ["limit", "--scenario", path, "--max-iter", "1"])
+    assert code == 0 and payload["iterations"] == 1
+    code, payload, _ = run_json(capsys, ["example33", "--grid", "1"])
+    assert code == 0 and payload["grid"] == 1
 
 
 def test_group_info(tmp_path, capsys):
@@ -186,6 +279,24 @@ def test_measure_groups(tmp_path, capsys):
     assert len(payload["n_k_rho"]) == 8
     assert payload["gamma_size"] == 4
     assert payload["omega_classes"] == 1
+
+
+def test_measure_groups_computes_g_k_rho_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(k, rho, real=measure_groups.g_k_rho):
+        calls.append(k)
+        return real(k, rho)
+
+    monkeypatch.setattr(cli, "g_k_rho", counted)
+    monkeypatch.setattr(measure_groups, "g_k_rho", counted)
+    path = scenario(
+        tmp_path,
+        {"schema_version": 1, "group": "S4", "subgroup": ["(12)"], "rotations": {"(12)": "1/2"}},
+    )
+    code, payload, _ = run_json(capsys, ["measure-groups", "--scenario", path])
+    assert code == 0 and len(calls) == 1
+    assert (payload["gamma_size"], payload["omega_classes"]) == (4, 2)
 
 
 def test_free_walk(tmp_path, capsys):

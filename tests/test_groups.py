@@ -33,7 +33,8 @@ from idemconv import (
     symmetric_group,
     trivial_subgroup,
 )
-from idemconv.groups import is_normal_in
+from idemconv.characters import character_group
+from idemconv.groups import _all_subgroups_cached, _permutation_closure, is_normal_in
 
 
 def test_cyclic_basics():
@@ -429,3 +430,27 @@ def test_conjugation_preserves_order(data):
     x = data.draw(st.integers(0, 23))
     y = data.draw(st.integers(0, 23))
     assert g.element_order(g.conjugate(y, x)) == g.element_order(x)
+
+
+@pytest.mark.parametrize(
+    ("cached", "fill"),
+    [
+        (character_group, lambda g: character_group(full_subgroup(g))),
+        (_all_subgroups_cached, all_subgroups),
+    ],
+    ids=["character_group", "all_subgroups"],
+)
+def test_group_keyed_caches_are_bounded(cached, fill):
+    # each fresh group is a new key; the oldest entries must give way
+    bound = cached.cache_info().maxsize
+    assert bound is not None
+    for _ in range(bound + 1):
+        fill(cyclic_group(2))
+    assert cached.cache_info().currsize <= bound
+
+
+def test_permutation_closure_stops_past_its_cap():
+    gens = [(1, 0, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 0)]
+    assert len(_permutation_closure(gens, 7)) == 5040
+    assert len(_permutation_closure(gens, 7, 1024)) == 1025
+    assert _permutation_closure([], 3) == {(0, 1, 2)}

@@ -100,8 +100,6 @@ def test_classify_check_survives_optimize(run_optimized):
         "import idemconv.measures as m\n"
         "from idemconv import cyclic_group, full_subgroup, haar\n"
         "from idemconv.errors import InvariantViolation\n"
-        "if __debug__:\n"
-        "    raise SystemExit(2)\n"
         "g = cyclic_group(2)\n"
         "m.char_idem = lambda k, chi: m.dirac(g, 0)\n"
         "try:\n"

@@ -70,8 +70,6 @@ def test_limit_check_survives_optimize(run_optimized):
     code = (
         "from idemconv.measures import FloatMeasure\n"
         "from idemconv.suite import run_fixture\n"
-        "if __debug__:\n"
-        "    raise SystemExit(2)\n"
         "FloatMeasure.convolve = lambda self, other: self\n"
         "res = run_fixture('limit-sweep')\n"
         "print(res.passed, res.details.get('error'))\n"
