@@ -1,18 +1,30 @@
-"""verify_prop_43 on a seeded, stratified sample of commuting S5 pairs.
+"""verify_prop_43 on a seeded sample of commuting S5 pairs, and on all of them.
 
-Draws ordered pairs of S5 (subgroup, character) items at random, keeps the
-commuting ones until each stratum is full (dense: |K1K2| >= 60, where every
-product is an n = 120 convolution with a large support; sparse: the rest),
-then times verify_prop_43 on each kept pair.  It reports the time per
-stratum, the slowest pair and a SHA-256 over every report's orders and
-counts in sample order, so two runs can be compared without storing the
-reports.  An untimed pass over the same pairs under tracemalloc reports the
-largest per-pair peak of traced memory.  It also times one layer on its
-own: g_k_rho over all 515 S5 (subgroup, character) items.  The row is
-stamped with the machine, Python, numpy and the kernel backend.
+The first row draws ordered pairs of S5 (subgroup, character) items at
+random, keeps the commuting ones until each stratum is full (dense:
+|K1K2| >= 60, where every product is an n = 120 convolution with a large
+support; sparse: the rest), then times verify_prop_43 on each kept pair.  It
+reports the time per stratum, the slowest pair and a SHA-256 over every
+report's orders and counts in sample order, so two runs can be compared
+without storing the reports.  An untimed pass over the same pairs under
+tracemalloc reports the largest per-pair peak of traced memory, each pair
+starting from an empty g_k_rho cache.  It also times one layer on its own:
+g_k_rho over all 515 S5 (subgroup, character) items.
+
+The second row times verify_prop_43 on every commuting ordered pair of S5,
+15,117 of the 265,225, in sweep order (K1 items outer, K2 items inner, as
+bench_commutation.py sweeps them), and reports the wall time, the slowest
+pair, the process's peak RSS and the digest of every report.  The pairs are
+picked with classify_row before the clock starts.  It also counts the
+distinct (K, rho) items among the 3 x 15,117 G_{K,rho} the pairs need, so
+the share of repeats that a cache of g_k_rho can serve is on record.  The
+script raises unless the sweep covers 15,117 pairs.
+
+Every timed section starts from an empty g_k_rho cache.  Each row is stamped
+with the machine, Python, numpy and the kernel backend.
 
 Invoke as: python3 benchmarks/bench_prop43.py [--out BENCH.json --label NAME]
-With --out, the row is appended to the "rows" list of that JSON file.
+With --out, the two rows are appended to the "rows" list of that JSON file.
 """
 
 from __future__ import annotations
@@ -20,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import resource
 import time
 import tracemalloc
 
@@ -28,6 +41,7 @@ from idemconv import (
     all_subgroups,
     character_group,
     classify_pair,
+    classify_row,
     g_k_rho,
     symmetric_group,
     verify_prop_43,
@@ -36,6 +50,7 @@ from idemconv import (
 SAMPLE_SEED = 0
 DENSE_ORDER = 60
 QUOTA = {"dense": 8, "sparse": 40}
+COMMUTING_PAIRS = 15117  # the commute count of bench_commutation.py's S5 sweep
 
 
 def _draw(items):
@@ -63,6 +78,55 @@ def _key(rep) -> str:
     )
 
 
+def _commuting_pairs(s5):
+    """Every commuting ordered pair of S5 items in sweep order, with the
+    (K1K2, rho) item of each."""
+    blocks = [(k, character_group(k)) for k in all_subgroups(s5)]
+    pairs = []
+    for k1, chars1 in blocks:
+        row = classify_row(k1, chars1, blocks)
+        for i, rho1 in enumerate(chars1):
+            for (k2, chars2), block in zip(blocks, row):
+                for rho2, v in zip(chars2, block[i]):
+                    if v.kind == "commute":
+                        product = (v.product_subgroup, v.product_character)
+                        pairs.append(((k1, rho1, k2, rho2), product))
+    return pairs
+
+
+def _sweep_row(label: str, s5) -> dict:
+    t0 = time.perf_counter()
+    pairs = _commuting_pairs(s5)
+    select_s = time.perf_counter() - t0
+    if len(pairs) != COMMUTING_PAIRS:
+        raise RuntimeError(f"the sweep found {len(pairs)} commuting pairs, not {COMMUTING_PAIRS}")
+    distinct = {item for pair, product in pairs for item in (pair[:2], pair[2:], product)}
+
+    g_k_rho.cache_clear()
+    digest = hashlib.sha256()
+    slowest = 0.0
+    t0 = time.perf_counter()
+    for pair, _ in pairs:
+        t1 = time.perf_counter()
+        rep = verify_prop_43(*pair)
+        slowest = max(slowest, time.perf_counter() - t1)
+        digest.update(_key(rep).encode())
+    sweep_s = time.perf_counter() - t0
+    return {
+        **common.stamp(__file__, label),
+        "workload": "s5-prop43-full-sweep",
+        "pairs": len(pairs),
+        "select_s": round(select_s, 3),
+        "sweep_s": round(sweep_s, 3),
+        "pairs_per_s": round(len(pairs) / sweep_s, 1),
+        "slowest_pair_ms": round(1000 * slowest, 1),
+        "g_k_rho_calls": 3 * len(pairs),
+        "g_k_rho_distinct_items": len(distinct),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "report_sha256": digest.hexdigest(),
+    }
+
+
 def main() -> None:
     args = common.parser(__doc__).parse_args()
 
@@ -72,11 +136,13 @@ def main() -> None:
     sample = _draw(items)
     setup_s = time.perf_counter() - t0
 
+    g_k_rho.cache_clear()
     t0 = time.perf_counter()
     for item in items:
         g_k_rho(*item)
     g_k_rho_s = time.perf_counter() - t0
 
+    g_k_rho.cache_clear()
     digest = hashlib.sha256()
     stratum_s = dict.fromkeys(QUOTA, 0.0)
     slowest = 0.0
@@ -92,12 +158,13 @@ def main() -> None:
     tracemalloc.start()
     peak = 0
     for _, pair in sample:
+        g_k_rho.cache_clear()
         tracemalloc.reset_peak()
         verify_prop_43(*pair)
         peak = max(peak, tracemalloc.get_traced_memory()[1])
     tracemalloc.stop()
 
-    row = {
+    sample_row = {
         **common.stamp(__file__, args.label),
         "pairs": dict(QUOTA),
         "setup_s": round(setup_s, 3),
@@ -110,8 +177,9 @@ def main() -> None:
         "peak_pair_traced_kb": round(peak / 1024, 1),
         "report_sha256": digest.hexdigest(),
     }
-    print(json.dumps(row, indent=2))
-    common.append(args.out, row)
+    for row in (sample_row, _sweep_row(args.label, s5)):
+        print(json.dumps(row, indent=2))
+        common.append(args.out, row)
 
 
 if __name__ == "__main__":

@@ -28,12 +28,12 @@ from .groups import (
     GroupTable,
     Subgroup,
     _permutation_closure,
+    _permutation_table,
     all_subgroups,
     closure,
     cyclic_group,
     dihedral_group,
     direct_product,
-    from_permutations,
     full_subgroup,
     left_cosets,
     quaternion_group,
@@ -194,12 +194,9 @@ def _build_group(spec, field: str = "group") -> GroupTable:
                         f"generator {i} is not a permutation of 0..{d - 1}",
                         f"{field}.generators[{i}]",
                     )
-            _check_size(
-                len(_permutation_closure(gens, d, MAX_GROUP_ORDER)),
-                "generated permutation group exceeds",
-                f"{field}.generators",
-            )
-            return from_permutations(gens)
+            perms = _permutation_closure(gens, d, MAX_GROUP_ORDER)
+            _check_size(len(perms), "generated permutation group exceeds", f"{field}.generators")
+            return _permutation_table(perms)
         if "table" in spec:
             table = _need(spec, "table", list, f"{field}.table")
             _check_size(len(table), f"table has {len(table)} rows, beyond", f"{field}.table")

@@ -557,11 +557,7 @@ def symmetric_group(n: int) -> GroupTable:
     """S_n on points 1..n; labels in cycle notation."""
     if n < 1:
         raise ValueError("need n >= 1")
-    perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    mul = [[index[_perm_compose(p, q)] for q in perms] for p in perms]
-    labels = [_cycle_label(p) for p in perms]
-    return GroupTable(mul, labels, name=f"S{n}")
+    return _permutation_table(itertools.permutations(range(n)), name=f"S{n}")
 
 
 def cyclic_group(n: int) -> GroupTable:
@@ -718,6 +714,18 @@ def _permutation_closure(
     return seen
 
 
+def _permutation_table(
+    closed: Iterable[tuple[int, ...]], name: Optional[str] = None
+) -> GroupTable:
+    """The table of a set of permutations closed under composition, in sorted
+    order with cycle-notation labels, named perm<order> unless name is given."""
+    perms = sorted(closed)
+    index = {p: i for i, p in enumerate(perms)}
+    mul = [[index[_perm_compose(p, q)] for q in perms] for p in perms]
+    labels = [_cycle_label(p) for p in perms]
+    return GroupTable(mul, labels, name=name or f"perm{len(perms)}")
+
+
 def from_permutations(
     gens: Sequence[Sequence[int]], degree: Optional[int] = None
 ) -> GroupTable:
@@ -732,11 +740,7 @@ def from_permutations(
         if tuple(sorted(pt)) != straight:
             raise ValueError(f"{p} is not a permutation of 0..{d-1}")
         gen_tuples.append(pt)
-    perms = sorted(_permutation_closure(gen_tuples, d))
-    index = {p: i for i, p in enumerate(perms)}
-    mul = [[index[_perm_compose(p, q)] for q in perms] for p in perms]
-    labels = [_cycle_label(p) for p in perms]
-    return GroupTable(mul, labels, name=f"perm{len(perms)}")
+    return _permutation_table(_permutation_closure(gen_tuples, d))
 
 
 def from_table(

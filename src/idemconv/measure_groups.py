@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .characters import Character, character_group, kernel
+from .characters import Character, character_group
 from .commutation import classify_pair
 from .cyclo import (
     CycloScalar,
@@ -36,7 +37,6 @@ from .groups import (
     full_subgroup,
     intersection,
     left_cosets,
-    normalizer,
     subgroup_from_elements,
 )
 from .measures import (
@@ -65,13 +65,37 @@ __all__ = [
 ]
 
 
-def n_k_rho(k: Subgroup, rho: Character) -> Subgroup:
-    """Normalizer of K intersected with the normalizer of ker rho."""
+def _n_k_rho_masks(k: Subgroup, rho: Character) -> tuple[np.ndarray, np.ndarray]:
+    """Two masks over the parent: N_{K,rho}, and the g with g k g^-1 k^-1 in
+    ker(rho) for every k in K.
+
+    One gather reads rho's exponents (-1 off K) at g k g^-1 for every g and
+    k, and decides all three conditions: g normalizes K where no exponent is
+    -1, g normalizes ker(rho) where every k in ker(rho) lands on exponent 0,
+    and, for g normalizing K, g k g^-1 k^-1 lies in ker(rho) exactly where
+    rho(g k g^-1) = rho(k), that is where the exponents equal rho's at k.
+    """
     if rho.domain != k:
         raise PreconditionError("rho is not a character of K")
-    return intersection(normalizer(k), normalizer(kernel(rho)))
+    parent = k.parent
+    mul_np = parent.mul_np
+    ks = np.asarray(k.elements)
+    t = rho._exponents
+    # [g, k] -> rho's exponent at g k g^-1
+    conj = t[mul_np[mul_np[:, ks], np.asarray(parent.inv)[:, None]]]
+    in_n = (conj >= 0).all(axis=1) & (conj[:, t[ks] == 0] == 0).all(axis=1)
+    return in_n, (conj == t[ks]).all(axis=1)
 
 
+def n_k_rho(k: Subgroup, rho: Character) -> Subgroup:
+    """Normalizer of K intersected with the normalizer of ker rho."""
+    in_n, _ = _n_k_rho_masks(k, rho)
+    return subgroup_from_elements(k.parent, np.flatnonzero(in_n).tolist(), validate=False)
+
+
+# bounded like character_group, for callers that build fresh groups; Prop
+# 4.3 over every commuting S5 pair needs 515 entries
+@lru_cache(maxsize=2048)
 def g_k_rho(k: Subgroup, rho: Character) -> Subgroup:
     """Elements whose point mass commutes with rho*m_K under convolution.
 
@@ -79,31 +103,32 @@ def g_k_rho(k: Subgroup, rho: Character) -> Subgroup:
     the preimage in N_{K,rho} of the centralizer of K/ker(rho) inside
     N_{K,rho}/ker(rho); the two must agree.  The preimage is read without
     building the quotient: the g in N_{K,rho} with g k g^-1 k^-1 in ker(rho)
-    for every k in K.
+    for every k in K, from the same gather that decides N_{K,rho}
+    (_n_k_rho_masks).
 
     Translation only permutes the rows of omega = rho*m_K, so delta_g *
     omega == omega * delta_g exactly when omega(g^-1 x) == omega(x g^-1) at
     every x.  Rows of omega are equal exactly where rho's exponents (-1 off
     K) are, so the exponents are compared, one gather for all g at once.
+
+    Results are cached per (K, rho), keyed by value: the parent group
+    object, K's elements and rho's exponents, so every returned subgroup
+    lies in the caller's group.  A rho off K raises PreconditionError on
+    every call.
     """
+    in_n, centralizes = _n_k_rho_masks(k, rho)
     parent = k.parent
     row_id = rho._exponents
     mul_np = parent.mul_np
     inv = np.asarray(parent.inv)
     # [g, x] -> g^-1 x on the left, x g^-1 on the right
     commutes = (row_id[mul_np[inv]] == row_id[mul_np[:, inv].T]).all(axis=1)
-    direct = tuple(np.flatnonzero(commutes).tolist())
-
-    nkr = np.asarray(n_k_rho(k, rho).elements)
-    ks = np.asarray(k.elements)
-    # [g, k] -> g k g^-1 k^-1, for g in N_{K,rho}
-    comm = mul_np[mul_np[mul_np[nkr[:, None], ks], inv[nkr, None]], inv[ks]]
-    via_quotient = tuple(nkr[(row_id == 0)[comm].all(axis=1)].tolist())
-    if direct != via_quotient:
+    direct = np.flatnonzero(commutes)
+    if not np.array_equal(direct, np.flatnonzero(in_n & centralizes)):
         raise InvariantViolation(
             "the convolution and quotient definitions of G_{K,rho} disagree"
         )
-    return subgroup_from_elements(parent, direct, validate=False)
+    return subgroup_from_elements(parent, direct.tolist(), validate=False)
 
 
 @dataclass(frozen=True)
@@ -285,7 +310,9 @@ def verify_prop_43(
     s0 K1K2 to the coset g1 s0 K1K2, read off as that coset's least
     element.  Every c[g2] comes from one stacked convolution of the
     translates, in slices (_translate_products), and is tested in array
-    passes (_coset_unit_multiples).  Each G_{K_j,rho_j} is computed once.
+    passes (_coset_unit_multiples).  The three G_{K,rho} come from
+    g_k_rho's cache, so each distinct (K, rho) item is computed once per
+    process, however many pairs share it.
 
     Reverse, with omega = rho m_{K1K2}: the pair block delta_x1 * c[x2] is
     delta_{x1 x2} * omega exactly when c[x2] is delta_x2 * omega, so one
@@ -295,7 +322,10 @@ def verify_prop_43(
     delta_{g b} * omega exactly when (omega * omega) * delta_b is
     delta_b * omega: one compare over every b decides every step (b = e asks
     omega * omega = omega).  The steps from e reach the subgroup the b
-    generate, which must be <H1 H2>.
+    generate, which is <H1 H2> exactly when H1 and H2 lie among the b: the
+    b = x1 x2 lie in <H1 H2>, and include H1 and H2 by construction
+    (x2 = e and x1 = e), so one mask check decides the reach, and
+    reverse_realized is |<H1 H2>|.
     """
     verdict = classify_pair(k1, rho1, k2, rho2)
     if verdict.kind != "commute":
@@ -351,8 +381,9 @@ def verify_prop_43(
         raise InvariantViolation(
             "reverse realization produced a non-unit scalar"
         )
-    reached = closure(parent, blocks.tolist())
-    if reached.element_set != span.element_set:
+    in_blocks = np.zeros(parent.order, dtype=bool)
+    in_blocks[blocks] = True
+    if not in_blocks[list(h1.elements + h2.elements)].all():
         raise InvariantViolation("pair blocks fail to reach all of <H1 H2>")
 
     return Prop43Report(
@@ -365,7 +396,7 @@ def verify_prop_43(
         proper_inclusion=span.order < g_prod.order,
         forward_pairs=big1.order * big2.order,
         forward_realized=realized,
-        reverse_realized=reached.order,
+        reverse_realized=span.order,
         passed=True,
     )
 

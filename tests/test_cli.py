@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from idemconv import cli, measure_groups
+from idemconv import cli, groups, measure_groups
 from idemconv import suite as suite_mod
 
 
@@ -279,6 +279,23 @@ def test_measure_groups(tmp_path, capsys):
     assert len(payload["n_k_rho"]) == 8
     assert payload["gamma_size"] == 4
     assert payload["omega_classes"] == 1
+
+
+def test_generators_run_one_permutation_closure(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(gens, degree, cap=None, real=groups._permutation_closure):
+        calls.append(cap)
+        return real(gens, degree, cap)
+
+    monkeypatch.setattr(cli, "_permutation_closure", counted)
+    monkeypatch.setattr(groups, "_permutation_closure", counted)
+    path = scenario(
+        tmp_path, {"schema_version": 1, "group": {"generators": [[1, 0, 2, 3], [1, 2, 3, 0]]}}
+    )
+    code, payload, _ = run_json(capsys, ["group", "--scenario", path])
+    assert code == 0 and payload["order"] == 24
+    assert calls == [cli.MAX_GROUP_ORDER]
 
 
 def test_measure_groups_computes_g_k_rho_once(tmp_path, capsys, monkeypatch):

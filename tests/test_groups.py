@@ -19,6 +19,7 @@ from idemconv import (
     from_permutations,
     from_table,
     full_subgroup,
+    g_k_rho,
     intersection,
     is_matched_pair,
     is_subgroup_product,
@@ -437,8 +438,9 @@ def test_conjugation_preserves_order(data):
     [
         (character_group, lambda g: character_group(full_subgroup(g))),
         (_all_subgroups_cached, all_subgroups),
+        (g_k_rho, lambda g: g_k_rho(full_subgroup(g), character_group(full_subgroup(g))[0])),
     ],
-    ids=["character_group", "all_subgroups"],
+    ids=["character_group", "all_subgroups", "g_k_rho"],
 )
 def test_group_keyed_caches_are_bounded(cached, fill):
     # each fresh group is a new key; the oldest entries must give way

@@ -26,10 +26,13 @@ from idemconv import (
     haar,
     intersection,
     is_local_unitary,
+    kernel,
     n_k_rho,
+    normalizer,
     nu_u,
     omega_class_count,
     exp_skew,
+    run_suite,
     symmetric_group,
     trivial_subgroup,
     verify_prop_43,
@@ -102,6 +105,44 @@ def test_g_k_rho_matches_translate_definition_s5_sample(s5):
         assert g_k_rho(k, chi).elements == _reference_g_k_rho(k, chi)
 
 
+@pytest.mark.parametrize("name", ["s3", "s4", "d4", "q8", "g18"])
+def test_n_k_rho_matches_normalizer_intersection(name, request):
+    for k, chi in _items(request.getfixturevalue(name)):
+        assert n_k_rho(k, chi) == intersection(normalizer(k), normalizer(kernel(chi)))
+
+
+def test_g_k_rho_cache_is_keyed_by_group_object():
+    # equal-looking items of two S4 instances are two entries, each answered
+    # in its own group, and a repeat call returns the cached subgroup
+    before = g_k_rho.cache_info()
+    groups = (symmetric_group(4), symmetric_group(4))
+    items = [(k, trivial_char(k)) for k in (closure(g, [g.idx("(12)")]) for g in groups)]
+    first = [g_k_rho(*item) for item in items]
+    assert [gk.parent for gk in first] == list(groups)
+    assert first[0].elements == first[1].elements and first[0] != first[1]
+    assert all(g_k_rho(*item) is gk for item, gk in zip(items, first))
+    after = g_k_rho.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (2, 2)
+
+
+def test_g_k_rho_rejects_a_character_off_k_on_every_call(s4):
+    k = closure(s4, [s4.idx("(12)")])
+    other = closure(s4, [s4.idx("(34)")])
+    twin = symmetric_group(4)
+    twin_k = closure(twin, [twin.idx("(12)")])
+    for rho in (character_group(other)[1], character_group(twin_k)[1]):
+        for _ in range(2):
+            with pytest.raises(PreconditionError):
+                g_k_rho(k, rho)
+
+
+def test_g_k_rho_cache_stays_under_its_bound_over_the_suite():
+    g_k_rho.cache_clear()
+    run_suite()
+    info = g_k_rho.cache_info()
+    assert 0 < info.currsize < info.maxsize
+
+
 def test_g_k_rho_quotient_check_survives_optimize(run_optimized):
     # a commutator path that loses elements must be caught: for the trivial
     # pair on S3 the direct definition gives all of S3, while a commutator
@@ -112,7 +153,13 @@ def test_g_k_rho_quotient_check_survives_optimize(run_optimized):
         "from idemconv.errors import InvariantViolation\n"
         "g = symmetric_group(3)\n"
         "t = trivial_subgroup(g)\n"
-        "mg.n_k_rho = lambda k, rho: trivial_subgroup(k.parent)\n"
+        "real = mg._n_k_rho_masks\n"
+        "def corrupted(k, rho):\n"
+        "    in_n, centralizes = real(k, rho)\n"
+        "    only_e = in_n & False\n"
+        "    only_e[k.parent.identity] = True\n"
+        "    return only_e, centralizes\n"
+        "mg._n_k_rho_masks = corrupted\n"
         "try:\n"
         "    mg.g_k_rho(t, character_group(t)[0])\n"
         "except InvariantViolation as exc:\n"
@@ -641,6 +688,42 @@ def test_one_corrupted_pair_block_survives_optimize(run_optimized):
             "mg._translate_products = corrupted\n",
             "pair block",
         )
+    )
+
+
+def test_pair_block_containment_survives_optimize(run_optimized):
+    # block indices that miss the part of H1 outside H2 must fail the check
+    # that H1 and H2 lie among them.  For m_<(12)(34)> and m_<(13)(24)> on
+    # S4, H1 and H2 are two dihedral groups of order 8 and <H1 H2> is S4;
+    # the 12 blocks left still generate S4, so a closure of the blocks would
+    # not notice, and neither would a check of H2 alone
+    run_optimized(
+        "import types\n"
+        "import idemconv.measure_groups as mg\n"
+        "from idemconv import character_group, closure, symmetric_group\n"
+        "from idemconv.errors import InvariantViolation\n"
+        "g = symmetric_group(4)\n"
+        "k1 = closure(g, [g.idx('(12)(34)')])\n"
+        "k2 = closure(g, [g.idx('(13)(24)')])\n"
+        "h1_only = [g.idx(x) for x in ('(12)', '(34)', '(1324)', '(1423)')]\n"
+        "real = mg.np.unique\n"
+        "def corrupted(a):\n"
+        "    blocks = real(a)\n"
+        "    if len(blocks) != 16 or closure(g, blocks.tolist()).order != 24:\n"
+        "        raise SystemExit(4)\n"
+        "    kept = blocks[~mg.np.isin(blocks, h1_only)]\n"
+        "    if closure(g, kept.tolist()).order != 24:\n"
+        "        raise SystemExit(5)\n"
+        "    return kept\n"
+        "np = types.ModuleType('numpy')\n"
+        "np.__dict__.update(vars(mg.np))\n"
+        "np.unique = corrupted\n"
+        "mg.np = np\n"
+        "try:\n"
+        "    mg.verify_prop_43(k1, character_group(k1)[0], k2, character_group(k2)[0])\n"
+        "except InvariantViolation as exc:\n"
+        "    raise SystemExit(0 if 'pair blocks fail to reach' in str(exc) else 3)\n"
+        "raise SystemExit(1)\n"
     )
 
 
