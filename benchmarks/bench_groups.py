@@ -1,9 +1,12 @@
 """Group-table construction, the exact associativity check and the subgroup lattice.
 
-Times GroupTable(mul, labels) on an already built table (identity,
-inverses, Light's associativity test, element orders), the same followed by
-a first read of the nested-tuple view `.mul`, and the associativity check
-alone, on S5, S6, C1024, D512 and C2xC2xD128.  Light's test checks one
+Times each constructor call (symmetric_group, cyclic_group, dihedral_group,
+direct_product, semidirect_product: the table formula plus GroupTable),
+GroupTable(mul, labels) on an already built table handed over as Python
+rows (identity, inverses, Light's associativity test, element orders), the
+same followed by a first read of the nested-tuple view `.mul`, and the
+associativity check alone, on S5, S6, C1024, D512, C2xC2xD128, C2xC512 and
+C512:C2 (C2 inverting C512).  Light's test checks one
 n x n identity per greedily chosen generator, at most log2(n) of them for
 a group, so every accepted table is proven associative.  The run fails if
 C1024 with one associativity-breaking 2x2 swap (which keeps the
@@ -36,6 +39,7 @@ from idemconv import (
     dihedral_group,
     direct_product,
     quotient_group,
+    semidirect_product,
     symmetric_group,
 )
 from idemconv.groups import _check_associativity
@@ -44,12 +48,16 @@ LATTICE_COUNTS = {"S4": 30, "S5": 156, "S6": 1455}
 
 
 def _workloads():
-    c2 = cyclic_group(2)
-    yield "S5", symmetric_group(5), 20
-    yield "S6", symmetric_group(6), 3
-    yield "C1024", cyclic_group(1024), 3
-    yield "D512", dihedral_group(512), 3
-    yield "C2xC2xD128", direct_product(direct_product(c2, c2), dihedral_group(128)), 3
+    """(name, constructor call, repeats) per timed group."""
+    c2, c512 = cyclic_group(2), cyclic_group(512)
+    inversion = [tuple(range(512)), tuple((-x) % 512 for x in range(512))]
+    yield "S5", lambda: symmetric_group(5), 20
+    yield "S6", lambda: symmetric_group(6), 3
+    yield "C1024", lambda: cyclic_group(1024), 3
+    yield "D512", lambda: dihedral_group(512), 3
+    yield "C2xC2xD128", lambda: direct_product(direct_product(c2, c2), dihedral_group(128)), 3
+    yield "C2xC512", lambda: direct_product(c2, c512), 3
+    yield "C512:C2", lambda: semidirect_product(c512, c2, inversion), 3
 
 
 def _broken_c1024() -> list[list[int]]:
@@ -87,9 +95,11 @@ def main() -> None:
         raise SystemExit("broken C1024 table was accepted as a group")
 
     tables = {}
-    for name, g, repeats in _workloads():
+    for name, build, repeats in _workloads():
+        g = build()
         tables[name] = {
             "order": g.order,
+            "construct_ms": common.best_time(build, repeats) * 1e3,
             "build_ms": common.best_time(lambda: GroupTable(g.mul, g.labels), repeats) * 1e3,
             "build_mul_ms": common.best_time(
                 lambda: GroupTable(g.mul, g.labels).mul, repeats
@@ -114,10 +124,13 @@ def main() -> None:
     lattice = {name: _lattice_s(name) for name in args.lattice}
 
     width = max(len(name) for name in tables)
-    print(f"{'group':<{width}}  {'order':>5}  {'GroupTable':>11}  {'+ .mul':>9}  {'associativity':>13}")
+    print(
+        f"{'group':<{width}}  {'order':>5}  {'constructor':>11}  {'GroupTable':>11}  "
+        f"{'+ .mul':>9}  {'associativity':>13}"
+    )
     for name, t in tables.items():
         print(
-            f"{name:<{width}}  {t['order']:>5}  {t['build_ms']:9.1f}ms  "
+            f"{name:<{width}}  {t['order']:>5}  {t['construct_ms']:9.1f}ms  {t['build_ms']:9.1f}ms  "
             f"{t['build_mul_ms']:7.1f}ms  {t['assoc_ms']:11.2f}ms"
         )
     print(

@@ -46,7 +46,7 @@ from .groups import (
     semidirect_product,
     subgroup_from_elements,
 )
-from .measures import Measure, _char_idem_rows, _convolve_rows
+from .measures import Measure, _convolve_rows, _monomial_rows
 
 __all__ = [
     "CommutationVerdict",
@@ -93,13 +93,6 @@ class CommutationVerdict:
         # the row at the identity, exponent 0, is (1, 0, ..., 0), so rows over
         # den are in lowest terms
         return Measure(parent, n, _monomial_rows(parent, exps[side], n), den)
-
-
-def _monomial_rows(parent: GroupTable, exps: np.ndarray, n: int) -> np.ndarray:
-    """The rows of zeta^e at conductor n for exponents e modulo the parent's
-    exponent, any leading shape; n divides each e's order, so e is a multiple
-    of parent.exponent // n, and -1 // step is -1, the zero row of roots."""
-    return field_tables(n).roots[exps // (parent.exponent // n)]
 
 
 def _require(
@@ -317,8 +310,19 @@ def _check_run(
     parent = k1.parent
     order, m1, m2 = parent.order, len(chars1), len(chars2)
     n = lcm(*(rho.conductor for rho in chars1), *(rho.conductor for rho in chars2))
-    rows1 = _char_idem_rows(k1, chars1, n)
-    rows2 = np.concatenate([_char_idem_rows(k2, chars, n) for k2, chars in blocks2])
+
+    def scattered(k: Subgroup, chars: Sequence[Character]) -> np.ndarray:
+        # exps over the parent, -1 off k: read from exps, not from the
+        # _exponents that the closed form reads
+        t = np.full((len(chars), order), -1, dtype=np.int64)
+        t[:, list(k.elements)] = [rho.exps for rho in chars]
+        return t
+
+    t1s = scattered(k1, chars1)
+    t2s = np.concatenate([scattered(k2, chars) for k2, chars in blocks2])
+    d = field_tables(n).degree
+    rows1 = _monomial_rows(parent, t1s, n).reshape(-1, d)
+    rows2 = _monomial_rows(parent, t2s, n).reshape(-1, d)
     left = _convolve_rows(parent, n, rows1, rows2).reshape(m1, m2, order, -1)
     right = _convolve_rows(parent, n, rows2, rows1).reshape(m2, m1, order, -1).swapaxes(0, 1)
     widths = [len(chars) for _, chars in blocks2]
@@ -337,7 +341,7 @@ def _check_run(
     if pairs:
         i, c = np.divmod(pairs, m2)
         t12 = _exponents([flat[p].product_character for p in pairs])
-        t1, t2 = _exponents(chars1)[i], _exponents(chars2)[c]
+        t1, t2 = t1s[i], t2s[c]
         if (((t1 >= 0) & (t12 != t1)) | ((t2 >= 0) & (t12 != t2))).any():
             raise InvariantViolation("product character does not restrict to rho1, rho2")
         # rho12's char_idem over |K12| is _monomial_rows of its exponents

@@ -116,7 +116,7 @@ class GroupTable:
 
     def __init__(
         self,
-        mul: Sequence[Sequence[int]],
+        mul: Union[Sequence[Sequence[int]], np.ndarray],
         labels: Optional[Sequence[str]] = None,
         name: Optional[str] = None,
     ):
@@ -250,19 +250,22 @@ def subgroup_from_elements(
     sub = Subgroup(parent, elts, tuple(generators) if generators is not None else elts)
     if not validate:
         return sub
-    eset = sub.element_set
-    if parent.identity not in eset:
+    e = np.array(elts, dtype=np.int64)
+    inside = np.zeros(parent.order, dtype=bool)
+    inside[e] = True
+    if not inside[parent.identity]:
         raise ValueError("subgroup must contain the identity")
-    mul, inv = parent.mul, parent.inv
-    for a in elts:
-        if inv[a] not in eset:
-            raise ValueError(f"not inverse-closed at {parent.labels[a]}")
-        row = mul[a]
-        for b in elts:
-            if row[b] not in eset:
-                raise ValueError(
-                    f"not closed: {parent.labels[a]}*{parent.labels[b]} escapes"
-                )
+    # the first element whose inverse or row of products escapes, in order
+    inv_ok = inside[np.asarray(parent.inv)[e]]
+    prod_ok = inside[parent.mul_np[e[:, None], e]]
+    bad = ~inv_ok | ~prod_ok.all(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        a = parent.labels[elts[i]]
+        if not inv_ok[i]:
+            raise ValueError(f"not inverse-closed at {a}")
+        b = parent.labels[elts[int(prod_ok[i].argmin())]]
+        raise ValueError(f"not closed: {a}*{b} escapes")
     return sub
 
 
@@ -563,26 +566,19 @@ def symmetric_group(n: int) -> GroupTable:
 def cyclic_group(n: int) -> GroupTable:
     if n < 1:
         raise ValueError("need n >= 1")
-    mul = [[(i + j) % n for j in range(n)] for i in range(n)]
+    k = np.arange(n)
     labels = ["e"] + ["a" if i == 1 else f"a^{i}" for i in range(1, n)]
-    return GroupTable(mul, labels[:n], name=f"C{n}")
+    return GroupTable((k[:, None] + k) % n, labels[:n], name=f"C{n}")
 
 
 def dihedral_group(n: int) -> GroupTable:
     """Dihedral group of order 2n: rotations r^i and reflections r^i s."""
     if n < 1:
         raise ValueError("need n >= 1")
-
-    def pack(i: int, j: int) -> int:
-        return j * n + i
-
-    mul = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(2):
-            for k in range(n):
-                for l_ in range(2):
-                    rot = (i + (k if j == 0 else -k)) % n
-                    mul[pack(i, j)][pack(k, l_)] = pack(rot, (j + l_) % 2)
+    # element j*n + i is r^i s^j, and r^i s^j * r^k s^l = r^(i + (-1)^j k) s^(j+l)
+    j, i = np.divmod(np.arange(2 * n), n)
+    rot = (i[:, None] + (1 - 2 * j)[:, None] * i) % n
+    mul = (j[:, None] ^ j) * n + rot
     labels = []
     for j in range(2):
         for i in range(n):
@@ -594,50 +590,28 @@ def dihedral_group(n: int) -> GroupTable:
     return GroupTable(mul, labels, name=f"D{n}")
 
 
+# the units 1, i, j, k on axes 0..3 multiply by XOR of the axes; the product
+# of axes a and b has sign bit _QUATERNION_SIGN[a][b] (i*j = k but j*i = -k)
+_QUATERNION_SIGN = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
+
+
 def quaternion_group() -> GroupTable:
     """The quaternion group {1,-1,i,-i,j,-j,k,-k}."""
-    # axis 0 is the scalar unit; (axis, axis) -> (sign, axis) per quaternion rules
-    axis_mul = {}
-    for a in range(4):
-        axis_mul[(0, a)] = (0, a)
-        axis_mul[(a, 0)] = (0, a)
-    for a in (1, 2, 3):
-        axis_mul[(a, a)] = (1, 0)
-    for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        axis_mul[(a, b)] = (0, c)
-        axis_mul[(b, a)] = (1, c)
-
-    def pack(sign: int, axis: int) -> int:
-        return axis * 2 + sign
-
-    mul = [[0] * 8 for _ in range(8)]
-    for s1 in range(2):
-        for a1 in range(4):
-            for s2 in range(2):
-                for a2 in range(4):
-                    s3, a3 = axis_mul[(a1, a2)]
-                    mul[pack(s1, a1)][pack(s2, a2)] = pack((s1 + s2 + s3) % 2, a3)
+    # element 2 * axis + sign is (-1)^sign times the unit of that axis
+    a, s = np.divmod(np.arange(8), 2)
+    mul = (a[:, None] ^ a) * 2 + (s[:, None] ^ s ^ _QUATERNION_SIGN[a[:, None], a])
     names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
     return GroupTable(mul, names, name="Q8")
 
 
 def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
     na, nb = a.order, b.order
-
-    def pack(x: int, y: int) -> int:
-        return x * nb + y
-
-    mul = [[0] * (na * nb) for _ in range(na * nb)]
-    for x1 in range(na):
-        for y1 in range(nb):
-            r = mul[pack(x1, y1)]
-            for x2 in range(na):
-                for y2 in range(nb):
-                    r[pack(x2, y2)] = pack(a.mul[x1][x2], b.mul[y1][y2])
+    # element x * nb + y is (x, y); the axes below are x1, y1, x2, y2
+    mul = a.mul_np[:, None, :, None] * nb + b.mul_np[None, :, None, :]
     labels = [
         f"({a.labels[x]},{b.labels[y]})" for x in range(na) for y in range(nb)
     ]
-    return GroupTable(mul, labels, name=f"{a.name}x{b.name}")
+    return GroupTable(mul.reshape(na * nb, na * nb), labels, name=f"{a.name}x{b.name}")
 
 
 def semidirect_product(
@@ -648,7 +622,9 @@ def semidirect_product(
     """N semidirect A with multiplication (k,x)(k',y) = (k * x(k'), x*y).
 
     The action maps each element of A to a permutation of N's indices; it
-    must be a homomorphism into automorphisms of N (validated).
+    must be a homomorphism into automorphisms of N (validated).  A failure
+    names the first element of A that is not a bijection or not an
+    automorphism, before the identity and homomorphism checks.
     """
     nn, na = n_grp.order, a_grp.order
     if callable(action):
@@ -658,40 +634,30 @@ def semidirect_product(
     if len(acts) != na:
         raise ValueError("need one automorphism per element of A")
     straight = tuple(range(nn))
-    for x, p in enumerate(acts):
-        if tuple(sorted(p)) != straight:
-            raise ValueError(f"action of {a_grp.labels[x]} is not a bijection")
-        for u in range(nn):
-            for v in range(nn):
-                if p[n_grp.mul[u][v]] != n_grp.mul[p[u]][p[v]]:
-                    raise ValueError(
-                        f"action of {a_grp.labels[x]} is not an automorphism"
-                    )
+    # sorted() takes ragged rows, any index and ints past int64
+    bijective = next((x for x, p in enumerate(acts) if tuple(sorted(p)) != straight), na)
+    acts_np = np.array(acts[:bijective], dtype=np.int64).reshape(bijective, nn)
+    nmul = n_grp.mul_np
+    # x(u*v) == x(u) * x(v) for all u, v, one (nn, nn) block per x
+    auto = (acts_np[:, nmul] == nmul[acts_np[:, :, None], acts_np[:, None, :]]).all(axis=(1, 2))
+    x = int(auto.argmin()) if not auto.all() else bijective
+    if x < na:
+        kind = "an automorphism" if x < bijective else "a bijection"
+        raise ValueError(f"action of {a_grp.labels[x]} is not {kind}")
     if acts[a_grp.identity] != straight:
         raise ValueError("identity of A must act trivially")
-    for x in range(na):
-        for y in range(na):
-            if acts[a_grp.mul[x][y]] != _perm_compose(acts[x], acts[y]):
-                raise ValueError("action is not a homomorphism")
+    # (x*y)(k) == x(y(k)), one row per pair (x, y)
+    if not np.array_equal(acts_np[a_grp.mul_np], acts_np[:, acts_np]):
+        raise ValueError("action is not a homomorphism")
 
-    def pack(k: int, x: int) -> int:
-        return k * na + x
-
-    order = nn * na
-    mul = [[0] * order for _ in range(order)]
-    for k in range(nn):
-        for x in range(na):
-            r = mul[pack(k, x)]
-            act = acts[x]
-            for k2 in range(nn):
-                for y in range(na):
-                    r[pack(k2, y)] = pack(n_grp.mul[k][act[k2]], a_grp.mul[x][y])
+    # element k * na + x is (k, x); the axes below are k, x, k', y
+    mul = nmul[:, acts_np][:, :, :, None] * na + a_grp.mul_np[None, :, None, :]
     labels = [
         f"({n_grp.labels[k]},{a_grp.labels[x]})"
         for k in range(nn)
         for x in range(na)
     ]
-    return GroupTable(mul, labels, name=f"{n_grp.name}:{a_grp.name}")
+    return GroupTable(mul.reshape(nn * na, nn * na), labels, name=f"{n_grp.name}:{a_grp.name}")
 
 
 def _permutation_closure(
@@ -720,10 +686,24 @@ def _permutation_table(
     """The table of a set of permutations closed under composition, in sorted
     order with cycle-notation labels, named perm<order> unless name is given."""
     perms = sorted(closed)
-    index = {p: i for i, p in enumerate(perms)}
-    mul = [[index[_perm_compose(p, q)] for q in perms] for p in perms]
+    m, d = len(perms), len(perms[0])
+    table = np.array(perms, dtype=np.int64).reshape(m, d)
+    # p*q is p[q], the row table[i, table[j]], found by searchsorted on
+    # base-d keys of the rows, most significant digit first.  Every product
+    # is a row of the table, so before a key would leave int64 each key is
+    # replaced by its rank among the table's keys, which keeps their order.
+    keys, comp_keys = np.zeros(m, dtype=np.int64), np.zeros((m, m), dtype=np.int64)
+    bound = 1  # every key is below bound
+    for k in range(d):
+        if bound * d >= 2**63:
+            ranks, keys = np.unique(keys, return_inverse=True)
+            comp_keys, bound = np.searchsorted(ranks, comp_keys), m
+        keys = keys * d + table[:, k]
+        comp_keys = comp_keys * d + table[:, table[:, k]]
+        bound *= d
+    mul = np.searchsorted(keys, comp_keys)
     labels = [_cycle_label(p) for p in perms]
-    return GroupTable(mul, labels, name=name or f"perm{len(perms)}")
+    return GroupTable(mul, labels, name=name or f"perm{m}")
 
 
 def from_permutations(

@@ -367,7 +367,9 @@ def verify_prop_43(
             "forward inclusion fails: product lands outside <H1 H2>"
         )
     # reverse: one compare decides every pair block, one every search step
-    in_h2 = np.isin(big2.elements, h2.elements)
+    in_h2 = np.zeros(parent.order, dtype=bool)
+    in_h2[list(h2.elements)] = True
+    in_h2 = in_h2[list(big2.elements)]
     x2s = np.asarray(big2.elements)[in_h2]
     if not _left_translates_of(prods[in_h2], den, n, idem12, x2s):
         raise InvariantViolation(

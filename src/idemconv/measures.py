@@ -249,20 +249,16 @@ def char_idem(k: Subgroup, chi: Character) -> Measure:
     """
     if chi.domain != k:
         raise PreconditionError("character domain differs from the given subgroup")
-    return Measure(k.parent, chi.conductor, _char_idem_rows(k, (chi,), chi.conductor), k.order)
+    rows = _monomial_rows(k.parent, chi._exponents, chi.conductor)
+    return Measure(k.parent, chi.conductor, rows, k.order)
 
 
-def _char_idem_rows(k: Subgroup, chis: Sequence[Character], n: int) -> np.ndarray:
-    """The numerators of char_idem(k, chi) over |k| at conductor n, stacked
-    as the kernel stacks them: (len(chis) * group order, phi(n)).  n must be
-    a multiple of every chi's conductor."""
-    tab = field_tables(n)
-    parent = k.parent
-    rows = np.zeros((len(chis), parent.order, tab.degree), dtype=np.int64)
-    # n divides e, and e / n divides every exponent
-    exps = np.array([chi.exps for chi in chis])
-    rows[:, list(k.elements)] = tab.pow_rows[exps // (parent.exponent // n)]
-    return rows.reshape(-1, tab.degree)
+def _monomial_rows(parent: GroupTable, exps: np.ndarray, n: int) -> np.ndarray:
+    """The rows of zeta^e at conductor n for exponents e modulo the parent's
+    exponent, any leading shape; n divides each e's order, so e is a multiple
+    of parent.exponent // n, and -1 // step is -1, the zero row of roots.
+    On a character's _exponents these are the numerators of its char_idem."""
+    return field_tables(n).roots[exps // (parent.exponent // n)]
 
 
 def _convolve_rows(parent: GroupTable, n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -270,7 +266,7 @@ def _convolve_rows(parent: GroupTable, n: int, a: np.ndarray, b: np.ndarray) -> 
     (see idemconv._kernel.convolve_exact), not normalized."""
     tab = field_tables(n)
     red = tab.pow_rows[: 2 * tab.degree - 1]
-    return _kernel.convolve_exact(parent.mul, parent.mul_np, a, b, red, tab.red_max)
+    return _kernel.convolve_exact(parent.mul_np, parent.mul_np, a, b, red, tab.red_max)
 
 
 def convolve(a: Measure, b: Measure) -> Measure:

@@ -1,5 +1,6 @@
 """Group tables, subgroup lattice, coset machinery."""
 
+import hashlib
 import itertools
 import re
 
@@ -407,6 +408,161 @@ def test_semidirect_rejects_non_action():
     bad = [tuple(range(4)), (1, 0, 2, 3)]  # not an automorphism of C4
     with pytest.raises(ValueError):
         semidirect_product(cyclic_group(4), cyclic_group(2), bad)
+
+
+def _inversion(n):
+    return [tuple(range(n)), tuple((-x) % n for x in range(n))]
+
+
+def _c2():
+    return cyclic_group(2)
+
+
+# sha256 of (name, labels) then mul_np's bytes, for each constructor's
+# groups; the tables that the per-entry Python constructors built
+CONSTRUCTOR_PINS = {
+    "S1": (lambda: symmetric_group(1), "99c34a2421fad87f3962c28844928d4794d87d02458025b9bda536819aba8ead"),
+    "S2": (lambda: symmetric_group(2), "cc00b9a5eb4e4eacbf75043dfd6e8f504e02b9f3231441924854574bd249c036"),
+    "S3": (lambda: symmetric_group(3), "7cd856bf4cb7d18a7c95a718bd009b43fd365eec9d6c1023409dba85cf6e207f"),
+    "S4": (lambda: symmetric_group(4), "9095f44955ec12dc4d05637f2bde153392c918468b8f9aa696f7c25d730c0cd8"),
+    "S5": (lambda: symmetric_group(5), "59a67f8ee1490717b8164005ee17397b0fa05ac3f72b2ad29ce126e53bc5fd9b"),
+    "S6": (lambda: symmetric_group(6), "7a15d35854b7c23b5b3a81ce649458e815c32f0a25370845c6d8eeb967b09605"),
+    "C1": (lambda: cyclic_group(1), "e539ea92a0001826e3e99a5d9584b6a8c80b7928b9cd9c2eefe331083eb44446"),
+    "C2": (lambda: cyclic_group(2), "053b1ae9a5037649c52669f63bce02c3ec03d3d682f34540f93dc8c62fcb2d77"),
+    "C3": (lambda: cyclic_group(3), "329e8aea0a0b2cf63a8351bed876b7807c90597f196cdf8bcf1b2dea3e156a75"),
+    "C8": (lambda: cyclic_group(8), "f1d7a58f9cbfe8a268c51f92d570ace5c3da639d17260b1ed82e781332c1f281"),
+    "C12": (lambda: cyclic_group(12), "914eb925850653fce8374ab8ceda4fbb054ad57548bd1715c5e5b2bbde316c20"),
+    "C1024": (lambda: cyclic_group(1024), "384e2a15656690da01f8e49f00b5fd536fc96551bd3d3a9d7a680b84f00d1abc"),
+    "D1": (lambda: dihedral_group(1), "5e68ee685374ee7ef9605091452dbb241a3232f865f1ef36e0d11d26941354fd"),
+    "D2": (lambda: dihedral_group(2), "d05b695f3a372061d9a0b23574154469eba08e4a513f6df1ecce0a379b1a8715"),
+    "D3": (lambda: dihedral_group(3), "c7a86ca94dfacd117bf2bbcbd4eaa1c5b684f9b58789da43766b07b563147fc4"),
+    "D4": (lambda: dihedral_group(4), "a24a337a5bb083ba892d134b489d59cc1a81f14e19eaa3e5056ccaba01631abb"),
+    "D7": (lambda: dihedral_group(7), "c875b9a451cb0b8fa41cc63e720bb94cd257f14e59547c14b0150970ce699d65"),
+    "D512": (lambda: dihedral_group(512), "2dec4b0d9c3c8d15fd2caff07247e92c49044228e019ea6c3e85508386af2448"),
+    "Q8": (quaternion_group, "428611f7074550cdb9b932585f500cfde7bfb6bca06c2222fa7f7aaa042eb378"),
+    "C2xC3": (
+        lambda: direct_product(_c2(), cyclic_group(3)),
+        "5d93fdda0fb0844f8c2e686e51752d7c60ce8fa094cf527ba79e7cee4bcaa00a",
+    ),
+    "Q8xC2": (
+        lambda: direct_product(quaternion_group(), _c2()),
+        "4c300193f2f6e56e44cecce8cdddf194a62df528756e1a7365b64a358ce34ddb",
+    ),
+    "C2xC512": (
+        lambda: direct_product(_c2(), cyclic_group(512)),
+        "0464f19311744eca6359a00aae66521e344fa1a9e3922ba2102315c3e65b6ac2",
+    ),
+    "S3xD4": (
+        lambda: direct_product(symmetric_group(3), dihedral_group(4)),
+        "a355500c0d9cf4790086c05a31ea06cbb651ecf2ff07ad12aee993152792ac85",
+    ),
+    "C2xC2xD128": (
+        lambda: direct_product(direct_product(_c2(), _c2()), dihedral_group(128)),
+        "722a420c5900331e17a37187afaa44eb2762a0b84cbaedcfc01f00602c576815",
+    ),
+    "C8:C2": (
+        lambda: semidirect_product(cyclic_group(8), _c2(), _inversion(8)),
+        "bea32f98981701e3f6070cf07797f055850695de6c5ddb5559ad310cc6f25e77",
+    ),
+    "C3xC3:C2": (
+        lambda: semidirect_product(
+            direct_product(cyclic_group(3), cyclic_group(3)),
+            _c2(),
+            [tuple(range(9)), tuple((x % 3) * 3 + x // 3 for x in range(9))],
+        ),
+        "21075af15fd078f95dbb46ea42141b42390a1a9ae5f808aad49f9f7c8047df4a",
+    ),
+    "C4:C4": (
+        lambda: semidirect_product(cyclic_group(4), cyclic_group(4), lambda a: _inversion(4)[a % 2]),
+        "fb22c483c343346d692ba2740d7a4fa564e17464beb8976dfe8eb51207292688",
+    ),
+    "C512:C2": (
+        lambda: semidirect_product(cyclic_group(512), _c2(), _inversion(512)),
+        "b7f3792d609eba03dcd5249632b2af96d829c5ae5c30eb6283c31776ca79a6d8",
+    ),
+    "perm24": (
+        lambda: from_permutations([(1, 0, 2, 3), (1, 2, 3, 0)]),
+        "80fcbe40fe3cc40b59abced7bd98c56361eb614c45fb0762d75caef669070e05",
+    ),
+    # degrees 20, 17 and 40: base-d keys past int64, so the digits go in
+    # chunks, and at degree 40 two chunks of eleven digits each
+    "perm20": (
+        lambda: from_permutations([tuple((i + 1) % 20 for i in range(20))]),
+        "c953e79433eb1880cd246dbe495c69cf3a244b9ee0e5f695b58a0872690dacc6",
+    ),
+    "perm34": (
+        lambda: from_permutations(
+            [tuple((i + 1) % 17 for i in range(17)), tuple((-i) % 17 for i in range(17))]
+        ),
+        "dc8c195a8b13fe5a871638f76e6039f13367637b2e090c0939b74167f29380a8",
+    ),
+    "perm80": (
+        lambda: from_permutations(
+            [tuple((i + 1) % 40 for i in range(40)), tuple((-i) % 40 for i in range(40))]
+        ),
+        "567a9ea6ce75b6ae02bdf3a0975e79609a04c066d3821fc1c4cc73a3b7cd55a7",
+    ),
+    "perm1": (
+        lambda: from_permutations([], degree=3),
+        "a75a105ea51af99ead44db2c3a2181f6d435b199f0b61beed70b4e2dd93ef2a6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CONSTRUCTOR_PINS))
+def test_constructor_tables_are_pinned(name):
+    build, digest = CONSTRUCTOR_PINS[name]
+    g = build()
+    h = hashlib.sha256(repr((g.name, g.labels)).encode())
+    h.update(g.mul_np.tobytes())
+    assert (g.name, h.hexdigest()) == (name, digest)
+
+
+C4_INVERSION = _inversion(4)
+
+
+@pytest.mark.parametrize(
+    ("acting", "action", "message"),
+    [
+        (_c2, [C4_INVERSION[0], (0, 3, 2)], "action of a is not a bijection"),
+        (_c2, [C4_INVERSION[0], (0, 3, 2, 4)], "action of a is not a bijection"),
+        (_c2, [C4_INVERSION[0], (0, 3, 2, 2**70)], "action of a is not a bijection"),
+        (_c2, [C4_INVERSION[0], (1, 0, 2, 3)], "action of a is not an automorphism"),
+        (_c2, [C4_INVERSION[1]] * 2, "identity of A must act trivially"),
+        # a^3 = e, but a acting by inversion would need a^3 to act by inversion
+        (lambda: cyclic_group(3), [C4_INVERSION[0], C4_INVERSION[1], C4_INVERSION[0]],
+         "action is not a homomorphism"),
+        # the first failing element of A is named, whichever check it fails
+        (lambda: cyclic_group(3), [C4_INVERSION[0], (1, 0, 2, 3), (0, 1, 2)],
+         "action of a is not an automorphism"),
+        (lambda: cyclic_group(3), [C4_INVERSION[0], (0, 1, 2), (1, 0, 2, 3)],
+         "action of a is not a bijection"),
+        (lambda: cyclic_group(3), [C4_INVERSION[0], (1, 0, 2, 3), (0, 1, 3, 2)],
+         "action of a is not an automorphism"),
+    ],
+    ids=[
+        "short-row", "out-of-range", "past-int64", "not-automorphism", "identity-moves",
+        "not-homomorphism", "automorphism-first", "bijection-first", "two-automorphisms",
+    ],
+)
+def test_semidirect_rejections_name_the_first_failure(acting, action, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        semidirect_product(cyclic_group(4), acting(), action)
+
+
+@pytest.mark.parametrize(
+    ("labels", "message"),
+    [
+        (["(23)", "(12)"], "subgroup must contain the identity"),
+        (["e", "(123)"], "not inverse-closed at (123)"),
+        (["e", "(23)", "(12)"], "not closed: (23)*(12) escapes"),
+        # (23) escapes by its row before (123) fails its inverse
+        (["e", "(23)", "(123)"], "not closed: (23)*(123) escapes"),
+    ],
+)
+def test_subgroup_validation_names_the_first_escape(s3, labels, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        subgroup_from_elements(s3, [s3.idx(s) for s in labels])
 
 
 @given(st.data())

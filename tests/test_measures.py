@@ -40,6 +40,15 @@ def test_dirac_convolution_follows_table(s3):
     assert prod == dirac(s3, s3.op(a, b))
 
 
+def test_classify_and_convolve_leave_the_nested_table_unbuilt():
+    # validation and the kernel read mul_np; the nested-tuple view stays lazy
+    g = cyclic_group(64)
+    mu = dirac(g, g.identity)
+    assert classify_idempotent(mu).kind == "contractive"
+    assert convolve(mu, haar(full_subgroup(g))) == haar(full_subgroup(g))
+    assert "mul" not in vars(g)
+
+
 def test_haar_is_absorbing(s3):
     m = haar(full_subgroup(s3))
     assert convolve(m, m) == m
