@@ -10,26 +10,45 @@ its cache cleared, and the in-process wall time of the limit-sweep and
 commute-oracle-sweep fixtures (best of three, so caches are warm), which
 must pass.
 
+At the CLI's 1024 bound it times, once each, character_group of the whole
+of a freshly built C1024 and C32xC32 (a fresh group misses the cache), and
+the wall time of `idemconv group --json` on each, interpreter start
+included, in a child process.
+
 Invoke as: python3 benchmarks/bench_characters.py [--out BENCH.json --label NAME]
 With --out, the row is appended to the "rows" list of that JSON file.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import common
+import idemconv
 from idemconv import (
     Character,
     all_subgroups,
     character_group,
+    cyclic_group,
+    direct_product,
+    full_subgroup,
     run_fixture,
     symmetric_group,
     trivial_subgroup,
 )
 
 FIXTURES = ("limit-sweep", "commute-oracle-sweep")
+AT_BOUND = {
+    "C1024": lambda: cyclic_group(1024),
+    "C32xC32": lambda: direct_product(cyclic_group(32), cyclic_group(32)),
+}
 
 
 def scalar_validate(domain, rot) -> None:
@@ -92,6 +111,33 @@ def _character_group_s(subgroups) -> float:
     return best
 
 
+def _at_bound_s(build) -> float:
+    k = full_subgroup(build())
+    t0 = time.perf_counter()
+    chars = character_group(k)
+    elapsed = time.perf_counter() - t0
+    if len(chars) != k.order:
+        raise SystemExit(f"{k.parent.name} has {len(chars)} characters, not {k.order}")
+    return elapsed
+
+
+def _group_cli_s(name: str) -> float:
+    """Wall time of `idemconv group --json` on the named group, in a child."""
+    src = str(Path(idemconv.__file__).resolve().parents[1])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "group.json"
+        path.write_text(json.dumps({"schema_version": 1, "group": name}))
+        argv = [sys.executable, "-m", "idemconv.cli", "group", "--scenario", str(path), "--json"]
+        t0 = time.perf_counter()
+        done = subprocess.run(
+            argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True
+        )
+        elapsed = time.perf_counter() - t0
+    if done.returncode != 0 or json.loads(done.stdout)["character_count"] != 1024:
+        raise SystemExit(f"idemconv group on {name} failed: {done.stderr}")
+    return elapsed
+
+
 def _fixture_s(name: str) -> float:
     best = float("inf")
     for _ in range(3):
@@ -128,6 +174,8 @@ def main() -> None:
         }
     lattice_s = _character_group_s(subgroups)
     fixtures = {name: _fixture_s(name) for name in FIXTURES}
+    at_bound = {name: _at_bound_s(build) for name, build in AT_BOUND.items()}
+    group_cli = {name: _group_cli_s(name) for name in AT_BOUND}
 
     width = max(len(name) for name in rows)
     print(f"{'subgroup of S5':<{width}}  {'scalar':>10}  {'rotations':>10}  {'exps':>10}")
@@ -142,6 +190,11 @@ def main() -> None:
     )
     for name, s in fixtures.items():
         print(f"fixture {name}: {s:.3f}s")
+    for name in AT_BOUND:
+        print(
+            f"{name}: character_group {at_bound[name]:.3f}s, "
+            f"idemconv group {group_cli[name]:.2f}s"
+        )
 
     if args.out is not None:
         row = {
@@ -152,6 +205,8 @@ def main() -> None:
             },
             "character_group_s5_lattice_ms": round(lattice_s * 1e3, 2),
             "fixture_s": {name: round(s, 3) for name, s in fixtures.items()},
+            "character_group_at_bound_s": {n: round(s, 3) for n, s in at_bound.items()},
+            "group_cli_s": {n: round(s, 2) for n, s in group_cli.items()},
         }
         common.append(args.out, row)
 

@@ -6,8 +6,9 @@ character value is an e-th root of unity, so the form is exact and
 canonical, and character arithmetic is integer arithmetic mod e.  Rational
 rotations t/e exist only at the boundary (from_rotations, rot, rotation).
 
-Every construction is validated in one numpy pass, where multiplicativity
-is t[g*h] == (t[g] + t[h]) mod e over the domain's product table.
+A character from outside is validated in one numpy pass, where multiplicativity
+is t[g*h] == (t[g] + t[h]) mod e over the domain's product table; products,
+conjugates and combinations of validated characters are not validated again.
 """
 
 from __future__ import annotations
@@ -106,6 +107,14 @@ class Character:
         _check(domain, t, wide)
         raise InvariantViolation("a rotation off the exponent's roots of unity passed the check")
 
+    @classmethod
+    def _unchecked(cls, domain: Subgroup, exps: tuple[int, ...]) -> "Character":
+        """Trusted constructor for exps (Python ints) known to be a character."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "domain", domain)
+        object.__setattr__(out, "exps", exps)
+        return out
+
     @cached_property
     def _pos(self) -> dict[int, int]:
         return {g: i for i, g in enumerate(self.domain.elements)}
@@ -147,13 +156,13 @@ class Character:
 
     def conjugate(self) -> "Character":
         e = self.domain.parent.exponent
-        return Character(self.domain, tuple(-t % e for t in self.exps))
+        return Character._unchecked(self.domain, tuple(-t % e for t in self.exps))
 
     def __mul__(self, other: "Character") -> "Character":
         if self.domain != other.domain:
             raise PreconditionError("pointwise product needs a common domain")
         e = self.domain.parent.exponent
-        return Character(
+        return Character._unchecked(
             self.domain, tuple((a + b) % e for a, b in zip(self.exps, other.exps))
         )
 
@@ -168,15 +177,6 @@ class Character:
         return f"<Character {body} on order-{self.domain.order} subgroup>"
 
 
-def _max_order_generator(group: GroupTable) -> tuple[int, int]:
-    best_g, best_d = group.identity, 1
-    for g in range(group.order):
-        d = group.element_order(g)
-        if d > best_d:
-            best_g, best_d = g, d
-    return best_g, best_d
-
-
 def _abelian_basis(group: GroupTable) -> list[tuple[int, int]]:
     """Independent generators (element, order) with A = prod of their cyclics.
 
@@ -188,7 +188,8 @@ def _abelian_basis(group: GroupTable) -> list[tuple[int, int]]:
         return []
     if not group.is_abelian:
         raise PreconditionError("abelian decomposition on a nonabelian table")
-    a, d = _max_order_generator(group)
+    a = int(group.element_orders.argmax())  # the first element of maximal order
+    d = group.element_order(a)
     if d == group.order:
         return [(a, d)]
     cyc = closure(group, (a,))
@@ -215,9 +216,9 @@ def character_group(k: Subgroup) -> tuple[Character, ...]:
 
     Computed as the dual of K/[K,K]: decompose the abelianization into
     cyclic factors, enumerate coordinate characters, lift through the
-    projection.
+    projection.  Validating the trivial and the basis characters proves the
+    decomposition; the rest are their combinations, built unchecked.
     """
-    parent = k.parent
     comm = commutator_subgroup(k)
     quot = quotient_group(k, comm)
     q_group = quot.group
@@ -235,17 +236,17 @@ def character_group(k: Subgroup) -> tuple[Character, ...]:
         raise InvariantViolation("cyclic factors do not span the abelianization")
 
     # character m takes coordinates c to sum m_i c_i / d_i turns, which is
-    # exponent sum m_i c_i (e / d_i) mod e
-    e = parent.exponent
-    element_coords = [coords[quot.projection[g]] for g in k.elements]
-    chars = []
-    for m in itertools.product(*(range(d) for _, d in basis)):
-        w = [mi * (e // d) for mi, (_, d) in zip(m, basis)]
-        exps = tuple(sum(a * b for a, b in zip(w, c)) % e for c in element_coords)
-        chars.append(Character(k, exps))
-    if len(chars) != k.order // comm.order:
-        raise InvariantViolation("character count mismatch")
-    return tuple(chars)
+    # exponent sum m_i c_i (e / d_i) mod e; the m run over the same grid as c
+    e = k.parent.exponent
+    grid = np.array(list(coords.values()), dtype=np.int64)
+    element_coords = np.array([coords[quot.projection[g]] for g in k.elements], dtype=np.int64)
+    weights = grid * (e // np.array([d for _, d in basis], dtype=np.int64))
+    exps = (weights @ element_coords.T % e).tolist()
+    # m = 0 and the unit vectors are the grid rows summing to at most 1
+    return tuple(
+        Character(k, tuple(t)) if basic else Character._unchecked(k, tuple(t))
+        for t, basic in zip(exps, grid.sum(axis=1) <= 1)
+    )
 
 
 def restrict(chi: Character, sub: Subgroup) -> Character:

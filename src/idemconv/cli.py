@@ -35,7 +35,6 @@ from .groups import (
     dihedral_group,
     direct_product,
     full_subgroup,
-    left_cosets,
     quaternion_group,
     semidirect_product,
     symmetric_group,
@@ -51,7 +50,7 @@ from .measures import (
 )
 from .commutation import classify_pair
 from .dynamics import free_product_decay, idempotent_power_limit, stromberg_check
-from .measure_groups import g_k_rho, n_k_rho
+from .measure_groups import g_k_rho, n_k_rho, omega_class_count
 from .so3 import example_33_report
 from .suite import FIXTURES, SuiteConfig, _char_desc, run_suite
 from ._kernel import backend_name
@@ -307,10 +306,10 @@ def _read_character(
             "rotations cover only a proper subgroup; assign every generator",
             field,
         )
-    try:
-        return sub, Character.from_rotations(sub, tuple(rot[g] for g in sub.elements))
-    except ValueError as exc:
-        raise CliError("precondition", f"invalid character: {exc}", field)
+    # a walk consistent on every edge is a homomorphism: denominators divide e
+    e = parent.exponent
+    exps = tuple(rot[g].numerator * (e // rot[g].denominator) for g in sub.elements)
+    return sub, Character._unchecked(sub, exps)
 
 
 def _measure_from_spec(g: GroupTable, spec, field: str) -> Measure:
@@ -501,7 +500,7 @@ def _cmd_measure_groups(args) -> tuple[int, dict, list[str]]:
     nkr = n_k_rho(sub, chi)
     gkr = g_k_rho(sub, chi)
     # Gamma has one translate per element of G_{K,rho}; Omega is G_{K,rho}/K
-    omega = len(left_cosets(gkr, sub).cosets)
+    omega = omega_class_count(sub, chi)
     payload = {
         "subgroup": _sub_labels(sub),
         "character": _char_desc(chi),

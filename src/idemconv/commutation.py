@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -434,7 +434,7 @@ class SemidirectReport:
 def semidirect_counterexample(
     k_grp: GroupTable,
     a_grp: GroupTable,
-    action: Union[Sequence[Sequence[int]], Callable[[int], Sequence[int]]],
+    action: Sequence[Sequence[int]],
     rho: Character,
 ) -> SemidirectReport:
     """Non-commutation of rho*m_K with m_A inside K semidirect A.
@@ -447,10 +447,7 @@ def semidirect_counterexample(
         raise PreconditionError("K must be abelian")
     if rho.domain.order != k_grp.order or rho.domain.parent is not k_grp:
         raise PreconditionError("rho must be a character of all of K")
-    if callable(action):
-        acts = [tuple(action(x)) for x in range(a_grp.order)]
-    else:
-        acts = [tuple(p) for p in action]
+    acts = [tuple(p) for p in action]
     t = rho.exps  # rho is on all of K, so t[g] is its exponent at g
     moved = any(tuple(t[x] for x in p) != t for p in acts)
     if not moved:
@@ -464,11 +461,13 @@ def semidirect_counterexample(
     a_embedded = subgroup_from_elements(
         g, [k_grp.identity * na + x for x in range(na)], validate=False
     )
-    scale = g.exponent // k_grp.exponent  # K's exponent divides that of K x| A
-    rho_emb = Character(
+    # rho transported along the embedding k -> (k, e) is a character, as is
+    # the trivial one; K's exponent divides that of K x| A
+    scale = g.exponent // k_grp.exponent
+    rho_emb = Character._unchecked(
         k_embedded, tuple(t[x // na] * scale for x in k_embedded.elements)
     )
-    trivial = Character(a_embedded, (0,) * na)
+    trivial = Character._unchecked(a_embedded, (0,) * na)
     v = classify_pair(k_embedded, rho_emb, a_embedded, trivial, verify=True)
     if v.kind != "non_commuting":
         raise InvariantViolation("products agree; the action test should have failed")

@@ -1,5 +1,7 @@
 """Characters of subgroups: construction, duality, extension."""
 
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -17,9 +19,14 @@ from idemconv import (
     full_subgroup,
     restrict,
     char_idem,
+    commutator_subgroup,
+    cyclic_group,
+    direct_product,
     kernel,
+    quotient_group,
     trivial_subgroup,
 )
+from idemconv import characters
 from idemconv.cyclo import field_tables
 from idemconv.errors import PreconditionError
 from idemconv.measures import Measure
@@ -296,6 +303,111 @@ def test_stray_denominator_rejected_without_the_check_survives_optimize(run_opti
         "except InvariantViolation:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
+    )
+
+
+# -- character_group against the per-character formula it replaced -------------
+
+
+def _ref_character_group(k):
+    """Every character's exponents, one Python sum per element and character,
+    as character_group computed them before its one matrix product."""
+    quot = quotient_group(k, commutator_subgroup(k))
+    q = quot.group
+    basis = characters._abelian_basis(q)
+    coords = {}
+    for c in itertools.product(*(range(d) for _, d in basis)):
+        x = q.identity
+        for (g, _), ci in zip(basis, c):
+            x = q.mul[x][q.power(g, ci)]
+        coords[x] = c
+    e = k.parent.exponent
+    element_coords = [coords[quot.projection[g]] for g in k.elements]
+    out = []
+    for m in itertools.product(*(range(d) for _, d in basis)):
+        w = [mi * (e // d) for mi, (_, d) in zip(m, basis)]
+        out.append(tuple(sum(a * b for a, b in zip(w, c)) % e for c in element_coords))
+    return out
+
+
+_ABELIAN = {
+    "c8xc4": lambda: direct_product(cyclic_group(8), cyclic_group(4)),
+    "c2xc2xc6": lambda: direct_product(
+        direct_product(cyclic_group(2), cyclic_group(2)), cyclic_group(6)
+    ),
+    "c64": lambda: cyclic_group(64),
+}
+
+# sha256 (first 16 hex digits) of repr(chi.exps) over every character of
+# every subgroup, in lattice order, computed while every character was built
+# by the reference formula and validated
+_LATTICE_DIGESTS = {
+    "s3": "d99072c160dc98c9",
+    "s4": "166eb83f1ab2f013",
+    "d4": "ffb394d3adfbb442",
+    "q8": "e2e181e829166e05",
+    "c12": "a2a556435730c1fa",
+    "s5": "d893cd4dfd82a175",
+    "c8xc4": "9c4d3d9479c2e1be",
+    "c2xc2xc6": "ab10ac1c63b2c7ef",
+    "c64": "31c60947dcc17c0f",
+}
+
+
+@pytest.mark.parametrize("name", list(_LATTICE_DIGESTS))
+def test_character_group_matches_per_character_reference(name, request):
+    # the same exponents in the same order as the formula, every character
+    # (checked or built unchecked) and every product and conjugate of them a
+    # character under the full check
+    group = _ABELIAN[name]() if name in _ABELIAN else request.getfixturevalue(name)
+    e = group.exponent
+    digest = hashlib.sha256()
+    for k in all_subgroups(group):
+        chars = character_group(k)
+        assert [chi.exps for chi in chars] == _ref_character_group(k)
+        for chi in chars:
+            digest.update(repr(chi.exps).encode())
+            characters._check(k, chi.exps, e)
+            again = Character(k, chi.exps)
+            assert again == chi and hash(again) == hash(chi)
+            characters._check(k, chi.conjugate().exps, e)
+            for psi in chars:
+                characters._check(k, (chi * psi).exps, e)
+    assert digest.hexdigest()[:16] == _LATTICE_DIGESTS[name]
+
+
+def test_corrupted_basis_is_caught_under_optimize(run_optimized):
+    # character_group proves its cyclic basis by the independence and
+    # spanning checks and the full check of each basis character, so a wrong
+    # basis raises under -O; the split basis (a^4 beside a of order 4 in C8)
+    # passes both counting checks and only the basis characters catch it
+    run_optimized(
+        "import idemconv.characters as c\n"
+        "from idemconv import cyclic_group, full_subgroup\n"
+        "from idemconv.errors import InvariantViolation\n"
+        "real = c._abelian_basis\n"
+        "def doubled(q):\n"
+        "    (a, d), *rest = real(q)\n"
+        "    return [(a, 2 * d), *rest]\n"
+        "def not_a_generator(q):\n"
+        "    (a, d), *rest = real(q)\n"
+        "    return [(q.power(a, 2), d // 2), *rest]\n"
+        "def split(q):\n"
+        "    (a, d), *rest = real(q)\n"
+        "    return [(a, d // 2), (q.power(a, d // 2), 2), *rest]\n"
+        "cases = [\n"
+        "    (doubled, InvariantViolation, 'not independent'),\n"
+        "    (not_a_generator, InvariantViolation, 'do not span'),\n"
+        "    (split, ValueError, 'not multiplicative'),\n"
+        "]\n"
+        "for corrupt, error, words in cases:\n"
+        "    c._abelian_basis = corrupt\n"
+        "    try:\n"
+        "        c.character_group(full_subgroup(cyclic_group(8)))\n"
+        "    except error as exc:\n"
+        "        if words in str(exc):\n"
+        "            continue\n"
+        "    raise SystemExit(corrupt.__name__)\n"
     )
 
 

@@ -299,9 +299,10 @@ def test_generators_run_one_permutation_closure(tmp_path, capsys, monkeypatch):
 
 
 def test_measure_groups_computes_g_k_rho_once(tmp_path, capsys, monkeypatch):
+    real = measure_groups.g_k_rho
     calls = []
 
-    def counted(k, rho, real=measure_groups.g_k_rho):
+    def counted(k, rho):
         calls.append(k)
         return real(k, rho)
 
@@ -311,8 +312,13 @@ def test_measure_groups_computes_g_k_rho_once(tmp_path, capsys, monkeypatch):
         tmp_path,
         {"schema_version": 1, "group": "S4", "subgroup": ["(12)"], "rotations": {"(12)": "1/2"}},
     )
+    # the command reads G_{K,rho} itself and through omega_class_count; the
+    # second read must be a cache hit on the first
+    before = real.cache_info()
     code, payload, _ = run_json(capsys, ["measure-groups", "--scenario", path])
-    assert code == 0 and len(calls) == 1
+    after = real.cache_info()
+    assert code == 0 and len(calls) == 2 and len(set(calls)) == 1
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
     assert (payload["gamma_size"], payload["omega_classes"]) == (4, 2)
 
 
