@@ -47,17 +47,14 @@ def _check(domain: Subgroup, exps: Sequence[int], e: int) -> None:
     """Raise ValueError naming the first failure, in a fixed order, unless
     exps (exponents mod e aligned with domain.elements) is a character."""
     elems = domain.elements
-    n = len(elems)
-    if len(exps) != n:
+    if len(exps) != domain.order:
         raise ValueError("need one rotation per subgroup element")
     if exps and (min(exps) < 0 or max(exps) >= e):
         raise ValueError("rotations must lie in [0, 1)")
     t = np.array(exps, dtype=object if e >= INT64_LIMIT else np.int64)
     parent = domain.parent
-    idx = np.array(elems, dtype=np.intp)
-    # position of each domain element; -1 marks a product escaping it
-    where = np.full(parent.order, -1, dtype=np.intp)
-    where[idx] = np.arange(n)
+    idx, where = domain.elements_np, domain.positions
+    # -1 marks a product escaping the domain
     prod = where[parent.mul_np[idx[:, None], idx]]
     if where[parent.identity] < 0 or prod.min() < 0:
         raise ValueError("character domain is not closed under the group operation")
@@ -115,19 +112,15 @@ class Character:
         object.__setattr__(out, "exps", exps)
         return out
 
-    @cached_property
-    def _pos(self) -> dict[int, int]:
-        return {g: i for i, g in enumerate(self.domain.elements)}
-
     def _exps_on(self, sub: Subgroup) -> tuple[int, ...]:
         """exps restricted to a subgroup of the domain."""
-        return tuple(self._exponents[list(sub.elements)].tolist())
+        return tuple(self._exponents[sub.elements_np].tolist())
 
     @cached_property
     def _exponents(self) -> np.ndarray:
         """exps scattered over the whole parent as int64, -1 off the domain."""
         t = np.full(self.domain.parent.order, -1, dtype=np.int64)
-        t[list(self.domain.elements)] = self.exps
+        t[self.domain.elements_np] = self.exps
         return t
 
     @cached_property
@@ -137,10 +130,11 @@ class Character:
         return tuple(Fraction(t, e) for t in self.exps)
 
     def rotation(self, g: int) -> Fraction:
-        try:
-            return self.rot[self._pos[g]]
-        except KeyError:
-            raise KeyError(f"element {g} outside the character's domain") from None
+        # checked first: positions[-1] would read the last parent element
+        i = self.domain.positions[g] if 0 <= g < self.domain.parent.order else -1
+        if i < 0:
+            raise KeyError(f"element {g} outside the character's domain")
+        return self.rot[i]
 
     def value(self, g: int, conductor: Optional[int] = None) -> CycloScalar:
         return CycloScalar.root_of_unity(self.rotation(g), conductor)
@@ -197,7 +191,7 @@ def _abelian_basis(group: GroupTable) -> list[tuple[int, int]]:
     a_pows = {group.power(a, k): k for k in range(d)}
     out = [(a, d)]
     for q_gen, e in _abelian_basis(quot.group):
-        x = min(g for g in range(group.order) if quot.projection[g] == q_gen)
+        x = quot.representatives[q_gen]  # the least element of the coset
         t = a_pows[group.power(x, e)]
         if t % e != 0:
             raise InvariantViolation("maximal-order peeling lost exactness")

@@ -136,18 +136,25 @@ def _decide(
     products = (parent, n, support.size, exps)
 
     if not differs.any():
-        k12 = subgroup_from_elements(
-            parent, support.tolist(), k1.generators + k2.generators, validate=False
-        )
-        try:
-            rho12 = Character(k12, tuple(exps[0, support].tolist()))
-        except ValueError as exc:
-            # equal products make a nonzero idempotent of norm <= 1, which is
-            # rho m_K for a subgroup K and a character rho (Greenleaf)
-            raise InvariantViolation(f"products agree but give no character: {exc}") from exc
+        k12, (rho12,) = _commuting(k1, k2, exps[:1])
         return CommutationVerdict("commute", k12, rho12, _products=products if keep else None)
 
     return CommutationVerdict("non_commuting", witness=int(differs.argmax()), _products=products)
+
+
+def _commuting(k1: Subgroup, k2: Subgroup, rows: np.ndarray) -> tuple[Subgroup, list[Character]]:
+    """K12 and the product characters of agreeing products, one per row of
+    exponents (-1 off K1K2).  Each character is validated: equal products make
+    a nonzero idempotent of norm <= 1, which is rho m_K for a subgroup K and a
+    character rho (Greenleaf), so a failure is an InvariantViolation."""
+    support = np.flatnonzero(rows[0] >= 0)
+    k12 = subgroup_from_elements(
+        k1.parent, support.tolist(), k1.generators + k2.generators, validate=False
+    )
+    try:
+        return k12, [Character(k12, tuple(t)) for t in rows[:, support].tolist()]
+    except ValueError as exc:
+        raise InvariantViolation(f"products agree but give no character: {exc}") from exc
 
 
 def _exponents(chars: Sequence[Character]) -> np.ndarray:
@@ -168,8 +175,8 @@ def _decide_block(
     The pairs share the scatter indices mul[K1][:, K2] and mul[K2][:, K1],
     the intersection K1 meet K2 and the support K1K2, so stacking the characters'
     exponents gives every zero test, every pair of products and every
-    witness at once.  K12 is built once; each commuting pair's product
-    character is validated as _decide validates it.  Entry [i][j] is
+    witness at once.  K12 is built once and each commuting pair's product
+    character validated, by the _commuting that _decide calls.  Entry [i][j] is
     _decide's verdict on (chars1[i], chars2[j]), products included.  t1
     is _exponents(chars1), computed once per row.
     """
@@ -177,7 +184,7 @@ def _decide_block(
         return [[] for _ in chars1]
     parent = k1.parent
     t2 = _exponents(chars2)
-    a, b = np.array(k1.elements), np.array(k2.elements)
+    a, b = k1.elements_np, k2.elements_np
     meet = a[t2[0, a] >= 0]
     zero = (t1[:, None, meet] != t2[None, :, meet]).any(axis=2)
     i, j = (~zero).nonzero()
@@ -191,11 +198,8 @@ def _decide_block(
     commute = ~differs.any(axis=1)
     witness = differs.argmax(axis=1).tolist()
     if commute.any():
-        support = np.flatnonzero(exps[0, 0] >= 0)
-        k12 = subgroup_from_elements(
-            parent, support.tolist(), k1.generators + k2.generators, validate=False
-        )
-        values = iter(exps[commute, 0][:, support].tolist())
+        k12, rhos12 = _commuting(k1, k2, exps[commute, 0])
+        rhos12 = iter(rhos12)
     # |K1K2| = |K1||K2| / |K1 meet K2|, the support of either product
     den = k1.order * k2.order // meet.size
     # the exponents of two zero products, shared by the block's zero verdicts
@@ -217,12 +221,7 @@ def _decide_block(
             if not commute[p]:
                 v = CommutationVerdict("non_commuting", witness=witness[p], _products=products)
             else:
-                try:
-                    rho12 = Character(k12, tuple(next(values)))
-                except ValueError as exc:
-                    raise InvariantViolation(
-                        f"products agree but give no character: {exc}"
-                    ) from exc
+                rho12 = next(rhos12)
                 v = CommutationVerdict("commute", k12, rho12, _products=products if keep else None)
             row.append(v)
             p += 1
@@ -315,7 +314,7 @@ def _check_run(
         # exps over the parent, -1 off k: read from exps, not from the
         # _exponents that the closed form reads
         t = np.full((len(chars), order), -1, dtype=np.int64)
-        t[:, list(k.elements)] = [rho.exps for rho in chars]
+        t[:, k.elements_np] = [rho.exps for rho in chars]
         return t
 
     t1s = scattered(k1, chars1)

@@ -95,12 +95,10 @@ def stromberg_check(
     for n in normal_subgroups(k):
         if n.order == k.order:
             continue
-        nset = n.element_set
+        # supp lies in the coset x N exactly when x^-1 supp lies in N
         x = supp[0]
-        xinv = parent.inv[x]
-        if all(parent.mul[xinv][s] in nset for s in supp):
-            coset = sorted(parent.mul[x][m] for m in n.elements)
-            hit = (n, coset[0])
+        if (n.positions[parent.mul_np[parent.inv[x], list(supp)]] >= 0).all():
+            hit = (n, int(parent.mul_np[x, n.elements_np].min()))
             break
 
     step = FloatMeasure.from_measure(mu)
@@ -212,21 +210,18 @@ def verify_corollary_35(
         raise PreconditionError("need at least one factor")
     parent = factors[0][0].parent
     nu = char_idem(*factors[0])
-    chain = factors[0][0].elements
-    union: list[int] = list(factors[0][0].elements)
+    chain = factors[0][0].elements_np
     for k, rho in factors[1:]:
         nu = convolve(nu, char_idem(k, rho))
-        chain = tuple(
-            sorted({parent.mul[a][b] for a in chain for b in k.elements})
-        )
-        union.extend(k.elements)
+        chain = np.unique(parent.mul_np[chain[:, None], k.elements_np])
     idem = convolve(nu, nu) == nu
     if not idem:
         return Corollary35Report(nu, False, False, None, None, True)
     if nu.is_zero():
         return Corollary35Report(nu, True, True, None, None, True)
-    big = closure(parent, union)
-    chain_ok = chain == big.elements
+    # the chain K_1...K_m holds every K_j, so it generates what they do
+    big = closure(parent, chain.tolist())
+    chain_ok = bool(np.array_equal(chain, big.elements_np))
     ext = find_extension(big, [rho for _, rho in factors])
     passed = chain_ok and ext is not None
     if not passed:

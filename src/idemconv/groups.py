@@ -193,7 +193,12 @@ class GroupTable:
 
 @dataclass(frozen=True, eq=False)
 class Subgroup:
-    """A subgroup of a parent GroupTable, stored as sorted element indices."""
+    """A subgroup of a parent GroupTable, stored as sorted element indices.
+
+    Its array form, read-only and built on first use, is what other modules
+    gather with: elements_np, and positions, each parent element's index in
+    elements, -1 off the subgroup (positions >= 0 is the membership mask).
+    """
 
     parent: GroupTable
     elements: tuple[int, ...]
@@ -206,6 +211,19 @@ class Subgroup:
     @cached_property
     def element_set(self) -> frozenset[int]:
         return frozenset(self.elements)
+
+    @cached_property
+    def elements_np(self) -> np.ndarray:
+        out = np.array(self.elements, dtype=np.int64)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        out = np.full(self.parent.order, -1, dtype=np.int64)
+        out[self.elements_np] = np.arange(self.order)
+        out.flags.writeable = False
+        return out
 
     @property
     def order(self) -> int:
@@ -250,9 +268,7 @@ def subgroup_from_elements(
     sub = Subgroup(parent, elts, tuple(generators) if generators is not None else elts)
     if not validate:
         return sub
-    e = np.array(elts, dtype=np.int64)
-    inside = np.zeros(parent.order, dtype=bool)
-    inside[e] = True
+    e, inside = sub.elements_np, sub.positions >= 0
     if not inside[parent.identity]:
         raise ValueError("subgroup must contain the identity")
     # the first element whose inverse or row of products escapes, in order
@@ -310,12 +326,17 @@ def _require_same_parent(*subs: Subgroup) -> GroupTable:
     return parent
 
 
+def _product_mask(k1: Subgroup, k2: Subgroup) -> np.ndarray:
+    """Membership mask over the parent of the set {a*b : a in K1, b in K2}."""
+    parent = _require_same_parent(k1, k2)
+    inside = np.zeros(parent.order, dtype=bool)
+    inside[parent.mul_np[k1.elements_np[:, None], k2.elements_np]] = True
+    return inside
+
+
 def product_set(k1: Subgroup, k2: Subgroup) -> tuple[int, ...]:
     """The set {a*b : a in K1, b in K2}, sorted."""
-    parent = _require_same_parent(k1, k2)
-    mul = parent.mul
-    out = {mul[a][b] for a in k1.elements for b in k2.elements}
-    return tuple(sorted(out))
+    return tuple(np.flatnonzero(_product_mask(k1, k2)).tolist())
 
 
 @dataclass(frozen=True)
@@ -337,16 +358,12 @@ def is_subgroup_product(k1: Subgroup, k2: Subgroup) -> ProductVerdict:
     and K1K2K1K2 = K1K2).  Otherwise the witness is the least x in K1K2
     with inv(x) outside K1K2.
     """
-    parent = _require_same_parent(k1, k2)
-    p12 = product_set(k1, k2)
-    pset = frozenset(p12)
-    inv = parent.inv
-    for x in p12:
-        if inv[x] not in pset:
-            return ProductVerdict(False, None, "inverse_escapes", x)
-    sub = subgroup_from_elements(
-        parent, p12, k1.generators + k2.generators, validate=False
-    )
+    inside = _product_mask(k1, k2)
+    p12 = np.flatnonzero(inside)
+    escapes = ~inside[np.asarray(k1.parent.inv)[p12]]
+    if escapes.any():
+        return ProductVerdict(False, None, "inverse_escapes", int(p12[escapes.argmax()]))
+    sub = Subgroup(k1.parent, tuple(p12.tolist()), k1.generators + k2.generators)
     return ProductVerdict(True, sub, None, None)
 
 
@@ -354,12 +371,9 @@ def _conjugates_inside(k: Subgroup, gs: Sequence[int]) -> np.ndarray:
     """Mask [i, j]: whether gs[i] * k_j * gs[i]^-1 lies in K, by one gather."""
     parent = k.parent
     mul_np = parent.mul_np
-    ks = np.asarray(k.elements, dtype=np.int64)
     gs = np.asarray(gs, dtype=np.int64)
-    inside = np.zeros(parent.order, dtype=bool)
-    inside[ks] = True
-    conj = mul_np[mul_np[gs[:, None], ks], np.asarray(parent.inv)[gs][:, None]]
-    return inside[conj]
+    conj = mul_np[mul_np[gs[:, None], k.elements_np], np.asarray(parent.inv)[gs][:, None]]
+    return k.positions[conj] >= 0
 
 
 def normalizer(k: Subgroup) -> Subgroup:
@@ -369,25 +383,18 @@ def normalizer(k: Subgroup) -> Subgroup:
 
 
 def centralizer(k: Subgroup) -> Subgroup:
-    parent = k.parent
-    mul = parent.mul
-    members = [
-        g
-        for g in range(parent.order)
-        if all(mul[g][a] == mul[a][g] for a in k.elements)
-    ]
-    return subgroup_from_elements(parent, members, validate=False)
+    mul_np, ks = k.parent.mul_np, k.elements_np
+    members = np.flatnonzero((mul_np[:, ks] == mul_np[ks].T).all(axis=1))
+    return subgroup_from_elements(k.parent, members.tolist(), validate=False)
 
 
 def commutator_subgroup(k: Subgroup) -> Subgroup:
     parent = k.parent
-    mul, inv = parent.mul, parent.inv
-    comms = {
-        mul[mul[a][b]][mul[inv[a]][inv[b]]]
-        for a in k.elements
-        for b in k.elements
-    }
-    return closure(parent, comms)
+    mul_np, ks = parent.mul_np, k.elements_np
+    inv = np.asarray(parent.inv)[ks]
+    # [a, b] -> (a b)(a^-1 b^-1)
+    comms = mul_np[mul_np[ks[:, None], ks], mul_np[inv[:, None], inv]]
+    return closure(parent, np.flatnonzero(np.bincount(comms.ravel(), minlength=parent.order)))
 
 
 def intersection(k1: Subgroup, k2: Subgroup) -> Subgroup:
@@ -419,25 +426,27 @@ class Quotient:
 
 
 def quotient_group(h: Subgroup, n: Subgroup) -> Quotient:
-    """The quotient H/N with its projection, for N normal in H."""
+    """The quotient H/N with its projection, for N normal in H: element i
+    is the left coset named by representatives[i], its least element, and
+    the projection and table (coset i times coset j is the coset of
+    reps[i] * reps[j]) are read from the names."""
     parent = _require_same_parent(h, n)
     if not n.element_set <= h.element_set:
         raise PreconditionError("N is not contained in H")
     if not is_normal_in(n, h):
         raise PreconditionError("N is not normal in H")
-    mul = parent.mul
-    cs = left_cosets(h, n)
-    cosets, reps = cs.cosets, cs.representatives
-    coset_of = {y: i for i, coset in enumerate(cosets) for y in coset}
-    q_order = len(cosets)
-    q_mul = [
-        [coset_of[mul[reps[i]][reps[j]]] for j in range(q_order)]
-        for i in range(q_order)
-    ]
-    q_labels = [f"[{parent.labels[r]}]" for r in reps]
+    rows, names = _coset_rows(h, n)
+    named = names == np.arange(h.order)
+    reps = h.elements_np[named]
+    # a name's coset index is the number of names before it in H
+    coset_of = (np.cumsum(named) - 1)[names]
+    q_mul = coset_of[h.positions[parent.mul_np[reps[:, None], reps]]]
+    q_labels = [f"[{parent.labels[r]}]" for r in reps.tolist()]
     q_name = f"{parent.name}/N{n.order}"
     group = GroupTable(q_mul, q_labels, name=q_name)
-    return Quotient(group, coset_of, cosets, reps)
+    projection = dict(zip(h.elements, coset_of.tolist()))
+    cosets = tuple(map(tuple, rows[named].tolist()))
+    return Quotient(group, projection, cosets, tuple(reps.tolist()))
 
 
 @dataclass(frozen=True)
@@ -456,26 +465,31 @@ class CosetSpace:
         raise KeyError(f"element {g} not in the coset space")
 
 
-def left_cosets(h: Subgroup, lsub: Subgroup) -> CosetSpace:
+def _coset_rows(h: Subgroup, lsub: Subgroup) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted row xL of each x in H, and the position in H of its name,
+    its least element; raises unless the rows partition H (left_cosets)."""
     parent = _require_same_parent(h, lsub)
     if not lsub.element_set <= h.element_set:
         raise PreconditionError("L is not contained in H")
-    mul = parent.mul
-    seen: set[int] = set()
-    cosets: list[tuple[int, ...]] = []
-    reps: list[int] = []
-    for x in h.elements:
-        if x in seen:
-            continue
-        coset = tuple(sorted(mul[x][m] for m in lsub.elements))
-        seen.update(coset)
-        cosets.append(coset)
-        reps.append(coset[0])
-    if sum(len(c) for c in cosets) != h.order or any(
-        len(c) != lsub.order for c in cosets
-    ):
+    rows = np.sort(parent.mul_np[h.elements_np[:, None], lsub.elements_np], axis=1)
+    names = h.positions[rows[:, 0]]
+    if (names < 0).any() or not (rows[names] == rows).all():
         raise InvariantViolation("cosets do not partition H into |L|-sized blocks")
-    return CosetSpace(h, lsub, tuple(cosets), tuple(reps))
+    return rows, names
+
+
+def left_cosets(h: Subgroup, lsub: Subgroup) -> CosetSpace:
+    """The left cosets xL of L in H as sorted tuples, each named by its least
+    element, in ascending order of the names, which are the representatives.
+
+    Every row xL must equal the row of its name, which, with e in L inside
+    H, holds exactly when L is closed: the partition is checked exactly,
+    and an L that is not closed raises InvariantViolation.
+    """
+    rows, names = _coset_rows(h, lsub)
+    named = names == np.arange(h.order)
+    cosets = tuple(map(tuple, rows[named].tolist()))
+    return CosetSpace(h, lsub, cosets, tuple(h.elements_np[named].tolist()))
 
 
 # bounded like character_group; one paper-suite run holds 86 lattices
@@ -490,9 +504,7 @@ def _all_subgroups_cached(
     while frontier:
         fresh = []
         for h in frontier:
-            hs = np.array(h.elements)
-            marked = np.zeros(parent_ref.order, dtype=bool)
-            marked[hs] = True
+            hs, marked = h.elements_np, h.positions >= 0
             for g in ambient_elements:
                 if marked[g]:
                     continue

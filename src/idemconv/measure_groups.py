@@ -36,7 +36,6 @@ from .groups import (
     closure,
     full_subgroup,
     intersection,
-    left_cosets,
     subgroup_from_elements,
 )
 from .measures import (
@@ -65,9 +64,11 @@ __all__ = [
 ]
 
 
+# beside g_k_rho's cache, so n_k_rho and g_k_rho of one item share a gather
+@lru_cache(maxsize=2048)
 def _n_k_rho_masks(k: Subgroup, rho: Character) -> tuple[np.ndarray, np.ndarray]:
-    """Two masks over the parent: N_{K,rho}, and the g with g k g^-1 k^-1 in
-    ker(rho) for every k in K.
+    """Two read-only masks over the parent: N_{K,rho}, and the g with
+    g k g^-1 k^-1 in ker(rho) for every k in K.
 
     One gather reads rho's exponents (-1 off K) at g k g^-1 for every g and
     k, and decides all three conditions: g normalizes K where no exponent is
@@ -79,12 +80,14 @@ def _n_k_rho_masks(k: Subgroup, rho: Character) -> tuple[np.ndarray, np.ndarray]
         raise PreconditionError("rho is not a character of K")
     parent = k.parent
     mul_np = parent.mul_np
-    ks = np.asarray(k.elements)
+    ks = k.elements_np
     t = rho._exponents
     # [g, k] -> rho's exponent at g k g^-1
     conj = t[mul_np[mul_np[:, ks], np.asarray(parent.inv)[:, None]]]
     in_n = (conj >= 0).all(axis=1) & (conj[:, t[ks] == 0] == 0).all(axis=1)
-    return in_n, (conj == t[ks]).all(axis=1)
+    centralizes = (conj == t[ks]).all(axis=1)
+    in_n.flags.writeable = centralizes.flags.writeable = False
+    return in_n, centralizes
 
 
 def n_k_rho(k: Subgroup, rho: Character) -> Subgroup:
@@ -149,8 +152,8 @@ def gamma_elements(k: Subgroup, rho: Character) -> tuple[GammaElement, ...]:
 
 
 def omega_class_count(k: Subgroup, rho: Character) -> int:
-    """Number of classes of G_{K,rho} under g ~ gk, k in K."""
-    return len(left_cosets(g_k_rho(k, rho), k).cosets)
+    """Number of classes of G_{K,rho} under g ~ gk: |G_{K,rho}| / |K|, as K lies in it."""
+    return g_k_rho(k, rho).order // k.order
 
 
 def unit_multiple(candidate: Measure, base: Measure) -> Optional[CycloScalar]:
@@ -209,7 +212,7 @@ def _translate_products(a: Measure, b: Measure, gs: Sequence[int]) -> tuple[np.n
     b_rows = promote_rows(b.rows, b.conductor, n)
     d = a_rows.shape[1]
     # row x of delta_g * b is row g^-1 x of b
-    translates = b_rows[parent.mul_np[np.asarray(parent.inv)[list(gs)]]]
+    translates = b_rows[parent.mul_np[np.asarray(parent.inv)[np.asarray(gs)]]]
     step = max(1, order * order // (len(a.support()) * len(b.support())))
     prods = [
         _convolve_rows(parent, n, a_rows, translates[lo : lo + step].reshape(-1, d))
@@ -236,7 +239,7 @@ def _coset_unit_multiples(
     parent = k12.parent
     tab = field_tables(n)
     d = tab.degree
-    ks = np.asarray(k12.elements)
+    ks = k12.elements_np
     nonzero = (prods != 0).any(axis=2)
     s0 = nonzero.argmax(axis=1)
     coset = parent.mul_np[s0[:, None], ks]  # [i, k] -> s0_i k
@@ -348,34 +351,28 @@ def verify_prop_43(
     idem2 = char_idem(k2, rho2)
     idem12 = char_idem(k12, rho12)
     # the least element of each left coset x K1K2
-    coset_min = mul_np[:, k12.elements].min(axis=1)
+    coset_min = mul_np[:, k12.elements_np].min(axis=1)
 
     # forward: conditional inclusion over all Gamma generator pairs
-    prods, n = _translate_products(idem1, idem2, big2.elements)
+    prods, n = _translate_products(idem1, idem2, big2.elements_np)
     den = idem1.den * idem2.den
     s0, hit = _coset_unit_multiples(prods, den, n, k12, rho12)
     # the g1-translate of c[g2] lies on the coset g1 s0 K1K2
-    s = coset_min[mul_np[np.asarray(big1.elements)[:, None], s0[hit]]]
-    in_prod = np.zeros(parent.order, dtype=bool)
-    in_prod[list(g_prod.elements)] = True
-    in_span = np.zeros(parent.order, dtype=bool)
-    in_span[list(span.elements)] = True
-    s = s[in_prod[s]]
+    s = coset_min[mul_np[big1.elements_np[:, None], s0[hit]]]
+    s = s[g_prod.positions[s] >= 0]
     realized = s.size
-    if not in_span[s].all():
+    if not (span.positions[s] >= 0).all():
         raise InvariantViolation(
             "forward inclusion fails: product lands outside <H1 H2>"
         )
     # reverse: one compare decides every pair block, one every search step
-    in_h2 = np.zeros(parent.order, dtype=bool)
-    in_h2[list(h2.elements)] = True
-    in_h2 = in_h2[list(big2.elements)]
-    x2s = np.asarray(big2.elements)[in_h2]
+    in_h2 = h2.positions[big2.elements_np] >= 0
+    x2s = big2.elements_np[in_h2]
     if not _left_translates_of(prods[in_h2], den, n, idem12, x2s):
         raise InvariantViolation(
             "pair block does not collapse to a translate of rho m_K1K2"
         )
-    blocks = np.unique(mul_np[np.asarray(h1.elements)[:, None], x2s])
+    blocks = np.unique(mul_np[h1.elements_np[:, None], x2s])
     sq = convolve(idem12, idem12)
     # row x of sq * delta_b is row x b^-1 of sq
     sq_b = sq.rows[mul_np[:, np.asarray(parent.inv)[blocks]].T]
@@ -385,7 +382,7 @@ def verify_prop_43(
         )
     in_blocks = np.zeros(parent.order, dtype=bool)
     in_blocks[blocks] = True
-    if not in_blocks[list(h1.elements + h2.elements)].all():
+    if not (in_blocks[h1.elements_np].all() and in_blocks[h2.elements_np].all()):
         raise InvariantViolation("pair blocks fail to reach all of <H1 H2>")
 
     return Prop43Report(

@@ -236,7 +236,7 @@ def haar(k: Subgroup) -> Measure:
     """Normalized counting measure on the subgroup k."""
     parent = k.parent
     rows = np.zeros((parent.order, 1), dtype=np.int64)
-    rows[list(k.elements)] = 1
+    rows[k.elements_np] = 1
     return Measure(parent, 1, rows, k.order)
 
 

@@ -59,6 +59,11 @@ def c12():
 
 
 @pytest.fixture(scope="session")
+def c2xc6():
+    return direct_product(cyclic_group(2), cyclic_group(6))
+
+
+@pytest.fixture(scope="session")
 def g18():
     # (C3 x C3) x| C2 with the involution swapping the two torus factors.
     torus = direct_product(cyclic_group(3), cyclic_group(3))

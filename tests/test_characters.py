@@ -99,6 +99,17 @@ def test_restrict(s3):
     assert chi.domain == k
 
 
+def test_rotation_off_the_domain_is_a_key_error(s3):
+    # positions[-1] would read the last element of S3, so -1 and the order
+    # are refused before the array is read
+    k = closure(s3, [s3.idx("(12)")])
+    chi = character_group(k)[1]
+    assert chi.rotation(s3.idx("(12)")) == Fraction(1, 2)
+    for g in (s3.idx("(123)"), -1, s3.order):
+        with pytest.raises(KeyError, match="outside the character's domain"):
+            chi.rotation(g)
+
+
 def test_orthogonality(d4):
     full = full_subgroup(d4)
     chars = character_group(full)

@@ -322,6 +322,20 @@ def test_measure_groups_computes_g_k_rho_once(tmp_path, capsys, monkeypatch):
     assert (payload["gamma_size"], payload["omega_classes"]) == (4, 2)
 
 
+def test_measure_groups_gathers_n_k_rho_once(tmp_path, capsys):
+    # n_k_rho and g_k_rho both read the N_{K,rho} masks of the one item;
+    # the gather runs for the first and the second is a cache hit
+    path = scenario(
+        tmp_path,
+        {"schema_version": 1, "group": "S4", "subgroup": ["(12)"], "rotations": {"(12)": "1/2"}},
+    )
+    before = measure_groups._n_k_rho_masks.cache_info()
+    code, payload, _ = run_json(capsys, ["measure-groups", "--scenario", path])
+    after = measure_groups._n_k_rho_masks.cache_info()
+    assert code == 0 and sorted(payload["n_k_rho"]) == ["(12)", "(12)(34)", "(34)", "e"]
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+
 def test_free_walk(tmp_path, capsys):
     path = scenario(tmp_path, {"schema_version": 1, "m": 2, "n": 3, "n_max": 4})
     code, payload, _ = run_json(capsys, ["free-walk", "--scenario", path])

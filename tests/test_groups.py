@@ -36,7 +36,9 @@ from idemconv import (
     trivial_subgroup,
 )
 from idemconv.characters import character_group
-from idemconv.groups import _all_subgroups_cached, _permutation_closure, is_normal_in
+from idemconv.errors import InvariantViolation
+from idemconv.groups import Subgroup, _all_subgroups_cached, _permutation_closure, is_normal_in
+from idemconv.measure_groups import _n_k_rho_masks
 
 
 def test_cyclic_basics():
@@ -289,6 +291,115 @@ def test_left_cosets_partition(s4):
     for rep, coset in zip(cs.representatives, cs.cosets):
         assert rep in coset
         assert cs.coset_index_of(rep) == cs.coset_index_of(coset[-1])
+
+
+# the loop forms the array routines replaced, kept as references
+
+
+def _loop_product_set(k1, k2):
+    mul = k1.parent.mul
+    return tuple(sorted({mul[a][b] for a in k1.elements for b in k2.elements}))
+
+
+def _loop_product_witness(k1, k2):
+    """The least x in K1K2 whose inverse escapes it, or None."""
+    p12 = _loop_product_set(k1, k2)
+    pset = frozenset(p12)
+    return next((x for x in p12 if k1.parent.inv[x] not in pset), None)
+
+
+def _loop_centralizer(k):
+    g = k.parent
+    return tuple(
+        x for x in range(g.order) if all(g.mul[x][a] == g.mul[a][x] for a in k.elements)
+    )
+
+
+def _loop_commutator_subgroup(k):
+    mul, inv = k.parent.mul, k.parent.inv
+    comms = {mul[mul[a][b]][mul[inv[a]][inv[b]]] for a in k.elements for b in k.elements}
+    return closure(k.parent, comms)
+
+
+def _loop_left_cosets(h, l):
+    """(cosets, representatives), one coset per first unseen x of H."""
+    mul = h.parent.mul
+    seen, cosets = set(), []
+    for x in h.elements:
+        if x not in seen:
+            coset = tuple(sorted(mul[x][m] for m in l.elements))
+            seen.update(coset)
+            cosets.append(coset)
+    return tuple(cosets), tuple(c[0] for c in cosets)
+
+
+def _loop_quotient(h, n):
+    """(projection, table, labels, name) of H/N, one product at a time."""
+    g = h.parent
+    cosets, reps = _loop_left_cosets(h, n)
+    coset_of = {y: i for i, coset in enumerate(cosets) for y in coset}
+    table = tuple(tuple(coset_of[g.mul[a][b]] for b in reps) for a in reps)
+    labels = tuple(f"[{g.labels[r]}]" for r in reps)
+    return coset_of, table, labels, f"{g.name}/N{n.order}"
+
+
+@pytest.mark.parametrize("name", ["s3", "s4", "d4", "q8", "c2xc6"])
+def test_array_routines_match_loop_references(request, name):
+    g = request.getfixturevalue(name)
+    subs = all_subgroups(g)
+    for h in subs:
+        assert centralizer(h).elements == _loop_centralizer(h)
+        ref = _loop_commutator_subgroup(h)
+        comm = commutator_subgroup(h)
+        assert (comm.elements, comm.generators) == (ref.elements, ref.generators)
+        for l in subs:
+            assert product_set(h, l) == _loop_product_set(h, l)
+            v = is_subgroup_product(h, l)
+            assert v.witness == _loop_product_witness(h, l)
+            if not l.element_set <= h.element_set:
+                continue
+            cs = left_cosets(h, l)
+            assert (cs.cosets, cs.representatives) == _loop_left_cosets(h, l)
+            if is_normal_in(l, h):
+                q = quotient_group(h, l)
+                projection, table, labels, qname = _loop_quotient(h, l)
+                assert (q.cosets, q.representatives) == (cs.cosets, cs.representatives)
+                assert q.projection == projection
+                assert q.group.mul == table
+                assert (q.group.labels, q.group.name) == (labels, qname)
+
+
+@pytest.mark.parametrize("name", ["s3", "s4", "d4", "q8", "c2xc6"])
+def test_subgroup_arrays_are_read_only_and_match_elements(request, name):
+    g = request.getfixturevalue(name)
+    for k in all_subgroups(g):
+        assert k.elements_np.tolist() == list(k.elements)
+        want = [k.elements.index(x) if x in k.element_set else -1 for x in range(g.order)]
+        assert k.positions.tolist() == want
+        for arr in (k.elements_np, k.positions):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
+def test_left_cosets_rejects_an_unclosed_subset(s3, d4):
+    # {0, 1} in C4 is not closed: 3 + {0, 1} = {0, 3} has least element 0,
+    # whose coset is {0, 1}, so the cosets do not partition C4
+    c4 = cyclic_group(4)
+    with pytest.raises(InvariantViolation):
+        left_cosets(full_subgroup(c4), Subgroup(c4, (0, 1), (1,)))
+    # every subset holding the identity: a partition exactly when it is closed
+    for g in (s3, d4):
+        others = [x for x in range(g.order) if x != g.identity]
+        for r in range(len(others) + 1):
+            for extra in itertools.combinations(others, r):
+                elts = tuple(sorted((g.identity,) + extra))
+                closed = all(g.mul[a][b] in elts for a in elts for b in elts)
+                raw = Subgroup(g, elts, elts)
+                if closed:
+                    assert len(left_cosets(full_subgroup(g), raw).cosets) == g.order // len(elts)
+                else:
+                    with pytest.raises(InvariantViolation):
+                        left_cosets(full_subgroup(g), raw)
 
 
 def test_normalizer_centralizer(s3, d4):
@@ -595,8 +706,12 @@ def test_conjugation_preserves_order(data):
         (character_group, lambda g: character_group(full_subgroup(g))),
         (_all_subgroups_cached, all_subgroups),
         (g_k_rho, lambda g: g_k_rho(full_subgroup(g), character_group(full_subgroup(g))[0])),
+        (
+            _n_k_rho_masks,
+            lambda g: _n_k_rho_masks(full_subgroup(g), character_group(full_subgroup(g))[0]),
+        ),
     ],
-    ids=["character_group", "all_subgroups", "g_k_rho"],
+    ids=["character_group", "all_subgroups", "g_k_rho", "n_k_rho_masks"],
 )
 def test_group_keyed_caches_are_bounded(cached, fill):
     # each fresh group is a new key; the oldest entries must give way
