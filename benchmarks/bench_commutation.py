@@ -8,12 +8,17 @@ is then classified again with verify=True, which convolves and checks each
 verdict; the two runs must agree on kind, witness, product subgroup and
 product character, or the script raises.
 
-The second row times the same sweep through classify_row(verify=False),
+The second row times classify_pair(verify=False) again over only the
+15,117 commuting pairs of that sweep, the pairs whose product character is
+proven, best of three passes; the script raises unless every verdict is
+commute.
+
+The third row times the same sweep through classify_row(verify=False),
 one call per K1 against every (K2, characters) block of S5, reading the
 verdicts in the same sweep order; the script raises unless its counts and
 digest equal the first row's.
 
-The third row times the commute-oracle-sweep fixture's work: every one of
+The fourth row times the commute-oracle-sweep fixture's work: every one of
 the 8,290 ordered pairs of S3, S4, D4 and Q8, checked against brute-force
 convolution with classify_row(verify=True), one call per K1.  It reports
 the best of three passes and the verdict counts per group.
@@ -21,7 +26,7 @@ the best of three passes and the verdict counts per group.
 Each row is stamped with the machine, Python, numpy and the kernel backend.
 
 Invoke as: python3 benchmarks/bench_commutation.py [--out BENCH.json --label NAME]
-With --out, the three rows are appended to the "rows" list of that JSON file.
+With --out, the four rows are appended to the "rows" list of that JSON file.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from idemconv import (
 
 SAMPLE_SEED = 0
 SAMPLE_PAIRS = 500
+COMMUTE_PASSES = 3
 ORACLE_PASSES = 3
 
 
@@ -66,12 +72,15 @@ def _s5_row(label: str) -> dict:
 
     counts: Counter[str] = Counter()
     digest = hashlib.sha256()
+    commuting = []
     t0 = time.perf_counter()
-    for k1, rho1 in items:
-        for k2, rho2 in items:
-            v = classify_pair(k1, rho1, k2, rho2)
+    for p in items:
+        for q in items:
+            v = classify_pair(*p, *q)
             counts[v.kind] += 1
             digest.update(f"{v.kind}:{v.witness};".encode())
+            if v.kind == "commute":
+                commuting.append(p + q)
     sweep_s = time.perf_counter() - t0
     pairs = len(items) ** 2
 
@@ -84,7 +93,7 @@ def _s5_row(label: str) -> dict:
             raise RuntimeError(f"verify=True disagrees: {_key(fast)} != {_key(checked)}")
     verify_s = time.perf_counter() - t0
 
-    return {
+    row = {
         **common.stamp(__file__, label),
         "items": len(items),
         "pairs": pairs,
@@ -95,6 +104,26 @@ def _s5_row(label: str) -> dict:
         "witness_sha256": digest.hexdigest(),
         "verify_sample_pairs": SAMPLE_PAIRS,
         "verify_sample_s": round(verify_s, 3),
+    }
+    return row, commuting
+
+
+def _s5_commute_row(label: str, commuting: list) -> dict:
+    best = float("inf")
+    for _ in range(COMMUTE_PASSES):
+        t0 = time.perf_counter()
+        kinds = Counter(classify_pair(*pair).kind for pair in commuting)
+        best = min(best, time.perf_counter() - t0)
+    if kinds != Counter(commute=len(commuting)):
+        raise RuntimeError(f"commuting pairs decided again as {dict(kinds)}")
+    return {
+        **common.stamp(__file__, label),
+        "workload": "s5-sweep-commuting-classify_pair",
+        "pairs": len(commuting),
+        "passes": COMMUTE_PASSES,
+        "sweep_s": round(best, 3),
+        "pairs_per_s": round(len(commuting) / best),
+        "us_per_pair": round(best / len(commuting) * 1e6, 1),
     }
 
 
@@ -156,8 +185,9 @@ def _oracle_row(label: str) -> dict:
 
 def main() -> None:
     args = common.parser(__doc__).parse_args()
-    s5 = _s5_row(args.label)
-    for row in (s5, _s5_rows_row(args.label, s5), _oracle_row(args.label)):
+    s5, commuting = _s5_row(args.label)
+    rows = (s5, _s5_commute_row(args.label, commuting), _s5_rows_row(args.label, s5))
+    for row in rows + (_oracle_row(args.label),):
         print(json.dumps(row, indent=2))
         common.append(args.out, row)
 

@@ -9,11 +9,14 @@ rotations t/e exist only at the boundary (from_rotations, rot, rotation).
 A character from outside is validated in one numpy pass, where multiplicativity
 is t[g*h] == (t[g] + t[h]) mod e over the domain's product table; products,
 conjugates and combinations of validated characters are not validated again.
+The product character of a commuting pair (commutation._commuting) is proven
+instead against the generators of K1 and K2, t[x*s] == (t[x] + t[s]) mod e
+for every x in K1K2 and s in span(K1) | span(K2), and built unchecked; the
+full check runs on it only to name a failure.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -171,6 +174,14 @@ class Character:
         return f"<Character {body} on order-{self.domain.order} subgroup>"
 
 
+def _powers(group: GroupTable, g: int, count: int) -> np.ndarray:
+    """g^0, ..., g^(count-1), by a walk over mul_np."""
+    out = [group.identity]
+    for _ in range(count - 1):
+        out.append(group.mul_np.item(out[-1], g))
+    return np.array(out, dtype=np.int64)
+
+
 def _abelian_basis(group: GroupTable) -> list[tuple[int, int]]:
     """Independent generators (element, order) with A = prod of their cyclics.
 
@@ -186,17 +197,20 @@ def _abelian_basis(group: GroupTable) -> list[tuple[int, int]]:
     d = group.element_order(a)
     if d == group.order:
         return [(a, d)]
-    cyc = closure(group, (a,))
+    a_pows = _powers(group, a, d)
+    cyc = Subgroup(group, tuple(sorted(a_pows.tolist())), (a,))
     quot = quotient_group(full_subgroup(group), cyc)
-    a_pows = {group.power(a, k): k for k in range(d)}
+    # log[a^k] = k on <a>, -1 off it
+    log = np.full(group.order, -1, dtype=np.int64)
+    log[a_pows] = np.arange(d)
     out = [(a, d)]
     for q_gen, e in _abelian_basis(quot.group):
         x = quot.representatives[q_gen]  # the least element of the coset
-        t = a_pows[group.power(x, e)]
-        if t % e != 0:
+        t = int(log[_powers(group, x, e + 1)[e]])
+        if t < 0 or t % e != 0:
             raise InvariantViolation("maximal-order peeling lost exactness")
-        x = group.mul[x][group.power(a, (-(t // e)) % d)]
-        if group.power(x, e) != group.identity:
+        x = group.mul_np.item(x, int(a_pows[(-(t // e)) % d]))
+        if _powers(group, x, e + 1)[e] != group.identity:
             raise InvariantViolation("corrected generator has wrong order")
         out.append((x, e))
     return out
@@ -211,30 +225,35 @@ def character_group(k: Subgroup) -> tuple[Character, ...]:
     Computed as the dual of K/[K,K]: decompose the abelianization into
     cyclic factors, enumerate coordinate characters, lift through the
     projection.  Validating the trivial and the basis characters proves the
-    decomposition; the rest are their combinations, built unchecked.
+    decomposition; the rest are their combinations, built unchecked.  The
+    quotient is read through its mul_np only.
     """
     comm = commutator_subgroup(k)
     quot = quotient_group(k, comm)
     q_group = quot.group
     basis = _abelian_basis(q_group)
+    dims = [d for _, d in basis]
 
-    coords: dict[int, tuple[int, ...]] = {}
-    for c in itertools.product(*(range(d) for _, d in basis)):
-        x = q_group.identity
-        for (g, _), ci in zip(basis, c):
-            x = q_group.mul[x][q_group.power(g, ci)]
-        if x in coords:
-            raise InvariantViolation("cyclic factors are not independent")
-        coords[x] = c
-    if len(coords) != q_group.order:
+    # x[c] = prod g_i^c_i over the coordinates c in grid order, row-major
+    # (the order of itertools.product)
+    x = np.array([q_group.identity], dtype=np.int64)
+    for g, d in basis:
+        x = q_group.mul_np[x[:, None], _powers(q_group, g, d)].ravel()
+    if np.unique(x).size != x.size:
+        raise InvariantViolation("cyclic factors are not independent")
+    if x.size != q_group.order:
         raise InvariantViolation("cyclic factors do not span the abelianization")
+    grid = np.indices(dims, dtype=np.int64).reshape(len(dims), x.size).T
+    coord_of = np.empty(q_group.order, dtype=np.int64)
+    coord_of[x] = np.arange(x.size)
 
     # character m takes coordinates c to sum m_i c_i / d_i turns, which is
     # exponent sum m_i c_i (e / d_i) mod e; the m run over the same grid as c
     e = k.parent.exponent
-    grid = np.array(list(coords.values()), dtype=np.int64)
-    element_coords = np.array([coords[quot.projection[g]] for g in k.elements], dtype=np.int64)
-    weights = grid * (e // np.array([d for _, d in basis], dtype=np.int64))
+    # the projection is keyed in the order of k.elements
+    projected = np.fromiter(quot.projection.values(), dtype=np.int64, count=k.order)
+    element_coords = grid[coord_of[projected]]
+    weights = grid * (e // np.array(dims, dtype=np.int64))
     exps = (weights @ element_coords.T % e).tolist()
     # m = 0 and the unit vectors are the grid rows summing to at most 1
     return tuple(

@@ -12,19 +12,24 @@ choices differ by an element of K1 meet K2, where the characters agree).
 So each product is one integer exponent modulo the parent's exponent per
 element of its support, and the two products are compared as integer
 vectors.  A verdict keeps those exponents and builds the product measures
-only when they are read.
+only when they are read.  When they agree, _commuting proves the product
+characters against the generators of K1 and K2, one stacked compare, and
+runs the full Character check only to name a failure.
 
 classify_row decides every pair of characters of K1 against each block
 (K2, characters of K2) of a row, one array pass per block: the characters'
 exponents are stacked, so one compare on K1 meet K2 finds every zero
 product and one scatter through the multiplication table gives every pair
 of products; classify_block is a row of one block.  classify_pair keeps
-the per-pair form, which is faster than a block of one pair.  Nothing is
-convolved unless verify=True, which cross-checks the verdicts of a whole
-row against brute-force convolution, one stacked kernel call per side for
-each conductor of the row's blocks; the test suite, the oracle fixture and
-semidirect_counterexample switch it on, through classify_pair(verify=True),
-a row of one 1x1 block, or classify_row.
+the per-pair form, which is faster than a block of one pair: it reads the
+subgroups' cached elements_np and the meet mask, and one argmax finds the
+witness.  Both forms prove product characters through the same
+_commuting.  Nothing is convolved unless verify=True, which cross-checks
+the verdicts of a whole row against brute-force convolution, one stacked
+kernel call per side for each conductor of the row's blocks; the test
+suite, the oracle fixture and semidirect_counterexample switch it on,
+through classify_pair(verify=True), a row of one 1x1 block, or
+classify_row.
 """
 
 from __future__ import annotations
@@ -98,9 +103,10 @@ class CommutationVerdict:
 def _require(
     k1: Subgroup, chars1: Sequence[Character], k2: Subgroup, chars2: Sequence[Character]
 ) -> None:
-    if any(rho.domain != k1 for rho in chars1):
+    # identity first: Subgroup.__eq__ compares element tuples
+    if any(rho.domain is not k1 and rho.domain != k1 for rho in chars1):
         raise PreconditionError("rho1 is not a character of K1")
-    if any(rho.domain != k2 for rho in chars2):
+    if any(rho.domain is not k2 and rho.domain != k2 for rho in chars2):
         raise PreconditionError("rho2 is not a character of K2")
     _require_same_parent(k1, k2)
 
@@ -112,12 +118,12 @@ def _decide(
     their products; keep=True keeps them for every kind."""
     parent = k1.parent
     t1, t2 = rho1._exponents, rho2._exponents
-    a, b = (t1 >= 0).nonzero()[0], (t2 >= 0).nonzero()[0]
+    a, b = k1.elements_np, k2.elements_np
     ta, tb, t2a = t1[a], t2[b], t2[a]
     n = lcm(rho1.conductor, rho2.conductor)
 
-    # t2a >= 0 exactly on K1 meet K2
-    if ((t2a >= 0) & (t2a != ta)).any():
+    meet = t2a >= 0  # K1 meet K2, as a mask over K1
+    if (meet & (t2a != ta)).any():
         if not keep:
             return CommutationVerdict("zero_product")
         zero = np.full((2, parent.order), -1, dtype=np.int64)
@@ -131,30 +137,51 @@ def _decide(
     exps[0, parent.mul_np[a[:, None], b]] = s
     exps[1, parent.mul_np[b[:, None], a]] = s.T
     differs = exps[0] != exps[1]
+    witness = int(differs.argmax())
     # |K1K2| = |K1||K2| / |K1 meet K2|, the support of either product
-    support = np.flatnonzero(exps[0] >= 0)
-    products = (parent, n, support.size, exps)
+    products = (parent, n, k1.order * k2.order // int(meet.sum()), exps)
 
-    if not differs.any():
+    if not differs[witness]:
         k12, (rho12,) = _commuting(k1, k2, exps[:1])
         return CommutationVerdict("commute", k12, rho12, _products=products if keep else None)
 
-    return CommutationVerdict("non_commuting", witness=int(differs.argmax()), _products=products)
+    return CommutationVerdict("non_commuting", witness=witness, _products=products)
+
 
 
 def _commuting(k1: Subgroup, k2: Subgroup, rows: np.ndarray) -> tuple[Subgroup, list[Character]]:
     """K12 and the product characters of agreeing products, one per row of
-    exponents (-1 off K1K2).  Each character is validated: equal products make
-    a nonzero idempotent of norm <= 1, which is rho m_K for a subgroup K and a
-    character rho (Greenleaf), so a failure is an InvariantViolation."""
+    exponents t (-1 off K1K2), proven against S = span(K1) | span(K2).
+
+    The support of every row is K1K2, inside <S>.  If t[e] = 0 and
+    t[x s] = (t[x] + t[s]) mod e for every x in the support and s in S
+    (-1 off the support never matches), the support is closed under right
+    multiplication by S, so it is <S> = K12, a subgroup, and t is a
+    character of it: one stacked compare proves every row exactly.  Equal
+    products make a nonzero idempotent of norm <= 1, which is rho m_K for a
+    subgroup K and a character rho (Greenleaf), so a row the proof rejects
+    is an InvariantViolation: Character(...) runs on it only to name the
+    failure, and if it passes, the disagreement is the violation.
+    """
+    parent = k1.parent
     support = np.flatnonzero(rows[0] >= 0)
-    k12 = subgroup_from_elements(
-        k1.parent, support.tolist(), k1.generators + k2.generators, validate=False
-    )
+    k12 = Subgroup(parent, tuple(support.tolist()), k1.generators + k2.generators)
+    exps = rows[:, support].tolist()
+    span = np.concatenate([k1._span, k2._span])
+    # (rows, |K1K2|, |S|) entries, |S| <= log2|K1| + log2|K2|
+    moved = rows[:, parent.mul_np[support[:, None], span]]
+    if not rows[:, parent.identity].any() and (
+        moved == (rows[:, support, None] + rows[:, None, span]) % parent.exponent
+    ).all():
+        return k12, [Character._unchecked(k12, tuple(t)) for t in exps]
     try:
-        return k12, [Character(k12, tuple(t)) for t in rows[:, support].tolist()]
+        for t in exps:
+            Character(k12, tuple(t))
     except ValueError as exc:
         raise InvariantViolation(f"products agree but give no character: {exc}") from exc
+    raise InvariantViolation(
+        "the generator proof rejects a product character that the full check accepts"
+    )
 
 
 def _exponents(chars: Sequence[Character]) -> np.ndarray:
@@ -175,10 +202,10 @@ def _decide_block(
     The pairs share the scatter indices mul[K1][:, K2] and mul[K2][:, K1],
     the intersection K1 meet K2 and the support K1K2, so stacking the characters'
     exponents gives every zero test, every pair of products and every
-    witness at once.  K12 is built once and each commuting pair's product
-    character validated, by the _commuting that _decide calls.  Entry [i][j] is
-    _decide's verdict on (chars1[i], chars2[j]), products included.  t1
-    is _exponents(chars1), computed once per row.
+    witness at once.  K12 is built once and every commuting pair's product
+    character proven in one stacked compare, by the _commuting that _decide
+    calls.  Entry [i][j] is _decide's verdict on (chars1[i], chars2[j]),
+    products included.  t1 is _exponents(chars1), computed once per row.
     """
     if not chars1 or not chars2:
         return [[] for _ in chars1]

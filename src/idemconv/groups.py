@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import gcd
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -55,50 +56,59 @@ def _find_identity(mul_np: np.ndarray) -> int:
     return int(np.argmax(two_sided))
 
 
-def _find_inverses(mul_np: np.ndarray, identity: int) -> tuple[int, ...]:
+def _find_inverses(mul_np: np.ndarray, identity: int) -> np.ndarray:
     g = np.arange(mul_np.shape[0])
     hits = mul_np == identity
     inv = hits.argmax(axis=1)  # the first right inverse, or 0 if there is none
     bad = ~hits[g, inv] | (mul_np[inv, g] != identity)
     if bad.any():
         raise ValueError(f"element {int(np.argmax(bad))} has no two-sided inverse")
-    return tuple(inv.tolist())
+    inv.flags.writeable = False
+    return inv
 
 
 def _element_orders(mul_np: np.ndarray, identity: int) -> np.ndarray:
-    """1 + #{k >= 1 : g, ..., g^k all differ from the identity}, for all g at once."""
-    n = mul_np.shape[0]
-    g = x = np.arange(n)
-    orders, alive = np.ones_like(g), g != identity
-    while alive.any():
-        orders += alive
-        x = mul_np.ravel().take(x * n + g)  # x = g^k
-        alive &= x != identity
+    """The order of every element: the powers of each element that no walk
+    has reached yet are walked once, and g^k of an element g of order m has
+    order m / gcd(k, m)."""
+    orders = np.zeros(mul_np.shape[0], dtype=np.int64)
+    for g in range(orders.size):
+        if orders[g]:
+            continue
+        pows = [g]
+        while pows[-1] != identity:
+            pows.append(mul_np.item(pows[-1], g))
+        m = len(pows)
+        orders[pows] = [m // gcd(k, m) for k in range(1, m + 1)]
     return orders
 
 
-def _check_associativity(mul_np: np.ndarray, identity: int) -> None:
-    """Light's associativity test, exact at every order.
+def _spanning_set(
+    mul_np: np.ndarray,
+    identity: int,
+    members: np.ndarray,
+    check: Optional[Callable[[int], None]] = None,
+) -> tuple[list[int], np.ndarray]:
+    """A small generating set of the members (a mask over the table), and the
+    mask of what it reaches.
 
-    The elements g with (x*g)*y = x*(g*y) for all x, y are closed under the
-    product, so it is enough to check a generating set: take the first
-    element not yet reached, check it with one n x n comparison, and grow
-    the reached set from the identity by right multiplication with the
-    checked elements.  With a two-sided identity and inverses the reached
-    set is a subgroup that at least doubles with every check, so a table
-    of order n needs at most log2(n) checks.
+    Take the first member not yet reached, pass it to check, and grow the
+    reached set from the identity by right multiplication with the members
+    taken so far; stop once every member is reached.  In a group the
+    reached set is then the subgroup the taken members generate, which at
+    least doubles with every member taken, so a subgroup of order n takes
+    at most log2(n).  It equals the members exactly when they are a subgroup.
     """
-    n = mul_np.shape[0]
-    reached = np.zeros(n, dtype=bool)
+    reached = np.zeros(mul_np.shape[0], dtype=bool)
     reached[identity] = True
     gens: list[int] = []
-    while not reached.all():
-        g = int(np.argmin(reached))
-        left = mul_np[mul_np[:, g], :]  # (x*g)*y
-        right = mul_np[:, mul_np[g, :]]  # x*(g*y)
-        if not np.array_equal(left, right):
-            x, y = np.argwhere(left != right)[0]
-            raise ValueError(f"table is not associative at ({x},{g},{y})")
+    while True:
+        missing = members & ~reached
+        if not missing.any():
+            return gens, reached
+        g = int(missing.argmax())
+        if check is not None:
+            check(g)
         gens.append(g)
         frontier = np.flatnonzero(reached)
         while frontier.size:
@@ -107,8 +117,33 @@ def _check_associativity(mul_np: np.ndarray, identity: int) -> None:
             reached[frontier] = True
 
 
+def _check_associativity(mul_np: np.ndarray, identity: int) -> None:
+    """Light's associativity test, exact at every order.
+
+    The elements g with (x*g)*y = x*(g*y) for all x, y are closed under the
+    product, so it is enough to check a generating set: each element that
+    _spanning_set takes for the whole table is checked with one n x n
+    comparison.  With a two-sided identity and inverses the reached set is
+    a subgroup that at least doubles with every check, so a table of order
+    n needs at most log2(n) checks.
+    """
+
+    def check(g: int) -> None:
+        left = mul_np[mul_np[:, g], :]  # (x*g)*y
+        right = mul_np[:, mul_np[g, :]]  # x*(g*y)
+        if not np.array_equal(left, right):
+            x, y = np.argwhere(left != right)[0]
+            raise ValueError(f"table is not associative at ({x},{g},{y})")
+
+    _spanning_set(mul_np, identity, np.ones(mul_np.shape[0], dtype=bool), check)
+
+
 class GroupTable:
     """A finite group: order, multiplication and inverse tables, labels.
+
+    mul_np and inv_np are the tables as int64 arrays, inv_np read-only; inv
+    is inv_np as a tuple and mul, built on first use, mul_np as nested
+    tuples, for scalar lookups.
 
     Instances are immutable after construction and compare by identity;
     two independently built copies of the same group are distinct parents.
@@ -130,7 +165,7 @@ class GroupTable:
         if mul_np is None or mul_np.shape != (n, n) or mul_np.min() < 0 or mul_np.max() >= n:
             raise ValueError("table rows must be length-n index vectors")
         identity = _find_identity(mul_np)
-        inv = _find_inverses(mul_np, identity)
+        inv_np = _find_inverses(mul_np, identity)
         _check_associativity(mul_np, identity)
         if labels is None:
             labels = [f"g{i}" for i in range(n)]
@@ -139,7 +174,8 @@ class GroupTable:
             raise ValueError("labels must be distinct, one per element")
 
         self.order = n
-        self.inv = inv
+        self.inv_np = inv_np  # read-only
+        self.inv = tuple(inv_np.tolist())
         self.identity = identity
         self.labels = labels
         self.name = name if name is not None else f"G{n}"
@@ -225,6 +261,19 @@ class Subgroup:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def _span(self) -> np.ndarray:
+        """A small generating set, read-only, proven to reach exactly the
+        elements by growth from the identity (_spanning_set); the public
+        generators are left as they are."""
+        members = self.positions >= 0
+        gens, reached = _spanning_set(self.parent.mul_np, self.parent.identity, members)
+        if not np.array_equal(reached, members):
+            raise InvariantViolation("the spanning set does not reach exactly the subgroup")
+        out = np.array(gens, dtype=np.int64)
+        out.flags.writeable = False
+        return out
+
     @property
     def order(self) -> int:
         return len(self.elements)
@@ -272,7 +321,7 @@ def subgroup_from_elements(
     if not inside[parent.identity]:
         raise ValueError("subgroup must contain the identity")
     # the first element whose inverse or row of products escapes, in order
-    inv_ok = inside[np.asarray(parent.inv)[e]]
+    inv_ok = inside[parent.inv_np[e]]
     prod_ok = inside[parent.mul_np[e[:, None], e]]
     bad = ~inv_ok | ~prod_ok.all(axis=1)
     if bad.any():
@@ -360,7 +409,7 @@ def is_subgroup_product(k1: Subgroup, k2: Subgroup) -> ProductVerdict:
     """
     inside = _product_mask(k1, k2)
     p12 = np.flatnonzero(inside)
-    escapes = ~inside[np.asarray(k1.parent.inv)[p12]]
+    escapes = ~inside[k1.parent.inv_np[p12]]
     if escapes.any():
         return ProductVerdict(False, None, "inverse_escapes", int(p12[escapes.argmax()]))
     sub = Subgroup(k1.parent, tuple(p12.tolist()), k1.generators + k2.generators)
@@ -372,7 +421,7 @@ def _conjugates_inside(k: Subgroup, gs: Sequence[int]) -> np.ndarray:
     parent = k.parent
     mul_np = parent.mul_np
     gs = np.asarray(gs, dtype=np.int64)
-    conj = mul_np[mul_np[gs[:, None], k.elements_np], np.asarray(parent.inv)[gs][:, None]]
+    conj = mul_np[mul_np[gs[:, None], k.elements_np], parent.inv_np[gs][:, None]]
     return k.positions[conj] >= 0
 
 
@@ -391,7 +440,7 @@ def centralizer(k: Subgroup) -> Subgroup:
 def commutator_subgroup(k: Subgroup) -> Subgroup:
     parent = k.parent
     mul_np, ks = parent.mul_np, k.elements_np
-    inv = np.asarray(parent.inv)[ks]
+    inv = parent.inv_np[ks]
     # [a, b] -> (a b)(a^-1 b^-1)
     comms = mul_np[mul_np[ks[:, None], ks], mul_np[inv[:, None], inv]]
     return closure(parent, np.flatnonzero(np.bincount(comms.ravel(), minlength=parent.order)))

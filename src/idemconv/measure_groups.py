@@ -83,7 +83,7 @@ def _n_k_rho_masks(k: Subgroup, rho: Character) -> tuple[np.ndarray, np.ndarray]
     ks = k.elements_np
     t = rho._exponents
     # [g, k] -> rho's exponent at g k g^-1
-    conj = t[mul_np[mul_np[:, ks], np.asarray(parent.inv)[:, None]]]
+    conj = t[mul_np[mul_np[:, ks], parent.inv_np[:, None]]]
     in_n = (conj >= 0).all(axis=1) & (conj[:, t[ks] == 0] == 0).all(axis=1)
     centralizes = (conj == t[ks]).all(axis=1)
     in_n.flags.writeable = centralizes.flags.writeable = False
@@ -123,7 +123,7 @@ def g_k_rho(k: Subgroup, rho: Character) -> Subgroup:
     parent = k.parent
     row_id = rho._exponents
     mul_np = parent.mul_np
-    inv = np.asarray(parent.inv)
+    inv = parent.inv_np
     # [g, x] -> g^-1 x on the left, x g^-1 on the right
     commutes = (row_id[mul_np[inv]] == row_id[mul_np[:, inv].T]).all(axis=1)
     direct = np.flatnonzero(commutes)
@@ -212,7 +212,7 @@ def _translate_products(a: Measure, b: Measure, gs: Sequence[int]) -> tuple[np.n
     b_rows = promote_rows(b.rows, b.conductor, n)
     d = a_rows.shape[1]
     # row x of delta_g * b is row g^-1 x of b
-    translates = b_rows[parent.mul_np[np.asarray(parent.inv)[np.asarray(gs)]]]
+    translates = b_rows[parent.mul_np[parent.inv_np[np.asarray(gs)]]]
     step = max(1, order * order // (len(a.support()) * len(b.support())))
     prods = [
         _convolve_rows(parent, n, a_rows, translates[lo : lo + step].reshape(-1, d))
@@ -272,7 +272,7 @@ def _left_translates_of(rows: np.ndarray, den: int, n: int, omega: Measure, gs) 
     parent = omega.parent
     m = lcm(n, omega.conductor)
     # row x of delta_g * omega is row g^-1 x of omega
-    want = omega.rows[parent.mul_np[np.asarray(parent.inv)[gs]]]
+    want = omega.rows[parent.mul_np[parent.inv_np[gs]]]
     lhs = scale_rows(promote_rows(rows.reshape(-1, rows.shape[-1]), n, m), omega.den)
     rhs = scale_rows(promote_rows(want.reshape(-1, want.shape[-1]), omega.conductor, m), den)
     return bool((lhs == rhs).all())
@@ -375,7 +375,7 @@ def verify_prop_43(
     blocks = np.unique(mul_np[h1.elements_np[:, None], x2s])
     sq = convolve(idem12, idem12)
     # row x of sq * delta_b is row x b^-1 of sq
-    sq_b = sq.rows[mul_np[:, np.asarray(parent.inv)[blocks]].T]
+    sq_b = sq.rows[mul_np[:, parent.inv_np[blocks]].T]
     if not _left_translates_of(sq_b, sq.den, sq.conductor, idem12, blocks):
         raise InvariantViolation(
             "reverse realization produced a non-unit scalar"
@@ -486,6 +486,5 @@ def exp_char_diagonal(lam: Measure) -> FloatMeasure:
     )
     transformed = table @ coeffs
     w = np.exp(transformed)
-    inv_idx = np.array(parent.inv)
-    out = table[:, inv_idx].T @ w / n
+    out = table[:, parent.inv_np].T @ w / n
     return FloatMeasure(parent, out)

@@ -193,7 +193,7 @@ class Measure:
 
     def adjoint(self) -> "Measure":
         """mu*(g) = conj(mu(g^-1)); an involution on the algebra."""
-        rows = conjugate_rows(self.rows[list(self.parent.inv)], self.conductor)
+        rows = conjugate_rows(self.rows[self.parent.inv_np], self.conductor)
         return Measure(self.parent, self.conductor, rows, self.den)
 
     # -- comparison ------------------------------------------------------------
@@ -381,7 +381,7 @@ class FloatMeasure:
 
     def adjoint(self) -> "FloatMeasure":
         return FloatMeasure(
-            self.parent, np.conj(self.values[np.array(self.parent.inv)])
+            self.parent, np.conj(self.values[self.parent.inv_np])
         )
 
     def __sub__(self, other: "FloatMeasure") -> "FloatMeasure":

@@ -19,6 +19,7 @@ from idemconv import (
     full_subgroup,
     restrict,
     char_idem,
+    symmetric_group,
     commutator_subgroup,
     cyclic_group,
     direct_product,
@@ -420,6 +421,25 @@ def test_corrupted_basis_is_caught_under_optimize(run_optimized):
         "            continue\n"
         "    raise SystemExit(corrupt.__name__)\n"
     )
+
+
+def test_character_group_builds_no_nested_view_of_a_quotient(monkeypatch):
+    # character_group reads each quotient (and the quotients _abelian_basis
+    # peels) through mul_np only; fresh groups, so nothing comes from a cache
+    quotients = []
+    real = characters.quotient_group
+
+    def spy(h, n):
+        q = real(h, n)
+        quotients.append(q)
+        return q
+
+    monkeypatch.setattr(characters, "quotient_group", spy)
+    s4 = symmetric_group(4)
+    for k in [*all_subgroups(s4), full_subgroup(direct_product(cyclic_group(4), cyclic_group(8)))]:
+        character_group(k)
+    assert len(quotients) > len(all_subgroups(s4))
+    assert all("mul" not in q.group.__dict__ for q in quotients)
 
 
 def test_character_surface_read_by_the_benchmark(c12):

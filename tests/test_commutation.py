@@ -1,6 +1,7 @@
 """Pairwise commutation of contractive idempotents."""
 
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -8,6 +9,7 @@ from math import lcm
 import numpy as np
 import pytest
 
+import idemconv.characters as characters
 import idemconv.commutation as commutation
 from idemconv import (
     Character,
@@ -26,7 +28,8 @@ from idemconv import (
     subgroup_from_elements,
 )
 from idemconv.cyclo import field_tables
-from idemconv.errors import PreconditionError
+from idemconv.errors import InvariantViolation, PreconditionError
+from idemconv.groups import Subgroup
 
 
 def test_matched_pair_commutes(s3):
@@ -194,28 +197,38 @@ def test_verify_check_survives_optimize(run_optimized):
 
 def test_product_character_failure_survives_optimize(run_optimized):
     # equal closed-form products must give a character (structure theorem);
-    # if building it fails, that is reported, not turned into a verdict, by
-    # the pair decision and by the block decision alike
+    # if they do not, that is reported, not turned into a verdict, by the
+    # pair decision and by the block decision alike.  rho2's exponents are
+    # corrupted to 2 at both 3-cycles (exponent 6): K1 meet K2 is trivial
+    # and rho2 takes one value on r and r^-1, so the left and right products
+    # agree, and they are no character of S3
     run_optimized(
         "import idemconv.commutation as c\n"
-        "from idemconv import character_group, closure, symmetric_group\n"
+        "from idemconv import Character, character_group, closure, symmetric_group\n"
         "from idemconv.errors import InvariantViolation\n"
         "g = symmetric_group(3)\n"
         "k1 = closure(g, [g.idx('(12)')])\n"
         "k2 = closure(g, [g.idx('(123)')])\n"
-        "def broken(*args):\n"
-        "    raise ValueError('not multiplicative')\n"
-        "c.Character = broken\n"
-        "try:\n"
-        "    c.classify_pair(k1, character_group(k1)[0], k2, character_group(k2)[0])\n"
-        "    raise SystemExit(1)\n"
-        "except InvariantViolation:\n"
-        "    pass\n"
-        "try:\n"
-        "    c.classify_block(k1, character_group(k1), k2, character_group(k2))\n"
-        "except InvariantViolation as exc:\n"
-        "    raise SystemExit(0 if 'products agree but give no character' in str(exc) else 4)\n"
-        "raise SystemExit(1)\n"
+        "rho2 = character_group(k2)[0]\n"
+        "exponents = Character._exponents.func\n"
+        "def corrupted(chi):\n"
+        "    t = exponents(chi)\n"
+        "    if chi is rho2:\n"
+        "        t = t.copy()\n"
+        "        t[g.idx('(123)')] = t[g.idx('(132)')] = 2\n"
+        "    return t\n"
+        "Character._exponents = property(corrupted)\n"
+        "want = 'products agree but give no character: '\n"
+        "for decide in (\n"
+        "    lambda: c.classify_pair(k1, character_group(k1)[0], k2, rho2),\n"
+        "    lambda: c.classify_block(k1, character_group(k1), k2, character_group(k2)),\n"
+        "):\n"
+        "    try:\n"
+        "        decide()\n"
+        "        raise SystemExit(1)\n"
+        "    except InvariantViolation as exc:\n"
+        "        if not str(exc).startswith(want):\n"
+        "            raise SystemExit(4)\n"
     )
 
 
@@ -246,6 +259,125 @@ def test_verify_checks_closed_form_survives_optimize(run_optimized):
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
     )
+
+
+def test_corrupted_spanning_set_survives_optimize(run_optimized):
+    # the product-character proof rests on span(K1) and span(K2) generating
+    # K1 and K2; a spanning set that does not reach its subgroup exactly is
+    # reported under -O, from the pair and the block decision alike
+    run_optimized(
+        "import numpy as np\n"
+        "import idemconv.groups as gr\n"
+        "from idemconv import Character, character_group, classify_block, classify_pair\n"
+        "from idemconv import closure, symmetric_group, trivial_subgroup\n"
+        "from idemconv.errors import InvariantViolation\n"
+        "g = symmetric_group(3)\n"
+        "k1 = closure(g, [g.idx('(12)')])\n"
+        "k2 = closure(g, [g.idx('(123)')])\n"
+        "chars1, chars2 = character_group(k1), character_group(k2)\n"
+        "real = gr._spanning_set\n"
+        "def short(mul_np, identity, members, check=None):\n"
+        "    # the last member taken is dropped; the mask is what the rest reach\n"
+        "    gens, _ = real(mul_np, identity, members, check)\n"
+        "    fewer = np.zeros_like(members)\n"
+        "    fewer[gens[:-1]] = True\n"
+        "    return gens[:-1], real(mul_np, identity, fewer)[1]\n"
+        "def raises(decide):\n"
+        "    try:\n"
+        "        decide()\n"
+        "    except InvariantViolation as exc:\n"
+        "        return 'spanning set' in str(exc)\n"
+        "    return False\n"
+        "gr._spanning_set = short\n"
+        "if not raises(lambda: classify_pair(k1, chars1[0], k2, chars2[0])):\n"
+        "    raise SystemExit(1)\n"
+        "if not raises(lambda: classify_block(k1, chars1, k2, chars2)):\n"
+        "    raise SystemExit(2)\n"
+        "gr._spanning_set = real\n"
+        "# {e, (12), (123)} is no subgroup: its span reaches all of S3\n"
+        "raw = gr.Subgroup(g, tuple(sorted((g.identity, g.idx('(12)'), g.idx('(123)')))), ())\n"
+        "triv = trivial_subgroup(g)\n"
+        "pair = (raw, Character._unchecked(raw, (0, 0, 0)), triv, Character._unchecked(triv, (0,)))\n"
+        "if not raises(lambda: classify_pair(*pair)):\n"
+        "    raise SystemExit(3)\n"
+    )
+
+
+def _commuting_pairs(group):
+    items = _items(group)
+    return [
+        (k1, rho1, k2, rho2, v)
+        for k1, rho1 in items
+        for k2, rho2 in items
+        if (v := classify_pair(k1, rho1, k2, rho2)).kind == "commute"
+    ]
+
+
+@pytest.mark.parametrize("name", ["s4", "d4", "q8", "c12"])
+def test_product_character_proof_agrees_with_full_check(name, request, monkeypatch):
+    # every product character of every commuting pair, by pair and by
+    # block, is proven without the full check, and the full check accepts it
+    g = request.getfixturevalue(name)
+    blocks = [(k, character_group(k)) for k in all_subgroups(g)]
+    checks = []
+    real = characters._check
+    monkeypatch.setattr(characters, "_check", lambda *args: checks.append(args) or real(*args))
+    pairs = _commuting_pairs(g)
+    products = [
+        (v.product_subgroup, v.product_character)
+        for k1, chars1 in blocks
+        for k2, chars2 in blocks
+        for row in classify_block(k1, chars1, k2, chars2)
+        for v in row
+        if v.kind == "commute"
+    ]
+    assert checks == []
+    monkeypatch.undo()
+    assert len(products) == len(pairs) > 0
+    products += [(v.product_subgroup, v.product_character) for *_, v in pairs]
+    for k12, rho12 in products:
+        assert subgroup_from_elements(g, k12.elements) == k12
+        assert Character(k12, rho12.exps) == rho12
+
+
+@pytest.mark.parametrize("name", ["s4", "d4", "q8", "c12"])
+def test_product_character_proof_rejects_perturbed_rows(name, request):
+    # one exponent of a product row changed, or one support element dropped:
+    # a row that is no character raises with the message Character(...)
+    # gives; a row that is one is proven exactly when its support still
+    # holds K1 and K2 (dropping x from K12 = {e, x} leaves a character of
+    # {e}, which no product of K1 and K2 is, so that disagreement raises)
+    g = request.getfixturevalue(name)
+    rng = random.Random(0)
+    pairs = _commuting_pairs(g)
+    rejected = 0
+    for k1, _, k2, _, v in rng.sample(pairs, min(len(pairs), 80)):
+        row = v.product_character._exponents
+        support = np.flatnonzero(row >= 0)
+        for corrupt in ("exponent", "dropped"):
+            rows = row[None].copy()
+            x = rng.choice(support.tolist())
+            if corrupt == "exponent":
+                rows[0, x] = (row[x] + rng.randrange(1, g.exponent)) % g.exponent
+            else:
+                rows[0, x] = -1
+            kept = np.flatnonzero(rows[0] >= 0)
+            k12 = Subgroup(g, tuple(kept.tolist()), ())
+            try:
+                want = Character(k12, tuple(rows[0, kept].tolist()))
+            except ValueError as exc:
+                message = f"products agree but give no character: {exc}"
+                with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+                    commutation._commuting(k1, k2, rows)
+                rejected += 1
+            else:
+                if k1.element_set | k2.element_set <= k12.element_set:
+                    _, (rho,) = commutation._commuting(k1, k2, rows)
+                    assert rho.exps == want.exps
+                else:
+                    with pytest.raises(InvariantViolation, match="the full check accepts$"):
+                        commutation._commuting(k1, k2, rows)
+    assert rejected > 0
 
 
 # -- an independent reference for the closed form ------------------------------

@@ -620,6 +620,50 @@ CONSTRUCTOR_PINS = {
 }
 
 
+def _reference_element_orders(mul_np, identity):
+    """Element orders by one gather per power, all elements at once."""
+    n = mul_np.shape[0]
+    g = x = np.arange(n)
+    orders, alive = np.ones_like(g), g != identity
+    while alive.any():
+        orders += alive
+        x = mul_np[x, g]  # x = g^k
+        alive &= x != identity
+    return orders
+
+
+@pytest.mark.parametrize("name", list(CONSTRUCTOR_PINS))
+def test_element_orders_and_inverse_array_match_references(name):
+    g = CONSTRUCTOR_PINS[name][0]()
+    orders = g.element_orders
+    assert orders.dtype == np.int64
+    assert np.array_equal(orders, _reference_element_orders(g.mul_np, g.identity))
+    assert g.inv_np.dtype == np.int64 and g.inv_np.tolist() == list(g.inv)
+    assert (g.mul_np[np.arange(g.order), g.inv_np] == g.identity).all()
+    with pytest.raises(ValueError):
+        g.inv_np[0] = 0
+
+
+@pytest.mark.parametrize("name", ["s4", "d4", "q8", "c12", "c2xc6"])
+def test_span_is_a_proven_small_generating_set(request, name):
+    g = request.getfixturevalue(name)
+    for k in all_subgroups(g):
+        span = k._span
+        assert closure(g, span.tolist()).elements == k.elements
+        assert 2 ** span.size <= k.order
+        with pytest.raises(ValueError):
+            span[:1] = 0
+
+
+def test_span_of_an_unclosed_subset_is_a_violation(s3):
+    # growth from (12) and (123) reaches all of S3, not the three elements
+    raw = Subgroup(s3, tuple(sorted((s3.identity, s3.idx("(12)"), s3.idx("(123)")))), ())
+    with pytest.raises(InvariantViolation, match="spanning set does not reach exactly"):
+        raw._span
+    with pytest.raises(InvariantViolation):
+        Subgroup(s3, (s3.idx("(12)"),), ())._span  # no identity
+
+
 @pytest.mark.parametrize("name", list(CONSTRUCTOR_PINS))
 def test_constructor_tables_are_pinned(name):
     build, digest = CONSTRUCTOR_PINS[name]
