@@ -1,21 +1,32 @@
 """Convolution-power dynamics.
 
 Exact predictions (limit measures, coset obstructions) paired with float
-power iteration as the empirical witness; plus exact rational decay of
-alternating-word measures on a free product of two finite cyclic groups.
+power iteration as the empirical witness; plus exact decay of the powers of
+the product of the factor Haar measures, optionally twisted by characters,
+on a free product C_m * C_n of two finite cyclic groups.
+
+The free-product walk holds each power as integer arrays: one id per
+distinct reduced word and one packed coefficient row per word (see
+idemconv.cyclo), over the denominator (m n)^k at one conductor, rotated or
+not.  Each power is the previous one times the m n base words, formed in
+slices of _SLICE_CANDIDATES products and summed by id.  The word budget
+caps the distinct words of every power, counted before zero coefficients
+are dropped; the walk stops at the first power past it.
 """
 
 from __future__ import annotations
 
+import cmath
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from math import lcm
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .characters import Character, find_extension
-from .cyclo import CycloScalar
+from .cyclo import INT64_LIMIT, field_tables, max_abs, pack
 from .errors import BudgetExceeded, InvariantViolation, PreconditionError
 from .groups import Subgroup, closure, normal_subgroups
 from .measures import (
@@ -34,7 +45,6 @@ __all__ = [
     "idempotent_power_limit",
     "Corollary35Report",
     "verify_corollary_35",
-    "FreeWord",
     "DecayReport",
     "free_product_decay",
     "DEFAULT_WORD_BUDGET",
@@ -97,7 +107,7 @@ def stromberg_check(
             continue
         # supp lies in the coset x N exactly when x^-1 supp lies in N
         x = supp[0]
-        if (n.positions[parent.mul_np[parent.inv[x], list(supp)]] >= 0).all():
+        if (n.positions[parent.mul_np[parent.inv_np[x], list(supp)]] >= 0).all():
             hit = (n, int(parent.mul_np[x, n.elements_np].min()))
             break
 
@@ -236,6 +246,10 @@ def verify_corollary_35(
 
 DEFAULT_WORD_BUDGET = 5_000_000
 
+# (power word, base word) products formed per slice of a power, so a power
+# in the making holds at most the budget plus one slice of words
+_SLICE_CANDIDATES = 1 << 20
+
 
 def _word_budget() -> int:
     raw = os.environ.get("IDEMCONV_WORD_BUDGET", "")
@@ -252,104 +266,79 @@ def _word_budget() -> int:
     return budget
 
 
-@dataclass(frozen=True)
-class FreeWord:
-    """Normal-form word in C_m * C_n.
+def _times_letter(length, last, key, exp, factor: int):
+    """Right-multiply reduced words by g^exp, exp = arange(order) shaped to
+    broadcast, g the generator of factor 0 (a) or 1 (b): merge into a last
+    letter of that factor, cancel it, or append."""
+    order = exp.size
+    radix = order - 1
+    ends = (length > 0) & (last == factor)
+    digit = key % radix
+    merged = (digit + 1 + exp) % order
+    cancel = ends & (merged == 0)
+    append = ~ends & (exp != 0)
+    key = np.where(
+        append,
+        key * radix + exp - 1,
+        np.where(cancel, key // radix, np.where(ends, key - digit + merged - 1, key)),
+    )
+    last = np.where(append, factor, np.where(cancel, 1 - factor, last))
+    return length + append - cancel, last, key
 
-    letters is an alternating tuple of (slot, exponent) with slot 0 for the
-    C_m generator a, slot 1 for the C_n generator b, exponents reduced and
-    nonzero.  The empty tuple is the identity.
+
+def _sum_by_id(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ids, ascending, and the sum of the rows of each."""
+    order = np.argsort(ids)
+    ids = ids[order]
+    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    return ids[starts], np.add.reduceat(rows[order], starts, axis=0)
+
+
+def _times_base(ids, rows, span, exps, mats, budget):
+    """A power times the base measure, its words and rows with zeros dropped.
+
+    A word is its id key * span + tag (see free_product_decay); exps are the
+    exponent ranges of a and b, shaped (1, m, 1) and (1, 1, n).  Column block
+    b of mats is the matrix of multiplication by base coefficient b, so the
+    rows gain the denominator m n.  Raises BudgetExceeded once more than
+    budget distinct words are held, counting words whose coefficients cancel.
     """
-
-    letters: tuple[tuple[int, int], ...]
-    orders: tuple[int, int]
-
-    def __post_init__(self):
-        prev = -1
-        for slot, exp in self.letters:
-            if slot not in (0, 1):
-                raise ValueError(f"slot {slot} out of range")
-            if slot == prev:
-                raise ValueError("letters must alternate between the factors")
-            if not 0 < exp < self.orders[slot]:
-                raise ValueError(f"exponent {exp} invalid for order {self.orders[slot]}")
-            prev = slot
-
-    @classmethod
-    def identity(cls, orders: tuple[int, int]) -> "FreeWord":
-        return cls((), orders)
-
-    @classmethod
-    def generator(cls, slot: int, exp: int, orders: tuple[int, int]) -> "FreeWord":
-        exp %= orders[slot]
-        if exp == 0:
-            return cls.identity(orders)
-        return cls(((slot, exp),), orders)
-
-    def __mul__(self, other: "FreeWord") -> "FreeWord":
-        if self.orders != other.orders:
-            raise ValueError("words from different free products")
-        out = list(self.letters)
-        for slot, exp in other.letters:
-            if out and out[-1][0] == slot:
-                merged = (out[-1][1] + exp) % self.orders[slot]
-                if merged == 0:
-                    out.pop()
-                else:
-                    out[-1] = (slot, merged)
-            else:
-                out.append((slot, exp))
-        return FreeWord(tuple(out), self.orders)
-
-    def inverse(self) -> "FreeWord":
-        inv = tuple(
-            (slot, self.orders[slot] - exp) for slot, exp in reversed(self.letters)
+    d, width = mats.shape
+    step = max(1, _SLICE_CANDIDATES * d // width)
+    # a product word sums at most one term per base word (width // d of
+    # them), each a sum of d products
+    if width * max_abs(rows) * max_abs(mats) >= INT64_LIMIT:
+        rows, mats = rows.astype(object), mats.astype(object)
+    out_ids, out_rows = ids[:0], rows[:0]
+    for lo in range(0, len(ids), step):
+        key, tag = np.divmod(ids[lo : lo + step, None, None], span)
+        words = ((tag + 1) >> 1, (tag + 1) & 1, key)
+        for factor, exp in enumerate(exps):
+            words = _times_letter(*words, exp, factor)
+        length, last, key = words
+        new = key * span + np.maximum(2 * length + last - 1, 0)
+        terms = (rows[lo : lo + step] @ mats).reshape(-1, d)
+        out_ids, out_rows = _sum_by_id(
+            np.concatenate((out_ids, new.ravel())), np.concatenate((out_rows, terms))
         )
-        return FreeWord(inv, self.orders)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def label(self) -> str:
-        if not self.letters:
-            return "e"
-        names = "ab"
-        return "".join(
-            names[s] + (f"^{e}" if e > 1 else "") for s, e in self.letters
-        )
+        if len(out_ids) > budget:
+            raise BudgetExceeded(f"word support exceeded budget {budget}")
+    keep = (out_rows != 0).any(axis=1)
+    return out_ids[keep], pack(out_rows[keep])
 
 
-Scalar = Union[Fraction, CycloScalar]
-WordMeasure = dict[FreeWord, Scalar]
-
-
-def _word_convolve(
-    mu: WordMeasure, nu: WordMeasure, budget: int
-) -> WordMeasure:
-    out: WordMeasure = {}
-    for w1, c1 in mu.items():
-        for w2, c2 in nu.items():
-            w = w1 * w2
-            prev = out.get(w)
-            if prev is not None:
-                out[w] = prev + c1 * c2
-            elif len(out) >= budget:  # w would be word budget + 1
-                raise BudgetExceeded(
-                    f"word support exceeded budget {budget}", partial=out
-                )
-            else:
-                out[w] = c1 * c2
-    return {
-        w: c
-        for w, c in out.items()
-        if not (c.is_zero() if isinstance(c, CycloScalar) else c == 0)
-    }
-
-
-def _abs_of(c: Scalar) -> float:
-    if isinstance(c, CycloScalar):
-        return abs(c.to_complex())
-    return abs(float(c))
+def _largest_modulus(rows: np.ndarray, den: int, roots: np.ndarray) -> float:
+    """The largest |row / den| over rows at the conductor of roots, each
+    coordinate divided with one rounding and the columns summed in order,
+    as CycloScalar.to_complex does."""
+    if max(max_abs(rows), den) < 2**53:
+        q = rows / den
+    else:
+        q = (rows.astype(object) / den).astype(float)
+    z = q[:, 0] * roots[0]
+    for j in range(1, len(roots)):
+        z = z + q[:, j] * roots[j]
+    return float(np.abs(z).max())
 
 
 @dataclass(frozen=True)
@@ -377,6 +366,16 @@ def free_product_decay(
 
     Exact arithmetic throughout; every coefficient of the n-th power tends
     to zero as n grows because the generated subgroup is infinite.
+
+    A reduced word alternates letters a^e (0 < e < m) and b^e (0 < e < n),
+    so it is three integers: its length, its last factor (0 for a, 1 for b)
+    and a key whose mixed-radix digits are e - 1, in radix m - 1 or n - 1,
+    the last letter lowest.  Power k holds its distinct words as ids, key *
+    span + tag with tag = 2 * length + last - 1 (0 for the empty word), and
+    their coefficients as packed rows over (m n)^k at one conductor, the lcm
+    of the rotation denominators.  A key is below the number of words of its
+    length and last factor; a power holds all words of its longest shape, so
+    ids stay below budget * m n * span, far inside int64.
     """
     if m < 2 or n < 2:
         raise PreconditionError("both cyclic orders must be at least 2")
@@ -384,49 +383,37 @@ def free_product_decay(
         budget = _word_budget()
     if m * n > budget:  # the base measure has exactly m n words a^i b^j
         raise BudgetExceeded(f"word support exceeded budget {budget}")
-    orders = (m, n)
-
-    def factor_haar(slot: int, order: int, rot: Optional[Fraction]) -> WordMeasure:
-        out: WordMeasure = {}
-        for e in range(order):
-            w = FreeWord.generator(slot, e, orders)
-            if rot is None:
-                out[w] = Fraction(1, order)
-            else:
-                out[w] = CycloScalar.root_of_unity(rot * e) * Fraction(1, order)
-        return out
-
-    r0, r1 = rotations if rotations is not None else (None, None)
-    base = _word_convolve(factor_haar(0, m, r0), factor_haar(1, n, r1), budget)
+    turns = [Fraction(0)] * 2 if rotations is None else [Fraction(r) % 1 for r in rotations]
+    conductor = lcm(*(t.denominator for t in turns))
+    tab = field_tables(conductor)
+    d = tab.degree
+    exps = (np.arange(m).reshape(1, m, 1), np.arange(n).reshape(1, 1, n))
+    # the coefficient of a^i b^j is zeta^t / (m n), t = t_a i + t_b j; it sends
+    # the basis element zeta^k to the row of zeta^(k + t)
+    t = sum(int(turn * conductor) * e for turn, e in zip(turns, exps)).ravel()
+    mats = tab.pow_rows[(np.arange(d)[:, None] + t) % conductor].reshape(d, -1)
+    roots = np.array([cmath.exp(2j * cmath.pi * j / conductor) for j in range(d)])
+    span = 4 * n_max + 1  # tags of words up to length 2 n_max
 
     maxes: list[float] = []
     supports: list[int] = []
     exact: list[Optional[Fraction]] = []
     truncated = False
-    power = base
-    for _ in range(n_max):
-        vals = [
-            (abs(c) if isinstance(c, Fraction) else None, _abs_of(c))
-            for c in power.values()
-        ]
-        top = max(v for _, v in vals)
-        maxes.append(top)
-        supports.append(len(power))
-        if rotations is None:
-            exact.append(max((f for f, _ in vals), default=Fraction(0)))
-        else:
-            exact.append(None)
-        if len(maxes) == n_max:
-            break
+    ids, rows = np.zeros(1, dtype=np.int64), tab.pow_rows[:1]  # the empty word, 1
+    for k in range(1, n_max + 1):
         try:
-            power = _word_convolve(power, base, budget)
+            ids, rows = _times_base(ids, rows, span, exps, mats, budget)
         except BudgetExceeded:
             truncated = True
             break
+        den = (m * n) ** k
+        maxes.append(_largest_modulus(rows, den, roots))
+        supports.append(len(ids))
+        exact.append(Fraction(max_abs(rows), den) if rotations is None else None)
     decreasing = all(b < a for a, b in zip(maxes, maxes[1:]))
     below = next((i + 1 for i, v in enumerate(maxes) if v < eps), None)
     return DecayReport(
-        orders,
+        (m, n),
         tuple(maxes),
         tuple(supports),
         tuple(exact),

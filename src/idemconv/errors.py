@@ -26,11 +26,9 @@ class PreconditionError(IdemconvError):
 
 
 class BudgetExceeded(IdemconvError):
-    """A configured resource cap (e.g. free-product word budget) was hit."""
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """A configured resource cap was hit: a free-product base measure or
+    power with more distinct words than the word budget.  Raised before the
+    words past the cap are kept; no partial result is returned."""
 
 
 class InvariantViolation(AssertionError):

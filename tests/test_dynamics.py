@@ -1,9 +1,14 @@
 """Convolution power dynamics: limits, obstructions, decay."""
 
+import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from _freeword import reference_decay
+from idemconv import dynamics
 from idemconv import (
     char_idem,
     character_group,
@@ -17,7 +22,6 @@ from idemconv import (
     stromberg_check,
     verify_corollary_35,
 )
-from idemconv.dynamics import FreeWord, _word_convolve
 from idemconv.errors import BudgetExceeded, PreconditionError
 
 
@@ -135,30 +139,90 @@ def test_free_product_decay_budget_flag():
 
 
 def test_free_product_budget_is_checked_before_building_words(monkeypatch):
-    # the base measure has exactly m n words: past the budget no word is built
-    def refuse(self):
-        raise AssertionError("a FreeWord was built")
-
+    # the base measure has exactly m n words: past the budget no word array
+    # is built, not even the m n base exponents
     assert free_product_decay(2, 3, n_max=1, budget=6).support_by_power == (6,)
-    monkeypatch.setattr(FreeWord, "__post_init__", refuse)
+
+    def refuse(*args):
+        raise AssertionError("a word array was built")
+
+    monkeypatch.setattr(dynamics, "_times_base", refuse)
     for m, n, budget in [(2, 3, 5), (200_000, 2, 1000)]:
-        with pytest.raises(BudgetExceeded, match=f"exceeded budget {budget}$"):
-            free_product_decay(m, n, budget=budget)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match=f"exceeded budget {budget}$"):
+                free_product_decay(m, n, budget=budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # np.arange(200_000) alone takes 1.6 MB
 
 
-def test_word_budget_is_checked_before_each_new_word():
-    # squaring the 900-word base of C30 * C30 reaches far past 1000 words
-    # within its first row; the product stops at the first word past budget
-    orders = (30, 30)
-    haar = [
-        {FreeWord.generator(slot, e, orders): Fraction(1, 30) for e in range(30)}
-        for slot in (0, 1)
-    ]
-    base = _word_convolve(haar[0], haar[1], 900)
-    assert len(base) == 900
-    with pytest.raises(BudgetExceeded, match="exceeded budget 1000$") as info:
-        _word_convolve(base, base, 1000)
-    assert len(info.value.partial) <= 1001
+def test_word_budget_is_checked_after_each_slice(monkeypatch):
+    # squaring the 900-word base of C30 * C30 reaches far past 1000 words;
+    # with one power word per slice the product raises at the first slice
+    # that passes the budget, so it never holds more than 1000 + 900 words
+    held = []
+    sum_by_id = dynamics._sum_by_id
+
+    def spy(ids, rows):
+        held.append(len(ids))
+        return sum_by_id(ids, rows)
+
+    monkeypatch.setattr(dynamics, "_sum_by_id", spy)
+    monkeypatch.setattr(dynamics, "_SLICE_CANDIDATES", 900)
+    rep = free_product_decay(30, 30, n_max=2, budget=1000)
+    assert rep.support_by_power == (900,)
+    assert rep.budget_exceeded
+    # power 1 is one slice; power 2 merged several before passing the budget
+    assert held[0] == 900 and len(held) > 2
+    assert max(held) <= 1000 + 900
+
+
+# (m, n, n_max): C2 * C2 has radix 1 in both factors, so the length alone
+# tells its words apart, and its long run passes 2**62 in the coefficients
+WALKS = [(2, 2, 36), (2, 3, 8), (2, 5, 4), (3, 3, 4), (3, 4, 4)]
+# on C2 * C2, rotations (1/6, 1/3) cancel the identity's coefficient
+# 1 + zeta^(2/6) + zeta^(2/3) of power 2 to zero
+ROTATIONS = [None, (Fraction(1, 6), Fraction(1, 3)), (Fraction(1, 4), Fraction(2, 5))]
+
+
+@pytest.mark.parametrize("rotations", ROTATIONS)
+@pytest.mark.parametrize("m, n, n_max", WALKS)
+def test_array_walk_matches_dict_walk(m, n, n_max, rotations):
+    rep = free_product_decay(m, n, rotations=rotations, n_max=n_max, budget=10**6)
+    maxes, supports, exact, exceeded = reference_decay(
+        m, n, rotations=rotations, n_max=n_max, budget=10**6
+    )
+    assert not rep.budget_exceeded and not exceeded
+    assert rep.support_by_power == supports
+    assert rep.exact_max_by_power == exact
+    if rotations is None:
+        assert rep.max_by_power == maxes
+    else:
+        # evaluated at the run's conductor, not at each word's own
+        assert len(rep.max_by_power) == len(maxes)
+        assert all(math.isclose(a, b, rel_tol=1e-15) for a, b in zip(rep.max_by_power, maxes))
+
+
+@pytest.mark.parametrize("budget", [100, 1000])
+@pytest.mark.parametrize("rotations", ROTATIONS[:2])
+@pytest.mark.parametrize("m, n, n_max", WALKS)
+def test_array_walk_stops_where_dict_walk_does(monkeypatch, m, n, n_max, rotations, budget):
+    # small slices, so powers are summed over many slices before the budget
+    monkeypatch.setattr(dynamics, "_SLICE_CANDIDATES", 60)
+    rep = free_product_decay(m, n, rotations=rotations, n_max=n_max, budget=budget)
+    _, supports, _, exceeded = reference_decay(
+        m, n, rotations=rotations, n_max=n_max, budget=budget
+    )
+    assert rep.budget_exceeded == exceeded
+    assert rep.support_by_power == supports
+
+
+def test_float_maxima_divide_with_one_rounding():
+    # 2**53 + 1 = 3 * 3002399751580331 rounds to 2**53 as a float first
+    rows = np.array([[2**53 + 1]])
+    assert dynamics._largest_modulus(rows, 3, np.array([1 + 0j])) == 3002399751580331.0
 
 
 def test_free_product_budget_env_var(monkeypatch):
