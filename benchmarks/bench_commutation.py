@@ -24,10 +24,16 @@ the 8,290 ordered pairs of S3, S4, D4 and Q8, checked against brute-force
 convolution with classify_row(verify=True), one call per K1.  It reports
 the best of three passes and the verdict counts per group.
 
+The fifth row times the two decision paths on the same 4,000 seeded S5
+pairs, best of three passes each: _decide, which classify_pair runs, and a
+1x1 block of _decide_block, which classify_row runs, with the stacked
+exponents of the one character built per pair.  The script raises unless
+the two paths agree on every pair.
+
 Each row is stamped with the machine, Python, numpy and the kernel backend.
 
 Invoke as: python3 benchmarks/bench_commutation.py [--out BENCH.json --label NAME]
-With --out, the four rows are appended to the "rows" list of that JSON file.
+With --out, the five rows are appended to the "rows" list of that JSON file.
 """
 
 from __future__ import annotations
@@ -48,12 +54,15 @@ from idemconv import (
     quaternion_group,
     symmetric_group,
 )
+from idemconv.commutation import _decide, _decide_block, _exponents
 
 SAMPLE_SEED = 0
 SAMPLE_PAIRS = 500
 SWEEP_PASSES = 3
 COMMUTE_PASSES = 3
 ORACLE_PASSES = 3
+PATH_PAIRS = 4000
+PATH_PASSES = 3
 
 
 def _key(v):
@@ -197,11 +206,45 @@ def _oracle_row(label: str) -> dict:
     }
 
 
+def _paths_row(label: str) -> dict:
+    s5 = symmetric_group(5)
+    items = [(k, chi) for k in all_subgroups(s5) for chi in character_group(k)]
+    rng = random.Random(SAMPLE_SEED)
+    pairs = [
+        items[rng.randrange(len(items))] + items[rng.randrange(len(items))]
+        for _ in range(PATH_PAIRS)
+    ]
+    out = {}
+
+    def pair_path():
+        out["pair"] = [_decide(k1, rho1, k2, rho2, False) for k1, rho1, k2, rho2 in pairs]
+
+    def block_path():
+        out["block"] = [
+            _decide_block(k1, (rho1,), _exponents((rho1,)), k2, (rho2,), False)[0][0]
+            for k1, rho1, k2, rho2 in pairs
+        ]
+
+    pair_s = common.best_time(pair_path, repeats=1, rounds=PATH_PASSES)
+    block_s = common.best_time(block_path, repeats=1, rounds=PATH_PASSES)
+    if [_key(v) for v in out["pair"]] != [_key(v) for v in out["block"]]:
+        raise RuntimeError("_decide and the 1x1 _decide_block disagree")
+    return {
+        **common.stamp(__file__, label),
+        "workload": "s5-decision-paths",
+        "pairs": PATH_PAIRS,
+        "passes": PATH_PASSES,
+        "decide_us_per_pair": round(pair_s / PATH_PAIRS * 1e6, 1),
+        "block_1x1_us_per_pair": round(block_s / PATH_PAIRS * 1e6, 1),
+        "verdicts": dict(sorted(Counter(v.kind for v in out["pair"]).items())),
+    }
+
+
 def main() -> None:
     args = common.parser(__doc__).parse_args()
     s5, commuting = _s5_row(args.label)
     rows = (s5, _s5_commute_row(args.label, commuting), _s5_rows_row(args.label, s5))
-    for row in rows + (_oracle_row(args.label),):
+    for row in rows + (_oracle_row(args.label), _paths_row(args.label)):
         print(json.dumps(row, indent=2))
         common.append(args.out, row)
 

@@ -5,9 +5,8 @@ Runs the same exact convolutions with the kernel's FORCE_PURE switch on
 results agree, and prints a timing table.  Each case is sized to about
 PASS_S seconds of calls per pass and timed as the median of PASSES passes
 per backend, the two backends alternating which runs first.  The fourth
-workload is run twice: as one call per translate, and as the stacked kernel
-calls verify_prop_43 makes, sliced so that no call forms more than |G|^2 d^2
-term products.  The row is stamped with the machine, Python, numpy and the
+workload is run twice: as one call per translate, and as stacked kernel
+calls sliced so that no call forms more than |G|^2 d^2 term products.  The row is stamped with the machine, Python, numpy and the
 kernel backend.
 
 Invoke as: python3 benchmarks/bench_convolve.py [--out BENCH.json --label NAME]
@@ -60,7 +59,7 @@ def _translates_case():
 
     order, d = s5.order, 1
     translates = a5.rows[s5.mul_np[np.asarray(s5.inv)]]
-    # as verify_prop_43 slices the stack: at most |G|^2 d^2 term products a call
+    # at most |G|^2 d^2 term products a call
     step = order * order // (len(a5.support()) ** 2)
 
     def stacked():

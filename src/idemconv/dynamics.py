@@ -287,8 +287,13 @@ def _times_letter(length, last, key, exp, factor: int):
 
 
 def _sum_by_id(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ids, ascending, and the sum of the rows of each."""
-    order = np.argsort(ids)
+    """The distinct ids, ascending, and the sum of the rows of each.
+
+    The sort is stable, a merge sort that finds runs: ids that are the held
+    words, already ascending, followed by a new slice cost a sort of the
+    slice and one linear merge.
+    """
+    order = np.argsort(ids, kind="stable")
     ids = ids[order]
     starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
     return ids[starts], np.add.reduceat(rows[order], starts, axis=0)

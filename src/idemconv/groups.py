@@ -84,37 +84,44 @@ def _element_orders(mul_np: np.ndarray, identity: int) -> np.ndarray:
 
 
 def _spanning_set(
-    mul_np: np.ndarray,
+    mul: Sequence[Sequence[int]],
     identity: int,
-    members: np.ndarray,
+    candidates: Iterable[int],
     check: Optional[Callable[[int], None]] = None,
-) -> tuple[list[int], np.ndarray]:
-    """A small generating set of the members (a mask over the table), and the
-    mask of what it reaches.
+) -> tuple[list[int], set[int]]:
+    """The candidates a walk from the identity takes, and the set they reach:
+    the one routine that grows subgroups.
 
-    Take the first member not yet reached, pass it to check, and grow the
-    reached set from the identity by right multiplication with the members
-    taken so far; stop once every member is reached.  In a group the
-    reached set is then the subgroup the taken members generate, which at
-    least doubles with every member taken, so a subgroup of order n takes
-    at most log2(n).  It equals the members exactly when they are a subgroup.
+    mul is a table read one row at a time (GroupTable.mul, or mul_np while
+    a table is being built).  Each candidate, in order, is skipped if it is
+    already reached; otherwise it is passed to check and taken, and the
+    reached set regrows by row lookups: every reached element times the new
+    one, then every fresh element times every element taken, until nothing
+    is fresh.  In a group the reached set is then the subgroup the taken
+    elements generate, which at least doubles with every element taken, so
+    a subgroup of order n takes at most log2(n), however many candidates
+    reach it.
     """
-    reached = np.zeros(mul_np.shape[0], dtype=bool)
-    reached[identity] = True
-    gens: list[int] = []
-    while True:
-        missing = members & ~reached
-        if not missing.any():
-            return gens, reached
-        g = int(missing.argmax())
+    reached = {identity}
+    taken: list[int] = []
+    for g in candidates:
+        if g in reached:
+            continue
         if check is not None:
             check(g)
-        gens.append(g)
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            prods = mul_np[frontier[:, None], gens].ravel()
-            frontier = np.unique(prods[~reached[prods]])
-            reached[frontier] = True
+        taken.append(g)
+        fresh, by = list(reached), (g,)
+        while fresh:
+            grown = []
+            for x in fresh:
+                row = mul[x]
+                for t in by:
+                    y = row[t]
+                    if y not in reached:
+                        reached.add(y)
+                        grown.append(y)
+            fresh, by = grown, taken
+    return taken, reached
 
 
 def _check_associativity(mul_np: np.ndarray, identity: int) -> None:
@@ -135,7 +142,7 @@ def _check_associativity(mul_np: np.ndarray, identity: int) -> None:
             x, y = np.argwhere(left != right)[0]
             raise ValueError(f"table is not associative at ({x},{g},{y})")
 
-    _spanning_set(mul_np, identity, np.ones(mul_np.shape[0], dtype=bool), check)
+    _spanning_set(mul_np, identity, range(mul_np.shape[0]), check)
 
 
 class GroupTable:
@@ -143,7 +150,8 @@ class GroupTable:
 
     mul_np and inv_np are the tables as int64 arrays, inv_np read-only; inv
     is inv_np as a tuple and mul, built on first use, mul_np as nested
-    tuples, for scalar lookups.
+    tuples, for scalar lookups: op, conjugate and power, and the subgroup
+    walk (_spanning_set) of closure and Subgroup._span, which reads rows.
 
     Instances are immutable after construction and compare by identity;
     two independently built copies of the same group are distinct parents.
@@ -266,9 +274,9 @@ class Subgroup:
         """A small generating set, read-only, proven to reach exactly the
         elements by growth from the identity (_spanning_set); the public
         generators are left as they are."""
-        members = self.positions >= 0
-        gens, reached = _spanning_set(self.parent.mul_np, self.parent.identity, members)
-        if not np.array_equal(reached, members):
+        parent = self.parent
+        gens, reached = _spanning_set(parent.mul, parent.identity, self.elements)
+        if reached != self.element_set:
             raise InvariantViolation("the spanning set does not reach exactly the subgroup")
         out = np.array(gens, dtype=np.int64)
         out.flags.writeable = False
@@ -335,26 +343,15 @@ def subgroup_from_elements(
 
 
 def closure(parent: GroupTable, seed: Iterable[int]) -> Subgroup:
-    """Smallest subgroup containing the seed elements."""
+    """Smallest subgroup containing the seed elements; its generators are
+    the sorted distinct seed, though the walk takes only the seeds it has
+    not reached yet (_spanning_set)."""
     gens = sorted(set(int(x) for x in seed))
     for g in gens:
         if g < 0 or g >= parent.order:
             raise ValueError(f"element index {g} out of range")
-    mul = parent.mul
-    e = parent.identity
-    seen = {e}
-    frontier = [e]
-    while frontier:
-        fresh = []
-        for x in frontier:
-            row = mul[x]
-            for g in gens:
-                y = row[g]
-                if y not in seen:
-                    seen.add(y)
-                    fresh.append(y)
-        frontier = fresh
-    return Subgroup(parent, tuple(sorted(seen)), tuple(gens))
+    _, reached = _spanning_set(parent.mul, parent.identity, gens)
+    return Subgroup(parent, tuple(sorted(reached)), tuple(gens))
 
 
 def trivial_subgroup(parent: GroupTable) -> Subgroup:

@@ -3,8 +3,10 @@
 N_{K,rho} and G_{K,rho} (the latter computed by two independent
 definitions and cross-checked), the projective family of translates
 delta_g * rho*m_K, local-unitary membership, the product-group
-verification of the two-idempotent case, and unitary elements of abelian
-group algebras (nu_u synthesis, skew exponentials).
+verification of the two-idempotent case (Prop 4.3: one convolution of the
+two idempotents and one square of their product idempotent, every other
+product read off as a translate), and unitary elements of abelian group
+algebras (nu_u synthesis, skew exponentials).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
@@ -41,7 +43,6 @@ from .groups import (
 from .measures import (
     FloatMeasure,
     Measure,
-    _convolve_rows,
     adjoint,
     char_idem,
     convolve,
@@ -195,30 +196,11 @@ def is_local_unitary(nu: Measure, k: Subgroup, rho: Character) -> bool:
     return True
 
 
-def _translate_products(a: Measure, b: Measure, gs: Sequence[int]) -> tuple[np.ndarray, int]:
-    """Every product a * delta_g * b for g in gs, unnormalised: a stack
-    (len(gs), |G|, d) of numerators over a.den * b.den at the common
-    conductor n, returned with n.
-
-    The translates of b are one row gather, convolved against a in slices
-    so that no kernel call forms more term products than one convolution of
-    two full-support measures, |G|^2 d^2: the kernel's temporaries grow with
-    the stack, and an unsliced one would raise the peak memory.
-    """
-    parent = a.parent
-    order = parent.order
-    n = lcm(a.conductor, b.conductor)
-    a_rows = promote_rows(a.rows, a.conductor, n)
-    b_rows = promote_rows(b.rows, b.conductor, n)
-    d = a_rows.shape[1]
-    # row x of delta_g * b is row g^-1 x of b
-    translates = b_rows[parent.mul_np[parent.inv_np[np.asarray(gs)]]]
-    step = max(1, order * order // (len(a.support()) * len(b.support())))
-    prods = [
-        _convolve_rows(parent, n, a_rows, translates[lo : lo + step].reshape(-1, d))
-        for lo in range(0, len(translates), step)
-    ]
-    return np.concatenate(prods).reshape(-1, order, d), n
+def _right_translates(m: Measure, gs: np.ndarray) -> np.ndarray:
+    """The rows of m * delta_g for each g in gs, stacked (len(gs), |G|, d):
+    row x of m * delta_g is row x g^-1 of m."""
+    parent = m.parent
+    return m.rows[parent.mul_np[:, parent.inv_np[gs]].T]
 
 
 def _coset_unit_multiples(
@@ -306,14 +288,15 @@ def verify_prop_43(
 
     Left translation is a row permutation and delta_g * (a * b) =
     (delta_g * a) * b, so the product for (g1, g2) is, bit for bit, the
-    g1-translate of c[g2] = rho1 m_K1 * delta_{g2} * rho2 m_K2.  Support
-    size, left-coset shape and being a unit multiple of a translate of
-    rho m_{K1K2} survive left translation, so each c[g2] is convolved and
-    tested once, and g1 only moves its translation part: from the coset
-    s0 K1K2 to the coset g1 s0 K1K2, read off as that coset's least
-    element.  Every c[g2] comes from one stacked convolution of the
-    translates, in slices (_translate_products), and is tested in array
-    passes (_coset_unit_multiples).  The three G_{K,rho} come from
+    g1-translate of c[g2] = rho1 m_K1 * delta_{g2} * rho2 m_K2.  And g2 in
+    G_{K2,rho2} means delta_{g2} commutes with rho2 m_K2, which g_k_rho
+    proves, so c[g2] = (rho1 m_K1 * rho2 m_K2) * delta_{g2}: every c[g2] is
+    a row gather of one convolution (_right_translates).  Support size,
+    left-coset shape and being a unit multiple of a translate of
+    rho m_{K1K2} survive left translation, so each c[g2] is tested once, in
+    array passes (_coset_unit_multiples), and g1 only moves its
+    translation part: from the coset s0 K1K2 to the coset g1 s0 K1K2, read
+    off as that coset's least element.  The three G_{K,rho} come from
     g_k_rho's cache, so each distinct (K, rho) item is computed once per
     process, however many pairs share it.
 
@@ -354,9 +337,9 @@ def verify_prop_43(
     coset_min = mul_np[:, k12.elements_np].min(axis=1)
 
     # forward: conditional inclusion over all Gamma generator pairs
-    prods, n = _translate_products(idem1, idem2, big2.elements_np)
-    den = idem1.den * idem2.den
-    s0, hit = _coset_unit_multiples(prods, den, n, k12, rho12)
+    p12 = convolve(idem1, idem2)
+    prods = _right_translates(p12, big2.elements_np)
+    s0, hit = _coset_unit_multiples(prods, p12.den, p12.conductor, k12, rho12)
     # the g1-translate of c[g2] lies on the coset g1 s0 K1K2
     s = coset_min[mul_np[big1.elements_np[:, None], s0[hit]]]
     s = s[g_prod.positions[s] >= 0]
@@ -368,14 +351,13 @@ def verify_prop_43(
     # reverse: one compare decides every pair block, one every search step
     in_h2 = h2.positions[big2.elements_np] >= 0
     x2s = big2.elements_np[in_h2]
-    if not _left_translates_of(prods[in_h2], den, n, idem12, x2s):
+    if not _left_translates_of(prods[in_h2], p12.den, p12.conductor, idem12, x2s):
         raise InvariantViolation(
             "pair block does not collapse to a translate of rho m_K1K2"
         )
     blocks = np.unique(mul_np[h1.elements_np[:, None], x2s])
     sq = convolve(idem12, idem12)
-    # row x of sq * delta_b is row x b^-1 of sq
-    sq_b = sq.rows[mul_np[:, parent.inv_np[blocks]].T]
+    sq_b = _right_translates(sq, blocks)
     if not _left_translates_of(sq_b, sq.den, sq.conductor, idem12, blocks):
         raise InvariantViolation(
             "reverse realization produced a non-unit scalar"

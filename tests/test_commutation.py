@@ -266,7 +266,7 @@ def test_corrupted_spanning_set_survives_optimize(run_optimized):
     # K1 and K2; a spanning set that does not reach its subgroup exactly is
     # reported under -O, from the pair and the block decision alike
     run_optimized(
-        "import numpy as np\n"
+        "import sys\n"
         "import idemconv.groups as gr\n"
         "from idemconv import Character, character_group, classify_block, classify_pair\n"
         "from idemconv import closure, symmetric_group, trivial_subgroup\n"
@@ -276,12 +276,13 @@ def test_corrupted_spanning_set_survives_optimize(run_optimized):
         "k2 = closure(g, [g.idx('(123)')])\n"
         "chars1, chars2 = character_group(k1), character_group(k2)\n"
         "real = gr._spanning_set\n"
-        "def short(mul_np, identity, members, check=None):\n"
-        "    # the last member taken is dropped; the mask is what the rest reach\n"
-        "    gens, _ = real(mul_np, identity, members, check)\n"
-        "    fewer = np.zeros_like(members)\n"
-        "    fewer[gens[:-1]] = True\n"
-        "    return gens[:-1], real(mul_np, identity, fewer)[1]\n"
+        "def short(mul, identity, candidates, check=None):\n"
+        "    # Subgroup._span's walk drops the last element it takes and\n"
+        "    # reports what the rest reach; every other walk is left alone\n"
+        "    gens, reached = real(mul, identity, candidates, check)\n"
+        "    if sys._getframe(1).f_code.co_name != '_span':\n"
+        "        return gens, reached\n"
+        "    return gens[:-1], real(mul, identity, gens[:-1])[1]\n"
         "def raises(decide):\n"
         "    try:\n"
         "        decide()\n"

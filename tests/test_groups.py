@@ -37,6 +37,7 @@ from idemconv import (
 )
 from idemconv.characters import character_group
 from idemconv.errors import InvariantViolation
+import idemconv.groups as groups_module
 from idemconv.groups import Subgroup, _all_subgroups_cached, _permutation_closure, is_normal_in
 from idemconv.measure_groups import _n_k_rho_masks
 
@@ -662,6 +663,59 @@ def test_span_of_an_unclosed_subset_is_a_violation(s3):
         raw._span
     with pytest.raises(InvariantViolation):
         Subgroup(s3, (s3.idx("(12)"),), ())._span  # no identity
+
+
+def _reference_closure(parent, seed):
+    """closure by breadth-first search: every reached element times every
+    seed element, the generators the sorted distinct seed."""
+    gens = sorted(set(int(x) for x in seed))
+    seen = {parent.identity}
+    frontier = [parent.identity]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in gens:
+                y = parent.mul[x][g]
+                if y not in seen:
+                    seen.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return tuple(sorted(seen)), tuple(gens)
+
+
+@pytest.mark.parametrize("name", ["s4", "d4", "q8", "c2xc6"])
+def test_closure_matches_breadth_first_reference(request, name):
+    # every seed pair of the lattice: H1 with H2, as Prop 4.3 seeds <H1 H2>,
+    # and K with one more element g, as the lattice search seeds <K, g>
+    g = request.getfixturevalue(name)
+    subs = all_subgroups(g)
+    seeds = [h1.elements + h2.elements for h1 in subs for h2 in subs]
+    seeds += [k.elements + (x,) for k in subs for x in range(g.order)]
+    for seed in seeds:
+        s = closure(g, seed)
+        assert (s.elements, s.generators) == _reference_closure(g, seed)
+
+
+@pytest.mark.parametrize("name", ["s4", "d4", "q8", "c2xc6"])
+def test_closure_of_whole_subgroups_takes_few_seeds(request, name, monkeypatch):
+    # a seed that is all of H1 and H2 costs what a few generators cost: the
+    # walk takes at most log2 |<H1 H2>| of the seeds
+    g = request.getfixturevalue(name)
+    real = groups_module._spanning_set
+    taken = []
+
+    def spy(mul, identity, candidates, check=None):
+        out = real(mul, identity, candidates, check)
+        taken.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(groups_module, "_spanning_set", spy)
+    subs = all_subgroups(g)
+    for h1 in subs:
+        for h2 in subs:
+            del taken[:]
+            s = closure(g, h1.elements + h2.elements)
+            assert len(taken) == 1 and 2 ** taken[0] <= s.order
 
 
 @pytest.mark.parametrize("name", list(CONSTRUCTOR_PINS))

@@ -42,7 +42,7 @@ from idemconv.errors import InvariantViolation, PreconditionError
 from idemconv.measure_groups import (
     Prop43Report,
     _coset_unit_multiples,
-    _translate_products,
+    _right_translates,
     exp_char_diagonal,
     unit_multiple,
 )
@@ -444,7 +444,7 @@ def test_prop_43_matches_reference_dense_s5(s5, monkeypatch):
     with monkeypatch.context() as m:
         terms = _term_products(m)
         rep = verify_prop_43(a5, trivial_char(a5), k2, sign)
-    # the 12 translates fit one kernel call, then the square omega * omega;
+    # the one product rho1 m_K1 * rho2 m_K2, then the square omega * omega;
     # d = 1 at conductors 1 and 2
     assert len(terms) == 2
     assert max(terms) <= s5.order**2
@@ -453,21 +453,27 @@ def test_prop_43_matches_reference_dense_s5(s5, monkeypatch):
     assert rep == _reference_prop_43(a5, trivial_char(a5), k2, sign)
 
 
-def test_prop_43_slices_dense_translates_at_the_bound(s5, monkeypatch):
-    # m_A5 with itself: |K1||K2| = 3600, so the 120 translates go to the
-    # kernel in 30 slices of 4, each forming exactly |G|^2 = 14,400 terms
+def test_prop_43_makes_two_kernel_calls(d4, s5, monkeypatch):
+    # the forward step reads every product off one convolution and the
+    # reverse step every search step off one square, whatever |G_{K2,rho2}|:
+    # m_A5 with itself has 120 translates and 14,400 realized products
     a5 = closure(s5, [s5.idx("(123)"), s5.idx("(12345)")])
     one = trivial_char(a5)
-    terms = _term_products(monkeypatch)
-    rep = verify_prop_43(a5, one, a5, one)
-    assert terms[:30] == [s5.order**2] * 30
-    assert len(terms) == 31 and terms[30] <= s5.order**2
+    pairs = [(a5, one, a5, one)] + random.Random(45).sample(_commuting_pairs(d4), 20)
+    calls, reps = [], []
+    for pair in pairs:
+        with monkeypatch.context() as m:
+            terms = _term_products(m)
+            reps.append(verify_prop_43(*pair))
+        calls.append(len(terms))
+    assert calls == [2] * len(pairs)
+    rep = reps[0]
     assert (rep.forward_pairs, rep.forward_realized, rep.reverse_realized) == (14400, 14400, 120)
 
 
-def test_prop_43_matches_reference_sliced_s5(s5):
-    # <(123)> (trivial) with A5 (trivial): |K1||K2| = 180, so the 120
-    # translates of m_A5 go to the kernel in two slices of 80 and 40
+def test_prop_43_matches_reference_c3_a5_s5(s5):
+    # <(123)> (trivial) with A5 (trivial): G_{A5,1} = S5, so 120 right
+    # translates of the one product m_<(123)> * m_A5
     c3 = closure(s5, [s5.idx("(123)")])
     a5 = closure(s5, [s5.idx("(123)"), s5.idx("(12345)")])
     pair = (c3, trivial_char(c3), a5, trivial_char(a5))
@@ -475,8 +481,8 @@ def test_prop_43_matches_reference_sliced_s5(s5):
 
 
 def test_prop_43_matches_reference_object_scatter(s4, monkeypatch, scatter_dtypes):
-    # under FORCE_PURE every scatter, the stacked forward slices included,
-    # runs on Python ints; the reports must not change
+    # under FORCE_PURE every scatter, the forward product included, runs on
+    # Python ints; the reports must not change
     pairs = random.Random(44).sample(_commuting_pairs(s4), 12)
     want = [_reference_prop_43(*pair) for pair in pairs]
     monkeypatch.setattr(_kernel, "FORCE_PURE", True)
@@ -558,9 +564,9 @@ def test_coset_unit_multiples_match_unit_multiple(name, count, request):
         k12, rho12 = v.product_subgroup, v.product_character
         idem1, idem2 = char_idem(k1, rho1), char_idem(k2, rho2)
         idem12 = char_idem(k12, rho12)
-        g2s = g_k_rho(k2, rho2).elements
-        prods, n = _translate_products(idem1, idem2, g2s)
-        den = idem1.den * idem2.den
+        g2s = g_k_rho(k2, rho2).elements_np
+        p12 = convolve(idem1, idem2)
+        prods, den, n = _right_translates(p12, g2s), p12.den, p12.conductor
         s0, hit = _coset_unit_multiples(prods, den, n, k12, rho12)
         for j, g2 in enumerate(g2s):
             prod = convolve(idem1, idem2.translate_left(g2))
@@ -585,8 +591,9 @@ def test_coset_unit_multiples_reject_near_misses(d4):
     v = classify_pair(k1, rho1, k2, rho2)
     k12, rho12 = v.product_subgroup, v.product_character
     idem1, idem2 = char_idem(k1, rho1), char_idem(k2, rho2)
-    prods, n = _translate_products(idem1, idem2, g_k_rho(k2, rho2).elements)
-    den = idem1.den * idem2.den
+    p12 = convolve(idem1, idem2)
+    prods = _right_translates(p12, g_k_rho(k2, rho2).elements_np)
+    den, n = p12.den, p12.conductor
     _, hit = _coset_unit_multiples(prods, den, n, k12, rho12)
     p = prods[int(hit.argmax())]
     assert hit.any() and n == 4
@@ -647,28 +654,32 @@ def _corrupted_prop_43(patch, message):
     )
 
 
-def test_reverse_checks_survive_optimize(run_optimized):
-    # one corrupted row in every product of the forward step's stack, of
-    # which the pair blocks are made, must fail the pair-block collapse
-    run_optimized(
-        _corrupted_prop_43(
-            "real = mg._convolve_rows\n"
-            "def corrupted(parent, n, a, b):\n"
-            "    out = real(parent, n, a, b).reshape(-1, parent.order, a.shape[1]).copy()\n"
-            "    for block in out:\n"
-            "        supp = block.any(axis=1).nonzero()[0]\n"
-            "        if supp.size:\n"
-            "            block[supp[-1]] *= 2\n"
-            "    return out.reshape(-1, a.shape[1])\n"
-            "mg._convolve_rows = corrupted\n",
-            "pair block",
-        )
+def _corrupted_convolve(square: bool) -> str:
+    """Code for _corrupted_prop_43: mg.convolve doubles the last support row
+    of the square omega * omega (square) or of every other product."""
+    return (
+        "real = mg.convolve\n"
+        "def corrupted(a, b):\n"
+        "    m = real(a, b)\n"
+        f"    if (a is b) != {square}:\n"
+        "        return m\n"
+        "    rows = m.rows.copy()\n"
+        "    rows[m.support()[-1]] *= 2\n"
+        "    return mg.Measure._build(m.parent, m.conductor, rows, m.den)\n"
+        "mg.convolve = corrupted\n"
     )
 
 
+def test_reverse_checks_survive_optimize(run_optimized):
+    # one corrupted row in the one product rho1 m_K1 * rho2 m_K2, of which
+    # every pair block is a translate, must fail the pair-block collapse
+    run_optimized(_corrupted_prop_43(_corrupted_convolve(square=False), "pair block"))
+
+
 def test_one_corrupted_pair_block_survives_optimize(run_optimized):
-    # one corrupted row in the forward product c[x2] of a single x2 != e in
-    # H2 must fail the pair-block collapse: every x2 is checked, not only e
+    # one corrupted row in the translate c[x2] of the one product, for a
+    # single x2 != e in H2, must fail the pair-block collapse: every x2 is
+    # checked, not only e
     run_optimized(
         _corrupted_prop_43(
             "v = mg.classify_pair(k1, rho1, k2, rho2)\n"
@@ -678,14 +689,17 @@ def test_one_corrupted_pair_block_survives_optimize(run_optimized):
             "x2 = h2.elements[-1]\n"
             "if x2 == g.identity:\n"
             "    raise SystemExit(4)\n"
-            "real = mg._translate_products\n"
-            "def corrupted(a, b, gs):\n"
-            "    prods, n = real(a, b, gs)\n"
+            "g2s = mg.g_k_rho(k2, rho2).elements_np\n"
+            "real = mg._right_translates\n"
+            "def corrupted(m, gs):\n"
+            "    prods = real(m, gs)\n"
+            "    if gs is not g2s:\n"
+            "        return prods\n"
             "    prods = prods.copy()\n"
-            "    block = prods[list(gs).index(x2)]\n"
+            "    block = prods[gs.tolist().index(x2)]\n"
             "    block[block.any(axis=1).nonzero()[0][-1]] *= 2\n"
-            "    return prods, n\n"
-            "mg._translate_products = corrupted\n",
+            "    return prods\n"
+            "mg._right_translates = corrupted\n",
             "pair block",
         )
     )
@@ -728,18 +742,7 @@ def test_pair_block_containment_survives_optimize(run_optimized):
 
 
 def test_reverse_square_check_survives_optimize(run_optimized):
-    # one corrupted row in the square omega * omega, of which every step of
-    # the realization search is made, must fail the scalar-1 realization
-    run_optimized(
-        _corrupted_prop_43(
-            "real = mg.convolve\n"
-            "def corrupted(a, b):\n"
-            "    m = real(a, b)\n"
-            "    supp = m.support()\n"
-            "    rows = list(m.num)\n"
-            "    rows[supp[-1]] = tuple(2 * c for c in rows[supp[-1]])\n"
-            "    return mg.Measure._build(m.parent, m.conductor, rows, m.den)\n"
-            "mg.convolve = corrupted\n",
-            "reverse realization",
-        )
-    )
+    # one corrupted row in the square omega * omega alone, of which every
+    # step of the realization search is made, must fail the scalar-1
+    # realization
+    run_optimized(_corrupted_prop_43(_corrupted_convolve(square=True), "reverse realization"))
