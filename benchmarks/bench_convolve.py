@@ -5,9 +5,10 @@ Runs the same exact convolutions with the kernel's FORCE_PURE switch on
 results agree, and prints a timing table.  Each case is sized to about
 PASS_S seconds of calls per pass and timed as the median of PASSES passes
 per backend, the two backends alternating which runs first.  The fourth
-workload is run twice: as one call per translate, and as stacked kernel
-calls sliced so that no call forms more than |G|^2 d^2 term products.  The row is stamped with the machine, Python, numpy and the
-kernel backend.
+workload is run twice: as one call per translate, and as verify_prop_43
+forms such products, one call and a row gather of its right translates.
+The row is stamped with the machine, Python, numpy and the kernel
+backend.
 
 Invoke as: python3 benchmarks/bench_convolve.py [--out BENCH.json --label NAME]
 With --out, the row is appended to the "rows" list of that JSON file.
@@ -36,7 +37,7 @@ from idemconv import (
     haar,
     symmetric_group,
 )
-from idemconv.measures import _convolve_rows
+from idemconv.measure_groups import _right_translates
 
 
 PASS_S = 0.1
@@ -49,7 +50,9 @@ def _same(out):
 
 def _translates_case():
     """m_A5 against each of its 120 translates in S5, as single calls and
-    as sliced stacked calls, which must give the same products."""
+    as one product gathered into its right translates, which must give the
+    same products: A5 is normal in S5, so m_A5 * delta_g * m_A5 is
+    (m_A5 * m_A5) * delta_g for every g."""
     s5 = symmetric_group(5)
     a5 = haar(closure(s5, [s5.idx("(123)"), s5.idx("(12345)")]))
     gs = range(s5.order)
@@ -57,26 +60,19 @@ def _translates_case():
     def single():
         return [convolve(a5, a5.translate_left(g)) for g in gs]
 
-    order, d = s5.order, 1
-    translates = a5.rows[s5.mul_np[np.asarray(s5.inv)]]
-    # at most |G|^2 d^2 term products a call
-    step = order * order // (len(a5.support()) ** 2)
-
-    def stacked():
-        return [
-            _convolve_rows(s5, 1, a5.rows, translates[lo : lo + step].reshape(-1, d))
-            for lo in range(0, order, step)
-        ]
+    def gathered():
+        prod = convolve(a5, a5)
+        return prod, _right_translates(prod, np.arange(s5.order))
 
     def as_measures(out):
-        rows = np.concatenate(out).reshape(order, order, d)
-        return [Measure._build(s5, 1, r, a5.den * a5.den) for r in rows]
+        prod, rows = out
+        return [Measure._build(s5, prod.conductor, r, prod.den) for r in rows]
 
-    if as_measures(stacked()) != single():
-        raise SystemExit("sliced stacked calls disagree with single calls")
+    if as_measures(gathered()) != single():
+        raise SystemExit("gathered translates disagree with single calls")
     name = "S5 m_A5 * its 120 translates (n=120, d=1)"
     yield f"{name}: 120 single calls", single, _same
-    yield f"{name}: {order // step} sliced stacked calls", stacked, as_measures
+    yield f"{name}: one call and a row gather", gathered, as_measures
 
 
 def _workloads():

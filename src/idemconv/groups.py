@@ -70,17 +70,18 @@ def _find_inverses(mul_np: np.ndarray, identity: int) -> np.ndarray:
 def _element_orders(mul_np: np.ndarray, identity: int) -> np.ndarray:
     """The order of every element: the powers of each element that no walk
     has reached yet are walked once, and g^k of an element g of order m has
-    order m / gcd(k, m)."""
-    orders = np.zeros(mul_np.shape[0], dtype=np.int64)
-    for g in range(orders.size):
+    order m / gcd(k, m).  Filled as a list, made an array once."""
+    orders = [0] * mul_np.shape[0]
+    for g in range(len(orders)):
         if orders[g]:
             continue
         pows = [g]
         while pows[-1] != identity:
             pows.append(mul_np.item(pows[-1], g))
         m = len(pows)
-        orders[pows] = [m // gcd(k, m) for k in range(1, m + 1)]
-    return orders
+        for k, p in enumerate(pows, 1):
+            orders[p] = m // gcd(k, m)
+    return np.array(orders, dtype=np.int64)
 
 
 def _spanning_set(

@@ -4,6 +4,16 @@ Compares the average of a test function against the product measure
 m_T1 * m_T2 * m_T1 (three independent uniform Euler angles) with its Haar
 average (sin-weighted middle angle); a gap on T1-bi-invariant functions
 shows the product of the three torus measures is not Haar.
+
+The quadrature grid k1(t1) k2(t2) k1(t3) over every angle triple (i, j, k)
+is built as nine contiguous (i, j, k) planes, one per matrix entry (u, w).
+Each plane sums the three products of its entry as (p0 + p1) + p2, each
+product rounded on its own and never fused into an add, so its bits do not
+depend on which inner loop numpy picks (a broadcast matmul can move them by
+an ulp). The grid is returned as a strided view with the entry axes
+last: callers index m[..., u, w], and reading one entry reads one
+contiguous plane. A copy back to (..., 3, 3) order would double the grid's
+memory.
 """
 
 from __future__ import annotations
@@ -60,15 +70,16 @@ def is_rotation(mat: np.ndarray, tol: float = 1e-12) -> bool:
 
 
 def _evaluate(u: Callable, mats: np.ndarray) -> np.ndarray:
-    # vectorized call first; per-sample loop for scalar-only test functions
+    # vectorized call first; per-sample loop for scalar-only test functions,
+    # indexing the strided grid in place (a reshape would copy all of it)
     try:
         vals = np.asarray(u(mats), dtype=float)
         if vals.shape == mats.shape[:-2]:
             return vals
     except Exception:
         pass
-    flat = mats.reshape(-1, 3, 3)
-    return np.array([float(u(m)) for m in flat]).reshape(mats.shape[:-2])
+    shape = mats.shape[:-2]
+    return np.array([float(u(mats[idx])) for idx in np.ndindex(shape)]).reshape(shape)
 
 
 def _product_grid(angles1: np.ndarray, angles2: np.ndarray, angles3: np.ndarray) -> np.ndarray:
@@ -76,7 +87,18 @@ def _product_grid(angles1: np.ndarray, angles2: np.ndarray, angles3: np.ndarray)
     b = euler_k2(angles2)
     c = euler_k1(angles3)
     ab = np.einsum("iuv,jvw->ijuw", a, b)
-    return np.einsum("ijuv,kvw->ijkuw", ab, c)
+    ab_t = np.ascontiguousarray(ab.transpose(2, 3, 0, 1))  # (u, v, i, j)
+    c_t = np.ascontiguousarray(c.transpose(1, 2, 0))  # (v, w, k)
+    planes = np.empty((3, 3) + ab.shape[:2] + c.shape[:1])
+    term = np.empty(planes.shape[2:])
+    for u in range(3):
+        for w in range(3):
+            plane = planes[u, w]
+            np.multiply(ab_t[u, 0][:, :, None], c_t[0, w], out=plane)
+            for v in (1, 2):
+                np.multiply(ab_t[u, v][:, :, None], c_t[v, w], out=term)
+                plane += term
+    return planes.transpose(2, 3, 4, 0, 1)
 
 
 def _product_means(fns: Sequence[Callable], grid: int) -> list[float]:

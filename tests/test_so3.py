@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from idemconv.so3 import (
+    _product_grid,
     euler_k1,
     euler_k2,
     example_33_report,
@@ -21,6 +22,50 @@ def g11(mats):
 
 def g11_sq(mats):
     return mats[..., 0, 0] ** 2
+
+
+def _dot3(x, y):
+    # Python floats never fuse a multiply into an add
+    return (x[0] * y[0] + x[1] * y[1]) + x[2] * y[2]
+
+
+def _reference_grid(t1, t2, t3):
+    """k1(t1) k2(t2) k1(t3) entry by entry, each sum taken as (p0 + p1) + p2."""
+    a, b, c = euler_k1(t1).tolist(), euler_k2(t2).tolist(), euler_k1(t3).tolist()
+    out = np.empty((len(t1), len(t2), len(t3), 3, 3))
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            ab = [[_dot3(ai[u], [row[w] for row in bj]) for w in range(3)] for u in range(3)]
+            for k, ck in enumerate(c):
+                for u in range(3):
+                    for w in range(3):
+                        out[i, j, k, u, w] = _dot3(ab[u], [row[w] for row in ck])
+    return out
+
+
+def _random_angles(*counts):
+    rng = np.random.default_rng(sum(counts))
+    return [rng.uniform(-4.0, 4.0, n) for n in counts]
+
+
+GRID_ANGLES = {
+    "random-3x4x5": _random_angles(3, 4, 5),
+    "random-7x2x6": _random_angles(7, 2, 6),
+    # the quadrature's own angles: this grid holds exact zeros, whose signs count too
+    "uniform-8": [2 * math.pi * np.arange(8) / 8] * 3,
+}
+
+
+@pytest.mark.parametrize("name", GRID_ANGLES)
+def test_product_grid_sums_in_fixed_order(name):
+    angles = GRID_ANGLES[name]
+    got = _product_grid(*angles)
+    want = _reference_grid(*angles)
+    assert got.shape == tuple(len(t) for t in angles) + (3, 3)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    # each matrix entry is one contiguous plane over the angle triples
+    assert all(got[..., u, w].flags.c_contiguous for u in range(3) for w in range(3))
 
 
 def test_euler_factories_are_rotations():
