@@ -8,7 +8,7 @@ reports the time per stratum, the slowest pair and a SHA-256 over every
 report's orders and counts in sample order, so two runs can be compared
 without storing the reports.  An untimed pass over the same pairs under
 tracemalloc reports the largest per-pair peak of traced memory, each pair
-starting from an empty g_k_rho cache.  It also times one layer on its own:
+starting from empty caches.  It also times one layer on its own:
 g_k_rho over all 515 S5 (subgroup, character) items.
 
 The second row times verify_prop_43 on every commuting ordered pair of S5,
@@ -17,11 +17,14 @@ bench_commutation.py sweeps them), and reports the wall time, the slowest
 pair, the process's peak RSS and the digest of every report.  The pairs are
 picked with classify_row before the clock starts.  It also counts the
 distinct (K, rho) items among the 3 x 15,117 G_{K,rho} the pairs need, so
-the share of repeats that a cache of g_k_rho can serve is on record.  The
-script raises unless the sweep covers 15,117 pairs.
+the share of repeats that a cache of g_k_rho can serve is on record, and the
+squares omega * omega the sweep computed beside the distinct product items
+(K1K2, rho12): verify_prop_43 squares each product item once.  The script
+raises unless the sweep covers 15,117 pairs.
 
-Every timed section starts from an empty g_k_rho cache.  Each row is stamped
-with the machine, Python, numpy and the kernel backend.
+Every timed section, and every pair of the tracemalloc pass, starts from an
+empty g_k_rho cache and an empty verify_prop_43 item cache.  Each row is
+stamped with the machine, Python, numpy and the kernel backend.
 
 Invoke as: python3 benchmarks/bench_prop43.py [--out BENCH.json --label NAME]
 With --out, the two rows are appended to the "rows" list of that JSON file.
@@ -37,6 +40,7 @@ import time
 import tracemalloc
 
 import common
+import idemconv.measure_groups as mg
 from idemconv import (
     all_subgroups,
     character_group,
@@ -70,6 +74,23 @@ def _draw(items):
     return sample
 
 
+def _clear_caches() -> None:
+    g_k_rho.cache_clear()
+    mg._item.cache_clear()
+
+
+class _Counted:
+    """fn, counting its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
 def _key(rep) -> str:
     return (
         f"{rep.k12.order},{rep.h1.order},{rep.h2.order},{rep.span.order},"
@@ -101,17 +122,23 @@ def _sweep_row(label: str, s5) -> dict:
     if len(pairs) != COMMUTING_PAIRS:
         raise RuntimeError(f"the sweep found {len(pairs)} commuting pairs, not {COMMUTING_PAIRS}")
     distinct = {item for pair, product in pairs for item in (pair[:2], pair[2:], product)}
+    products = {product for _, product in pairs}
 
-    g_k_rho.cache_clear()
-    digest = hashlib.sha256()
-    slowest = 0.0
-    t0 = time.perf_counter()
-    for pair, _ in pairs:
-        t1 = time.perf_counter()
-        rep = verify_prop_43(*pair)
-        slowest = max(slowest, time.perf_counter() - t1)
-        digest.update(_key(rep).encode())
-    sweep_s = time.perf_counter() - t0
+    squares = _Counted(mg._square_ok)
+    mg._square_ok = squares
+    try:
+        _clear_caches()
+        digest = hashlib.sha256()
+        slowest = 0.0
+        t0 = time.perf_counter()
+        for pair, _ in pairs:
+            t1 = time.perf_counter()
+            rep = verify_prop_43(*pair)
+            slowest = max(slowest, time.perf_counter() - t1)
+            digest.update(_key(rep).encode())
+        sweep_s = time.perf_counter() - t0
+    finally:
+        mg._square_ok = squares.fn
     return {
         **common.stamp(__file__, label),
         "workload": "s5-prop43-full-sweep",
@@ -122,6 +149,8 @@ def _sweep_row(label: str, s5) -> dict:
         "slowest_pair_ms": round(1000 * slowest, 1),
         "g_k_rho_calls": 3 * len(pairs),
         "g_k_rho_distinct_items": len(distinct),
+        "squares": squares.calls,
+        "product_distinct_items": len(products),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "report_sha256": digest.hexdigest(),
     }
@@ -136,13 +165,13 @@ def main() -> None:
     sample = _draw(items)
     setup_s = time.perf_counter() - t0
 
-    g_k_rho.cache_clear()
+    _clear_caches()
     t0 = time.perf_counter()
     for item in items:
         g_k_rho(*item)
     g_k_rho_s = time.perf_counter() - t0
 
-    g_k_rho.cache_clear()
+    _clear_caches()
     digest = hashlib.sha256()
     stratum_s = dict.fromkeys(QUOTA, 0.0)
     slowest = 0.0
@@ -158,7 +187,7 @@ def main() -> None:
     tracemalloc.start()
     peak = 0
     for _, pair in sample:
-        g_k_rho.cache_clear()
+        _clear_caches()
         tracemalloc.reset_peak()
         verify_prop_43(*pair)
         peak = max(peak, tracemalloc.get_traced_memory()[1])

@@ -4,8 +4,9 @@ N_{K,rho} and G_{K,rho} (the latter computed by two independent
 definitions and cross-checked), the projective family of translates
 delta_g * rho*m_K, local-unitary membership, the product-group
 verification of the two-idempotent case (Prop 4.3: one convolution of the
-two idempotents and one square of their product idempotent, every other
-product read off as a translate), and unitary elements of abelian group
+two idempotents per pair, every other product read off as a translate, and
+one square of the product idempotent per distinct product item, cached with
+the item's idempotent and G_{K,rho}), and unitary elements of abelian group
 algebras (nu_u synthesis, skew exponentials).
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Mapping, Optional, Union
 
@@ -247,17 +248,60 @@ def _coset_unit_multiples(
     return s0, hit
 
 
-def _left_translates_of(rows: np.ndarray, den: int, n: int, omega: Measure, gs) -> bool:
-    """Whether every rows[i] / den at conductor n (a stack of numerators, not
-    necessarily in lowest terms) is delta_{gs[i]} * omega, as Measure.__eq__
-    decides it: both sides at the common conductor, cross-multiplied."""
+def _left_translates_of(
+    rows: np.ndarray, den: int, n: int, omega: Measure, gs: np.ndarray
+) -> np.ndarray:
+    """For each i, whether rows[i] / den at conductor n (a stack of
+    numerators, not necessarily in lowest terms) is delta_{gs[i]} * omega, as
+    Measure.__eq__ decides it: both sides at the common conductor,
+    cross-multiplied."""
     parent = omega.parent
     m = lcm(n, omega.conductor)
     # row x of delta_g * omega is row g^-1 x of omega
     want = omega.rows[parent.mul_np[parent.inv_np[gs]]]
     lhs = scale_rows(promote_rows(rows.reshape(-1, rows.shape[-1]), n, m), omega.den)
     rhs = scale_rows(promote_rows(want.reshape(-1, want.shape[-1]), omega.conductor, m), den)
-    return bool((lhs == rhs).all())
+    return (lhs == rhs).all(axis=1).reshape(rows.shape[:2]).all(axis=1)
+
+
+def _square_ok(omega: Measure, gamma: Subgroup) -> np.ndarray:
+    """A read-only mask over the parent: true at each b of gamma where
+    (omega * omega) * delta_b is delta_b * omega, from one square of omega."""
+    sq = convolve(omega, omega)
+    gs = gamma.elements_np
+    ok = np.zeros(omega.parent.order, dtype=bool)
+    ok[gs] = _left_translates_of(_right_translates(sq, gs), sq.den, sq.conductor, omega, gs)
+    ok.flags.writeable = False
+    return ok
+
+
+class _Item:
+    """What verify_prop_43 reads of one (K, rho) item: omega = rho m_K and
+    G_{K,rho}, built with the item.  Only a pair's product item (K1K2, rho12)
+    reads coset_min and square_ok, so each is built on its first read."""
+
+    def __init__(self, k: Subgroup, rho: Character):
+        self.k = k
+        self.omega = char_idem(k, rho)
+        self.gamma = g_k_rho(k, rho)
+
+    @cached_property
+    def coset_min(self) -> np.ndarray:
+        """The least element of each left coset x K, read-only."""
+        out = self.k.parent.mul_np[:, self.k.elements_np].min(axis=1)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def square_ok(self) -> np.ndarray:
+        return _square_ok(self.omega, self.gamma)
+
+
+# keyed by value like g_k_rho's, with its bound: one entry per distinct
+# (K, rho) item, however many pairs share it
+@lru_cache(maxsize=2048)
+def _item(k: Subgroup, rho: Character) -> _Item:
+    return _Item(k, rho)
 
 
 @dataclass(frozen=True)
@@ -296,9 +340,7 @@ def verify_prop_43(
     rho m_{K1K2} survive left translation, so each c[g2] is tested once, in
     array passes (_coset_unit_multiples), and g1 only moves its
     translation part: from the coset s0 K1K2 to the coset g1 s0 K1K2, read
-    off as that coset's least element.  The three G_{K,rho} come from
-    g_k_rho's cache, so each distinct (K, rho) item is computed once per
-    process, however many pairs share it.
+    off as that coset's least element.
 
     Reverse, with omega = rho m_{K1K2}: the pair block delta_x1 * c[x2] is
     delta_{x1 x2} * omega exactly when c[x2] is delta_x2 * omega, so one
@@ -312,6 +354,16 @@ def verify_prop_43(
     b = x1 x2 lie in <H1 H2>, and include H1 and H2 by construction
     (x2 = e and x1 = e), so one mask check decides the reach, and
     reverse_realized is |<H1 H2>|.
+
+    Everything that depends on one (K, rho) item alone is read from a cache
+    keyed by value like g_k_rho's, so it is built once per process however
+    many pairs share the item: each item's rho m_K and G_{K,rho}, and for
+    the product item (K1K2, rho) its coset minima and the square check as
+    a mask over G_{K1K2,rho}, one square omega * omega compared at every b
+    (_square_ok).  Every block index lies in <H1 H2>, inside
+    G_{K1K2,rho}, so reading the mask at the blocks makes the same exact
+    compare for each b as squaring per pair would.  A pair whose items are
+    all cached makes one kernel call, rho1 m_K1 * rho2 m_K2.
     """
     verdict = classify_pair(k1, rho1, k2, rho2)
     if verdict.kind != "commute":
@@ -323,42 +375,40 @@ def verify_prop_43(
     parent = k1.parent
     mul_np = parent.mul_np
 
-    big1 = g_k_rho(k1, rho1)
-    big2 = g_k_rho(k2, rho2)
-    g_prod = g_k_rho(k12, rho12)
+    item1 = _item(k1, rho1)
+    item2 = _item(k2, rho2)
+    item12 = _item(k12, rho12)
+    big1 = item1.gamma
+    big2 = item2.gamma
+    g_prod = item12.gamma
     h1 = intersection(big1, g_prod)
     h2 = intersection(big2, g_prod)
     span = closure(parent, h1.elements + h2.elements)
-
-    idem1 = char_idem(k1, rho1)
-    idem2 = char_idem(k2, rho2)
-    idem12 = char_idem(k12, rho12)
-    # the least element of each left coset x K1K2
-    coset_min = mul_np[:, k12.elements_np].min(axis=1)
+    idem12 = item12.omega
 
     # forward: conditional inclusion over all Gamma generator pairs
-    p12 = convolve(idem1, idem2)
+    p12 = convolve(item1.omega, item2.omega)
     prods = _right_translates(p12, big2.elements_np)
     s0, hit = _coset_unit_multiples(prods, p12.den, p12.conductor, k12, rho12)
-    # the g1-translate of c[g2] lies on the coset g1 s0 K1K2
-    s = coset_min[mul_np[big1.elements_np[:, None], s0[hit]]]
+    # the g1-translate of c[g2] lies on the coset g1 s0 K1K2, named by its
+    # least element
+    s = item12.coset_min[mul_np[big1.elements_np[:, None], s0[hit]]]
     s = s[g_prod.positions[s] >= 0]
     realized = s.size
     if not (span.positions[s] >= 0).all():
         raise InvariantViolation(
             "forward inclusion fails: product lands outside <H1 H2>"
         )
-    # reverse: one compare decides every pair block, one every search step
+    # reverse: one compare decides every pair block, the item's square mask
+    # every search step
     in_h2 = h2.positions[big2.elements_np] >= 0
     x2s = big2.elements_np[in_h2]
-    if not _left_translates_of(prods[in_h2], p12.den, p12.conductor, idem12, x2s):
+    if not _left_translates_of(prods[in_h2], p12.den, p12.conductor, idem12, x2s).all():
         raise InvariantViolation(
             "pair block does not collapse to a translate of rho m_K1K2"
         )
     blocks = np.unique(mul_np[h1.elements_np[:, None], x2s])
-    sq = convolve(idem12, idem12)
-    sq_b = _right_translates(sq, blocks)
-    if not _left_translates_of(sq_b, sq.den, sq.conductor, idem12, blocks):
+    if not item12.square_ok[blocks].all():
         raise InvariantViolation(
             "reverse realization produced a non-unit scalar"
         )

@@ -42,6 +42,7 @@ from idemconv.errors import InvariantViolation, PreconditionError
 from idemconv.measure_groups import (
     Prop43Report,
     _coset_unit_multiples,
+    _item,
     _right_translates,
     exp_char_diagonal,
     unit_multiple,
@@ -435,38 +436,62 @@ def _term_products(monkeypatch):
     return counts
 
 
-def test_prop_43_matches_reference_dense_s5(s5, monkeypatch):
+@pytest.fixture
+def clear_items():
+    """Empties verify_prop_43's per-item cache now, and on each call, so a
+    test's kernel-call counts do not depend on the items earlier tests left
+    cached in the session-scoped groups."""
+    _item.cache_clear()
+    return _item.cache_clear
+
+
+def _cold_and_repeat_terms(monkeypatch, clear_items, pair):
+    """The term products of verify_prop_43 on pair from an empty item cache,
+    then of the same pair again, and the two reports."""
+    clear_items()
+    out = []
+    for _ in range(2):
+        with monkeypatch.context() as m:
+            terms = _term_products(m)
+            rep = verify_prop_43(*pair)
+        out.append((terms, rep))
+    return out
+
+
+def test_prop_43_matches_reference_dense_s5(s5, monkeypatch, clear_items):
     # A5 (trivial) with <(12)> (sign): K1K2 = S5, G_{A5,1} = S5, so every
     # product is an n = 120 convolution with a dense first factor
     a5 = closure(s5, [s5.idx("(123)"), s5.idx("(12345)")])
     k2 = closure(s5, [s5.idx("(12)")])
     sign = next(c for c in character_group(k2) if not c.is_trivial)
-    with monkeypatch.context() as m:
-        terms = _term_products(m)
-        rep = verify_prop_43(a5, trivial_char(a5), k2, sign)
-    # the one product rho1 m_K1 * rho2 m_K2, then the square omega * omega;
+    pair = (a5, trivial_char(a5), k2, sign)
+    (cold, rep), (warm, again) = _cold_and_repeat_terms(monkeypatch, clear_items, pair)
+    # cold: the one product rho1 m_K1 * rho2 m_K2, then the square
+    # omega * omega; a repeat reads the square's mask from the item cache.
     # d = 1 at conductors 1 and 2
-    assert len(terms) == 2
-    assert max(terms) <= s5.order**2
+    assert (len(cold), len(warm)) == (2, 1)
+    assert warm == cold[:1]
+    assert max(cold) <= s5.order**2
     assert rep.k12.order == 120
     assert rep.forward_pairs == 120 * g_k_rho(k2, sign).order
-    assert rep == _reference_prop_43(a5, trivial_char(a5), k2, sign)
+    assert rep == again == _reference_prop_43(*pair)
 
 
-def test_prop_43_makes_two_kernel_calls(d4, s5, monkeypatch):
+def test_prop_43_makes_two_kernel_calls(d4, s5, monkeypatch, clear_items):
     # the forward step reads every product off one convolution and the
     # reverse step every search step off one square, whatever |G_{K2,rho2}|:
-    # m_A5 with itself has 120 translates and 14,400 realized products
+    # m_A5 with itself has 120 translates and 14,400 realized products.  The
+    # square is made once per product item, so a repeat makes one call
     a5 = closure(s5, [s5.idx("(123)"), s5.idx("(12345)")])
     one = trivial_char(a5)
     pairs = [(a5, one, a5, one)] + random.Random(45).sample(_commuting_pairs(d4), 20)
     calls, reps = [], []
     for pair in pairs:
-        with monkeypatch.context() as m:
-            terms = _term_products(m)
-            reps.append(verify_prop_43(*pair))
-        calls.append(len(terms))
-    assert calls == [2] * len(pairs)
+        (cold, rep), (warm, again) = _cold_and_repeat_terms(monkeypatch, clear_items, pair)
+        calls.append((len(cold), len(warm)))
+        assert rep == again
+        reps.append(rep)
+    assert calls == [(2, 1)] * len(pairs)
     rep = reps[0]
     assert (rep.forward_pairs, rep.forward_realized, rep.reverse_realized) == (14400, 14400, 120)
 
@@ -480,15 +505,55 @@ def test_prop_43_matches_reference_c3_a5_s5(s5):
     assert verify_prop_43(*pair) == _reference_prop_43(*pair)
 
 
-def test_prop_43_matches_reference_object_scatter(s4, monkeypatch, scatter_dtypes):
-    # under FORCE_PURE every scatter, the forward product included, runs on
-    # Python ints; the reports must not change
+def test_prop_43_matches_reference_object_scatter(
+    s4, monkeypatch, scatter_dtypes, clear_items
+):
+    # under FORCE_PURE every scatter, the forward products and the squares
+    # included, runs on Python ints; the reports must not change.  From an
+    # empty item cache there is one product per pair and one square per
+    # distinct product item
     pairs = random.Random(44).sample(_commuting_pairs(s4), 12)
     want = [_reference_prop_43(*pair) for pair in pairs]
+    clear_items()
     monkeypatch.setattr(_kernel, "FORCE_PURE", True)
     del scatter_dtypes[:]
     assert [verify_prop_43(*pair) for pair in pairs] == want
-    assert scatter_dtypes and set(scatter_dtypes) == {np.dtype(object)}
+    products = {(rep.k12, rep.rho12) for rep in want}
+    assert len(scatter_dtypes) == len(pairs) + len(products)
+    assert set(scatter_dtypes) == {np.dtype(object)}
+
+
+def test_prop_43_item_cache_is_keyed_by_group_object():
+    # as for g_k_rho: equal-looking items of two S4 instances are two
+    # entries, each built in its own group, and a repeat is a hit
+    before = _item.cache_info()
+    groups = (symmetric_group(4), symmetric_group(4))
+    items = [(k, trivial_char(k)) for k in (closure(g, [g.idx("(12)")]) for g in groups)]
+    first = [_item(*item) for item in items]
+    assert [it.omega.parent for it in first] == list(groups)
+    assert [it.gamma.parent for it in first] == list(groups)
+    assert first[0] is not first[1]
+    assert all(_item(*item) is it for item, it in zip(items, first))
+    after = _item.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (2, 2)
+
+
+def test_prop_43_item_cache_stays_under_its_bound_over_the_suite():
+    _item.cache_clear()
+    run_suite()
+    info = _item.cache_info()
+    assert 0 < info.currsize < info.maxsize
+
+
+@pytest.mark.parametrize("name", ["s4", "d4"])
+def test_square_mask_holds_on_all_of_g_k_rho(name, request):
+    # omega * omega = omega, and every b in G_{K,rho} commutes with omega,
+    # so (omega * omega) * delta_b = delta_b * omega on all of G_{K,rho};
+    # the mask is false off it
+    for k, chi in _items(request.getfixturevalue(name)):
+        mask = _item(k, chi).square_ok
+        assert not mask.flags.writeable
+        assert np.flatnonzero(mask).tolist() == list(g_k_rho(k, chi).elements)
 
 
 def _sample_commuting_pairs(g, count, seed):
