@@ -5,10 +5,10 @@ Runs the same exact convolutions with the kernel's FORCE_PURE switch on
 results agree, and prints a timing table.  Each case is sized to about
 PASS_S seconds of calls per pass and timed as the median of PASSES passes
 per backend, the two backends alternating which runs first.  The fourth
-workload is run twice: as one call per translate, and as verify_prop_43
-forms such products, one call and a row gather of its right translates.
-The row is stamped with the machine, Python, numpy and the kernel
-backend.
+workload is run twice: as one call per translate, and as one call and a
+row gather of its right translates, the way verify_prop_43 reads products
+off translates of one idempotent.  The row is stamped with the machine,
+Python, numpy and the kernel backend.
 
 Invoke as: python3 benchmarks/bench_convolve.py [--out BENCH.json --label NAME]
 With --out, the row is appended to the "rows" list of that JSON file.

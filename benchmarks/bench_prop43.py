@@ -18,9 +18,14 @@ pair, the process's peak RSS and the digest of every report.  The pairs are
 picked with classify_row before the clock starts.  It also counts the
 distinct (K, rho) items among the 3 x 15,117 G_{K,rho} the pairs need, so
 the share of repeats that a cache of g_k_rho can serve is on record, and the
-squares omega * omega the sweep computed beside the distinct product items
-(K1K2, rho12): verify_prop_43 squares each product item once.  The script
-raises unless the sweep covers 15,117 pairs.
+squares omega * omega and forward tables the sweep built beside the
+distinct product items (K1K2, rho12): verify_prop_43 builds both once per
+product item.  The script raises unless the sweep covers 15,117 pairs and
+builds one forward table per distinct product item.  The objects alive
+when the clock starts (the groups, the items and the pair list) are moved
+out of the garbage collector's reach with gc.freeze(), so a full
+collection during the sweep scans only what the sweep allocates and the
+slowest pair is a pair, not a collection pause.
 
 Every timed section, and every pair of the tracemalloc pass, starts from an
 empty g_k_rho cache and an empty verify_prop_43 item cache.  Each row is
@@ -32,6 +37,7 @@ With --out, the two rows are appended to the "rows" list of that JSON file.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import random
@@ -125,7 +131,9 @@ def _sweep_row(label: str, s5) -> dict:
     products = {product for _, product in pairs}
 
     squares = _Counted(mg._square_ok)
-    mg._square_ok = squares
+    tables = _Counted(mg._forward_table)
+    mg._square_ok, mg._forward_table = squares, tables
+    gc.freeze()
     try:
         _clear_caches()
         digest = hashlib.sha256()
@@ -138,7 +146,12 @@ def _sweep_row(label: str, s5) -> dict:
             digest.update(_key(rep).encode())
         sweep_s = time.perf_counter() - t0
     finally:
-        mg._square_ok = squares.fn
+        gc.unfreeze()
+        mg._square_ok, mg._forward_table = squares.fn, tables.fn
+    if tables.calls != len(products):
+        raise RuntimeError(
+            f"the sweep built {tables.calls} forward tables for {len(products)} product items"
+        )
     return {
         **common.stamp(__file__, label),
         "workload": "s5-prop43-full-sweep",
@@ -150,6 +163,7 @@ def _sweep_row(label: str, s5) -> dict:
         "g_k_rho_calls": 3 * len(pairs),
         "g_k_rho_distinct_items": len(distinct),
         "squares": squares.calls,
+        "forward_tables": tables.calls,
         "product_distinct_items": len(products),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "report_sha256": digest.hexdigest(),

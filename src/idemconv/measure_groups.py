@@ -4,10 +4,12 @@ N_{K,rho} and G_{K,rho} (the latter computed by two independent
 definitions and cross-checked), the projective family of translates
 delta_g * rho*m_K, local-unitary membership, the product-group
 verification of the two-idempotent case (Prop 4.3: one convolution of the
-two idempotents per pair, every other product read off as a translate, and
-one square of the product idempotent per distinct product item, cached with
-the item's idempotent and G_{K,rho}), and unitary elements of abelian group
-algebras (nu_u synthesis, skew exponentials).
+two idempotents per pair, compared exactly with the product idempotent;
+every other product is a translate of that idempotent, so the forward and
+pair-block tests are tables of the product item, built once per distinct
+product item with its square check and cached with the item's idempotent
+and G_{K,rho}), and unitary elements of abelian group algebras (nu_u
+synthesis, skew exponentials).
 """
 
 from __future__ import annotations
@@ -264,24 +266,57 @@ def _left_translates_of(
     return (lhs == rhs).all(axis=1).reshape(rows.shape[:2]).all(axis=1)
 
 
-def _square_ok(omega: Measure, gamma: Subgroup) -> np.ndarray:
+def _translates_commute(m: Measure, omega: Measure, gamma: Subgroup) -> np.ndarray:
     """A read-only mask over the parent: true at each b of gamma where
-    (omega * omega) * delta_b is delta_b * omega, from one square of omega."""
-    sq = convolve(omega, omega)
+    m * delta_b is delta_b * omega, one stacked compare over all of gamma."""
     gs = gamma.elements_np
     ok = np.zeros(omega.parent.order, dtype=bool)
-    ok[gs] = _left_translates_of(_right_translates(sq, gs), sq.den, sq.conductor, omega, gs)
+    ok[gs] = _left_translates_of(_right_translates(m, gs), m.den, m.conductor, omega, gs)
     ok.flags.writeable = False
     return ok
+
+
+def _square_ok(omega: Measure, gamma: Subgroup) -> np.ndarray:
+    """_translates_commute for the square omega * omega: one kernel call."""
+    return _translates_commute(convolve(omega, omega), omega, gamma)
+
+
+def _forward_table(
+    k: Subgroup, rho: Character, omega: Measure
+) -> tuple[np.ndarray, np.ndarray]:
+    """The forward test of omega * delta_g for every g of the parent, omega =
+    rho m_K: its least support element s0 and whether it is a unit multiple
+    of delta_{s0} * omega (_coset_unit_multiples), both read-only.
+
+    omega * delta_{kg} = conj(rho(k)) (omega * delta_g) for k in K, a unit
+    multiple on the same support K g, so both answers are constant on each
+    right coset K g: s0 is the coset's least element, and one translate per
+    coset, the one by that least element, is tested.
+    """
+    parent = k.parent
+    s0 = parent.mul_np[k.elements_np].min(axis=0)  # least element of K g
+    reps = np.flatnonzero(s0 == np.arange(parent.order))
+    rep_s0, rep_hit = _coset_unit_multiples(
+        _right_translates(omega, reps), omega.den, omega.conductor, k, rho
+    )
+    if not np.array_equal(rep_s0, reps):
+        raise InvariantViolation("a right translate of rho m_K leaves its coset K g")
+    coset = np.zeros(parent.order, dtype=np.intp)
+    coset[reps] = np.arange(reps.size)
+    hit = rep_hit[coset[s0]]
+    s0.flags.writeable = hit.flags.writeable = False
+    return s0, hit
 
 
 class _Item:
     """What verify_prop_43 reads of one (K, rho) item: omega = rho m_K and
     G_{K,rho}, built with the item.  Only a pair's product item (K1K2, rho12)
-    reads coset_min and square_ok, so each is built on its first read."""
+    reads coset_min, forward, pair_ok and square_ok, so each is built on its
+    first read."""
 
     def __init__(self, k: Subgroup, rho: Character):
         self.k = k
+        self.rho = rho
         self.omega = char_idem(k, rho)
         self.gamma = g_k_rho(k, rho)
 
@@ -293,7 +328,18 @@ class _Item:
         return out
 
     @cached_property
+    def forward(self) -> tuple[np.ndarray, np.ndarray]:
+        """(s0, hit) of omega * delta_g for every g (_forward_table)."""
+        return _forward_table(self.k, self.rho, self.omega)
+
+    @cached_property
+    def pair_ok(self) -> np.ndarray:
+        """Over G_{K,rho}: omega * delta_b is delta_b * omega."""
+        return _translates_commute(self.omega, self.omega, self.gamma)
+
+    @cached_property
     def square_ok(self) -> np.ndarray:
+        """Over G_{K,rho}: (omega * omega) * delta_b is delta_b * omega."""
         return _square_ok(self.omega, self.gamma)
 
 
@@ -334,36 +380,43 @@ def verify_prop_43(
     (delta_g * a) * b, so the product for (g1, g2) is, bit for bit, the
     g1-translate of c[g2] = rho1 m_K1 * delta_{g2} * rho2 m_K2.  And g2 in
     G_{K2,rho2} means delta_{g2} commutes with rho2 m_K2, which g_k_rho
-    proves, so c[g2] = (rho1 m_K1 * rho2 m_K2) * delta_{g2}: every c[g2] is
-    a row gather of one convolution (_right_translates).  Support size,
-    left-coset shape and being a unit multiple of a translate of
-    rho m_{K1K2} survive left translation, so each c[g2] is tested once, in
-    array passes (_coset_unit_multiples), and g1 only moves its
-    translation part: from the coset s0 K1K2 to the coset g1 s0 K1K2, read
-    off as that coset's least element.
+    proves, so c[g2] = (rho1 m_K1 * rho2 m_K2) * delta_{g2}.  For a
+    commuting pair that one product is omega = rho m_{K1K2}, the structure
+    theorem classify_pair decides; the pair makes the convolution and
+    compares it with omega exactly, so c[g2] = omega * delta_{g2}.  Support
+    size, left-coset shape and being a unit multiple of a translate of omega
+    survive left translation, so each c[g2] is tested once, and g1 only
+    moves its translation part: from the coset s0 K1K2 to the coset
+    g1 s0 K1K2, read off as that coset's least element.  The test of
+    omega * delta_g depends on the product item alone, and is constant on
+    the right coset K1K2 g (omega * delta_{kg} is a unit multiple of
+    omega * delta_g on the same support), so the item tests one translate
+    per right coset, in array passes (_coset_unit_multiples), and keeps
+    (s0, hit) for every g (_forward_table); the pair reads it at G_{K2,rho2}.
 
-    Reverse, with omega = rho m_{K1K2}: the pair block delta_x1 * c[x2] is
-    delta_{x1 x2} * omega exactly when c[x2] is delta_x2 * omega, so one
-    compare over x2 in H2 decides every block.  Each block index b = x1 x2
-    lies in G_{K1K2,rho}, so omega * block_b = (omega * omega) * delta_b, and
-    the search step from g by b, delta_g * (omega * omega) * delta_b, is
-    delta_{g b} * omega exactly when (omega * omega) * delta_b is
-    delta_b * omega: one compare over every b decides every step (b = e asks
-    omega * omega = omega).  The steps from e reach the subgroup the b
-    generate, which is <H1 H2> exactly when H1 and H2 lie among the b: the
-    b = x1 x2 lie in <H1 H2>, and include H1 and H2 by construction
-    (x2 = e and x1 = e), so one mask check decides the reach, and
-    reverse_realized is |<H1 H2>|.
+    Reverse: the pair block delta_x1 * c[x2] is delta_{x1 x2} * omega
+    exactly when c[x2] = omega * delta_x2 is delta_x2 * omega, so one
+    compare per x2 in H2 decides every block; x2 = e is the compare of the
+    product with omega.  Each block index b = x1 x2 lies in G_{K1K2,rho}, so
+    omega * block_b = (omega * omega) * delta_b, and the search step from g
+    by b, delta_g * (omega * omega) * delta_b, is delta_{g b} * omega exactly
+    when (omega * omega) * delta_b is delta_b * omega: one compare over
+    every b decides every step (b = e asks omega * omega = omega).  The
+    steps from e reach the subgroup the b generate, which is <H1 H2> exactly
+    when H1 and H2 lie among the b: the b = x1 x2 lie in <H1 H2>, and
+    include H1 and H2 by construction (x2 = e and x1 = e), so one mask check
+    decides the reach, and reverse_realized is |<H1 H2>|.
 
     Everything that depends on one (K, rho) item alone is read from a cache
     keyed by value like g_k_rho's, so it is built once per process however
     many pairs share the item: each item's rho m_K and G_{K,rho}, and for
-    the product item (K1K2, rho) its coset minima and the square check as
-    a mask over G_{K1K2,rho}, one square omega * omega compared at every b
-    (_square_ok).  Every block index lies in <H1 H2>, inside
-    G_{K1K2,rho}, so reading the mask at the blocks makes the same exact
-    compare for each b as squaring per pair would.  A pair whose items are
-    all cached makes one kernel call, rho1 m_K1 * rho2 m_K2.
+    the product item (K1K2, rho) its coset minima, the forward table, and
+    the pair-block and square checks as two masks over G_{K1K2,rho}, each
+    one stacked compare at every b (_translates_commute, _square_ok).  H2
+    and every block index lie in <H1 H2>, inside G_{K1K2,rho}, so reading
+    the masks there makes the same exact compare for each x2 and b as a
+    per-pair check would.  A pair whose items are all cached makes one
+    kernel call, rho1 m_K1 * rho2 m_K2.
     """
     verdict = classify_pair(k1, rho1, k2, rho2)
     if verdict.kind != "commute":
@@ -384,29 +437,28 @@ def verify_prop_43(
     h1 = intersection(big1, g_prod)
     h2 = intersection(big2, g_prod)
     span = closure(parent, h1.elements + h2.elements)
-    idem12 = item12.omega
+    # rho1 m_K1 * rho2 m_K2 is omega = rho m_K1K2 for a commuting pair, so
+    # c[g2] = omega * delta_g2, and the item's pair mask decides every pair
+    # block at x2 in H2 (x2 = e is the product itself)
+    x2s = h2.elements_np
+    if convolve(item1.omega, item2.omega) != item12.omega or not item12.pair_ok[x2s].all():
+        raise InvariantViolation(
+            "pair block does not collapse to a translate of rho m_K1K2"
+        )
 
-    # forward: conditional inclusion over all Gamma generator pairs
-    p12 = convolve(item1.omega, item2.omega)
-    prods = _right_translates(p12, big2.elements_np)
-    s0, hit = _coset_unit_multiples(prods, p12.den, p12.conductor, k12, rho12)
-    # the g1-translate of c[g2] lies on the coset g1 s0 K1K2, named by its
-    # least element
-    s = item12.coset_min[mul_np[big1.elements_np[:, None], s0[hit]]]
+    # forward: conditional inclusion over all Gamma generator pairs, from the
+    # item's table at g2 in G_{K2,rho2}; the g1-translate of c[g2] lies on
+    # the coset g1 s0 K1K2, named by its least element
+    s0, hit = item12.forward
+    g2s = big2.elements_np
+    s = item12.coset_min[mul_np[big1.elements_np[:, None], s0[g2s[hit[g2s]]]]]
     s = s[g_prod.positions[s] >= 0]
     realized = s.size
     if not (span.positions[s] >= 0).all():
         raise InvariantViolation(
             "forward inclusion fails: product lands outside <H1 H2>"
         )
-    # reverse: one compare decides every pair block, the item's square mask
-    # every search step
-    in_h2 = h2.positions[big2.elements_np] >= 0
-    x2s = big2.elements_np[in_h2]
-    if not _left_translates_of(prods[in_h2], p12.den, p12.conductor, idem12, x2s).all():
-        raise InvariantViolation(
-            "pair block does not collapse to a translate of rho m_K1K2"
-        )
+    # reverse: the item's square mask decides every search step
     blocks = np.unique(mul_np[h1.elements_np[:, None], x2s])
     if not item12.square_ok[blocks].all():
         raise InvariantViolation(

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from idemconv import _kernel
+from idemconv import _kernel, measure_groups
 from idemconv import (
     CycloScalar,
     Measure,
@@ -677,6 +677,59 @@ def test_coset_unit_multiples_reject_near_misses(d4):
         assert _reference_hits(prod, k12, idem12)[1] == want
 
 
+def _product_items(pairs):
+    """The distinct product items (K1K2, rho12) of commuting pairs, in order."""
+    out = {}
+    for pair in pairs:
+        v = classify_pair(*pair)
+        out.setdefault((v.product_subgroup, v.product_character), None)
+    return list(out)
+
+
+@pytest.mark.parametrize("name, count", [("s4", None), ("d4", None), ("s5", 24)])
+def test_forward_table_matches_every_right_translate(name, count, request):
+    # the product item's table tests one right translate omega * delta_r per
+    # right coset K r; at every g it must give what _coset_unit_multiples
+    # gives on omega * delta_g itself
+    g = request.getfixturevalue(name)
+    pairs = _commuting_pairs(g) if count is None else _sample_commuting_pairs(g, count, 28)
+    every = np.arange(g.order)
+    hits = 0
+    for k, rho in _product_items(pairs):
+        item = _item(k, rho)
+        s0, hit = item.forward
+        assert not s0.flags.writeable and not hit.flags.writeable
+        omega = item.omega
+        want_s0, want_hit = _coset_unit_multiples(
+            _right_translates(omega, every), omega.den, omega.conductor, k, rho
+        )
+        assert s0.tolist() == want_s0.tolist()
+        assert hit.tolist() == want_hit.tolist()
+        hits += int(hit.sum())
+    assert hits
+
+
+def test_forward_table_stacks_one_translate_per_right_coset(
+    d4, s5, monkeypatch, clear_items
+):
+    # one stack per product item, of |G| / |K1K2| translates, however large
+    # G_{K2,rho2} is
+    stacks = []
+    real = measure_groups._coset_unit_multiples
+
+    def spy(prods, den, n, k12, rho12):
+        stacks.append((len(prods), k12.parent.order // k12.order))
+        return real(prods, den, n, k12, rho12)
+
+    monkeypatch.setattr(measure_groups, "_coset_unit_multiples", spy)
+    pairs = random.Random(46).sample(_commuting_pairs(d4), 20)
+    pairs += _sample_commuting_pairs(s5, 12, 29)
+    for pair in pairs:
+        verify_prop_43(*pair)
+    assert len(stacks) == len(_product_items(pairs))
+    assert all(size == cosets for size, cosets in stacks)
+
+
 def test_forward_inclusion_survives_optimize(run_optimized):
     # two point masses at e: every delta_{g1} * delta_{g2} is realized, so
     # a span too small for the translation parts must be reported
@@ -742,28 +795,26 @@ def test_reverse_checks_survive_optimize(run_optimized):
 
 
 def test_one_corrupted_pair_block_survives_optimize(run_optimized):
-    # one corrupted row in the translate c[x2] of the one product, for a
-    # single x2 != e in H2, must fail the pair-block collapse: every x2 is
-    # checked, not only e
+    # one corrupted row in the product item's pair-block stack, the right
+    # translate omega * delta_x2 for a single x2 != e in H2, must fail the
+    # pair-block collapse: every x2 is checked, not only e
     run_optimized(
         _corrupted_prop_43(
             "v = mg.classify_pair(k1, rho1, k2, rho2)\n"
-            "h2 = mg.intersection(\n"
-            "    mg.g_k_rho(k2, rho2), mg.g_k_rho(v.product_subgroup, v.product_character)\n"
-            ")\n"
+            "item = mg._item(v.product_subgroup, v.product_character)\n"
+            "h2 = mg.intersection(mg.g_k_rho(k2, rho2), item.gamma)\n"
             "x2 = h2.elements[-1]\n"
             "if x2 == g.identity:\n"
             "    raise SystemExit(4)\n"
-            "g2s = mg.g_k_rho(k2, rho2).elements_np\n"
             "real = mg._right_translates\n"
             "def corrupted(m, gs):\n"
-            "    prods = real(m, gs)\n"
-            "    if gs is not g2s:\n"
-            "        return prods\n"
-            "    prods = prods.copy()\n"
-            "    block = prods[gs.tolist().index(x2)]\n"
+            "    stack = real(m, gs)\n"
+            "    if m is not item.omega or gs is not item.gamma.elements_np:\n"
+            "        return stack\n"
+            "    stack = stack.copy()\n"
+            "    block = stack[gs.tolist().index(x2)]\n"
             "    block[block.any(axis=1).nonzero()[0][-1]] *= 2\n"
-            "    return prods\n"
+            "    return stack\n"
             "mg._right_translates = corrupted\n",
             "pair block",
         )
