@@ -14,6 +14,13 @@ an ulp). The grid is returned as a strided view with the entry axes
 last: callers index m[..., u, w], and reading one entry reads one
 contiguous plane. A copy back to (..., 3, 3) order would double the grid's
 memory.
+
+The grid never exists whole: the means build it one slab of first angles
+at a time, at most _SLAB_BYTES of entries, evaluate every test function on
+the slab and write the values into one full (i, j, k) array per function.
+Each mean then reduces a full, C-contiguous value array, so its bits do
+not depend on the slab size. Test functions must therefore be pointwise:
+a vectorized call sees one slab of matrices, not the whole grid.
 """
 
 from __future__ import annotations
@@ -71,7 +78,7 @@ def is_rotation(mat: np.ndarray, tol: float = 1e-12) -> bool:
 
 def _evaluate(u: Callable, mats: np.ndarray) -> np.ndarray:
     # vectorized call first; per-sample loop for scalar-only test functions,
-    # indexing the strided grid in place (a reshape would copy all of it)
+    # indexing the strided slab in place (a reshape would copy all of it)
     try:
         vals = np.asarray(u(mats), dtype=float)
         if vals.shape == mats.shape[:-2]:
@@ -101,23 +108,44 @@ def _product_grid(angles1: np.ndarray, angles2: np.ndarray, angles3: np.ndarray)
     return planes.transpose(2, 3, 4, 0, 1)
 
 
+# float64 grid entries built at once, so one slab of the grid stays near 2 MB
+_SLAB_BYTES = 2 << 20
+
+
+def _grid_values(
+    fns: Sequence[Callable], angles1: np.ndarray, angles2: np.ndarray, angles3: np.ndarray
+) -> np.ndarray:
+    """Each test function's values over every angle triple: entry [f] of the
+    (len(fns), n1, n2, n3) result is a full, C-contiguous value array, filled
+    from the grid built slab by slab."""
+    # one block for all functions: freed whole, glibc keeps a block this size
+    # in its heap for the next call instead of unmapping it, so its pages are
+    # not faulted in again on every call
+    vals = np.empty((len(fns), len(angles1), len(angles2), len(angles3)))
+    step = max(1, _SLAB_BYTES // (9 * 8 * len(angles2) * len(angles3)))
+    for lo in range(0, len(angles1), step):
+        mats = _product_grid(angles1[lo : lo + step], angles2, angles3)
+        for v, u in zip(vals, fns):
+            v[lo : lo + step] = _evaluate(u, mats)
+        del mats  # before the next slab is built, so two slabs never coexist
+    return vals
+
+
 def _product_means(fns: Sequence[Callable], grid: int) -> list[float]:
-    # one product grid for all test functions, dropped on return
+    # each mean reduces a full value array, so its bits do not depend on the slab
     t = 2 * np.pi * np.arange(grid) / grid
-    mats = _product_grid(t, t, t)
-    return [float(_evaluate(u, mats).mean()) for u in fns]
+    return [float(v.mean()) for v in _grid_values(fns, t, t, t)]
 
 
 def _haar_means(fns: Sequence[Callable], grid: int) -> list[float]:
-    # one Haar grid for all test functions, dropped on return
+    # as _product_means: average the outer axes of each full value array,
+    # then the weighted middle integral over half the mass
     t = 2 * np.pi * np.arange(grid) / grid
     nodes, weights = np.polynomial.legendre.leggauss(grid)
     t2 = (nodes + 1.0) * (np.pi / 2)
     w2 = weights * (np.pi / 2) * np.sin(t2)
-    mats = _product_grid(t, t2, t)
-    # average outer axes, then weighted middle integral over half the mass
     return [
-        float((_evaluate(u, mats).mean(axis=(0, 2)) * w2).sum() / 2.0) for u in fns
+        float((v.mean(axis=(0, 2)) * w2).sum() / 2.0) for v in _grid_values(fns, t, t2, t)
     ]
 
 

@@ -1,10 +1,12 @@
 """Rotation-group quadrature: product measure vs Haar."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from idemconv import so3
 from idemconv.so3 import (
     _product_grid,
     euler_k1,
@@ -121,8 +123,52 @@ def test_grid_convergence():
 
 
 def test_non_vectorized_integrand_accepted():
-    val = integrate_product(lambda m: float(m[0, 0]) ** 2, grid=24)
-    assert val == pytest.approx(0.5, abs=1e-9)
+    # at 65 the per-sample loop runs over several slabs
+    for grid in (24, 65):
+        val = integrate_product(lambda m: float(m[0, 0]) ** 2, grid=grid)
+        assert val == pytest.approx(0.5, abs=1e-9)
+
+
+def _whole_grid_means(u, grid):
+    """integrate_product and integrate_haar, each from one whole-grid
+    _product_grid call."""
+    t = 2 * np.pi * np.arange(grid) / grid
+    nodes, weights = np.polynomial.legendre.leggauss(grid)
+    t2 = (nodes + 1.0) * (np.pi / 2)
+    w2 = weights * (np.pi / 2) * np.sin(t2)
+    product = float(u(_product_grid(t, t, t)).mean())
+    haar = float((u(_product_grid(t, t2, t)).mean(axis=(0, 2)) * w2).sum() / 2.0)
+    return product, haar
+
+
+SLAB_INTEGRANDS = {
+    "g11^2": g11_sq,
+    # off-diagonal entries hold exact zeros on the uniform angles
+    "mixed": lambda m: m[..., 1, 2] * m[..., 2, 0] + m[..., 0, 1],
+}
+
+
+@pytest.mark.parametrize("name", SLAB_INTEGRANDS)
+@pytest.mark.parametrize("grid", [5, 65])
+def test_slabbed_means_equal_whole_grid(grid, name):
+    rows = so3._SLAB_BYTES // (9 * 8 * grid * grid)
+    # 5 points fit in one slab; 65 end on a partial slab
+    assert rows > grid if grid == 5 else 0 < grid % rows
+    u = SLAB_INTEGRANDS[name]
+    got = (integrate_product(u, grid), integrate_haar(u, grid))
+    assert [x.hex() for x in got] == [x.hex() for x in _whole_grid_means(u, grid)]
+
+
+def test_example_33_report_peak_memory():
+    # the whole 64-point grid is 18 MB on its own; built in slabs, the
+    # report's peak is its four full value arrays (8 MB) and one slab
+    tracemalloc.start()
+    try:
+        example_33_report(64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 2**20
 
 
 def test_example_33_report():
