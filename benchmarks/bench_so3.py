@@ -5,10 +5,10 @@ quadrature uses (three uniform angles for m_T1 * m_T2 * m_T1; uniform outer
 and Gauss-Legendre middle angles for Haar), example_33_report(GRID), and
 the paper-suite fixture example-3.3, each the best of three rounds.  Every
 grid must equal the two-einsum formula kept here as the reference, value
-and sign bit; the script raises otherwise.  An untimed pass under
-tracemalloc reports the peak traced memory of example_33_report(GRID), and
-a SHA-256 over the reports at grids 8, 24, 48, 64 and 65 lets two rows be
-compared without storing them.  The row is stamped with the machine,
+and sign bit; the script raises otherwise.  Untimed passes under
+tracemalloc report the peak traced memory of example_33_report at GRID and
+at PEAK_GRID points, and a SHA-256 over the reports at grids 8, 24, 48, 64
+and 65 lets two rows be compared without storing them.  The row is stamped with the machine,
 Python, numpy and the kernel backend.
 
 Invoke as: python3 benchmarks/bench_so3.py [--out BENCH.json --label NAME]
@@ -28,6 +28,7 @@ from idemconv.so3 import _product_grid, euler_k1, euler_k2, example_33_report
 from idemconv.suite import run_fixture
 
 GRID = 64
+PEAK_GRID = 128
 REPORT_GRIDS = (8, 24, 48, 64, 65)
 
 
@@ -60,10 +61,10 @@ def _report_digest() -> str:
     return h.hexdigest()
 
 
-def _peak_traced_mb() -> float:
+def _peak_traced_mb(grid: int) -> float:
     tracemalloc.start()
     try:
-        example_33_report(GRID)
+        example_33_report(grid)
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
@@ -87,7 +88,8 @@ def main() -> None:
         "haar_grid_ms": grids["haar"],
         "report_ms": round(common.best_time(lambda: example_33_report(GRID), 3) * 1e3, 1),
         "fixture_ms": round(common.best_time(lambda: run_fixture("example-3.3"), 3) * 1e3, 1),
-        "report_peak_traced_mb": round(_peak_traced_mb(), 2),
+        "report_peak_traced_mb": round(_peak_traced_mb(GRID), 2),
+        "report_peak_traced_mb_128": round(_peak_traced_mb(PEAK_GRID), 2),
         "report_sha256": _report_digest(),
     }
     print(json.dumps(row, indent=2))

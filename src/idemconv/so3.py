@@ -15,16 +15,24 @@ last: callers index m[..., u, w], and reading one entry reads one
 contiguous plane. A copy back to (..., 3, 3) order would double the grid's
 memory.
 
-The grid never exists whole: the means build it one slab of first angles
-at a time, at most _SLAB_BYTES of entries, evaluate every test function on
-the slab and write the values into one full (i, j, k) array per function.
-Each mean then reduces a full, C-contiguous value array, so its bits do
-not depend on the slab size. Test functions must therefore be pointwise:
-a vectorized call sees one slab of matrices, not the whole grid.
+Neither the grid nor any test function's values ever exist whole. The
+means build the grid one slab of first angles at a time, at most
+_SLAB_BYTES of entries (one first angle if a plane is more), evaluate each
+test function on the slab and reduce its values before the next slab is
+built, so memory is one slab however large the grid. Each mean adds in
+numpy's own order, so its bits are those of v.mean() and
+v.mean(axis=(0, 2)) over the whole value array, whatever the slab size:
+the product mean runs numpy's pairwise-summation tree over the flat
+values, one np.add.reduce per node inside a slab; the Haar mean adds each
+(i, j) row's pairwise sum in order of the first angle i. Test functions
+must therefore be pointwise: a vectorized call sees one slab of matrices,
+not the whole grid. tests/test_so3.py checks both orders against numpy's
+own reductions, so a numpy that sums in another order fails there.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -111,42 +119,122 @@ def _product_grid(angles1: np.ndarray, angles2: np.ndarray, angles3: np.ndarray)
 # float64 grid entries built at once, so one slab of the grid stays near 2 MB
 _SLAB_BYTES = 2 << 20
 
+# numpy's pairwise summation (np.add.reduce over contiguous float64): a
+# range of more than _PAIRWISE_LEAF values splits at half its length,
+# rounded down to a multiple of 8; a range of at most _PAIRWISE_LEAF values
+# is one leaf, summed with 8 accumulators
+_PAIRWISE_LEAF = 128
 
-def _grid_values(
-    fns: Sequence[Callable], angles1: np.ndarray, angles2: np.ndarray, angles3: np.ndarray
-) -> np.ndarray:
-    """Each test function's values over every angle triple: entry [f] of the
-    (len(fns), n1, n2, n3) result is a full, C-contiguous value array, filled
-    from the grid built slab by slab."""
-    # one block for all functions: freed whole, glibc keeps a block this size
-    # in its heap for the next call instead of unmapping it, so its pages are
-    # not faulted in again on every call
-    vals = np.empty((len(fns), len(angles1), len(angles2), len(angles3)))
-    step = max(1, _SLAB_BYTES // (9 * 8 * len(angles2) * len(angles3)))
-    for lo in range(0, len(angles1), step):
-        mats = _product_grid(angles1[lo : lo + step], angles2, angles3)
-        for v, u in zip(vals, fns):
-            v[lo : lo + step] = _evaluate(u, mats)
+
+def _slab_edges(n1: int, n2: int, n3: int) -> list[int]:
+    """First-angle indices where the slabs start, then n1: each slab holds at
+    most _SLAB_BYTES of grid entries, or one first angle if a plane is more."""
+    step = max(1, _SLAB_BYTES // (9 * 8 * n2 * n3))
+    return list(range(0, n1, step)) + [n1]
+
+
+def _reduce_slabs(
+    fns: Sequence[Callable],
+    angles1: np.ndarray,
+    angles2: np.ndarray,
+    angles3: np.ndarray,
+    edges: Sequence[int],
+    reduce: Callable[[int, int, np.ndarray], None],
+) -> None:
+    """Build the grid one slab of first angles at a time, edges[s]:edges[s+1],
+    and call reduce(f, s, values) with test function f's values on slab s,
+    a C-contiguous (hi - lo, n2, n3) array. No values outlive the call: a
+    value array may be a view that keeps the whole slab alive."""
+    for s, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        mats = _product_grid(angles1[lo:hi], angles2, angles3)
+        for f, u in enumerate(fns):
+            reduce(f, s, np.ascontiguousarray(_evaluate(u, mats)))
         del mats  # before the next slab is built, so two slabs never coexist
-    return vals
+
+
+def _pairwise_steps(n: int, edges: Sequence[int]) -> list[list]:
+    """numpy's pairwise-summation tree over n flat values, cut at the slab
+    edges 0 = edges[0] < ... < edges[-1] = n into each slab's steps.
+
+    A node inside one slab is one step (lo, hi): one np.add.reduce of the
+    slab's values lo:hi repeats the tree below it. A leaf across slab edges
+    has a step in every slab it touches, offsets relative to that slab; hi
+    lies past the end of every slab but the last, which sums the pieces. A
+    None step adds the last two sums, left + right, in the slab where the
+    right node ends. Only nodes across an edge are split, so the steps
+    number O(slabs x tree depth).
+    """
+    steps: list[list] = [[] for _ in edges[1:]]
+
+    def walk(lo: int, hi: int) -> None:
+        first = bisect_right(edges, lo) - 1
+        last = bisect_left(edges, hi) - 1
+        if first == last or hi - lo <= _PAIRWISE_LEAF:
+            for s in range(first, last + 1):
+                steps[s].append((max(lo, edges[s]) - edges[s], hi - edges[s]))
+            return
+        half = (hi - lo) // 2
+        half -= half % 8
+        walk(lo, lo + half)
+        walk(lo + half, hi)
+        steps[last].append(None)
+
+    walk(0, n)
+    return steps
+
+
+def _run_steps(steps: list, flat: np.ndarray, sums: list[float], kept: list) -> None:
+    """Run one slab's steps on its flat values: sums is the stack of node
+    sums, kept the pieces of a leaf that started in an earlier slab."""
+    for step in steps:
+        if step is None:
+            right = sums.pop()
+            sums[-1] += right
+            continue
+        lo, hi = step
+        if hi > len(flat):
+            kept.append(flat[lo:].copy())  # a view would keep the slab alive
+        elif kept:
+            kept.append(flat[lo:hi])
+            sums.append(float(np.add.reduce(np.concatenate(kept))))
+            kept.clear()
+        else:
+            sums.append(float(np.add.reduce(flat[lo:hi])))
 
 
 def _product_means(fns: Sequence[Callable], grid: int) -> list[float]:
-    # each mean reduces a full value array, so its bits do not depend on the slab
+    # v.mean() over the whole grid is numpy's pairwise sum of the flat
+    # values over their count: run its tree slab by slab
     t = 2 * np.pi * np.arange(grid) / grid
-    return [float(v.mean()) for v in _grid_values(fns, t, t, t)]
+    edges = _slab_edges(grid, grid, grid)
+    n = grid**3
+    steps = _pairwise_steps(n, [e * grid * grid for e in edges])
+    sums: list[list[float]] = [[] for _ in fns]
+    kept: list[list] = [[] for _ in fns]
+
+    def reduce(f: int, s: int, vals: np.ndarray) -> None:
+        _run_steps(steps[s], vals.reshape(-1), sums[f], kept[f])
+
+    _reduce_slabs(fns, t, t, t, edges, reduce)
+    return [root / n for (root,) in sums]
 
 
 def _haar_means(fns: Sequence[Callable], grid: int) -> list[float]:
-    # as _product_means: average the outer axes of each full value array,
-    # then the weighted middle integral over half the mass
+    # v.mean(axis=(0, 2)) adds the pairwise sum over k of each (i, j) row in
+    # order of i: add each slab's row sums in that order, then weight the
+    # middle integral over half the mass
     t = 2 * np.pi * np.arange(grid) / grid
     nodes, weights = np.polynomial.legendre.leggauss(grid)
     t2 = (nodes + 1.0) * (np.pi / 2)
     w2 = weights * (np.pi / 2) * np.sin(t2)
-    return [
-        float((v.mean(axis=(0, 2)) * w2).sum() / 2.0) for v in _grid_values(fns, t, t2, t)
-    ]
+    sums = [np.zeros(grid) for _ in fns]
+
+    def reduce(f: int, s: int, vals: np.ndarray) -> None:
+        for row in np.add.reduce(vals, axis=2):
+            sums[f] += row
+
+    _reduce_slabs(fns, t, t2, t, _slab_edges(grid, grid, grid), reduce)
+    return [float((acc / (grid * grid) * w2).sum() / 2.0) for acc in sums]
 
 
 def integrate_product(u: Callable, grid: int = 64) -> float:

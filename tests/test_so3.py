@@ -136,8 +136,10 @@ def _whole_grid_means(u, grid):
     nodes, weights = np.polynomial.legendre.leggauss(grid)
     t2 = (nodes + 1.0) * (np.pi / 2)
     w2 = weights * (np.pi / 2) * np.sin(t2)
-    product = float(u(_product_grid(t, t, t)).mean())
-    haar = float((u(_product_grid(t, t2, t)).mean(axis=(0, 2)) * w2).sum() / 2.0)
+    # the means reduce the values in C order of (i, j, k), whatever order u returns
+    product = float(np.ascontiguousarray(u(_product_grid(t, t, t))).mean())
+    values = np.ascontiguousarray(u(_product_grid(t, t2, t)))
+    haar = float((values.mean(axis=(0, 2)) * w2).sum() / 2.0)
     return product, haar
 
 
@@ -145,30 +147,101 @@ SLAB_INTEGRANDS = {
     "g11^2": g11_sq,
     # off-diagonal entries hold exact zeros on the uniform angles
     "mixed": lambda m: m[..., 1, 2] * m[..., 2, 0] + m[..., 0, 1],
+    "fortran-order": lambda m: np.asfortranarray(m[..., 1, 0] * m[..., 2, 1]),
+}
+
+
+def _has_split_leaf(grid):
+    """Whether a leaf of the product mean's tree lies across a slab edge."""
+    edges = so3._slab_edges(grid, grid, grid)
+    steps = so3._pairwise_steps(grid**3, [e * grid * grid for e in edges])
+    return any(
+        step is not None and step[1] > (hi - lo) * grid * grid
+        for slab, lo, hi in zip(steps, edges, edges[1:])
+        for step in slab
+    )
+
+
+# what each grid covers, as (slabs, a leaf across a slab edge, partial last slab)
+SLAB_GRIDS = {
+    1: (1, False, False),  # N = 1 < 8 values
+    2: (1, False, False),  # N = 8, one leaf with 8 accumulators
+    5: (1, False, False),  # N = 125, one leaf with a rest
+    24: (1, False, False),  # a tree of leaves inside one slab
+    64: (10, False, True),  # slab edges on leaf edges
+    65: (11, True, True),  # leaves across slab edges
 }
 
 
 @pytest.mark.parametrize("name", SLAB_INTEGRANDS)
-@pytest.mark.parametrize("grid", [5, 65])
+@pytest.mark.parametrize("grid", SLAB_GRIDS)
 def test_slabbed_means_equal_whole_grid(grid, name):
-    rows = so3._SLAB_BYTES // (9 * 8 * grid * grid)
-    # 5 points fit in one slab; 65 end on a partial slab
-    assert rows > grid if grid == 5 else 0 < grid % rows
+    edges = so3._slab_edges(grid, grid, grid)
+    sizes = {hi - lo for lo, hi in zip(edges, edges[1:])}
+    assert (len(edges) - 1, _has_split_leaf(grid), len(sizes) > 1) == SLAB_GRIDS[grid]
     u = SLAB_INTEGRANDS[name]
     got = (integrate_product(u, grid), integrate_haar(u, grid))
     assert [x.hex() for x in got] == [x.hex() for x in _whole_grid_means(u, grid)]
 
 
+def test_non_vectorized_means_equal_whole_grid():
+    # the per-sample loop gives the same values as the vectorized twin
+    scalar = lambda m: float(m[0, 1]) * float(m[2, 2])
+    vectorized = lambda m: m[..., 0, 1] * m[..., 2, 2]
+    got = (integrate_product(scalar, 7), integrate_haar(scalar, 7))
+    assert [x.hex() for x in got] == [x.hex() for x in _whole_grid_means(vectorized, 7)]
+
+
+def _random_values(n):
+    # magnitudes over ten decades, so a change of summation order shows
+    rng = np.random.default_rng(n)
+    return rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5, n)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 129, 4096, 28673, 262144])
+def test_pairwise_steps_follow_numpy_order(n):
+    x = _random_values(n)
+    cut_sets = [
+        [],
+        [n // 2],
+        [n // 3, 2 * n // 3],
+        [1, n // 7, n - 1],
+        # every slab shorter than a leaf, so leaves cross several edges
+        list(range(37, n, 37)),
+    ]
+    want = np.add.reduce(x).hex()
+    for cuts in cut_sets:
+        edges = [0] + sorted({c for c in cuts if 0 < c < n}) + [n]
+        sums, kept = [], []
+        for steps, lo, hi in zip(so3._pairwise_steps(n, edges), edges, edges[1:]):
+            so3._run_steps(steps, x[lo:hi].copy(), sums, kept)
+        assert len(sums) == 1 and not kept
+        assert sums[0].hex() == want, cuts
+
+
+@pytest.mark.parametrize("shape", [(5, 6, 7), (3, 2, 300), (64, 64, 64)])
+def test_outer_axis_sums_follow_numpy_order(shape):
+    # per slab of 1 or 3 planes, the row sums added in order of the plane
+    v = _random_values(math.prod(shape)).reshape(shape)
+    for step in (1, 3):
+        acc = np.zeros(shape[1])
+        for lo in range(0, shape[0], step):
+            for row in np.add.reduce(v[lo : lo + step], axis=2):
+                acc += row
+        assert np.array_equal(acc, v.sum(axis=(0, 2))), step
+
+
 def test_example_33_report_peak_memory():
-    # the whole 64-point grid is 18 MB on its own; built in slabs, the
-    # report's peak is its four full value arrays (8 MB) and one slab
-    tracemalloc.start()
-    try:
-        example_33_report(64)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 14 * 2**20
+    # the whole grid is 18 MB at 64 points and 151 MB at 128; built and
+    # reduced one slab at a time, the report's peak is about one slab
+    for grid in (64, 128):
+        tracemalloc.start()
+        try:
+            example_33_report(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20, grid
 
 
 def test_example_33_report():
