@@ -20,19 +20,26 @@ distinct (K, rho) items among the 3 x 15,117 G_{K,rho} the pairs need, so
 the share of repeats that a cache of g_k_rho can serve is on record, and the
 squares omega * omega and forward tables the sweep built beside the
 distinct product items (K1K2, rho12): verify_prop_43 builds both once per
-product item.  The script raises unless the sweep covers 15,117 pairs and
-builds one forward table per distinct product item.  The objects alive
-when the clock starts (the groups, the items and the pair list) are moved
-out of the garbage collector's reach with gc.freeze(), so a full
-collection during the sweep scans only what the sweep allocates and the
-slowest pair is a pair, not a collection pause.
+product item, the square for its idempotence compare.  The script raises
+unless the sweep covers 15,117 pairs and builds one square and one forward
+table per distinct product item.  The objects alive when the clock starts
+(the groups, the items and the pair list) are moved out of the garbage
+collector's reach with gc.freeze(), so a full collection during the sweep
+scans only what the sweep allocates and the slowest pair is a pair, not a
+collection pause.
+
+The third row times one pair on a large abelian group: the full C256 with
+a character of conductor 256, and the trivial item.  Its product item is
+the full group, so G_{K1K2,rho} is all of C256 and the square omega * omega
+is a dense n = 256 convolution at degree 128.  It reports the wall time and
+the process's peak RSS, and runs last, so that peak is this pair's.
 
 Every timed section, and every pair of the tracemalloc pass, starts from an
 empty g_k_rho cache and an empty verify_prop_43 item cache.  Each row is
 stamped with the machine, Python, numpy and the kernel backend.
 
 Invoke as: python3 benchmarks/bench_prop43.py [--out BENCH.json --label NAME]
-With --out, the two rows are appended to the "rows" list of that JSON file.
+With --out, the three rows are appended to the "rows" list of that JSON file.
 """
 
 from __future__ import annotations
@@ -52,8 +59,11 @@ from idemconv import (
     character_group,
     classify_pair,
     classify_row,
+    cyclic_group,
+    full_subgroup,
     g_k_rho,
     symmetric_group,
+    trivial_subgroup,
     verify_prop_43,
 )
 
@@ -61,6 +71,7 @@ SAMPLE_SEED = 0
 DENSE_ORDER = 60
 QUOTA = {"dense": 8, "sparse": 40}
 COMMUTING_PAIRS = 15117  # the commute count of bench_commutation.py's S5 sweep
+ABELIAN_ORDER = 256
 
 
 def _draw(items):
@@ -130,9 +141,12 @@ def _sweep_row(label: str, s5) -> dict:
     distinct = {item for pair, product in pairs for item in (pair[:2], pair[2:], product)}
     products = {product for _, product in pairs}
 
-    squares = _Counted(mg._square_ok)
+    # the idempotence compare is a cached_property: count the squares by
+    # wrapping the function it calls once per item
+    idempotent = mg._Item.__dict__["idempotent"]
+    squares = _Counted(idempotent.func)
     tables = _Counted(mg._forward_table)
-    mg._square_ok, mg._forward_table = squares, tables
+    idempotent.func, mg._forward_table = squares, tables
     gc.freeze()
     try:
         _clear_caches()
@@ -147,11 +161,12 @@ def _sweep_row(label: str, s5) -> dict:
         sweep_s = time.perf_counter() - t0
     finally:
         gc.unfreeze()
-        mg._square_ok, mg._forward_table = squares.fn, tables.fn
-    if tables.calls != len(products):
-        raise RuntimeError(
-            f"the sweep built {tables.calls} forward tables for {len(products)} product items"
-        )
+        idempotent.func, mg._forward_table = squares.fn, tables.fn
+    for name, built in (("squares", squares.calls), ("forward tables", tables.calls)):
+        if built != len(products):
+            raise RuntimeError(
+                f"the sweep built {built} {name} for {len(products)} product items"
+            )
     return {
         **common.stamp(__file__, label),
         "workload": "s5-prop43-full-sweep",
@@ -167,6 +182,25 @@ def _sweep_row(label: str, s5) -> dict:
         "product_distinct_items": len(products),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "report_sha256": digest.hexdigest(),
+    }
+
+
+def _abelian_row(label: str) -> dict:
+    g = cyclic_group(ABELIAN_ORDER)
+    full = full_subgroup(g)
+    chi = max(character_group(full), key=lambda c: c.conductor)
+    t = trivial_subgroup(g)
+    _clear_caches()
+    t0 = time.perf_counter()
+    rep = verify_prop_43(full, chi, t, character_group(t)[0])
+    pair_s = time.perf_counter() - t0
+    return {
+        **common.stamp(__file__, label),
+        "workload": f"c{ABELIAN_ORDER}-prop43-pair",
+        "conductor": chi.conductor,
+        "pair_s": round(pair_s, 3),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "report": _key(rep),
     }
 
 
@@ -220,7 +254,8 @@ def main() -> None:
         "peak_pair_traced_kb": round(peak / 1024, 1),
         "report_sha256": digest.hexdigest(),
     }
-    for row in (sample_row, _sweep_row(args.label, s5)):
+    # the C256 row last, so the process peak is its pair's
+    for row in (sample_row, _sweep_row(args.label, s5), _abelian_row(args.label)):
         print(json.dumps(row, indent=2))
         common.append(args.out, row)
 

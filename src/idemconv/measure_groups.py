@@ -5,11 +5,12 @@ definitions and cross-checked), the projective family of translates
 delta_g * rho*m_K, local-unitary membership, the product-group
 verification of the two-idempotent case (Prop 4.3: one convolution of the
 two idempotents per pair, compared exactly with the product idempotent;
-every other product is a translate of that idempotent, so the forward and
-pair-block tests are tables of the product item, built once per distinct
-product item with its square check and cached with the item's idempotent
-and G_{K,rho}), and unitary elements of abelian group algebras (nu_u
-synthesis, skew exponentials).
+every other product is a translate of that idempotent, so the forward test
+is a table of the product item and every reverse step rests on G_{K,rho}
+membership and one idempotence compare, each built once per distinct
+product item and cached with the item's idempotent and G_{K,rho}), and
+unitary elements of abelian group algebras (nu_u synthesis, skew
+exponentials).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
 from typing import Mapping, Optional, Union
 
 import numpy as np
@@ -31,7 +31,6 @@ from .cyclo import (
     field_tables,
     max_abs,
     multiply_rows,
-    promote_rows,
     scale_rows,
 )
 from .errors import InvariantViolation, PreconditionError
@@ -250,37 +249,6 @@ def _coset_unit_multiples(
     return s0, hit
 
 
-def _left_translates_of(
-    rows: np.ndarray, den: int, n: int, omega: Measure, gs: np.ndarray
-) -> np.ndarray:
-    """For each i, whether rows[i] / den at conductor n (a stack of
-    numerators, not necessarily in lowest terms) is delta_{gs[i]} * omega, as
-    Measure.__eq__ decides it: both sides at the common conductor,
-    cross-multiplied."""
-    parent = omega.parent
-    m = lcm(n, omega.conductor)
-    # row x of delta_g * omega is row g^-1 x of omega
-    want = omega.rows[parent.mul_np[parent.inv_np[gs]]]
-    lhs = scale_rows(promote_rows(rows.reshape(-1, rows.shape[-1]), n, m), omega.den)
-    rhs = scale_rows(promote_rows(want.reshape(-1, want.shape[-1]), omega.conductor, m), den)
-    return (lhs == rhs).all(axis=1).reshape(rows.shape[:2]).all(axis=1)
-
-
-def _translates_commute(m: Measure, omega: Measure, gamma: Subgroup) -> np.ndarray:
-    """A read-only mask over the parent: true at each b of gamma where
-    m * delta_b is delta_b * omega, one stacked compare over all of gamma."""
-    gs = gamma.elements_np
-    ok = np.zeros(omega.parent.order, dtype=bool)
-    ok[gs] = _left_translates_of(_right_translates(m, gs), m.den, m.conductor, omega, gs)
-    ok.flags.writeable = False
-    return ok
-
-
-def _square_ok(omega: Measure, gamma: Subgroup) -> np.ndarray:
-    """_translates_commute for the square omega * omega: one kernel call."""
-    return _translates_commute(convolve(omega, omega), omega, gamma)
-
-
 def _forward_table(
     k: Subgroup, rho: Character, omega: Measure
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -311,8 +279,8 @@ def _forward_table(
 class _Item:
     """What verify_prop_43 reads of one (K, rho) item: omega = rho m_K and
     G_{K,rho}, built with the item.  Only a pair's product item (K1K2, rho12)
-    reads coset_min, forward, pair_ok and square_ok, so each is built on its
-    first read."""
+    reads coset_min, forward and idempotent, so each is built on its first
+    read."""
 
     def __init__(self, k: Subgroup, rho: Character):
         self.k = k
@@ -333,14 +301,9 @@ class _Item:
         return _forward_table(self.k, self.rho, self.omega)
 
     @cached_property
-    def pair_ok(self) -> np.ndarray:
-        """Over G_{K,rho}: omega * delta_b is delta_b * omega."""
-        return _translates_commute(self.omega, self.omega, self.gamma)
-
-    @cached_property
-    def square_ok(self) -> np.ndarray:
-        """Over G_{K,rho}: (omega * omega) * delta_b is delta_b * omega."""
-        return _square_ok(self.omega, self.gamma)
+    def idempotent(self) -> bool:
+        """omega * omega == omega, compared exactly: one kernel call."""
+        return convolve(self.omega, self.omega) == self.omega
 
 
 # keyed by value like g_k_rho's, with its bound: one entry per distinct
@@ -394,28 +357,24 @@ def verify_prop_43(
     per right coset, in array passes (_coset_unit_multiples), and keeps
     (s0, hit) for every g (_forward_table); the pair reads it at G_{K2,rho2}.
 
-    Reverse: the pair block delta_x1 * c[x2] is delta_{x1 x2} * omega
-    exactly when c[x2] = omega * delta_x2 is delta_x2 * omega, so one
-    compare per x2 in H2 decides every block; x2 = e is the compare of the
-    product with omega.  Each block index b = x1 x2 lies in G_{K1K2,rho}, so
-    omega * block_b = (omega * omega) * delta_b, and the search step from g
-    by b, delta_g * (omega * omega) * delta_b, is delta_{g b} * omega exactly
-    when (omega * omega) * delta_b is delta_b * omega: one compare over
-    every b decides every step (b = e asks omega * omega = omega).  The
-    steps from e reach the subgroup the b generate, which is <H1 H2> exactly
-    when H1 and H2 lie among the b: the b = x1 x2 lie in <H1 H2>, and
-    include H1 and H2 by construction (x2 = e and x1 = e), so one mask check
-    decides the reach, and reverse_realized is |<H1 H2>|.
+    Reverse: each x2 in H2 lies in G_{K2,rho2} and in G_{K1K2,rho}, so
+    c[x2] = omega * delta_x2 = delta_x2 * omega, and the pair block
+    delta_x1 * c[x2] is delta_{x1 x2} * omega: the compare of the product
+    with omega decides every block.  Each block index b = x1 x2 lies in
+    G_{K1K2,rho}, so omega * block_b = (omega * omega) * delta_b, and the
+    search step from g by b, delta_g * (omega * omega) * delta_b, is
+    delta_{g b} * omega exactly when omega * omega = omega: one exact compare
+    decides every step.  The steps from e reach the subgroup the b generate,
+    which is <H1 H2> exactly when H1 and H2 lie among the b: the b = x1 x2
+    lie in <H1 H2>, and include H1 and H2 by construction (x2 = e and
+    x1 = e), so one mask check decides the reach, and reverse_realized is
+    |<H1 H2>|.
 
     Everything that depends on one (K, rho) item alone is read from a cache
     keyed by value like g_k_rho's, so it is built once per process however
     many pairs share the item: each item's rho m_K and G_{K,rho}, and for
-    the product item (K1K2, rho) its coset minima, the forward table, and
-    the pair-block and square checks as two masks over G_{K1K2,rho}, each
-    one stacked compare at every b (_translates_commute, _square_ok).  H2
-    and every block index lie in <H1 H2>, inside G_{K1K2,rho}, so reading
-    the masks there makes the same exact compare for each x2 and b as a
-    per-pair check would.  A pair whose items are all cached makes one
+    the product item (K1K2, rho) its coset minima, the forward table and
+    the idempotence compare.  A pair whose items are all cached makes one
     kernel call, rho1 m_K1 * rho2 m_K2.
     """
     verdict = classify_pair(k1, rho1, k2, rho2)
@@ -437,11 +396,9 @@ def verify_prop_43(
     h1 = intersection(big1, g_prod)
     h2 = intersection(big2, g_prod)
     span = closure(parent, h1.elements + h2.elements)
-    # rho1 m_K1 * rho2 m_K2 is omega = rho m_K1K2 for a commuting pair, so
-    # c[g2] = omega * delta_g2, and the item's pair mask decides every pair
-    # block at x2 in H2 (x2 = e is the product itself)
-    x2s = h2.elements_np
-    if convolve(item1.omega, item2.omega) != item12.omega or not item12.pair_ok[x2s].all():
+    # rho1 m_K1 * rho2 m_K2 is omega = rho m_K1K2 for a commuting pair, and
+    # every pair block is a translate of it
+    if convolve(item1.omega, item2.omega) != item12.omega:
         raise InvariantViolation(
             "pair block does not collapse to a translate of rho m_K1K2"
         )
@@ -458,9 +415,9 @@ def verify_prop_43(
         raise InvariantViolation(
             "forward inclusion fails: product lands outside <H1 H2>"
         )
-    # reverse: the item's square mask decides every search step
-    blocks = np.unique(mul_np[h1.elements_np[:, None], x2s])
-    if not item12.square_ok[blocks].all():
+    # reverse: omega * omega = omega decides every search step
+    blocks = np.unique(mul_np[h1.elements_np[:, None], h2.elements_np])
+    if not item12.idempotent:
         raise InvariantViolation(
             "reverse realization produced a non-unit scalar"
         )

@@ -1,6 +1,7 @@
 """Invariance subgroups, gamma structure, local unitaries, exponentials."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -467,7 +468,8 @@ def test_prop_43_matches_reference_dense_s5(s5, monkeypatch, clear_items):
     pair = (a5, trivial_char(a5), k2, sign)
     (cold, rep), (warm, again) = _cold_and_repeat_terms(monkeypatch, clear_items, pair)
     # cold: the one product rho1 m_K1 * rho2 m_K2, then the square
-    # omega * omega; a repeat reads the square's mask from the item cache.
+    # omega * omega; a repeat reads the idempotence compare from the item
+    # cache.
     # d = 1 at conductors 1 and 2
     assert (len(cold), len(warm)) == (2, 1)
     assert warm == cold[:1]
@@ -546,14 +548,32 @@ def test_prop_43_item_cache_stays_under_its_bound_over_the_suite():
 
 
 @pytest.mark.parametrize("name", ["s4", "d4"])
-def test_square_mask_holds_on_all_of_g_k_rho(name, request):
-    # omega * omega = omega, and every b in G_{K,rho} commutes with omega,
-    # so (omega * omega) * delta_b = delta_b * omega on all of G_{K,rho};
-    # the mask is false off it
+def test_idempotence_compare_holds_for_every_item(name, request):
+    # the reverse step reads omega * omega = omega off the item; it is a
+    # bool, and true for every (K, rho) item
     for k, chi in _items(request.getfixturevalue(name)):
-        mask = _item(k, chi).square_ok
-        assert not mask.flags.writeable
-        assert np.flatnonzero(mask).tolist() == list(g_k_rho(k, chi).elements)
+        assert _item(k, chi).idempotent is True
+
+
+def test_prop_43_peak_memory_on_c128(clear_items):
+    # the full C128 with a conductor-128 character and the trivial item:
+    # G_{K1K2,rho} is all of C128, so a stack of its translates of omega,
+    # 128 x 128 x 64 integers, is 8 MB a copy; the reverse step makes none
+    g = cyclic_group(128)
+    full = full_subgroup(g)
+    chi = max(character_group(full), key=lambda c: c.conductor)
+    t = trivial_subgroup(g)
+    assert chi.conductor == 128
+    g_k_rho.cache_clear()
+    clear_items()
+    tracemalloc.start()
+    try:
+        rep = verify_prop_43(full, chi, t, trivial_char(t))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.reverse_realized, rep.forward_realized) == (128, 128 * 128)
+    assert peak < 24 * 2**20
 
 
 def _sample_commuting_pairs(g, count, seed):
@@ -792,33 +812,6 @@ def test_reverse_checks_survive_optimize(run_optimized):
     # one corrupted row in the one product rho1 m_K1 * rho2 m_K2, of which
     # every pair block is a translate, must fail the pair-block collapse
     run_optimized(_corrupted_prop_43(_corrupted_convolve(square=False), "pair block"))
-
-
-def test_one_corrupted_pair_block_survives_optimize(run_optimized):
-    # one corrupted row in the product item's pair-block stack, the right
-    # translate omega * delta_x2 for a single x2 != e in H2, must fail the
-    # pair-block collapse: every x2 is checked, not only e
-    run_optimized(
-        _corrupted_prop_43(
-            "v = mg.classify_pair(k1, rho1, k2, rho2)\n"
-            "item = mg._item(v.product_subgroup, v.product_character)\n"
-            "h2 = mg.intersection(mg.g_k_rho(k2, rho2), item.gamma)\n"
-            "x2 = h2.elements[-1]\n"
-            "if x2 == g.identity:\n"
-            "    raise SystemExit(4)\n"
-            "real = mg._right_translates\n"
-            "def corrupted(m, gs):\n"
-            "    stack = real(m, gs)\n"
-            "    if m is not item.omega or gs is not item.gamma.elements_np:\n"
-            "        return stack\n"
-            "    stack = stack.copy()\n"
-            "    block = stack[gs.tolist().index(x2)]\n"
-            "    block[block.any(axis=1).nonzero()[0][-1]] *= 2\n"
-            "    return stack\n"
-            "mg._right_translates = corrupted\n",
-            "pair block",
-        )
-    )
 
 
 def test_pair_block_containment_survives_optimize(run_optimized):
