@@ -28,18 +28,19 @@ collector's reach with gc.freeze(), so a full collection during the sweep
 scans only what the sweep allocates and the slowest pair is a pair, not a
 collection pause.
 
-The third row times one pair on a large abelian group: the full C256 with
-a character of conductor 256, and the trivial item.  Its product item is
-the full group, so G_{K1K2,rho} is all of C256 and the square omega * omega
-is a dense n = 256 convolution at degree 128.  It reports the wall time and
-the process's peak RSS, and runs last, so that peak is this pair's.
+The third and fourth rows time one pair on a large abelian group: the full
+C256, then the full C1024, with a character of the largest conductor, and
+the trivial item.  The product item is the full group, so G_{K1K2,rho} is
+the whole group and the square omega * omega is a dense product at degree
+128, then 512.  Each row reports the wall time and the process's peak RSS.
+The C1024 row runs last, so that peak is its pair's.
 
 Every timed section, and every pair of the tracemalloc pass, starts from an
 empty g_k_rho cache and an empty verify_prop_43 item cache.  Each row is
 stamped with the machine, Python, numpy and the kernel backend.
 
 Invoke as: python3 benchmarks/bench_prop43.py [--out BENCH.json --label NAME]
-With --out, the three rows are appended to the "rows" list of that JSON file.
+With --out, the four rows are appended to the "rows" list of that JSON file.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ SAMPLE_SEED = 0
 DENSE_ORDER = 60
 QUOTA = {"dense": 8, "sparse": 40}
 COMMUTING_PAIRS = 15117  # the commute count of bench_commutation.py's S5 sweep
-ABELIAN_ORDER = 256
+ABELIAN_ORDERS = (256, 1024)
 
 
 def _draw(items):
@@ -185,8 +186,8 @@ def _sweep_row(label: str, s5) -> dict:
     }
 
 
-def _abelian_row(label: str) -> dict:
-    g = cyclic_group(ABELIAN_ORDER)
+def _abelian_row(label: str, order: int) -> dict:
+    g = cyclic_group(order)
     full = full_subgroup(g)
     chi = max(character_group(full), key=lambda c: c.conductor)
     t = trivial_subgroup(g)
@@ -196,7 +197,7 @@ def _abelian_row(label: str) -> dict:
     pair_s = time.perf_counter() - t0
     return {
         **common.stamp(__file__, label),
-        "workload": f"c{ABELIAN_ORDER}-prop43-pair",
+        "workload": f"c{order}-prop43-pair",
         "conductor": chi.conductor,
         "pair_s": round(pair_s, 3),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
@@ -254,8 +255,10 @@ def main() -> None:
         "peak_pair_traced_kb": round(peak / 1024, 1),
         "report_sha256": digest.hexdigest(),
     }
-    # the C256 row last, so the process peak is its pair's
-    for row in (sample_row, _sweep_row(args.label, s5), _abelian_row(args.label)):
+    # the C1024 row last, so the process peak is its pair's
+    rows = [sample_row, _sweep_row(args.label, s5)]
+    rows += [_abelian_row(args.label, order) for order in ABELIAN_ORDERS]
+    for row in rows:
         print(json.dumps(row, indent=2))
         common.append(args.out, row)
 

@@ -48,6 +48,9 @@ RationalLike = Union[int, Fraction]
 
 # entries and bounds below this stay int64; headroom below 2**63 - 1
 INT64_LIMIT = 2**62
+# float64 holds every integer below this in size exactly, so integer sums
+# and products whose results stay below it are exact
+FLOAT64_EXACT = 2**53
 
 
 @lru_cache(maxsize=None)
@@ -103,13 +106,14 @@ class _FieldTables:
     def __init__(self, n: int):
         poly = cyclotomic_poly(n)
         d = len(poly) - 1
-        # multiplication by x: shift up one place, fold x^d back in
-        times_x = np.eye(d, k=1, dtype=np.int64)
-        times_x[-1] -= poly[:d]
+        low = np.array(poly[:d], dtype=np.int64)
         rows = np.zeros((max(n, 2 * d - 1), d), dtype=np.int64)
         rows[0, 0] = 1
+        # multiplication by x: shift up one place, fold x^d = -low back in
         for j in range(1, len(rows)):
-            rows[j] = rows[j - 1] @ times_x
+            prev = rows[j - 1]
+            rows[j, 1:] = prev[:-1]
+            rows[j] -= prev[-1] * low
         self.conductor = n
         self.degree = d
         self.pow_rows = _read_only(rows)
@@ -165,6 +169,22 @@ def _exact(bound: int, op, *arrays: np.ndarray) -> np.ndarray:
         arrays = tuple(a.astype(object) for a in arrays)
     out = op(*arrays)
     return out if out.dtype == np.int64 else pack(out)
+
+
+def _fold_exponents(counts: np.ndarray, n: int, bound: int) -> np.ndarray:
+    """The rows sum_j counts[i, j] zeta^j at conductor n: an (m, n) array of
+    integer counts, one column per exponent, folded into the power basis by
+    pow_rows[:n].
+
+    bound must bound the size of every partial sum of that product, as the
+    sum of the sizes of a row's counts times pow_max does.  Below 2**53 the
+    product runs in float64, where each partial sum is then an exact integer
+    whatever the summation order; at or past it under the _exact rule.
+    """
+    rows = field_tables(n).pow_rows[:n]
+    if bound < FLOAT64_EXACT:
+        return (counts.astype(np.float64) @ rows.astype(np.float64)).astype(np.int64)
+    return _exact(bound, np.matmul, counts, rows)
 
 
 def normalize(rows, den: int) -> tuple[np.ndarray, int]:

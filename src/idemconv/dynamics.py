@@ -32,6 +32,7 @@ from .groups import Subgroup, closure, normal_subgroups
 from .measures import (
     FloatMeasure,
     Measure,
+    _char_idem_product,
     char_idem,
     convolve,
     haar,
@@ -164,7 +165,10 @@ def idempotent_power_limit(
     character rho on L restricts to every rho_j, and zero otherwise; the
     exact prediction is checked against float power iteration, and the
     absorption identity nu * limit = limit is checked exactly; a failure of
-    either raises InvariantViolation.
+    either raises InvariantViolation.  nu is the product of the factors: the
+    first two, both character idempotents, are multiplied from exponent
+    counts, and every later factor and the absorption compare by the
+    convolution kernel.
     """
     if not factors:
         raise PreconditionError("need at least one factor")
@@ -178,8 +182,11 @@ def idempotent_power_limit(
     big = closure(parent, union)
     ext = find_extension(big, [rho for _, rho in factors])
 
-    nu = char_idem(*factors[0])
-    for k, rho in factors[1:]:
+    if len(factors) == 1:
+        nu = char_idem(*factors[0])
+    else:
+        nu = _char_idem_product(*factors[0], *factors[1])
+    for k, rho in factors[2:]:
         nu = convolve(nu, char_idem(k, rho))
 
     if ext is not None:

@@ -3,12 +3,13 @@
 N_{K,rho} and G_{K,rho} (the latter computed by two independent
 definitions and cross-checked), the projective family of translates
 delta_g * rho*m_K, local-unitary membership, the product-group
-verification of the two-idempotent case (Prop 4.3: one convolution of the
-two idempotents per pair, compared exactly with the product idempotent;
-every other product is a translate of that idempotent, so the forward test
-is a table of the product item and every reverse step rests on G_{K,rho}
-membership and one idempotence compare, each built once per distinct
-product item and cached with the item's idempotent and G_{K,rho}), and
+verification of the two-idempotent case (Prop 4.3: one product of the two
+idempotents per pair, from exponent counts rather than the convolution
+kernel, compared exactly with the product idempotent; every other product
+is a translate of that idempotent, so the forward test is a table of the
+product item and every reverse step rests on G_{K,rho} membership and one
+idempotence compare, each built once per distinct product item and cached
+with the item's idempotent and G_{K,rho}), and
 unitary elements of abelian group algebras (nu_u synthesis, skew
 exponentials).
 """
@@ -26,7 +27,7 @@ from .characters import Character, character_group
 from .commutation import classify_pair
 from .cyclo import (
     CycloScalar,
-    _exact,
+    _fold_exponents,
     conjugate_rows,
     field_tables,
     max_abs,
@@ -45,6 +46,7 @@ from .groups import (
 from .measures import (
     FloatMeasure,
     Measure,
+    _char_idem_product,
     adjoint,
     char_idem,
     convolve,
@@ -233,14 +235,12 @@ def _coset_unit_multiples(
 
     lead = prods[idx, s0[idx]]  # T(e)
     t = rho12._exponents[ks] // (parent.exponent // n)
-    # rot[k, j] is zeta^(j + t(k)), so lead @ rot[k] is T(e) zeta^t(k)
-    rot = tab.pow_rows[(np.arange(d) + t[:, None]) % n]
-    want = _exact(
-        d * max_abs(lead) * tab.pow_max,
-        lambda r, q: (r[:, None, None] @ q)[:, :, 0],
-        lead,
-        rot,
-    )
+    # T(e) zeta^t(k): coordinate j of T(e) moves to exponent j + t(k), and
+    # the d exponents of each row fold back into the power basis
+    spread = np.zeros((idx.size, ks.size, n), dtype=lead.dtype)
+    spread[:, np.arange(ks.size)[:, None], (np.arange(d) + t[:, None]) % n] = lead[:, None]
+    bound = d * max_abs(lead) * tab.pow_max
+    want = _fold_exponents(spread.reshape(-1, n), n, bound).reshape(idx.size, ks.size, d)
     multiple = (prods[idx[:, None], coset[idx]] == want).all(axis=(1, 2))
     norm = scale_rows(multiply_rows(lead, conjugate_rows(lead, n), n), k12.order**2)
     unit = (norm[:, 0] == den * den) & ~(norm[:, 1:] != 0).any(axis=1)
@@ -280,7 +280,8 @@ class _Item:
     """What verify_prop_43 reads of one (K, rho) item: omega = rho m_K and
     G_{K,rho}, built with the item.  Only a pair's product item (K1K2, rho12)
     reads coset_min, forward and idempotent, so each is built on its first
-    read."""
+    read; idempotent squares omega from exponent counts, not in the
+    convolution kernel."""
 
     def __init__(self, k: Subgroup, rho: Character):
         self.k = k
@@ -302,8 +303,9 @@ class _Item:
 
     @cached_property
     def idempotent(self) -> bool:
-        """omega * omega == omega, compared exactly: one kernel call."""
-        return convolve(self.omega, self.omega) == self.omega
+        """omega * omega == omega, compared exactly, the square from exponent
+        counts (_char_idem_product)."""
+        return _char_idem_product(self.k, self.rho, self.k, self.rho) == self.omega
 
 
 # keyed by value like g_k_rho's, with its bound: one entry per distinct
@@ -345,12 +347,14 @@ def verify_prop_43(
     G_{K2,rho2} means delta_{g2} commutes with rho2 m_K2, which g_k_rho
     proves, so c[g2] = (rho1 m_K1 * rho2 m_K2) * delta_{g2}.  For a
     commuting pair that one product is omega = rho m_{K1K2}, the structure
-    theorem classify_pair decides; the pair makes the convolution and
-    compares it with omega exactly, so c[g2] = omega * delta_{g2}.  Support
-    size, left-coset shape and being a unit multiple of a translate of omega
-    survive left translation, so each c[g2] is tested once, and g1 only
-    moves its translation part: from the coset s0 K1K2 to the coset
-    g1 s0 K1K2, read off as that coset's least element.  The test of
+    theorem classify_pair decides; the pair makes that product from
+    exponent counts (_char_idem_product, bit for bit the kernel's
+    convolution) and compares it with omega exactly, so c[g2] = omega *
+    delta_{g2}.  Support size, left-coset shape and being a unit multiple
+    of a translate of omega survive left translation, so each c[g2] is
+    tested once, and g1 only moves its translation part: from the coset
+    s0 K1K2 to the coset g1 s0 K1K2, read off as that coset's least
+    element.  The test of
     omega * delta_g depends on the product item alone, and is constant on
     the right coset K1K2 g (omega * delta_{kg} is a unit multiple of
     omega * delta_g on the same support), so the item tests one translate
@@ -374,8 +378,9 @@ def verify_prop_43(
     keyed by value like g_k_rho's, so it is built once per process however
     many pairs share the item: each item's rho m_K and G_{K,rho}, and for
     the product item (K1K2, rho) its coset minima, the forward table and
-    the idempotence compare.  A pair whose items are all cached makes one
-    kernel call, rho1 m_K1 * rho2 m_K2.
+    the idempotence compare, whose square is also made from exponent
+    counts.  A pair whose items are all cached makes one product, rho1 m_K1
+    * rho2 m_K2, and no kernel call.
     """
     verdict = classify_pair(k1, rho1, k2, rho2)
     if verdict.kind != "commute":
@@ -398,7 +403,7 @@ def verify_prop_43(
     span = closure(parent, h1.elements + h2.elements)
     # rho1 m_K1 * rho2 m_K2 is omega = rho m_K1K2 for a commuting pair, and
     # every pair block is a translate of it
-    if convolve(item1.omega, item2.omega) != item12.omega:
+    if _char_idem_product(k1, rho1, k2, rho2) != item12.omega:
         raise InvariantViolation(
             "pair block does not collapse to a translate of rho m_K1K2"
         )

@@ -24,6 +24,7 @@ from . import _kernel
 from .characters import Character
 from .cyclo import (
     CycloScalar,
+    _fold_exponents,
     add_rows,
     conjugate_rows,
     field_tables,
@@ -259,6 +260,32 @@ def _monomial_rows(parent: GroupTable, exps: np.ndarray, n: int) -> np.ndarray:
     of parent.exponent // n, and -1 // step is -1, the zero row of roots.
     On a character's _exponents these are the numerators of its char_idem."""
     return field_tables(n).roots[exps // (parent.exponent // n)]
+
+
+def _char_idem_product(k1: Subgroup, rho1: Character, k2: Subgroup, rho2: Character) -> Measure:
+    """rho1 m_K1 * rho2 m_K2 from exponent counts, for characters rho_j of
+    K_j: equal, conductor (the lcm), rows and denominator, to
+    convolve(char_idem(k1, rho1), char_idem(k2, rho2)).
+
+    The product at x is the sum over k1 k2 = x of zeta^(t1(k1) + t2(k2)) /
+    (|K1| |K2|), with t_j the exponents of rho_j at the lcm conductor n.  So
+    one bincount over the |K1| x |K2| pairs counts each (k1 k2, exponent mod
+    n), and _fold_exponents turns the n exponent columns into the power
+    basis.  At most min(|K1|, |K2|) pairs share a target, so no count, and
+    no sum of n of them times pow_max, passes min(|K1|, |K2|) * n * pow_max.
+    """
+    parent = k1.parent
+    if k2.parent is not parent:
+        raise MismatchedParents(f"measures live on {parent.name} and {k2.parent.name}")
+    n = lcm(rho1.conductor, rho2.conductor)
+    step = parent.exponent // n
+    ks1, ks2 = k1.elements_np, k2.elements_np
+    t1 = rho1._exponents[ks1] // step
+    t2 = rho2._exponents[ks2] // step
+    keys = parent.mul_np[ks1[:, None], ks2] * n + (t1[:, None] + t2) % n
+    counts = np.bincount(keys.ravel(), minlength=parent.order * n).reshape(parent.order, n)
+    bound = min(ks1.size, ks2.size) * n * field_tables(n).pow_max
+    return Measure._build(parent, n, _fold_exponents(counts, n, bound), ks1.size * ks2.size)
 
 
 def _convolve_rows(parent: GroupTable, n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:

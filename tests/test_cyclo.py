@@ -5,6 +5,7 @@ import importlib
 import pkgutil
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -12,8 +13,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 import idemconv
-from idemconv import CycloScalar
-from idemconv.cyclo import multiply_rows, pack
+from idemconv import CycloScalar, cyclo
+from idemconv.cyclo import (
+    INT64_LIMIT,
+    _fold_exponents,
+    cyclotomic_poly,
+    field_tables,
+    max_abs,
+    multiply_rows,
+    pack,
+)
 
 
 fractions = st.fractions(
@@ -233,6 +242,81 @@ def test_multiply_rows_by_a_stack_matches_row_by_row():
         assert (multiply_rows(rows, stack, n) == want).all()
         wide = multiply_rows(rows.astype(object) * BIG, stack, n)
         assert wide.dtype == object and (wide == want.astype(object) * BIG).all()
+
+
+def _divmod_poly(num, den):
+    """Long division of Python-int polynomials, ascending, by a monic den."""
+    num = list(num)
+    d = len(den) - 1
+    quo = [0] * max(1, len(num) - d)
+    terms = [(i, p) for i, p in enumerate(den) if p]
+    for top in range(len(num) - 1, d - 1, -1):
+        c = num[top]
+        if c:
+            quo[top - d] = c
+            for i, p in terms:
+                num[top - d + i] -= c * p
+    return quo, (num + [0] * d)[:d]
+
+
+@lru_cache(maxsize=None)
+def _phi(n):
+    """Phi_n as x^n - 1 divided by Phi_m for every proper divisor m of n."""
+    num = [-1] + [0] * (n - 1) + [1]
+    for m in range(1, n):
+        if n % m == 0:
+            num, rest = _divmod_poly(num, _phi(m))
+            assert not any(rest)
+    return tuple(num)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 60, 105, 256, 1024])
+def test_pow_rows_are_powers_of_x_mod_phi(n):
+    # pow_rows[j] is x^j mod Phi_n, here by long division with Python ints
+    phi = _phi(n)
+    assert cyclotomic_poly(n) == phi
+    if n == 105:
+        assert min(phi) == -2
+    rows = field_tables(n).pow_rows
+    assert rows.dtype == np.int64
+    assert rows.tolist() == [_divmod_poly([0] * j + [1], phi)[1] for j in range(len(rows))]
+
+
+def _fold_reference(counts, n):
+    rows = field_tables(n).pow_rows[:n].tolist()
+    return [[sum(c * r[k] for c, r in zip(row, rows)) for k in range(len(rows[0]))] for row in counts]
+
+
+@pytest.mark.parametrize("n", [12, 105])
+@pytest.mark.parametrize("tier", ["float64", "int64", "object"])
+def test_fold_exponents_is_exact_in_each_tier(n, tier, monkeypatch):
+    # counts of size up to c make the bound n * c * pow_max: below 2**53 the
+    # fold runs in float64, then on int64 and past 2**62 on Python ints;
+    # each tier must give the Python-int sums, packed
+    pow_max = field_tables(n).pow_max
+    limit = {"float64": 2**53, "int64": INT64_LIMIT, "object": 2**80}[tier]
+    c = (limit - 1) // (n * pow_max)
+    rng = random.Random(n)
+    counts = [[c] * n, [-c] * n] + [[rng.randint(-c, c) for _ in range(n)] for _ in range(6)]
+    counts = pack(counts)
+    bound = n * max_abs(counts) * pow_max
+    assert bound < limit and bound >= {"float64": 0, "int64": 2**53, "object": INT64_LIMIT}[tier]
+    ran = []
+    real = cyclo._exact
+
+    def spy(bound, op, *arrays):
+        def observed(*operands):
+            ran.append(operands[0].dtype)
+            return op(*operands)
+
+        return real(bound, observed, *arrays)
+
+    monkeypatch.setattr(cyclo, "_exact", spy)
+    got = _fold_exponents(counts, n, bound)
+    want = _fold_reference(counts.tolist(), n)
+    assert got.tolist() == want
+    assert got.dtype == pack(want).dtype
+    assert ran == {"float64": [], "int64": [np.dtype(np.int64)], "object": [np.dtype(object)]}[tier]
 
 
 def test_library_doctests():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from idemconv import _kernel, measure_groups
+from idemconv import _kernel, cyclo, measure_groups, measures
 from idemconv import (
     CycloScalar,
     Measure,
@@ -437,63 +437,82 @@ def _term_products(monkeypatch):
     return counts
 
 
+def _exponent_products(monkeypatch):
+    """The factors of every exponent-count product verify_prop_43 makes."""
+    calls = []
+    real = measure_groups._char_idem_product
+
+    def spy(k1, rho1, k2, rho2):
+        calls.append((k1, rho1, k2, rho2))
+        return real(k1, rho1, k2, rho2)
+
+    monkeypatch.setattr(measure_groups, "_char_idem_product", spy)
+    return calls
+
+
 @pytest.fixture
 def clear_items():
     """Empties verify_prop_43's per-item cache now, and on each call, so a
-    test's kernel-call counts do not depend on the items earlier tests left
+    test's product counts do not depend on the items earlier tests left
     cached in the session-scoped groups."""
     _item.cache_clear()
     return _item.cache_clear
 
 
-def _cold_and_repeat_terms(monkeypatch, clear_items, pair):
-    """The term products of verify_prop_43 on pair from an empty item cache,
-    then of the same pair again, and the two reports."""
+def _cold_and_repeat_calls(monkeypatch, clear_items, pair):
+    """The kernel term products and the exponent-count products of
+    verify_prop_43 on pair from an empty item cache, then of the same pair
+    again, and the two reports."""
     clear_items()
     out = []
     for _ in range(2):
         with monkeypatch.context() as m:
             terms = _term_products(m)
+            products = _exponent_products(m)
             rep = verify_prop_43(*pair)
-        out.append((terms, rep))
+        out.append((terms, products, rep))
     return out
 
 
 def test_prop_43_matches_reference_dense_s5(s5, monkeypatch, clear_items):
     # A5 (trivial) with <(12)> (sign): K1K2 = S5, G_{A5,1} = S5, so every
-    # product is an n = 120 convolution with a dense first factor
+    # product has a dense first factor
     a5 = closure(s5, [s5.idx("(123)"), s5.idx("(12345)")])
     k2 = closure(s5, [s5.idx("(12)")])
     sign = next(c for c in character_group(k2) if not c.is_trivial)
     pair = (a5, trivial_char(a5), k2, sign)
-    (cold, rep), (warm, again) = _cold_and_repeat_terms(monkeypatch, clear_items, pair)
-    # cold: the one product rho1 m_K1 * rho2 m_K2, then the square
-    # omega * omega; a repeat reads the idempotence compare from the item
-    # cache.
-    # d = 1 at conductors 1 and 2
-    assert (len(cold), len(warm)) == (2, 1)
-    assert warm == cold[:1]
-    assert max(cold) <= s5.order**2
+    (cold, products, rep), (warm, warm_products, again) = _cold_and_repeat_calls(
+        monkeypatch, clear_items, pair
+    )
+    # no kernel call: cold, the one product rho1 m_K1 * rho2 m_K2, then the
+    # square omega * omega, both from exponent counts; a repeat reads the
+    # idempotence compare from the item cache
+    assert (cold, warm) == ([], [])
+    assert products == [pair, (rep.k12, rep.rho12) * 2]
+    assert warm_products == products[:1]
     assert rep.k12.order == 120
     assert rep.forward_pairs == 120 * g_k_rho(k2, sign).order
     assert rep == again == _reference_prop_43(*pair)
 
 
-def test_prop_43_makes_two_kernel_calls(d4, s5, monkeypatch, clear_items):
-    # the forward step reads every product off one convolution and the
-    # reverse step every search step off one square, whatever |G_{K2,rho2}|:
-    # m_A5 with itself has 120 translates and 14,400 realized products.  The
-    # square is made once per product item, so a repeat makes one call
+def test_prop_43_makes_no_kernel_calls(d4, s5, monkeypatch, clear_items):
+    # the forward step reads every product off one product and the reverse
+    # step every search step off one square, whatever |G_{K2,rho2}|: m_A5
+    # with itself has 120 translates and 14,400 realized products.  Both come
+    # from exponent counts, not the kernel, and the square is made once per
+    # product item, so a repeat makes one product
     a5 = closure(s5, [s5.idx("(123)"), s5.idx("(12345)")])
     one = trivial_char(a5)
     pairs = [(a5, one, a5, one)] + random.Random(45).sample(_commuting_pairs(d4), 20)
     calls, reps = [], []
     for pair in pairs:
-        (cold, rep), (warm, again) = _cold_and_repeat_terms(monkeypatch, clear_items, pair)
-        calls.append((len(cold), len(warm)))
+        (cold, products, rep), (warm, warm_products, again) = _cold_and_repeat_calls(
+            monkeypatch, clear_items, pair
+        )
+        calls.append((len(cold), len(warm), len(products), len(warm_products)))
         assert rep == again
         reps.append(rep)
-    assert calls == [(2, 1)] * len(pairs)
+    assert calls == [(0, 0, 2, 1)] * len(pairs)
     rep = reps[0]
     assert (rep.forward_pairs, rep.forward_realized, rep.reverse_realized) == (14400, 14400, 120)
 
@@ -507,22 +526,26 @@ def test_prop_43_matches_reference_c3_a5_s5(s5):
     assert verify_prop_43(*pair) == _reference_prop_43(*pair)
 
 
-def test_prop_43_matches_reference_object_scatter(
-    s4, monkeypatch, scatter_dtypes, clear_items
-):
-    # under FORCE_PURE every scatter, the forward products and the squares
-    # included, runs on Python ints; the reports must not change.  From an
-    # empty item cache there is one product per pair and one square per
-    # distinct product item
+def test_prop_43_matches_reference_object_fold(s4, monkeypatch, clear_items):
+    # with every exponent fold's bound raised to 2**62, each fold (the
+    # products, the squares and the forward tables' rotations) runs on
+    # Python ints (test_cyclo's tier test); the reports must not change
     pairs = random.Random(44).sample(_commuting_pairs(s4), 12)
     want = [_reference_prop_43(*pair) for pair in pairs]
     clear_items()
-    monkeypatch.setattr(_kernel, "FORCE_PURE", True)
-    del scatter_dtypes[:]
+    folds = []
+    real = cyclo._fold_exponents
+
+    def wide(counts, n, bound):
+        folds.append(n)
+        return real(counts, n, max(bound, cyclo.INT64_LIMIT))
+
+    monkeypatch.setattr(measures, "_fold_exponents", wide)
+    monkeypatch.setattr(measure_groups, "_fold_exponents", wide)
     assert [verify_prop_43(*pair) for pair in pairs] == want
+    # one product per pair; per distinct product item a square and a table
     products = {(rep.k12, rep.rho12) for rep in want}
-    assert len(scatter_dtypes) == len(pairs) + len(products)
-    assert set(scatter_dtypes) == {np.dtype(object)}
+    assert len(folds) == len(pairs) + 2 * len(products)
 
 
 def test_prop_43_item_cache_is_keyed_by_group_object():
@@ -792,26 +815,27 @@ def _corrupted_prop_43(patch, message):
     )
 
 
-def _corrupted_convolve(square: bool) -> str:
-    """Code for _corrupted_prop_43: mg.convolve doubles the last support row
-    of the square omega * omega (square) or of every other product."""
+def _corrupted_product(square: bool) -> str:
+    """Code for _corrupted_prop_43: mg._char_idem_product doubles the last
+    support row of the square omega * omega (square) or of every other
+    product."""
     return (
-        "real = mg.convolve\n"
-        "def corrupted(a, b):\n"
-        "    m = real(a, b)\n"
-        f"    if (a is b) != {square}:\n"
+        "real = mg._char_idem_product\n"
+        "def corrupted(k1, rho1, k2, rho2):\n"
+        "    m = real(k1, rho1, k2, rho2)\n"
+        f"    if (k1 is k2 and rho1 is rho2) != {square}:\n"
         "        return m\n"
         "    rows = m.rows.copy()\n"
         "    rows[m.support()[-1]] *= 2\n"
         "    return mg.Measure._build(m.parent, m.conductor, rows, m.den)\n"
-        "mg.convolve = corrupted\n"
+        "mg._char_idem_product = corrupted\n"
     )
 
 
 def test_reverse_checks_survive_optimize(run_optimized):
     # one corrupted row in the one product rho1 m_K1 * rho2 m_K2, of which
     # every pair block is a translate, must fail the pair-block collapse
-    run_optimized(_corrupted_prop_43(_corrupted_convolve(square=False), "pair block"))
+    run_optimized(_corrupted_prop_43(_corrupted_product(square=False), "pair block"))
 
 
 def test_pair_block_containment_survives_optimize(run_optimized):
@@ -854,4 +878,4 @@ def test_reverse_square_check_survives_optimize(run_optimized):
     # one corrupted row in the square omega * omega alone, of which every
     # step of the realization search is made, must fail the scalar-1
     # realization
-    run_optimized(_corrupted_prop_43(_corrupted_convolve(square=True), "reverse realization"))
+    run_optimized(_corrupted_prop_43(_corrupted_product(square=True), "reverse realization"))

@@ -1,7 +1,8 @@
 """Exact measures: convolution, adjoints, idempotent classification."""
 
+import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from idemconv import (
     CycloScalar,
     Measure,
     adjoint,
+    all_subgroups,
     char_idem,
     character_group,
     classify_idempotent,
@@ -26,7 +28,12 @@ from idemconv import (
     tv_norm,
 )
 from idemconv.errors import MismatchedParents
-from idemconv.measures import is_probability, measure_from_jsonable, measure_to_jsonable
+from idemconv.measures import (
+    _char_idem_product,
+    is_probability,
+    measure_from_jsonable,
+    measure_to_jsonable,
+)
 
 
 @pytest.fixture(scope="module")
@@ -328,3 +335,54 @@ def test_int64_sums_past_the_bound_stay_exact(c4):
     assert total.rows.dtype == object
     # and back below 2**62 the dtype returns to int64
     assert (total - total.scale(Fraction(1, 2))).scale(Fraction(1, 2**61)).rows.dtype == np.int64
+
+
+def _items(g):
+    return [(k, chi) for k in all_subgroups(g) for chi in character_group(k)]
+
+
+@pytest.mark.parametrize("name", ["s5", "d4", "q8", "g18"])
+def test_exponent_product_matches_convolve(name, request):
+    # rho1 m_K1 * rho2 m_K2 from exponent counts equals the kernel's
+    # convolution bit for bit (conductor, rows, dtype, den), in both orders,
+    # zero products included
+    items = _items(request.getfixturevalue(name))
+    rng = random.Random(32)
+    zeros = 0
+    for _ in range(150):
+        p, q = rng.choice(items), rng.choice(items)
+        for a, b in ((p, q), (q, p)):
+            got = _char_idem_product(*a, *b)
+            assert _identical(got, convolve(char_idem(*a), char_idem(*b)))
+            zeros += got.is_zero()
+    assert zeros
+
+
+@pytest.mark.parametrize("order", [128, 256])
+def test_exponent_product_matches_convolve_at_large_conductor(order):
+    # cyclic subgroups of C128 and C256, each with a faithful character, and
+    # products of lcm conductor 64 or more; a product is zero when the
+    # characters differ on the intersection
+    g = cyclic_group(order)
+    faithful = {}
+    for k in all_subgroups(g):
+        chars = sorted(character_group(k), key=lambda c: c.exps)
+        faithful[k.order] = (k, [c for c in chars if c.conductor == k.order][:2])
+    zeros = 0
+    for m1, m2 in ((order // 2, 2), (order // 2, 4), (64, 8), (64, order // 8)):
+        (k1, chars1), (k2, chars2) = faithful[m1], faithful[m2]
+        for rho1 in chars1:
+            for rho2 in chars2:
+                assert lcm(rho1.conductor, rho2.conductor) >= 64
+                for a, b in (((k1, rho1), (k2, rho2)), ((k2, rho2), (k1, rho1))):
+                    got = _char_idem_product(*a, *b)
+                    assert _identical(got, convolve(char_idem(*a), char_idem(*b)))
+                    zeros += got.is_zero()
+    assert zeros
+
+
+def test_exponent_product_rejects_mismatched_parents(s3, d4):
+    a = full_subgroup(s3)
+    b = full_subgroup(d4)
+    with pytest.raises(MismatchedParents):
+        _char_idem_product(a, character_group(a)[0], b, character_group(b)[0])
