@@ -20,9 +20,12 @@ distinct (K, rho) items among the 3 x 15,117 G_{K,rho} the pairs need, so
 the share of repeats that a cache of g_k_rho can serve is on record, and the
 squares omega * omega and forward tables the sweep built beside the
 distinct product items (K1K2, rho12): verify_prop_43 builds both once per
-product item, the square for its idempotence compare.  The script raises
-unless the sweep covers 15,117 pairs and builds one square and one forward
-table per distinct product item.  The objects alive when the clock starts
+product item, the square for its idempotence compare.  It also counts the
+distinct (G_{K1,rho1}, G_{K2,rho2}, G_{K1K2,rho}) triples, 1,714, and the
+H1, H2 and <H1 H2> the sweep built, which verify_prop_43 builds once per
+triple.  The script raises unless the sweep covers 15,117 pairs and builds
+one square and one forward table per distinct product item and one span
+per distinct triple.  The objects alive when the clock starts
 (the groups, the items and the pair list) are moved out of the garbage
 collector's reach with gc.freeze(), so a full collection during the sweep
 scans only what the sweep allocates and the slowest pair is a pair, not a
@@ -32,11 +35,13 @@ The third and fourth rows time one pair on a large abelian group: the full
 C256, then the full C1024, with a character of the largest conductor, and
 the trivial item.  The product item is the full group, so G_{K1K2,rho} is
 the whole group and the square omega * omega is a dense product at degree
-128, then 512.  Each row reports the wall time and the process's peak RSS.
-The C1024 row runs last, so that peak is its pair's.
+128, then 512.  Each row reports the wall time, the process's peak RSS
+once the groups and characters are built and just before the pair starts
+(setup_rss_mb), and after the pair (peak_rss_mb).  The C1024 row runs last,
+so that peak is its pair's; most of it is setup (the 1,024 characters).
 
 Every timed section, and every pair of the tracemalloc pass, starts from an
-empty g_k_rho cache and an empty verify_prop_43 item cache.  Each row is
+empty g_k_rho cache and empty verify_prop_43 item and span caches.  Each row is
 stamped with the machine, Python, numpy and the kernel backend.
 
 Invoke as: python3 benchmarks/bench_prop43.py [--out BENCH.json --label NAME]
@@ -95,6 +100,7 @@ def _draw(items):
 def _clear_caches() -> None:
     g_k_rho.cache_clear()
     mg._item.cache_clear()
+    mg._span.cache_clear()
 
 
 class _Counted:
@@ -107,6 +113,11 @@ class _Counted:
     def __call__(self, *args):
         self.calls += 1
         return self.fn(*args)
+
+
+def _peak_rss_mb() -> float:
+    """The process's peak RSS so far, in MB."""
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
 def _key(rep) -> str:
@@ -163,11 +174,20 @@ def _sweep_row(label: str, s5) -> dict:
     finally:
         gc.unfreeze()
         idempotent.func, mg._forward_table = squares.fn, tables.fn
+    peak_rss_mb = _peak_rss_mb()
+    spans = mg._span.cache_info().misses
+    # the triples are counted after the peak is read, from g_k_rho cache hits
+    gamma = {item: g_k_rho(*item) for item in distinct}
+    triples = {
+        (gamma[pair[:2]], gamma[pair[2:]], gamma[product]) for pair, product in pairs
+    }
     for name, built in (("squares", squares.calls), ("forward tables", tables.calls)):
         if built != len(products):
             raise RuntimeError(
                 f"the sweep built {built} {name} for {len(products)} product items"
             )
+    if spans != len(triples):
+        raise RuntimeError(f"the sweep built {spans} spans for {len(triples)} triples")
     return {
         **common.stamp(__file__, label),
         "workload": "s5-prop43-full-sweep",
@@ -181,7 +201,9 @@ def _sweep_row(label: str, s5) -> dict:
         "squares": squares.calls,
         "forward_tables": tables.calls,
         "product_distinct_items": len(products),
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "spans": spans,
+        "gamma_distinct_triples": len(triples),
+        "peak_rss_mb": peak_rss_mb,
         "report_sha256": digest.hexdigest(),
     }
 
@@ -191,16 +213,19 @@ def _abelian_row(label: str, order: int) -> dict:
     full = full_subgroup(g)
     chi = max(character_group(full), key=lambda c: c.conductor)
     t = trivial_subgroup(g)
+    rho = character_group(t)[0]
     _clear_caches()
+    setup_rss_mb = _peak_rss_mb()
     t0 = time.perf_counter()
-    rep = verify_prop_43(full, chi, t, character_group(t)[0])
+    rep = verify_prop_43(full, chi, t, rho)
     pair_s = time.perf_counter() - t0
     return {
         **common.stamp(__file__, label),
         "workload": f"c{order}-prop43-pair",
         "conductor": chi.conductor,
         "pair_s": round(pair_s, 3),
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "setup_rss_mb": setup_rss_mb,
+        "peak_rss_mb": _peak_rss_mb(),
         "report": _key(rep),
     }
 

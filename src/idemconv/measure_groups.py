@@ -9,7 +9,8 @@ kernel, compared exactly with the product idempotent; every other product
 is a translate of that idempotent, so the forward test is a table of the
 product item and every reverse step rests on G_{K,rho} membership and one
 idempotence compare, each built once per distinct product item and cached
-with the item's idempotent and G_{K,rho}), and
+with the item's idempotent and G_{K,rho}; H1, H2 and <H1 H2> are built once
+per distinct triple of the three G_{K,rho}), and
 unitary elements of abelian group algebras (nu_u synthesis, skew
 exponentials).
 """
@@ -281,7 +282,8 @@ class _Item:
     G_{K,rho}, built with the item.  Only a pair's product item (K1K2, rho12)
     reads coset_min, forward and idempotent, so each is built on its first
     read; idempotent squares omega from exponent counts, not in the
-    convolution kernel."""
+    convolution kernel.  What depends on the pair's three items together,
+    through their G_{K,rho} alone, is cached per triple by _span."""
 
     def __init__(self, k: Subgroup, rho: Character):
         self.k = k
@@ -313,6 +315,27 @@ class _Item:
 @lru_cache(maxsize=2048)
 def _item(k: Subgroup, rho: Character) -> _Item:
     return _Item(k, rho)
+
+
+# keyed by value like _item's, with its bound: one entry per distinct
+# (G_{K1,rho1}, G_{K2,rho2}, G_{K1K2,rho}) triple, 1,714 over every
+# commuting S5 pair
+@lru_cache(maxsize=2048)
+def _span(
+    big1: Subgroup, big2: Subgroup, g_prod: Subgroup
+) -> tuple[Subgroup, Subgroup, Subgroup, bool]:
+    """H1 = G_{K1,rho1} ∩ G_{K1K2,rho}, H2 likewise, <H1 H2>, and whether the
+    pair-block indices x1 x2 (x_j in H_j) include H1 and H2, so that the
+    search steps from e reach all of <H1 H2>."""
+    parent = g_prod.parent
+    h1 = intersection(big1, g_prod)
+    h2 = intersection(big2, g_prod)
+    span = closure(parent, h1.elements + h2.elements)
+    blocks = np.unique(parent.mul_np[h1.elements_np[:, None], h2.elements_np])
+    in_blocks = np.zeros(parent.order, dtype=bool)
+    in_blocks[blocks] = True
+    reaches = bool(in_blocks[h1.elements_np].all() and in_blocks[h2.elements_np].all())
+    return h1, h2, span, reaches
 
 
 @dataclass(frozen=True)
@@ -379,8 +402,11 @@ def verify_prop_43(
     many pairs share the item: each item's rho m_K and G_{K,rho}, and for
     the product item (K1K2, rho) its coset minima, the forward table and
     the idempotence compare, whose square is also made from exponent
-    counts.  A pair whose items are all cached makes one product, rho1 m_K1
-    * rho2 m_K2, and no kernel call.
+    counts.  Everything that depends on the triple (G_{K1,rho1},
+    G_{K2,rho2}, G_{K1K2,rho}) alone, H1, H2, <H1 H2> and the reach of the
+    block indices, is read from a second such cache (_span), built once per
+    distinct triple.  A pair whose items and triple are all cached makes
+    one product, rho1 m_K1 * rho2 m_K2, and no kernel call.
     """
     verdict = classify_pair(k1, rho1, k2, rho2)
     if verdict.kind != "commute":
@@ -389,8 +415,7 @@ def verify_prop_43(
         )
     k12 = verdict.product_subgroup
     rho12 = verdict.product_character
-    parent = k1.parent
-    mul_np = parent.mul_np
+    mul_np = k1.parent.mul_np
 
     item1 = _item(k1, rho1)
     item2 = _item(k2, rho2)
@@ -398,9 +423,7 @@ def verify_prop_43(
     big1 = item1.gamma
     big2 = item2.gamma
     g_prod = item12.gamma
-    h1 = intersection(big1, g_prod)
-    h2 = intersection(big2, g_prod)
-    span = closure(parent, h1.elements + h2.elements)
+    h1, h2, span, reaches = _span(big1, big2, g_prod)
     # rho1 m_K1 * rho2 m_K2 is omega = rho m_K1K2 for a commuting pair, and
     # every pair block is a translate of it
     if _char_idem_product(k1, rho1, k2, rho2) != item12.omega:
@@ -421,14 +444,11 @@ def verify_prop_43(
             "forward inclusion fails: product lands outside <H1 H2>"
         )
     # reverse: omega * omega = omega decides every search step
-    blocks = np.unique(mul_np[h1.elements_np[:, None], h2.elements_np])
     if not item12.idempotent:
         raise InvariantViolation(
             "reverse realization produced a non-unit scalar"
         )
-    in_blocks = np.zeros(parent.order, dtype=bool)
-    in_blocks[blocks] = True
-    if not (in_blocks[h1.elements_np].all() and in_blocks[h2.elements_np].all()):
+    if not reaches:
         raise InvariantViolation("pair blocks fail to reach all of <H1 H2>")
 
     return Prop43Report(

@@ -45,6 +45,7 @@ from idemconv.measure_groups import (
     _coset_unit_multiples,
     _item,
     _right_translates,
+    _span,
     exp_char_diagonal,
     unit_multiple,
 )
@@ -567,6 +568,54 @@ def test_prop_43_item_cache_stays_under_its_bound_over_the_suite():
     _item.cache_clear()
     run_suite()
     info = _item.cache_info()
+    assert 0 < info.currsize < info.maxsize
+
+
+def test_prop_43_span_cache_is_keyed_by_group_object():
+    # as for _item: equal-looking triples of two S4 instances are two
+    # entries, each built in its own group, and a repeat is a hit
+    before = _span.cache_info()
+    groups = (symmetric_group(4), symmetric_group(4))
+    triples = []
+    for g in groups:
+        k = closure(g, [g.idx("(12)")])
+        big = g_k_rho(k, trivial_char(k))
+        triples.append((big, big, full_subgroup(g)))
+    first = [_span(*triple) for triple in triples]
+    assert [span.parent for _, _, span, _ in first] == list(groups)
+    assert first[0][2].elements == first[1][2].elements
+    assert first[0][2] != first[1][2]
+    assert all(_span(*triple) is got for triple, got in zip(triples, first))
+    after = _span.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (2, 2)
+
+
+@pytest.mark.parametrize("name", ["d4", "s4"])
+def test_prop_43_span_cache_matches_a_fresh_build(name, request):
+    # over every commuting pair, the cached H1, H2 and <H1 H2> equal an
+    # intersection and closure made from scratch, and the cache builds once
+    # per distinct (G_{K1,rho1}, G_{K2,rho2}, G_{K1K2,rho}) triple
+    pairs = _commuting_pairs(request.getfixturevalue(name))
+    _span.cache_clear()
+    triples = set()
+    for pair in pairs:
+        rep = verify_prop_43(*pair)
+        big1, big2 = g_k_rho(*pair[:2]), g_k_rho(*pair[2:])
+        triples.add((big1, big2, rep.gamma_group))
+        h1 = intersection(big1, rep.gamma_group)
+        h2 = intersection(big2, rep.gamma_group)
+        assert (rep.h1, rep.h2) == (h1, h2)
+        assert rep.span == closure(h1.parent, h1.elements + h2.elements)
+        assert rep.reverse_realized == rep.span.order
+    info = _span.cache_info()
+    assert info.misses == info.currsize == len(triples)
+    assert info.hits == len(pairs) - len(triples) > 0
+
+
+def test_prop_43_span_cache_stays_under_its_bound_over_the_suite():
+    _span.cache_clear()
+    run_suite()
+    info = _span.cache_info()
     assert 0 < info.currsize < info.maxsize
 
 
