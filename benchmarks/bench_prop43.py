@@ -23,9 +23,11 @@ distinct product items (K1K2, rho12): verify_prop_43 builds both once per
 product item, the square for its idempotence compare.  It also counts the
 distinct (G_{K1,rho1}, G_{K2,rho2}, G_{K1K2,rho}) triples, 1,714, and the
 H1, H2 and <H1 H2> the sweep built, which verify_prop_43 builds once per
-triple.  The script raises unless the sweep covers 15,117 pairs and builds
-one square and one forward table per distinct product item and one span
-per distinct triple.  The objects alive when the clock starts
+triple, and the pairs where verify_prop_43's one pass over the product's
+terms failed and it called classify_pair to name why.  The script raises
+unless the sweep covers 15,117 pairs, builds one square and one forward
+table per distinct product item and one span per distinct triple, and
+calls classify_pair on none of its pairs.  The objects alive when the clock starts
 (the groups, the items and the pair list) are moved out of the garbage
 collector's reach with gc.freeze(), so a full collection during the sweep
 scans only what the sweep allocates and the slowest pair is a pair, not a
@@ -35,10 +37,12 @@ The third and fourth rows time one pair on a large abelian group: the full
 C256, then the full C1024, with a character of the largest conductor, and
 the trivial item.  The product item is the full group, so G_{K1K2,rho} is
 the whole group and the square omega * omega is a dense product at degree
-128, then 512.  Each row reports the wall time, the process's peak RSS
-once the groups and characters are built and just before the pair starts
-(setup_rss_mb), and after the pair (peak_rss_mb).  The C1024 row runs last,
-so that peak is its pair's; most of it is setup (the 1,024 characters).
+128, then 512.  Each row runs in a fresh interpreter of its own, so the
+process's peak RSS describes that row alone and not the heap the other
+rows left.  Each reports the wall time, that peak once the group and
+characters are built and just before the pair starts (setup_rss_mb), and
+after the pair (peak_rss_mb); most of the C1024 peak is setup (the 1,024
+characters).
 
 Every timed section, and every pair of the tracemalloc pass, starts from an
 empty g_k_rho cache and empty verify_prop_43 item and span caches.  Each row is
@@ -53,10 +57,12 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import multiprocessing
 import random
 import resource
 import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import common
 import idemconv.measure_groups as mg
@@ -158,7 +164,9 @@ def _sweep_row(label: str, s5) -> dict:
     idempotent = mg._Item.__dict__["idempotent"]
     squares = _Counted(idempotent.func)
     tables = _Counted(mg._forward_table)
+    fallbacks = _Counted(mg.classify_pair)
     idempotent.func, mg._forward_table = squares, tables
+    mg.classify_pair = fallbacks
     gc.freeze()
     try:
         _clear_caches()
@@ -174,6 +182,7 @@ def _sweep_row(label: str, s5) -> dict:
     finally:
         gc.unfreeze()
         idempotent.func, mg._forward_table = squares.fn, tables.fn
+        mg.classify_pair = fallbacks.fn
     peak_rss_mb = _peak_rss_mb()
     spans = mg._span.cache_info().misses
     # the triples are counted after the peak is read, from g_k_rho cache hits
@@ -188,6 +197,10 @@ def _sweep_row(label: str, s5) -> dict:
             )
     if spans != len(triples):
         raise RuntimeError(f"the sweep built {spans} spans for {len(triples)} triples")
+    if fallbacks.calls:
+        raise RuntimeError(
+            f"the sweep called classify_pair on {fallbacks.calls} of {len(pairs)} pairs"
+        )
     return {
         **common.stamp(__file__, label),
         "workload": "s5-prop43-full-sweep",
@@ -203,6 +216,7 @@ def _sweep_row(label: str, s5) -> dict:
         "product_distinct_items": len(products),
         "spans": spans,
         "gamma_distinct_triples": len(triples),
+        "classify_pair_fallbacks": fallbacks.calls,
         "peak_rss_mb": peak_rss_mb,
         "report_sha256": digest.hexdigest(),
     }
@@ -228,6 +242,18 @@ def _abelian_row(label: str, order: int) -> dict:
         "peak_rss_mb": _peak_rss_mb(),
         "report": _key(rep),
     }
+
+
+def _in_fresh_process(fn, *args):
+    """fn(*args) in a new process, whose peak RSS is fn's alone.
+
+    The process is forked from a fork server: a child that a process
+    spawns directly starts with that process's peak RSS as its own, since
+    Linux keeps the peak across fork and exec.
+    """
+    server = multiprocessing.get_context("forkserver")
+    with ProcessPoolExecutor(1, mp_context=server) as pool:
+        return pool.submit(fn, *args).result()
 
 
 def main() -> None:
@@ -280,9 +306,8 @@ def main() -> None:
         "peak_pair_traced_kb": round(peak / 1024, 1),
         "report_sha256": digest.hexdigest(),
     }
-    # the C1024 row last, so the process peak is its pair's
     rows = [sample_row, _sweep_row(args.label, s5)]
-    rows += [_abelian_row(args.label, order) for order in ABELIAN_ORDERS]
+    rows += [_in_fresh_process(_abelian_row, args.label, order) for order in ABELIAN_ORDERS]
     for row in rows:
         print(json.dumps(row, indent=2))
         common.append(args.out, row)

@@ -13,7 +13,8 @@ So each product is one integer exponent modulo the parent's exponent per
 element of its support, and the two products are compared as integer
 vectors.  A verdict keeps those exponents and builds the product measures
 only when they are read.  When they agree, _commuting proves the product
-characters against the generators of K1 and K2, one stacked compare, and
+characters against the generators of K1 and K2, one stacked compare
+(_proves_characters, which verify_prop_43's product step shares), and
 runs the full Character check only to name a failure.
 
 classify_row decides every pair of characters of K1 against each block
@@ -149,30 +150,41 @@ def _decide(
 
 
 
+def _proves_characters(
+    k1: Subgroup, k2: Subgroup, rows: np.ndarray, support: np.ndarray
+) -> bool:
+    """Whether every row of exponents t, each with the support K1K2 (-1 off
+    it), is proven a character of a subgroup against S = span(K1) | span(K2).
+
+    K1K2 lies inside <S>.  If t[e] = 0 and t[x s] = (t[x] + t[s]) mod e for
+    every x in the support and s in S (-1 off the support never matches),
+    the support is closed under right multiplication by S, so it is <S> =
+    K12, a subgroup, and t is a character of it: one stacked compare proves
+    every row exactly.
+    """
+    parent = k1.parent
+    span = np.concatenate([k1._span, k2._span])
+    # (rows, |K1K2|, |S|) entries, |S| <= log2|K1| + log2|K2|
+    moved = rows[:, parent.mul_np[support[:, None], span]]
+    return not rows[:, parent.identity].any() and bool(
+        (moved == (rows[:, support, None] + rows[:, None, span]) % parent.exponent).all()
+    )
+
+
 def _commuting(k1: Subgroup, k2: Subgroup, rows: np.ndarray) -> tuple[Subgroup, list[Character]]:
     """K12 and the product characters of agreeing products, one per row of
-    exponents t (-1 off K1K2), proven against S = span(K1) | span(K2).
+    exponents t (-1 off K1K2), proven by _proves_characters.
 
-    The support of every row is K1K2, inside <S>.  If t[e] = 0 and
-    t[x s] = (t[x] + t[s]) mod e for every x in the support and s in S
-    (-1 off the support never matches), the support is closed under right
-    multiplication by S, so it is <S> = K12, a subgroup, and t is a
-    character of it: one stacked compare proves every row exactly.  Equal
-    products make a nonzero idempotent of norm <= 1, which is rho m_K for a
-    subgroup K and a character rho (Greenleaf), so a row the proof rejects
-    is an InvariantViolation: Character(...) runs on it only to name the
-    failure, and if it passes, the disagreement is the violation.
+    Equal products make a nonzero idempotent of norm <= 1, which is rho m_K
+    for a subgroup K and a character rho (Greenleaf), so a row the proof
+    rejects is an InvariantViolation: Character(...) runs on it only to name
+    the failure, and if it passes, the disagreement is the violation.
     """
     parent = k1.parent
     support = np.flatnonzero(rows[0] >= 0)
     k12 = Subgroup(parent, tuple(support.tolist()), k1.generators + k2.generators)
     exps = rows[:, support].tolist()
-    span = np.concatenate([k1._span, k2._span])
-    # (rows, |K1K2|, |S|) entries, |S| <= log2|K1| + log2|K2|
-    moved = rows[:, parent.mul_np[support[:, None], span]]
-    if not rows[:, parent.identity].any() and (
-        moved == (rows[:, support, None] + rows[:, None, span]) % parent.exponent
-    ).all():
+    if _proves_characters(k1, k2, rows, support):
         return k12, [Character._unchecked(k12, tuple(t)) for t in exps]
     try:
         for t in exps:

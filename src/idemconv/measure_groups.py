@@ -3,16 +3,24 @@
 N_{K,rho} and G_{K,rho} (the latter computed by two independent
 definitions and cross-checked), the projective family of translates
 delta_g * rho*m_K, local-unitary membership, the product-group
-verification of the two-idempotent case (Prop 4.3: one product of the two
-idempotents per pair, from exponent counts rather than the convolution
-kernel, compared exactly with the product idempotent; every other product
-is a translate of that idempotent, so the forward test is a table of the
-product item and every reverse step rests on G_{K,rho} membership and one
-idempotence compare, each built once per distinct product item and cached
-with the item's idempotent and G_{K,rho}; H1, H2 and <H1 H2> are built once
-per distinct triple of the three G_{K,rho}), and
-unitary elements of abelian group algebras (nu_u synthesis, skew
-exponentials).
+verification of the two-idempotent case, and unitary elements of abelian
+group algebras (nu_u synthesis, skew exponentials).
+
+Prop 4.3 decides its pair in one pass over the terms of rho1 m_K1 *
+rho2 m_K2 (_product_item): one scatter of each term's exponent at k1 k2
+and one gather back.  Every x in K1K2 has exactly |K1 meet K2|
+factorisations, so when each term reads back its own exponent t(x) the
+product is zeta^t(x) / |K1K2| on K1K2.  The generator proof that
+classify_pair runs (_proves_characters) then makes K1K2 a subgroup K12 and
+t a character rho12, and the product is omega = rho12 m_K12, which is
+self-adjoint; the reverse product is the adjoint of this one, so the pair
+commutes with no second product.  classify_pair runs only to name a pair
+the pass rejects.  Every other product is a translate of omega, so the
+forward test is a table of the product item and every reverse step rests
+on G_{K,rho} membership and one idempotence compare, the square made from
+exponent counts; each is built once per distinct product item and cached
+with the item's idempotent and G_{K,rho}.  H1, H2 and <H1 H2> are built
+once per distinct triple of the three G_{K,rho}.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from typing import Mapping, Optional, Union
 import numpy as np
 
 from .characters import Character, character_group
-from .commutation import classify_pair
+from .commutation import _proves_characters, _require, classify_pair
 from .cyclo import (
     CycloScalar,
     _fold_exponents,
@@ -338,6 +346,39 @@ def _span(
     return h1, h2, span, reaches
 
 
+def _product_item(
+    k1: Subgroup, rho1: Character, k2: Subgroup, rho2: Character
+) -> Optional[tuple[Subgroup, Character]]:
+    """The product item (K12, rho12) with rho1 m_K1 * rho2 m_K2 = rho12 m_K12,
+    read off that product in one pass, or None where the pass cannot show it.
+
+    Each term a b of the product (a in K1, b in K2) carries the exponent
+    s = t1(a) + t2(b); one scatter writes s at a b, and one gather reads it
+    back.  Every x in K1K2 has exactly |K1 meet K2| factorisations, so when
+    every term reads back its own s, the product is exactly zeta^t(x) /
+    |K1K2| on K1K2 and 0 off it.  If _proves_characters then proves t, K1K2
+    is a subgroup K12, t is a character rho12 of it, and the product is
+    rho12 m_K12.  That product is its own adjoint, and the adjoint of
+    rho1 m_K1 * rho2 m_K2 is rho2 m_K2 * rho1 m_K1 (each factor is
+    self-adjoint), so the pair commutes.  K12, its generators and rho12's
+    exponents are those classify_pair builds.
+    """
+    _require(k1, (rho1,), k2, (rho2,))
+    parent = k1.parent
+    a, b = k1.elements_np, k2.elements_np
+    idx = parent.mul_np[a[:, None], b]
+    s = (rho1._exponents[a][:, None] + rho2._exponents[b]) % parent.exponent
+    t = np.full(parent.order, -1, dtype=np.int64)
+    t[idx] = s
+    if not (t[idx] == s).all():
+        return None
+    support = np.flatnonzero(t >= 0)
+    if not _proves_characters(k1, k2, t[None], support):
+        return None
+    k12 = Subgroup(parent, tuple(support.tolist()), k1.generators + k2.generators)
+    return k12, Character._unchecked(k12, tuple(t[support].tolist()))
+
+
 @dataclass(frozen=True)
 class Prop43Report:
     k12: Subgroup
@@ -364,57 +405,65 @@ def verify_prop_43(
     every element of <H1 H2> is realized by such a product with scalar
     exactly 1.  Also reports whether <H1 H2> is proper in G_{K1K2,rho}.
 
+    The pair is decided by one pass over the terms of rho1 m_K1 *
+    rho2 m_K2 (_product_item): each x in K1K2 has exactly |K1 meet K2|
+    factorisations x = a b, so when every term's exponent t1(a) + t2(b)
+    reads back the same t(x) the product is zeta^t(x) / |K1K2| on K1K2, and when
+    the generator proof (_proves_characters) holds K1K2 is a subgroup K12,
+    t a character rho12 and the product omega = rho12 m_K12.  omega is
+    self-adjoint and the reverse product is the adjoint of this one, so the
+    pair commutes.  When either test fails, classify_pair runs only to name
+    why: a zero_product or non_commuting verdict is a PreconditionError, a
+    commute verdict an InvariantViolation.
+
     Left translation is a row permutation and delta_g * (a * b) =
     (delta_g * a) * b, so the product for (g1, g2) is, bit for bit, the
     g1-translate of c[g2] = rho1 m_K1 * delta_{g2} * rho2 m_K2.  And g2 in
     G_{K2,rho2} means delta_{g2} commutes with rho2 m_K2, which g_k_rho
-    proves, so c[g2] = (rho1 m_K1 * rho2 m_K2) * delta_{g2}.  For a
-    commuting pair that one product is omega = rho m_{K1K2}, the structure
-    theorem classify_pair decides; the pair makes that product from
-    exponent counts (_char_idem_product, bit for bit the kernel's
-    convolution) and compares it with omega exactly, so c[g2] = omega *
-    delta_{g2}.  Support size, left-coset shape and being a unit multiple
-    of a translate of omega survive left translation, so each c[g2] is
-    tested once, and g1 only moves its translation part: from the coset
-    s0 K1K2 to the coset g1 s0 K1K2, read off as that coset's least
-    element.  The test of
-    omega * delta_g depends on the product item alone, and is constant on
-    the right coset K1K2 g (omega * delta_{kg} is a unit multiple of
-    omega * delta_g on the same support), so the item tests one translate
-    per right coset, in array passes (_coset_unit_multiples), and keeps
-    (s0, hit) for every g (_forward_table); the pair reads it at G_{K2,rho2}.
+    proves, so c[g2] = omega * delta_{g2}.  Support size, left-coset shape
+    and being a unit multiple of a translate of omega survive left
+    translation, so each c[g2] is tested once, and g1 only moves its
+    translation part: from the coset s0 K1K2 to the coset g1 s0 K1K2, read
+    off as that coset's least element.  The test of omega * delta_g
+    depends on the product item alone, and is constant on the right coset
+    K1K2 g (omega * delta_{kg} is a unit multiple of omega * delta_g on the
+    same support), so the item tests one translate per right coset, in
+    array passes (_coset_unit_multiples), and keeps (s0, hit) for every g
+    (_forward_table); the pair reads it at G_{K2,rho2}.
 
     Reverse: each x2 in H2 lies in G_{K2,rho2} and in G_{K1K2,rho}, so
     c[x2] = omega * delta_x2 = delta_x2 * omega, and the pair block
-    delta_x1 * c[x2] is delta_{x1 x2} * omega: the compare of the product
-    with omega decides every block.  Each block index b = x1 x2 lies in
-    G_{K1K2,rho}, so omega * block_b = (omega * omega) * delta_b, and the
-    search step from g by b, delta_g * (omega * omega) * delta_b, is
-    delta_{g b} * omega exactly when omega * omega = omega: one exact compare
-    decides every step.  The steps from e reach the subgroup the b generate,
-    which is <H1 H2> exactly when H1 and H2 lie among the b: the b = x1 x2
-    lie in <H1 H2>, and include H1 and H2 by construction (x2 = e and
-    x1 = e), so one mask check decides the reach, and reverse_realized is
-    |<H1 H2>|.
+    delta_x1 * c[x2] is delta_{x1 x2} * omega.  Each block index b = x1 x2
+    lies in G_{K1K2,rho}, so omega * block_b = (omega * omega) * delta_b,
+    and the search step from g by b, delta_g * (omega * omega) * delta_b,
+    is delta_{g b} * omega exactly when omega * omega = omega: one exact
+    compare decides every step.  The steps from e reach the subgroup the b
+    generate, which is <H1 H2> exactly when H1 and H2 lie among the b: the
+    b = x1 x2 lie in <H1 H2>, and include H1 and H2 by construction
+    (x2 = e and x1 = e), so one mask check decides the reach, and
+    reverse_realized is |<H1 H2>|.
 
     Everything that depends on one (K, rho) item alone is read from a cache
     keyed by value like g_k_rho's, so it is built once per process however
     many pairs share the item: each item's rho m_K and G_{K,rho}, and for
     the product item (K1K2, rho) its coset minima, the forward table and
-    the idempotence compare, whose square is also made from exponent
-    counts.  Everything that depends on the triple (G_{K1,rho1},
-    G_{K2,rho2}, G_{K1K2,rho}) alone, H1, H2, <H1 H2> and the reach of the
-    block indices, is read from a second such cache (_span), built once per
+    the idempotence compare, whose square is made from exponent counts.
+    Everything that depends on the triple (G_{K1,rho1}, G_{K2,rho2},
+    G_{K1K2,rho}) alone, H1, H2, <H1 H2> and the reach of the block
+    indices, is read from a second such cache (_span), built once per
     distinct triple.  A pair whose items and triple are all cached makes
-    one product, rho1 m_K1 * rho2 m_K2, and no kernel call.
+    no product of measures and no kernel call.
     """
-    verdict = classify_pair(k1, rho1, k2, rho2)
-    if verdict.kind != "commute":
-        raise PreconditionError(
-            f"pair does not satisfy the commuting case (got {verdict.kind})"
+    product = _product_item(k1, rho1, k2, rho2)
+    if product is None:
+        # classify_pair only names why the pass failed
+        kind = classify_pair(k1, rho1, k2, rho2).kind
+        if kind != "commute":
+            raise PreconditionError(f"pair does not satisfy the commuting case (got {kind})")
+        raise InvariantViolation(
+            "pair block does not collapse to a translate of rho m_K1K2"
         )
-    k12 = verdict.product_subgroup
-    rho12 = verdict.product_character
+    k12, rho12 = product
     mul_np = k1.parent.mul_np
 
     item1 = _item(k1, rho1)
@@ -424,12 +473,6 @@ def verify_prop_43(
     big2 = item2.gamma
     g_prod = item12.gamma
     h1, h2, span, reaches = _span(big1, big2, g_prod)
-    # rho1 m_K1 * rho2 m_K2 is omega = rho m_K1K2 for a commuting pair, and
-    # every pair block is a translate of it
-    if _char_idem_product(k1, rho1, k2, rho2) != item12.omega:
-        raise InvariantViolation(
-            "pair block does not collapse to a translate of rho m_K1K2"
-        )
 
     # forward: conditional inclusion over all Gamma generator pairs, from the
     # item's table at g2 in G_{K2,rho2}; the g1-translate of c[g2] lies on

@@ -44,6 +44,7 @@ from idemconv.measure_groups import (
     Prop43Report,
     _coset_unit_multiples,
     _item,
+    _product_item,
     _right_translates,
     _span,
     exp_char_diagonal,
@@ -422,6 +423,52 @@ def test_prop_43_matches_reference_g18():
     assert rep == _reference_prop_43(k1, rho1, k2, rho2)
 
 
+def _pairs_of_every_kind(name, request):
+    """Every ordered pair of items of D4 or Q8; on S5 a seeded sample of
+    pairs drawn at random, with commuting pairs added."""
+    g = request.getfixturevalue(name)
+    items = _items(g)
+    if name != "s5":
+        return [a + b for a in items for b in items]
+    rng = random.Random(34)
+    drawn = [items[rng.randrange(len(items))] + items[rng.randrange(len(items))] for _ in range(240)]
+    return drawn + _sample_commuting_pairs(g, 12, 34)
+
+
+@pytest.mark.parametrize("name", ["d4", "q8", "s5"])
+def test_product_step_matches_classify_pair(name, request):
+    # the product step gives classify_pair's K12 (elements and generators)
+    # and rho12 on every commute verdict and rejects every other pair, and
+    # verify_prop_43 names the other pairs' kind as classify_pair does
+    kinds = set()
+    for pair in _pairs_of_every_kind(name, request):
+        v = classify_pair(*pair)
+        kinds.add(v.kind)
+        got = _product_item(*pair)
+        if v.kind == "commute":
+            k12, rho12 = got
+            assert (k12.elements, k12.generators) == (
+                v.product_subgroup.elements,
+                v.product_subgroup.generators,
+            )
+            assert rho12.exps == v.product_character.exps
+            continue
+        assert got is None
+        with pytest.raises(PreconditionError, match=f"got {v.kind}"):
+            verify_prop_43(*pair)
+    assert kinds == {"commute", "zero_product", "non_commuting"}
+
+
+def test_product_step_right_product_is_the_adjoint(d4):
+    # the step makes the left product alone and takes the right one as its
+    # adjoint; made independently, rho2 m_K2 * rho1 m_K1 is omega too
+    pairs = _commuting_pairs(d4)
+    assert pairs
+    for k1, rho1, k2, rho2 in pairs:
+        k12, rho12 = _product_item(k1, rho1, k2, rho2)
+        assert measures._char_idem_product(k2, rho2, k1, rho1) == _item(k12, rho12).omega
+
+
 def _term_products(monkeypatch):
     """The term products of every convolve_exact call: nonzero rows of each
     side times d^2, as the kernel forms them."""
@@ -485,23 +532,23 @@ def test_prop_43_matches_reference_dense_s5(s5, monkeypatch, clear_items):
     (cold, products, rep), (warm, warm_products, again) = _cold_and_repeat_calls(
         monkeypatch, clear_items, pair
     )
-    # no kernel call: cold, the one product rho1 m_K1 * rho2 m_K2, then the
-    # square omega * omega, both from exponent counts; a repeat reads the
-    # idempotence compare from the item cache
+    # no kernel call: cold, the square omega * omega from exponent counts,
+    # and no product rho1 m_K1 * rho2 m_K2, which the product step reads off
+    # its terms; a repeat reads the idempotence compare from the item cache
     assert (cold, warm) == ([], [])
-    assert products == [pair, (rep.k12, rep.rho12) * 2]
-    assert warm_products == products[:1]
+    assert products == [(rep.k12, rep.rho12) * 2]
+    assert warm_products == []
     assert rep.k12.order == 120
     assert rep.forward_pairs == 120 * g_k_rho(k2, sign).order
     assert rep == again == _reference_prop_43(*pair)
 
 
 def test_prop_43_makes_no_kernel_calls(d4, s5, monkeypatch, clear_items):
-    # the forward step reads every product off one product and the reverse
-    # step every search step off one square, whatever |G_{K2,rho2}|: m_A5
-    # with itself has 120 translates and 14,400 realized products.  Both come
-    # from exponent counts, not the kernel, and the square is made once per
-    # product item, so a repeat makes one product
+    # the forward step reads every product off omega and the reverse step
+    # every search step off one square, whatever |G_{K2,rho2}|: m_A5 with
+    # itself has 120 translates and 14,400 realized products.  The square
+    # comes from exponent counts, not the kernel, once per product item, and
+    # the pair's own product is read off its terms, so a repeat makes none
     a5 = closure(s5, [s5.idx("(123)"), s5.idx("(12345)")])
     one = trivial_char(a5)
     pairs = [(a5, one, a5, one)] + random.Random(45).sample(_commuting_pairs(d4), 20)
@@ -513,7 +560,7 @@ def test_prop_43_makes_no_kernel_calls(d4, s5, monkeypatch, clear_items):
         calls.append((len(cold), len(warm), len(products), len(warm_products)))
         assert rep == again
         reps.append(rep)
-    assert calls == [(0, 0, 2, 1)] * len(pairs)
+    assert calls == [(0, 0, 1, 0)] * len(pairs)
     rep = reps[0]
     assert (rep.forward_pairs, rep.forward_realized, rep.reverse_realized) == (14400, 14400, 120)
 
@@ -529,8 +576,8 @@ def test_prop_43_matches_reference_c3_a5_s5(s5):
 
 def test_prop_43_matches_reference_object_fold(s4, monkeypatch, clear_items):
     # with every exponent fold's bound raised to 2**62, each fold (the
-    # products, the squares and the forward tables' rotations) runs on
-    # Python ints (test_cyclo's tier test); the reports must not change
+    # squares and the forward tables' rotations) runs on Python ints
+    # (test_cyclo's tier test); the reports must not change
     pairs = random.Random(44).sample(_commuting_pairs(s4), 12)
     want = [_reference_prop_43(*pair) for pair in pairs]
     clear_items()
@@ -544,9 +591,9 @@ def test_prop_43_matches_reference_object_fold(s4, monkeypatch, clear_items):
     monkeypatch.setattr(measures, "_fold_exponents", wide)
     monkeypatch.setattr(measure_groups, "_fold_exponents", wide)
     assert [verify_prop_43(*pair) for pair in pairs] == want
-    # one product per pair; per distinct product item a square and a table
+    # no fold per pair; per distinct product item a square and a table
     products = {(rep.k12, rep.rho12) for rep in want}
-    assert len(folds) == len(pairs) + 2 * len(products)
+    assert len(folds) == 2 * len(products)
 
 
 def test_prop_43_item_cache_is_keyed_by_group_object():
@@ -864,15 +911,14 @@ def _corrupted_prop_43(patch, message):
     )
 
 
-def _corrupted_product(square: bool) -> str:
+def _corrupted_square() -> str:
     """Code for _corrupted_prop_43: mg._char_idem_product doubles the last
-    support row of the square omega * omega (square) or of every other
-    product."""
+    support row of the square omega * omega."""
     return (
         "real = mg._char_idem_product\n"
         "def corrupted(k1, rho1, k2, rho2):\n"
         "    m = real(k1, rho1, k2, rho2)\n"
-        f"    if (k1 is k2 and rho1 is rho2) != {square}:\n"
+        "    if not (k1 is k2 and rho1 is rho2):\n"
         "        return m\n"
         "    rows = m.rows.copy()\n"
         "    rows[m.support()[-1]] *= 2\n"
@@ -882,9 +928,20 @@ def _corrupted_product(square: bool) -> str:
 
 
 def test_reverse_checks_survive_optimize(run_optimized):
-    # one corrupted row in the one product rho1 m_K1 * rho2 m_K2, of which
-    # every pair block is a translate, must fail the pair-block collapse
-    run_optimized(_corrupted_prop_43(_corrupted_product(square=False), "pair block"))
+    # one term of rho1 m_K1 * rho2 m_K2 with a corrupted exponent, seen by
+    # the product step alone: the product no longer collapses, classify_pair
+    # still says commute, and the pair-block collapse must fail
+    run_optimized(
+        _corrupted_prop_43(
+            "real = mg._product_item\n"
+            "def corrupted(k1, rho1, k2, rho2):\n"
+            "    exps = list(rho1.exps)\n"
+            "    exps[-1] = (exps[-1] + 1) % k1.parent.exponent\n"
+            "    return real(k1, mg.Character._unchecked(k1, tuple(exps)), k2, rho2)\n"
+            "mg._product_item = corrupted\n",
+            "pair block",
+        )
+    )
 
 
 def test_pair_block_containment_survives_optimize(run_optimized):
@@ -927,4 +984,4 @@ def test_reverse_square_check_survives_optimize(run_optimized):
     # one corrupted row in the square omega * omega alone, of which every
     # step of the realization search is made, must fail the scalar-1
     # realization
-    run_optimized(_corrupted_prop_43(_corrupted_product(square=True), "reverse realization"))
+    run_optimized(_corrupted_prop_43(_corrupted_square(), "reverse realization"))
