@@ -5,32 +5,33 @@ have zero product, commute, or fail to commute.  The closed form is the
 structure theorem for finite groups: if rho1 and rho2 differ somewhere on
 K1 meet K2 the product is 0; otherwise
 
-    (rho1 m_K1) * (rho2 m_K2) = 1/|K1K2| * sum over x = ab in K1K2 of rho1(a) rho2(b) delta_x,
+    (rho1 m_K1) * (rho2 m_K2) = 1/|K1K2| * sum over x = ab in K1K2 of rho1(a) rho2(b) delta_x.
 
-and the value does not depend on the factorisation ab = x chosen (two
-choices differ by an element of K1 meet K2, where the characters agree).
-So each product is one integer exponent modulo the parent's exponent per
-element of its support, and the two products are compared as integer
-vectors.  A verdict keeps those exponents and builds the product measures
-only when they are read.  When they agree, _commuting proves the product
-characters against the generators of K1 and K2, one stacked compare
-(_proves_characters, which verify_prop_43's product step shares), and
-runs the full Character check only to name a failure.
+One scatter decides both (_left_scatter): each term ab writes its exponent
+t1(a) + t2(b), modulo the parent's exponent, at x = ab and reads x back.
+Two factorisations of x differ by some c in K1 meet K2, ab = (ac)(c^-1 b),
+and their exponents by t1(c) - t2(c), so every term reads back its own
+value exactly when rho1 = rho2 on K1 meet K2 (c = ce = ec), and the row
+then holds the left product's exponents.  A second scatter gives the
+right product, and the two are compared as integer vectors; a verdict
+keeps them and builds the product measures only when they are read.  When
+they agree, _commuting proves the product characters against the
+generators of K1 and K2 (_proves_characters, which verify_prop_43's
+product step shares with the scatter), and runs the full Character check
+only to name a failure.
 
 classify_row decides every pair of characters of K1 against each block
 (K2, characters of K2) of a row, one array pass per block: the characters'
 exponents are stacked, so one compare on K1 meet K2 finds every zero
 product and one scatter through the multiplication table gives every pair
 of products; classify_block is a row of one block.  classify_pair keeps
-the per-pair form, which is faster than a block of one pair: it reads the
-subgroups' cached elements_np and the meet mask, and one argmax finds the
-witness.  Both forms prove product characters through the same
-_commuting.  Nothing is convolved unless verify=True, which cross-checks
-the verdicts of a whole row against brute-force convolution, one stacked
-kernel call per side for each conductor of the row's blocks; the test
-suite, the oracle fixture and semidirect_counterexample switch it on,
-through classify_pair(verify=True), a row of one 1x1 block, or
-classify_row.
+the per-pair form, which is faster than a block of one pair.  Both forms
+prove product characters through the same _commuting.  Nothing is
+convolved unless verify=True (the tests, the oracle fixture and
+semidirect_counterexample), which cross-checks the verdicts of a whole
+row against brute-force convolution, one stacked kernel call per side for
+each conductor of the row's blocks; classify_pair(verify=True) checks a
+row of one 1x1 block.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ class CommutationVerdict:
     products differ.  left/right are the products, bit-identical to
     convolve: for "non_commuting" always, for the other kinds only under
     verify.  They are built on first read from _products, which holds
-    (parent, conductor, denominator, exps): exps[0] and exps[1] are the
-    exponents of the left and right products, -1 off their support.
+    (parent, conductor, exps): exps[0] and exps[1] are the exponents of the
+    left and right products, -1 off their support.
     """
 
     kind: str
@@ -95,9 +96,10 @@ class CommutationVerdict:
     def _product(self, side: int) -> Optional[Measure]:
         if self._products is None:
             return None
-        parent, n, den, exps = self._products
-        # the row at the identity, exponent 0, is (1, 0, ..., 0), so rows over
-        # den are in lowest terms
+        parent, n, exps = self._products
+        # over den = |K1K2|, the support (1 for a zero product), the row at the
+        # identity, exponent 0, is (1, 0, ..., 0), so rows are in lowest terms
+        den = np.count_nonzero(exps[side] >= 0) or 1
         return Measure(parent, n, _monomial_rows(parent, exps[side], n), den)
 
 
@@ -105,11 +107,26 @@ def _require(
     k1: Subgroup, chars1: Sequence[Character], k2: Subgroup, chars2: Sequence[Character]
 ) -> None:
     # identity first: Subgroup.__eq__ compares element tuples
-    if any(rho.domain is not k1 and rho.domain != k1 for rho in chars1):
-        raise PreconditionError("rho1 is not a character of K1")
-    if any(rho.domain is not k2 and rho.domain != k2 for rho in chars2):
-        raise PreconditionError("rho2 is not a character of K2")
-    _require_same_parent(k1, k2)
+    for i, k, chars in ((1, k1, chars1), (2, k2, chars2)):
+        for rho in chars:
+            if rho.domain is not k and rho.domain != k:
+                raise PreconditionError(f"rho{i} is not a character of K{i}")
+    if k1.parent is not k2.parent:
+        _require_same_parent(k1, k2)
+
+
+def _left_scatter(
+    k1: Subgroup, rho1: Character, k2: Subgroup, rho2: Character, row: np.ndarray
+) -> Optional[np.ndarray]:
+    """Scatter s = t1(a) + t2(b) mod e of each term ab of rho1 m_K1 * rho2 m_K2
+    into row at ab and read it back: s, (|K1|, |K2|), if every term reads its
+    own value, else None, the zero product (module docstring)."""
+    parent = k1.parent
+    a, b = k1.elements_np, k2.elements_np
+    idx = parent.mul_np[a[:, None], b]
+    s = (rho1._exponents[a][:, None] + rho2._exponents[b]) % parent.exponent
+    row[idx] = s
+    return None if np.count_nonzero(row[idx] != s) else s
 
 
 def _decide(
@@ -118,36 +135,24 @@ def _decide(
     """The closed-form verdict on one pair.  Non-commuting verdicts keep
     their products; keep=True keeps them for every kind."""
     parent = k1.parent
-    t1, t2 = rho1._exponents, rho2._exponents
-    a, b = k1.elements_np, k2.elements_np
-    ta, tb, t2a = t1[a], t2[b], t2[a]
     n = lcm(rho1.conductor, rho2.conductor)
-
-    meet = t2a >= 0  # K1 meet K2, as a mask over K1
-    if (meet & (t2a != ta)).any():
+    # the exponent of rho1(a) rho2(b) at x = ab (left) and at x = ba
+    # (right), -1 off the product set
+    exps = np.full((2, parent.order), -1, dtype=np.int64)
+    s = _left_scatter(k1, rho1, k2, rho2, exps[0])
+    if s is None:
         if not keep:
             return CommutationVerdict("zero_product")
-        zero = np.full((2, parent.order), -1, dtype=np.int64)
-        return CommutationVerdict("zero_product", _products=(parent, n, 1, zero))
-
-    # the exponent of rho1(a) rho2(b) at x = ab (left) and at x = ba (right),
-    # -1 off the product set; agreement on K1 meet K2 makes every
-    # factorisation of x write the same value
-    s = (ta[:, None] + tb) % parent.exponent
-    exps = np.full((2, parent.order), -1, dtype=np.int64)
-    exps[0, parent.mul_np[a[:, None], b]] = s
-    exps[1, parent.mul_np[b[:, None], a]] = s.T
+        exps[0] = -1  # the read-back wrote the left row
+        return CommutationVerdict("zero_product", _products=(parent, n, exps))
+    exps[1, parent.mul_np[k2.elements_np[:, None], k1.elements_np]] = s.T
     differs = exps[0] != exps[1]
     witness = int(differs.argmax())
-    # |K1K2| = |K1||K2| / |K1 meet K2|, the support of either product
-    products = (parent, n, k1.order * k2.order // int(meet.sum()), exps)
-
+    products = (parent, n, exps)
     if not differs[witness]:
         k12, (rho12,) = _commuting(k1, k2, exps[:1])
         return CommutationVerdict("commute", k12, rho12, _products=products if keep else None)
-
     return CommutationVerdict("non_commuting", witness=witness, _products=products)
-
 
 
 def _proves_characters(
@@ -166,8 +171,8 @@ def _proves_characters(
     span = np.concatenate([k1._span, k2._span])
     # (rows, |K1K2|, |S|) entries, |S| <= log2|K1| + log2|K2|
     moved = rows[:, parent.mul_np[support[:, None], span]]
-    return not rows[:, parent.identity].any() and bool(
-        (moved == (rows[:, support, None] + rows[:, None, span]) % parent.exponent).all()
+    return not np.count_nonzero(rows[:, parent.identity]) and not np.count_nonzero(
+        moved != (rows[:, support, None] + rows[:, None, span]) % parent.exponent
     )
 
 
@@ -239,8 +244,6 @@ def _decide_block(
     if commute.any():
         k12, rhos12 = _commuting(k1, k2, exps[commute, 0])
         rhos12 = iter(rhos12)
-    # |K1K2| = |K1||K2| / |K1 meet K2|, the support of either product
-    den = k1.order * k2.order // meet.size
     # the exponents of two zero products, shared by the block's zero verdicts
     zeros = np.full((2, parent.order), -1, dtype=np.int64)
     zeros.flags.writeable = False
@@ -253,10 +256,10 @@ def _decide_block(
         for n2, z in zip(conductors2, row_zero):
             n = lcm(n1, n2)
             if z:
-                products = (parent, n, 1, zeros) if keep else None
+                products = (parent, n, zeros) if keep else None
                 row.append(CommutationVerdict("zero_product", _products=products))
                 continue
-            products = (parent, n, den, exps[p])
+            products = (parent, n, exps[p])
             if not commute[p]:
                 v = CommutationVerdict("non_commuting", witness=witness[p], _products=products)
             else:
@@ -368,7 +371,7 @@ def _check_run(
 
     # verdict [i, c] of the run: row i of chars1, column c of chars2
     flat = [v for i in range(m1) for block in verdicts for v in block[i]]
-    exps = np.stack([v._products[3] for v in flat]).reshape(m1, m2, 2, order)
+    exps = np.stack([v._products[2] for v in flat]).reshape(m1, m2, 2, order)
     closed = _monomial_rows(parent, exps, n)
     closed *= meet[:, None, None, None]
     wrong = ((left != closed[:, :, 0]) | (right != closed[:, :, 1])).any(axis=(2, 3)).ravel()

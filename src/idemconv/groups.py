@@ -299,6 +299,11 @@ class Subgroup:
         return self.parent is other.parent and self.elements == other.elements
 
     def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the subgroup is frozen, so its element tuple is hashed once
         return hash((id(self.parent), self.elements))
 
     @cached_property

@@ -7,10 +7,10 @@ verification of the two-idempotent case, and unitary elements of abelian
 group algebras (nu_u synthesis, skew exponentials).
 
 Prop 4.3 decides its pair in one pass over the terms of rho1 m_K1 *
-rho2 m_K2 (_product_item): one scatter of each term's exponent at k1 k2
-and one gather back.  Every x in K1K2 has exactly |K1 meet K2|
-factorisations, so when each term reads back its own exponent t(x) the
-product is zeta^t(x) / |K1K2| on K1K2.  The generator proof that
+rho2 m_K2 (_product_item): classify_pair's scatter of each term's exponent
+at k1 k2 and read-back (_left_scatter).  Every x in K1K2 has exactly
+|K1 meet K2| factorisations, so when each term reads back its own exponent
+t(x) the product is zeta^t(x) / |K1K2| on K1K2.  The generator proof that
 classify_pair runs (_proves_characters) then makes K1K2 a subgroup K12 and
 t a character rho12, and the product is omega = rho12 m_K12, which is
 self-adjoint; the reverse product is the adjoint of this one, so the pair
@@ -33,7 +33,7 @@ from typing import Mapping, Optional, Union
 import numpy as np
 
 from .characters import Character, character_group
-from .commutation import _proves_characters, _require, classify_pair
+from .commutation import _left_scatter, _proves_characters, _require, classify_pair
 from .cyclo import (
     CycloScalar,
     _fold_exponents,
@@ -353,24 +353,20 @@ def _product_item(
     read off that product in one pass, or None where the pass cannot show it.
 
     Each term a b of the product (a in K1, b in K2) carries the exponent
-    s = t1(a) + t2(b); one scatter writes s at a b, and one gather reads it
-    back.  Every x in K1K2 has exactly |K1 meet K2| factorisations, so when
-    every term reads back its own s, the product is exactly zeta^t(x) /
-    |K1K2| on K1K2 and 0 off it.  If _proves_characters then proves t, K1K2
-    is a subgroup K12, t is a character rho12 of it, and the product is
-    rho12 m_K12.  That product is its own adjoint, and the adjoint of
-    rho1 m_K1 * rho2 m_K2 is rho2 m_K2 * rho1 m_K1 (each factor is
-    self-adjoint), so the pair commutes.  K12, its generators and rho12's
-    exponents are those classify_pair builds.
+    s = t1(a) + t2(b); classify_pair's scatter (commutation._left_scatter)
+    writes s at a b and reads it back.  Every x in K1K2 has exactly
+    |K1 meet K2| factorisations, so when every term reads back its own s,
+    the product is exactly zeta^t(x) / |K1K2| on K1K2 and 0 off it.  If _proves_characters then proves t, K1K2 is a subgroup
+    K12, t is a character rho12 of it, and the product is rho12 m_K12.
+    That product is its own adjoint, and the adjoint of rho1 m_K1 *
+    rho2 m_K2 is rho2 m_K2 * rho1 m_K1 (each factor is self-adjoint), so
+    the pair commutes.  K12, its generators and rho12's exponents are those
+    classify_pair builds.
     """
     _require(k1, (rho1,), k2, (rho2,))
     parent = k1.parent
-    a, b = k1.elements_np, k2.elements_np
-    idx = parent.mul_np[a[:, None], b]
-    s = (rho1._exponents[a][:, None] + rho2._exponents[b]) % parent.exponent
     t = np.full(parent.order, -1, dtype=np.int64)
-    t[idx] = s
-    if not (t[idx] == s).all():
+    if _left_scatter(k1, rho1, k2, rho2, t) is None:
         return None
     support = np.flatnonzero(t >= 0)
     if not _proves_characters(k1, k2, t[None], support):

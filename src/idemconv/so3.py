@@ -116,8 +116,8 @@ def _product_grid(angles1: np.ndarray, angles2: np.ndarray, angles3: np.ndarray)
     return planes.transpose(2, 3, 4, 0, 1)
 
 
-# float64 grid entries built at once, so one slab of the grid stays near 2 MB
-_SLAB_BYTES = 2 << 20
+# float64 grid entries built at once, so one slab of the grid stays near 1 MB
+_SLAB_BYTES = 1 << 20
 
 # numpy's pairwise summation (np.add.reduce over contiguous float64): a
 # range of more than _PAIRWISE_LEAF values splits at half its length,

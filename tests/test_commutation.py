@@ -261,6 +261,38 @@ def test_verify_checks_closed_form_survives_optimize(run_optimized):
     )
 
 
+def test_meet_disagreement_survives_optimize(run_optimized):
+    # a commuting S3 pair, K1 = S3 and K2 = <(123)> both trivial, with rho2's
+    # exponent at (123), in K1 meet K2, corrupted: the scatter's read-back is
+    # the only zero test, so under -O the pair must still be a zero product,
+    # and Prop 4.3 must still refuse it
+    run_optimized(
+        "from idemconv import Character, character_group, classify_pair, closure\n"
+        "from idemconv import full_subgroup, symmetric_group, verify_prop_43\n"
+        "from idemconv.errors import PreconditionError\n"
+        "g = symmetric_group(3)\n"
+        "k1, k2 = full_subgroup(g), closure(g, [g.idx('(123)')])\n"
+        "pair = (k1, character_group(k1)[0], k2, character_group(k2)[0])\n"
+        "if classify_pair(*pair).kind != 'commute':\n"
+        "    raise SystemExit(3)\n"
+        "exponents = Character._exponents.func\n"
+        "def corrupted(chi):\n"
+        "    t = exponents(chi)\n"
+        "    if chi is pair[3]:\n"
+        "        t = t.copy()\n"
+        "        t[g.idx('(123)')] = 2\n"
+        "    return t\n"
+        "Character._exponents = property(corrupted)\n"
+        "if classify_pair(*pair).kind != 'zero_product':\n"
+        "    raise SystemExit(1)\n"
+        "try:\n"
+        "    verify_prop_43(*pair)\n"
+        "except PreconditionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(2)\n"
+    )
+
+
 def test_corrupted_spanning_set_survives_optimize(run_optimized):
     # the product-character proof rests on span(K1) and span(K2) generating
     # K1 and K2; a spanning set that does not reach its subgroup exactly is
@@ -492,6 +524,24 @@ def test_closed_form_matches_reference_exhaustively(name, request):
             _check_against_reference(group, k1, r1, k2, r2, shared=True)
 
 
+@pytest.mark.parametrize("name", ["s4", "d4", "q8"])
+def test_zero_product_exactly_when_characters_differ_on_meet(name, request):
+    # the structure theorem's zero test, in pure Python over the exponent
+    # tuples; a verified zero verdict carries zero products (the read-back
+    # has already written into the left row, so that row must be reset)
+    items = _items(request.getfixturevalue(name))
+    for k1, rho1 in items:
+        t1 = dict(zip(k1.elements, rho1.exps))
+        for k2, rho2 in items:
+            t2 = dict(zip(k2.elements, rho2.exps))
+            zero = any(t1[x] != t2[x] for x in k1.element_set & k2.element_set)
+            assert (classify_pair(k1, rho1, k2, rho2).kind == "zero_product") == zero
+            if zero:
+                v = classify_pair(k1, rho1, k2, rho2, verify=True)
+                assert v.kind == "zero_product"
+                assert v.left.is_zero() and v.right.is_zero()
+
+
 def test_closed_form_matches_reference_on_s5_sample(s5):
     items = _items(s5)
     rng = random.Random(2015)
@@ -626,8 +676,8 @@ def test_block_zero_check_survives_optimize(run_optimized):
     _expect_block_failure(
         run_optimized,
         "commute",
-        "lambda v: c.CommutationVerdict('zero_product', _products=(v._products[0], 1, 1, "
-        "-1 + 0 * v._products[3]))",
+        "lambda v: c.CommutationVerdict('zero_product', _products=(v._products[0], 1, "
+        "-1 + 0 * v._products[2]))",
         "zero_product verdict, nonzero convolution",
     )
 
@@ -637,7 +687,7 @@ def test_block_closed_form_check_survives_optimize(run_optimized):
     _expect_block_failure(
         run_optimized,
         "non_commuting",
-        "lambda v: dataclasses.replace(v, _products=v._products[:3] + (v._products[3][::-1],))",
+        "lambda v: dataclasses.replace(v, _products=v._products[:2] + (v._products[2][::-1],))",
         "closed-form products disagree with the convolutions",
     )
 
@@ -709,8 +759,8 @@ def _verdict_key(v):
     k12, rho12 = v.product_subgroup, v.product_character
     products = None
     if v._products is not None:
-        parent, n, den, exps = v._products
-        products = (id(parent), n, den, exps.tolist())
+        parent, n, exps = v._products
+        products = (id(parent), n, exps.tolist())
     return (
         v.kind,
         v.witness,

@@ -257,6 +257,23 @@ def test_subgroup_equality_and_hash(s3):
     assert a in {b}
 
 
+def test_cached_hash_of_separately_built_subgroups(s4):
+    # the lattice's subgroups against the same element sets rebuilt by
+    # closure and by the raw constructor: each hash is cached on first use,
+    # so hash one side twice before the other is built
+    for k in all_subgroups(s4):
+        first = hash(k)
+        assert hash(k) == first
+        rebuilt = (
+            closure(s4, list(k.generators)),
+            Subgroup(s4, k.elements, ()),
+        )
+        for other in rebuilt:
+            assert other is not k and other == k
+            assert hash(other) == first == hash((id(s4), k.elements))
+        assert len({k, *rebuilt}) == 1
+
+
 def test_closure_of_nothing_is_trivial(s3):
     assert closure(s3, []) == trivial_subgroup(s3)
 

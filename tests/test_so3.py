@@ -168,8 +168,8 @@ SLAB_GRIDS = {
     2: (1, False, False),  # N = 8, one leaf with 8 accumulators
     5: (1, False, False),  # N = 125, one leaf with a rest
     24: (1, False, False),  # a tree of leaves inside one slab
-    64: (10, False, True),  # slab edges on leaf edges
-    65: (11, True, True),  # leaves across slab edges
+    64: (22, False, True),  # slab edges on leaf edges
+    65: (22, True, True),  # leaves across slab edges
 }
 
 
